@@ -361,7 +361,13 @@ class BddManager:
             memo[node] = total
             return total
 
-        return count(f) << level(f)
+        try:
+            return count(f) << level(f)
+        finally:
+            # count reaches itself through its closure cell; emptying the
+            # cell frees the manager and memo now, not at the next
+            # cyclic collection
+            del count
 
     def pick_assignment(self, f: int,
                         variables: Optional[Sequence[int]] = None,
@@ -411,7 +417,10 @@ class BddManager:
             yield from walk(self._hi[node])
             del path[v]
 
-        yield from walk(f)
+        try:
+            yield from walk(f)
+        finally:
+            del walk  # the same self-reference as in satcount
 
     def cube(self, assignment: Mapping[int, bool]) -> int:
         """BDD of the conjunction of the given literals."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
+from repro.cec.equivalence import compared_ports
 from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import GateType
@@ -59,13 +60,9 @@ def build_miter(left: Circuit, right: Circuit,
     Returns:
         :class:`MiterInfo` whose circuit has a single output ``diff``.
     """
-    if outputs is None:
-        outputs = [p for p in left.outputs if p in right.outputs]
+    outputs = compared_ports(left, right, outputs)
     if not outputs:
         raise NetlistError("no shared outputs to compare")
-    for p in outputs:
-        if p not in left.outputs or p not in right.outputs:
-            raise NetlistError(f"output {p!r} missing on one side")
 
     miter = Circuit(name)
     seen = set()

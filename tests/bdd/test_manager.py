@@ -130,6 +130,24 @@ class TestEvaluateAndCount:
         with pytest.raises(BddError):
             m4.satcount(f, num_vars=2)
 
+    def test_counting_leaves_no_reference_cycle(self):
+        """satcount and sat_cubes recurse through closures; the manager
+        must still be freed by reference counting alone."""
+        import gc
+        import weakref
+
+        m = BddManager(4)
+        f = m.or_(m.and_(m.var(0), m.var(1)), m.var(3))
+        assert m.satcount(f) == 10
+        assert len(list(m.sat_cubes(f))) == 3
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_support_and_size(self, m4):
         a, c = m4.var(0), m4.var(2)
         f = m4.and_(a, c)
