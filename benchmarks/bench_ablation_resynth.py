@@ -22,7 +22,7 @@ def run_variant(cases, resynthesis):
         stats = result.stats()
         totals["gates"] += stats.gates
         totals["nets"] += stats.nets
-        totals["resubs"] += result.counters.get("resubstitutions", 0)
+        totals["resubs"] += result.counters.resubstitutions
         totals["seconds"] += result.runtime_seconds
     return totals
 

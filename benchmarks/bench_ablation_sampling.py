@@ -22,8 +22,8 @@ def run_config(cases, **kwargs):
     for cid in CASE_IDS:
         case = cases[cid]
         result = SysEco(EcoConfig(**kwargs)).rectify(case.impl, case.spec)
-        totals["sim_rejects"] += result.counters["sim_rejects"]
-        totals["sat_validations"] += result.counters["sat_validations"]
+        totals["sim_rejects"] += result.counters.sim_rejects
+        totals["sat_validations"] += result.counters.sat_validations
         totals["gates"] += result.stats().gates
         totals["seconds"] += result.runtime_seconds
     return totals

@@ -23,7 +23,7 @@ def run_sources(cases, use_impl, use_spec):
         stats = result.stats()
         totals["gates"] += stats.gates
         totals["nets"] += stats.nets
-        totals["fallbacks"] += result.counters["fallbacks"]
+        totals["fallbacks"] += result.counters.fallbacks
     return totals
 
 

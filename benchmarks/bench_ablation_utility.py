@@ -20,7 +20,7 @@ def run_variant(cases, ordered):
         config = EcoConfig(utility_ordering=ordered)
         result = SysEco(config).rectify(case.impl, case.spec)
         totals["gates"] += result.stats().gates
-        totals["sat_validations"] += result.counters["sat_validations"]
+        totals["sat_validations"] += result.counters.sat_validations
         totals["seconds"] += result.runtime_seconds
     return totals
 

@@ -14,7 +14,6 @@ quantification) and asserts BDD-level equality with the closed forms.
 """
 
 import itertools
-import math
 
 from repro.bdd.manager import BddManager
 from repro.eco.points import PointSelector, compute_h_function

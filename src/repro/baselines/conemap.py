@@ -12,7 +12,6 @@ its commercial reference as 'guidance'.
 from __future__ import annotations
 
 from repro.runtime.clock import now
-from typing import Optional
 
 from repro.netlist.circuit import Circuit, Pin
 from repro.cec.equivalence import check_equivalence, nonequivalent_outputs

@@ -63,15 +63,13 @@ class DeltaSyn:
     def match_signals(self, impl: Circuit, spec: Circuit) -> Dict[str, str]:
         """Candidate correspondence: spec net -> impl net, by signature."""
         rng = random.Random(77)
-        impl_order = topological_order(impl)
-        spec_order = topological_order(spec)
         impl_sigs: Dict[str, int] = {n: 0 for n in impl.nets()}
         spec_sigs: Dict[str, int] = {n: 0 for n in spec.nets()}
         for _ in range(self.sim_rounds):
             words = random_patterns(impl.inputs, rng)
-            iv = simulate_words(impl, words, impl_order)
+            iv = simulate_words(impl, words)
             sv = simulate_words(
-                spec, {n: words.get(n, 0) for n in spec.inputs}, spec_order)
+                spec, {n: words.get(n, 0) for n in spec.inputs})
             for net in impl_sigs:
                 impl_sigs[net] = (impl_sigs[net] << WORD_BITS) | iv[net]
             for net in spec_sigs:
@@ -79,7 +77,7 @@ class DeltaSyn:
 
         # earliest impl net per signature (smaller cones preferred)
         by_sig: Dict[int, str] = {}
-        for net in list(impl.inputs) + impl_order:
+        for net in list(impl.inputs) + topological_order(impl):
             by_sig.setdefault(impl_sigs[net], net)
 
         matches: Dict[str, str] = {}

@@ -7,7 +7,7 @@ nodes are labelled by variable (names optional).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.bdd.manager import BddManager, FALSE, TRUE
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from repro.bdd.cube import Cube
-from repro.bdd.manager import BddManager, FALSE, TRUE
+from repro.bdd.manager import BddManager, FALSE
 
 
 def expand_to_prime(manager: BddManager, cube: Cube, f: int,

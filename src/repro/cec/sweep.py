@@ -14,10 +14,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import WORD_MASK
 from repro.netlist.simulate import signature
 from repro.netlist.traverse import topological_order, transitive_fanin
-from repro.sat import Solver, SAT, UNSAT
+from repro.sat import Solver, UNSAT
 from repro.sat.tseitin import CircuitEncoder
 
 

@@ -148,9 +148,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             max_points=args.max_points,
             level_aware=args.level_aware,
             resynthesis=args.resynthesis,
-            incremental_validate=args.incremental_validate,
             jobs=args.jobs,
-            sim_backend=args.sim_backend,
             seed=args.seed,
             deadline_s=args.deadline,
             total_sat_budget=args.total_sat_budget,
@@ -467,20 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes for the per-output search "
                         "phase (default: 1 = sequential)")
-    p.add_argument("--no-incremental-validate",
-                   dest="incremental_validate", action="store_false",
-                   default=True,
-                   help="validate candidates with the legacy "
-                        "copy-and-re-encode oracle instead of the "
-                        "incremental assumption-based miter")
-    p.add_argument("--sim-backend",
-                   choices=["auto", "python", "numpy"],
-                   default="auto",
-                   help="simulation-kernel backend: auto (default) "
-                        "uses the numpy vector kernels when numpy is "
-                        "installed, python forces the pure-Python "
-                        "oracle paths, numpy requires the repro[perf] "
-                        "extra")
     p.add_argument("--profile", metavar="FILE",
                    help="profile the run with cProfile and write "
                         "sorted stats to FILE")

@@ -28,7 +28,6 @@ from repro.bdd.manager import FALSE, TRUE
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.traverse import topological_order
 from repro.eco.rewiring import RewireCandidate
-from repro.eco.points import compute_h_function
 from repro.eco.sampling import SamplingDomain
 from repro.obs.trace import ensure_trace
 

@@ -31,8 +31,6 @@ class EcoConfig:
             'resource-constrained SAT solver').
         bdd_node_limit: node cap of the sampling-domain BDD manager;
             exceeding it shrinks the candidate-pin set and retries.
-        sim_rounds: 64-pattern random simulation rounds used by the
-            utility heuristic on top of the error samples.
         error_bias: fraction of the sampling domain drawn from the
             error domain ``E`` (the remainder is uniform random);
             the paper observes error-domain samples give fewer false
@@ -68,24 +66,12 @@ class EcoConfig:
 
     Performance machinery (see docs/performance.md):
 
-        incremental_validate: validate candidates on one persistent
-            assumption-based SAT miter per output search
-            (:class:`repro.eco.incremental.IncrementalValidator`)
-            instead of copy-and-re-encode per candidate; the legacy
-            path remains as a cross-check oracle when ``False``.
         jobs: worker processes for the per-output search phase.  With
             ``jobs > 1`` non-equivalent outputs are partitioned across
             a process pool; the run budget is split between workers and
             every worker's counters, spans and commits are merged back
             into the main run.  ``1`` (default) keeps the sequential
             path.
-        sim_backend: simulation-kernel backend — ``"auto"`` (default)
-            uses the numpy level-batched vector kernels when numpy is
-            installed and the batch shape favors them, ``"python"``
-            forces the pure-Python bignum paths (the bit-identity
-            oracle), ``"numpy"`` forces the vector kernels and raises
-            when numpy is missing.  Ships as the ``repro[perf]``
-            optional extra; see docs/performance.md.
 
     Run supervision (see ``repro.runtime`` and docs/architecture.md):
 
@@ -158,7 +144,6 @@ class EcoConfig:
     choice_limit: int = 16
     sat_budget: int = 50000
     bdd_node_limit: int = 400000
-    sim_rounds: int = 4
     error_bias: float = 1.0
     use_impl_nets: bool = True
     use_spec_nets: bool = True
@@ -169,9 +154,7 @@ class EcoConfig:
     exact_domain_max_inputs: int = 0
     cegar_refinement: bool = True
     joint_outputs: int = 1
-    incremental_validate: bool = True
     jobs: int = 1
-    sim_backend: str = "auto"
     seed: int = 2019
     deadline_s: Optional[float] = None
     total_sat_budget: Optional[int] = None
@@ -194,16 +177,13 @@ class EcoConfig:
         for name in ("num_samples", "max_points", "max_candidate_pins",
                      "max_rewire_candidates", "prime_limit",
                      "pointset_limit", "choice_limit", "sat_budget",
-                     "bdd_node_limit", "sim_rounds", "joint_outputs",
+                     "bdd_node_limit", "joint_outputs",
                      "jobs", "max_output_attempts",
                      "sat_escalation_attempts", "sat_deescalate_after"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not (self.use_impl_nets or self.use_spec_nets):
             raise ValueError("at least one rewiring-net source is required")
-        if self.sim_backend not in ("auto", "python", "numpy"):
-            raise ValueError(
-                "sim_backend must be one of auto, python, numpy")
         if not 0.0 <= self.error_bias <= 1.0:
             raise ValueError("error_bias must be in [0, 1]")
         if self.exact_domain_max_inputs < 0:

@@ -43,7 +43,6 @@ from repro.errors import (
     ResourceBudgetExceeded,
 )
 from repro.bdd.manager import BddManager
-from repro.netlist import simd
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_MASK
 from repro.netlist.simulate import patterns_to_words, simulate_words
@@ -96,10 +95,6 @@ class SysEco:
 
     def __init__(self, config: Optional[EcoConfig] = None):
         self.config = config or EcoConfig()
-        # backend choice is process-global so pickled plans re-dispatch
-        # correctly inside parallel workers (each worker constructs its
-        # own SysEco from the worker config)
-        simd.set_backend(self.config.sim_backend)
 
     # ------------------------------------------------------------------
     def rectify(self, impl: Circuit, spec: Circuit,
@@ -865,22 +860,20 @@ class SysEco:
         lazily — only when a candidate actually survives the screens —
         and kept in ``inc_box`` so every later candidate of the same
         search is a single assumption-based solve on the one persistent
-        miter.  Rewires outside the registered cut, and runs with
-        ``config.incremental_validate`` off, go through the legacy
-        copy-and-re-encode oracle instead.
+        miter.  Rewires outside the registered cut go through the
+        copy-and-re-encode :func:`validate_rewire` instead.
         """
         config = self.config
-        if config.incremental_validate:
-            validator = inc_box[0]
-            if validator is None:
-                validator = IncrementalValidator(
-                    work, spec, pins, cache=run.cnf_cache,
-                    counters=run.counters)
-                inc_box[0] = validator
-            if validator.covers(ops):
-                return validator.validate(
-                    ops, failing, clone_map,
-                    sat_budget=config.sat_budget, target=port, run=run)
+        validator = inc_box[0]
+        if validator is None:
+            validator = IncrementalValidator(
+                work, spec, pins, cache=run.cnf_cache,
+                counters=run.counters)
+            inc_box[0] = validator
+        if validator.covers(ops):
+            return validator.validate(
+                ops, failing, clone_map,
+                sat_budget=config.sat_budget, target=port, run=run)
         return validate_rewire(work, spec, ops, failing, clone_map,
                                sat_budget=config.sat_budget,
                                target=port, run=run)

@@ -1,8 +1,8 @@
 """Incremental assumption-based candidate validation (Section 5.2).
 
-The legacy :func:`repro.eco.validate.validate_rewire` pays a full
-``impl.copy()``, cone cloning and a fresh Tseitin encoding for *every*
-candidate rewire.  :class:`IncrementalValidator` amortizes all of that
+:func:`repro.eco.validate.validate_rewire` pays a full ``impl.copy()``,
+cone cloning and a fresh Tseitin encoding for *every* candidate
+rewire.  :class:`IncrementalValidator` amortizes all of that
 across the whole search of one output: it encodes a mux-augmented
 miter **once** — every candidate pin's fanin connection is cut and
 replaced by a free *pin variable* — and registers each concrete rewire
@@ -28,9 +28,9 @@ for the specification side and exposes the ``solver`` +
 ``check_pair(port, conflict_budget)`` surface of
 :class:`~repro.cec.equivalence.PairwiseChecker`, so
 :meth:`RunSupervisor.check_pair_supervised` drives it unchanged —
-budgets, escalation and fault injection apply exactly as on the legacy
-path, which stays available as a cross-check oracle behind
-``EcoConfig.incremental_validate``.
+budgets, escalation and fault injection apply exactly as on the
+copy-and-re-encode path, which still validates rewires outside the
+registered cut, journal and ``--jobs`` replays, and the fallback.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class IncrementalValidator:
         spec: revised specification ``C'``.
         pins: candidate rectification pins — the cut points.  Only
             rewires whose pins are all in this set can be validated
-            (:meth:`covers`); the engine falls back to the legacy path
-            otherwise.
+            (:meth:`covers`); the engine falls back to
+            :func:`~repro.eco.validate.validate_rewire` otherwise.
         cache: optional :class:`CnfCache` for the specification side.
         counters: optional ``RunCounters`` receiving
             ``incremental_solves``.

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.gate import GateType
 from repro.runtime.counters import RunCounters
 
 

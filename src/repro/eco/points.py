@@ -31,7 +31,7 @@ from repro.bdd.manager import BddManager, FALSE, TRUE
 from repro.bdd.netbridge import apply_gate
 from repro.bdd.primes import enumerate_primes
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.traverse import topological_order, transitive_fanin
+from repro.netlist.traverse import topological_order
 from repro.eco.sampling import SamplingDomain
 from repro.obs.trace import ensure_trace
 

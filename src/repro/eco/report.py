@@ -41,12 +41,10 @@ def format_patch_report(result: RectificationResult,
         for how, ports in sorted(by_method.items()):
             lines.append(f"{how:<15}: {', '.join(ports)}")
 
-    if result.counters:
-        interesting = {k: v for k, v in sorted(result.counters.items())
-                       if v}
-        if interesting:
-            lines.append("search effort  : " + ", ".join(
-                f"{k}={v}" for k, v in interesting.items()))
+    interesting = sorted(result.counters.nonzero().items())
+    if interesting:
+        lines.append("search effort  : " + ", ".join(
+            f"{k}={v}" for k, v in interesting))
 
     if result.patch.ops:
         lines.append("rewire operations:")

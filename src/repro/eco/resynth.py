@@ -51,11 +51,10 @@ def _word_signatures(circuit: Circuit, rounds: int,
     """Per-net list of simulation words (one per round)."""
     import random
     rng = random.Random(seed)
-    order = topological_order(circuit)
     sigs: Dict[str, List[int]] = {n: [] for n in circuit.nets()}
     for _ in range(rounds):
         words = random_patterns(circuit.inputs, rng)
-        values = simulate_words(circuit, words, order)
+        values = simulate_words(circuit, words)
         for net in sigs:
             sigs[net].append(values[net])
     return sigs

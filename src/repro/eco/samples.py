@@ -19,7 +19,6 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import WORD_BITS
 from repro.netlist.simulate import compiled_plan, random_patterns
 from repro.sat import Solver, SAT
 from repro.sat.tseitin import CircuitEncoder

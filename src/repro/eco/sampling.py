@@ -18,7 +18,7 @@ import math
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import EcoError
-from repro.bdd.manager import BddManager, FALSE, TRUE
+from repro.bdd.manager import BddManager, FALSE
 from repro.bdd.netbridge import net_functions
 from repro.netlist.circuit import Circuit
 

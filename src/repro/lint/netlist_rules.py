@@ -1,7 +1,6 @@
 """Netlist analyzer: structural diagnostics for :class:`Circuit`.
 
-Supersedes the string list of ``repro.netlist.validate`` (which now
-delegates here).  Two tiers of rules:
+The single home of well-formedness checking.  Two tiers of rules:
 
 * **well-formedness** (``NL001``–``NL010``, errors except the ``NL004``
   port/net-collision warning) — the invariants every circuit must

@@ -58,7 +58,7 @@ import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.lint.diag import LintReport, error, info
 from repro.runtime.faultinject import FaultInjector

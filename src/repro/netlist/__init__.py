@@ -6,9 +6,10 @@ named nets that carry a value from one source pin to many sink pins.
 
 The central class is :class:`~repro.netlist.circuit.Circuit`.  Supporting
 modules add traversal (topological order, transitive fanin/fanout),
-64-way parallel simulation, structural hashing, well-formedness
-validation, BLIF / structural-Verilog I/O and statistics that mirror the
-columns of Table 1 in the paper.
+64-way parallel simulation, structural hashing, BLIF /
+structural-Verilog I/O and statistics that mirror the columns of Table 1
+in the paper.  Well-formedness checks live in
+:mod:`repro.lint.netlist_rules`.
 """
 
 from repro.netlist.gate import Gate, GateType
@@ -23,7 +24,6 @@ from repro.netlist.traverse import (
 )
 from repro.netlist.simulate import simulate, simulate_words, random_patterns
 from repro.netlist.hashing import structural_hash, strash
-from repro.netlist.validate import validate, is_well_formed
 from repro.netlist.stats import CircuitStats, circuit_stats
 from repro.netlist.io_blif import read_blif, write_blif, loads_blif, dumps_blif
 from repro.netlist.io_verilog import (
@@ -55,8 +55,6 @@ __all__ = [
     "random_patterns",
     "structural_hash",
     "strash",
-    "validate",
-    "is_well_formed",
     "CircuitStats",
     "circuit_stats",
     "read_blif",

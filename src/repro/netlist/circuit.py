@@ -13,7 +13,7 @@ The rewiring edit of the paper (Section 3.3) maps onto two methods:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import NetlistError
 from repro.netlist.gate import Gate, GateType
@@ -285,7 +285,8 @@ class Circuit:
         Returns the previous driver.  The caller is responsible for
         keeping the circuit acyclic (the ECO engine checks the paper's
         topological constraint before committing a rewire); use
-        :func:`repro.netlist.validate.validate` to verify afterwards.
+        :func:`repro.lint.netlist_rules.lint_netlist` to verify
+        afterwards.
         """
         if not self.has_net(net):
             raise NetlistError(f"rewire target net {net!r} does not exist")

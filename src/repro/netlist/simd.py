@@ -16,18 +16,16 @@ multi-word Python batch integers).  One level costs a single merged
 so thousands of patterns move per interpreter dispatch instead of one
 gate per bytecode loop iteration.
 
-Backend selection is process-global (``set_backend``): ``python``
-forces the pure-Python paths, ``numpy`` forces the vector kernels
-(raising when numpy is missing), and ``auto`` — the default — uses the
-vector kernels only where they empirically win (wide batches on
-non-trivial circuits) and silently falls back when numpy is absent.
-Every vector kernel is pinned bit-for-bit to its pure-Python oracle by
-``tests/netlist/test_simd.py``.
+Production runs use the ``auto`` rule: the vector kernels run only
+where they empirically win (numpy imports and the batch shape meets the
+``AUTO_MIN_*`` thresholds) and the pure-Python paths run everywhere
+else.  :func:`set_backend` pins one path process-wide so tests and
+benchmarks can compare them; every vector kernel is pinned bit-for-bit
+to its pure-Python twin by ``tests/netlist/test_simd.py``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Mapping, Sequence
 
 from repro.errors import NetlistError
@@ -54,21 +52,13 @@ _selected = "auto"
 
 
 def set_backend(name: str) -> str:
-    """Select the process-global simulation backend.
+    """Pin the process-global simulation backend; returns the previous one.
 
-    Returns the previous selection.  Selecting ``numpy`` without numpy
-    installed raises :class:`~repro.errors.NetlistError`; ``auto``
-    (the default) uses the vector kernels when numpy is present and
-    the batch is wide enough to win.  ``auto`` also honors the
-    ``REPRO_SIM_BACKEND`` environment variable (``python``/``numpy``)
-    so CI legs can force a backend without threading a flag through
-    every entry point.
+    ``python`` forces the pure-Python paths and ``numpy`` the vector
+    kernels (raising :class:`~repro.errors.NetlistError` when numpy is
+    missing); ``auto``, the default, restores the shape-based rule.
     """
     global _selected
-    if name == "auto":
-        env = os.environ.get("REPRO_SIM_BACKEND", "").strip().lower()
-        if env in ("python", "numpy"):
-            name = env
     if name not in BACKENDS:
         raise NetlistError(
             f"unknown simulation backend {name!r} "
@@ -76,8 +66,7 @@ def set_backend(name: str) -> str:
     if name == "numpy" and not HAVE_NUMPY:
         raise NetlistError(
             "simulation backend 'numpy' requested but numpy is not "
-            "installed (pip install repro[perf], or use --sim-backend "
-            "auto for silent fallback)")
+            "installed (pip install repro[perf])")
     previous = _selected
     _selected = name
     return previous
@@ -86,15 +75,6 @@ def set_backend(name: str) -> str:
 def get_backend() -> str:
     """The currently selected backend name (``auto``/``python``/``numpy``)."""
     return _selected
-
-
-def backend_info() -> Dict[str, object]:
-    """Selection + availability snapshot (CLI/diagnostics)."""
-    return {
-        "selected": _selected,
-        "numpy_available": HAVE_NUMPY,
-        "numpy_version": getattr(_np, "__version__", None),
-    }
 
 
 def use_vector_run(width_words: int, num_steps: int) -> bool:

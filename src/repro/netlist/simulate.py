@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import NetlistError
 from repro.netlist import simd
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import WORD_BITS, WORD_MASK, GateType, eval_gate
+from repro.netlist.gate import WORD_BITS, WORD_MASK, GateType
 from repro.netlist.traverse import topological_order
 
 # CompiledPlan opcodes: small ints dispatchable without enum hashing.
@@ -272,34 +272,18 @@ def compiled_plan(circuit: Circuit,
 
 
 def simulate_words(circuit: Circuit,
-                   input_words: Mapping[str, int],
-                   order: Optional[Sequence[str]] = None) -> Dict[str, int]:
+                   input_words: Mapping[str, int]) -> Dict[str, int]:
     """Evaluate every net on 64 packed input patterns.
 
     Args:
         circuit: the netlist to simulate.
         input_words: 64-bit word per primary input.
-        order: optional explicit topological order.  Without one the
-            circuit's cached :class:`CompiledPlan` evaluates the batch;
-            passing an order (e.g. a cone's) forces the reference
-            per-gate dictionary walk over exactly those gates.
 
     Returns:
-        Mapping from every net name to its 64-bit output word.
+        Mapping from every net name to its 64-bit output word, computed
+        by the circuit's cached :class:`CompiledPlan`.
     """
-    if order is None:
-        return compiled_plan(circuit).run_dict(input_words)
-    values: Dict[str, int] = {}
-    for name in circuit.inputs:
-        try:
-            values[name] = input_words[name] & WORD_MASK
-        except KeyError:
-            raise NetlistError(f"missing value for input {name!r}")
-    gates = circuit.gates
-    for name in order:
-        gate = gates[name]
-        values[name] = eval_gate(gate.gtype, [values[f] for f in gate.fanins])
-    return values
+    return compiled_plan(circuit).run_dict(input_words)
 
 
 def simulate(circuit: Circuit,
@@ -357,8 +341,8 @@ def words_to_patterns(inputs: Sequence[str], words: Mapping[str, int],
     return out
 
 
-def signature(circuit: Circuit, rounds: int, seed: int = 2019,
-              order: Optional[Sequence[str]] = None) -> Dict[str, int]:
+def signature(circuit: Circuit, rounds: int,
+              seed: int = 2019) -> Dict[str, int]:
     """Multi-round random simulation signature of every net.
 
     Concatenates ``rounds`` 64-bit words into one integer per net; equal
@@ -366,20 +350,11 @@ def signature(circuit: Circuit, rounds: int, seed: int = 2019,
     SAT in :mod:`repro.cec.sweep`).
 
     All rounds are evaluated as one multi-word batch through the
-    circuit's compiled plan (round ``r`` occupies the batch's lane
-    ``rounds - 1 - r``, reproducing the shift-and-or concatenation of
-    the per-round reference loop bit for bit).
+    circuit's compiled plan: round ``r`` occupies the batch's lane
+    ``rounds - 1 - r``, so the result equals shifting each round's
+    64-bit word in after the previous ones.
     """
     rng = random.Random(seed)
-    if order is not None:
-        # reference path: per-round dictionary walk over a given order
-        sigs: Dict[str, int] = {n: 0 for n in circuit.nets()}
-        for _ in range(rounds):
-            words = random_patterns(circuit.inputs, rng)
-            values = simulate_words(circuit, words, order)
-            for net in sigs:
-                sigs[net] = (sigs[net] << WORD_BITS) | values[net]
-        return sigs
     batched: Dict[str, int] = {n: 0 for n in circuit.inputs}
     for r in range(rounds):
         shift = WORD_BITS * (rounds - 1 - r)

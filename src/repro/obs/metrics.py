@@ -279,24 +279,25 @@ class MetricsRegistry:
         name = sanitize_metric_name(name)
         key = (name, _label_key(labels))
         series = self._series.get(key)
-        if series is not None:
-            if not isinstance(series, cls):
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{self._families[name][0]}, not {kind}")
-            return series
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                family = self._families.get(name)
-                if family is not None and family[0] != kind:
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{family[0]}, not {kind}")
-                if family is None:
-                    self._families[name] = (kind, help_ or name)
-                series = cls(name, key[1], **kwargs)
-                self._series[key] = series
+        if series is None:
+            with self._lock:
+                series = self._series.get(key)
+                if series is None:
+                    family = self._families.get(name)
+                    if family is not None and family[0] != kind:
+                        raise ValueError(
+                            f"metric {name!r} already registered as "
+                            f"{family[0]}, not {kind}")
+                    if family is None:
+                        self._families[name] = (kind, help_ or name)
+                    series = cls(name, key[1], **kwargs)
+                    self._series[key] = series
+        # checked on both paths: another thread may have created the
+        # series between the unlocked read and taking the lock
+        if not isinstance(series, cls):
+            raise ValueError(
+                f"metric {name!r} already registered as "
+                f"{self._families[name][0]}, not {kind}")
         return series
 
     def counter(self, name: str,

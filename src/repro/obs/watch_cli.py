@@ -30,7 +30,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.metrics import histogram_percentiles, parse_prometheus_text
 from repro.obs.store import RunRecord, RunStore

@@ -3,14 +3,13 @@
 Replaces the engine-instance counter dict (which leaked state across
 ``rectify`` calls) with a dataclass owned by the run supervisor and
 returned on the public :class:`~repro.eco.patch.RectificationResult`.
-The mapping-style accessors (``counters["choices"]``, ``.get``,
-``.items()``, ``in``) keep existing benches and reports working.
+Read counters as attributes, or as a plain mapping via ``as_dict()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 
 @dataclass
@@ -88,26 +87,8 @@ class RunCounters:
     outputs_quarantined: int = 0
     replayed_commits: int = 0
 
-    # -- mapping-style compatibility -----------------------------------
-    def _names(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in fields(self))
-
-    def __getitem__(self, key: str) -> int:
-        if key not in self._names():
-            raise KeyError(key)
-        return getattr(self, key)
-
-    def get(self, key: str, default: int = 0) -> int:
-        return getattr(self, key) if key in self._names() else default
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._names()
-
-    def items(self) -> Iterator[Tuple[str, int]]:
-        return iter((f.name, getattr(self, f.name)) for f in fields(self))
-
     def as_dict(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def nonzero(self) -> Dict[str, int]:
-        return {k: v for k, v in self.items() if v}
+        return {k: v for k, v in self.as_dict().items() if v}

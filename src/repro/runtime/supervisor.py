@@ -366,7 +366,8 @@ class RunSupervisor:
                       degrade_reason: Optional[str] = None) -> None:
         """Merge one worker's telemetry into this run.
 
-        Adds every counter (escalation totals go through the merged
+        Adds every counter that names a ``RunCounters`` field and skips
+        any other name (escalation totals go through the merged
         base so later local assignments do not clobber them), charges
         the worker's actual SAT/BDD spend to the aggregate budget, and
         propagates degradation.  Serialized under the supervisor state
@@ -374,8 +375,9 @@ class RunSupervisor:
         the counter read-modify-writes.
         """
         with self._state_lock:
+            known = self.counters.as_dict()
             for name, value in counters.items():
-                if name not in self.counters or not value:
+                if name not in known or not value:
                     continue
                 if name == "sat_escalations":
                     self._merged_escalations += value

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.hashing import strash

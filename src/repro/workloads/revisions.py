@@ -10,7 +10,7 @@ the ECO engines must discover the change functionally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError

@@ -2,8 +2,7 @@
 
 from repro.baselines.conemap import ConeMap
 from repro.cec.equivalence import check_equivalence
-from repro.netlist.circuit import Circuit
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 from repro.workloads.figures import example1_circuits
 
 
@@ -11,7 +10,7 @@ class TestConeMap:
     def test_rectifies_example1(self):
         impl, spec = example1_circuits(width=2)
         result = ConeMap().rectify(impl, spec)
-        assert is_well_formed(result.patched)
+        assert lint_netlist(result.patched, deep=False).ok
         assert check_equivalence(result.patched, spec).equivalent
 
     def test_patch_covers_whole_cones(self):

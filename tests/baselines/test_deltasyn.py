@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.deltasyn import DeltaSyn
 from repro.cec.equivalence import check_equivalence
 from repro.netlist.circuit import Circuit
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 from repro.synth import optimize_heavy, optimize_light
 from repro.workloads.figures import example1_circuits
 from repro.workloads.generators import control_design
@@ -57,7 +57,7 @@ class TestRectify:
     def test_rectifies_and_verifies(self):
         impl, spec = revised_pair()
         result = DeltaSyn().rectify(impl, spec)
-        assert is_well_formed(result.patched)
+        assert lint_netlist(result.patched, deep=False).ok
         assert check_equivalence(result.patched, spec).equivalent
 
     @pytest.mark.parametrize("kind", ["gate-type", "polarity",

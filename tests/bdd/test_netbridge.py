@@ -7,7 +7,6 @@ import pytest
 from repro.errors import BddError
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.bdd.netbridge import apply_gate, circuit_to_bdds, net_functions
-from repro.netlist.circuit import Circuit
 from repro.netlist.gate import GateType
 from repro.netlist.simulate import evaluate_outputs
 from tests.conftest import make_random_circuit

@@ -1,6 +1,5 @@
 """Unit and property tests for prime-cube enumeration."""
 
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st

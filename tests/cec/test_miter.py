@@ -6,7 +6,7 @@ from repro.errors import NetlistError
 from repro.cec.miter import build_miter
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulate import evaluate_outputs
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 
 
 def xor_impl() -> Circuit:
@@ -34,7 +34,7 @@ def or_impl() -> Circuit:
 class TestBuildMiter:
     def test_equivalent_circuits_never_differ(self):
         info = build_miter(xor_impl(), xor_via_muxes())
-        assert is_well_formed(info.circuit)
+        assert lint_netlist(info.circuit, deep=False).ok
         for a in (False, True):
             for b in (False, True):
                 out = evaluate_outputs(info.circuit, {"a": a, "b": b})

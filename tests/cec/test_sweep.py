@@ -1,6 +1,5 @@
 """Tests for SAT sweeping."""
 
-import pytest
 
 from repro.cec.equivalence import check_equivalence
 from repro.cec.sweep import equivalence_classes, prune_dangling, \

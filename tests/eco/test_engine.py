@@ -6,8 +6,8 @@ from repro.cec.equivalence import check_equivalence
 from repro.errors import EcoError
 from repro.eco.config import EcoConfig
 from repro.eco.engine import SysEco, rectify
-from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.validate import is_well_formed
+from repro.netlist.circuit import Circuit
+from repro.lint.netlist_rules import lint_netlist
 from repro.synth import optimize_heavy, optimize_light
 from repro.workloads.figures import example1_circuits, figure1_circuits
 from repro.workloads.generators import alu_design, control_design
@@ -15,7 +15,7 @@ from repro.workloads.revisions import apply_revision
 
 
 def assert_rectified(result, spec):
-    assert is_well_formed(result.patched)
+    assert lint_netlist(result.patched, deep=False).ok
     assert check_equivalence(result.patched, spec).equivalent is True
 
 

@@ -1,16 +1,15 @@
-"""Verdict parity of :class:`IncrementalValidator` with the legacy path.
+"""Verdict parity of :class:`IncrementalValidator` with :func:`validate_rewire`.
 
 The incremental assumption-based validator is a pure performance
 device: on every candidate it must return exactly the verdict the
-legacy copy-and-re-encode :func:`validate_rewire` returns — including
+copy-and-re-encode :func:`validate_rewire` returns — including
 rejections for topological-constraint and acyclicity violations — and
 any patched circuit it materializes must be functionally identical to
-the legacy one.  The property tests below drive both validators with
+that one.  The property tests below drive both validators with
 the same randomized circuits, pins and rewire ops and compare them
 check by check; the fault-injection tests confirm budgets, escalation
 and strict mode behave identically when the supervised solver runs
-through the incremental miter (the default since
-``EcoConfig.incremental_validate`` landed).
+through the incremental miter.
 """
 
 import itertools
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cec.equivalence import check_equivalence
-from repro.errors import ResourceBudgetExceeded, SatBudgetExceeded
+from repro.errors import SatBudgetExceeded
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.simulate import evaluate_outputs
 from repro.netlist.traverse import topological_order
@@ -179,10 +178,9 @@ class TestVerdictParity:
 class TestSupervisedIncremental:
     """Budget exhaustion and degradation through the incremental miter.
 
-    ``EcoConfig.incremental_validate`` defaults to on, so these drive
-    the whole engine: fault payloads land inside the persistent
-    incremental solver exactly as they used to land in the per-candidate
-    checkers.
+    The engine validates candidates incrementally, so these drive the
+    whole engine: fault payloads land inside the persistent incremental
+    solver exactly as they land in the per-candidate checkers.
     """
 
     def single_bug(self):
@@ -239,18 +237,22 @@ class TestSupervisedIncremental:
 
 
 class TestEngineParity:
-    """Whole-engine results with the incremental validator on vs off."""
+    """Whole-engine results through the incremental validator vs
+    through :func:`validate_rewire` for every candidate."""
 
     @pytest.mark.parametrize("seed", [4, 8])
-    def test_rectify_matches_legacy_validator_path(self, seed):
+    def test_rectify_matches_legacy_validator_path(self, seed,
+                                                   monkeypatch):
         spec = make_random_circuit(seed, n_inputs=4, n_gates=14)
         impl = mutate(spec, seed + 100)
         assert impl is not None
         assert failing_outputs(impl, spec)  # seeds chosen to be visible
         fast = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
-        slow = rectify(impl, spec,
-                       EcoConfig(num_samples=16, seed=9,
-                                 incremental_validate=False))
+        # a validator that covers no rewire sends every candidate
+        # through validate_rewire
+        monkeypatch.setattr(IncrementalValidator, "covers",
+                            lambda self, ops: False)
+        slow = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
         assert check_equivalence(fast.patched, spec).equivalent is True
         assert check_equivalence(slow.patched, spec).equivalent is True
         assert sorted(fast.per_output) == sorted(slow.per_output)

@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import pytest
 
 from repro.bdd.manager import BddManager
 from repro.cec.equivalence import check_equivalence

@@ -106,6 +106,15 @@ class TestTelemetryMerge:
         assert run.counters.parallel_workers == 1
         assert run.budget.sat_remaining() == 1000 - 40
 
+    def test_absorb_worker_skips_names_that_are_not_counters(self):
+        run = RunSupervisor.from_config(EcoConfig())
+        expected = run.counters.as_dict()
+        expected["parallel_workers"] += 1
+        # method names are attributes of RunCounters but not counters
+        run.absorb_worker({"not_a_counter": 99, "as_dict": 1,
+                           "nonzero": 2})
+        assert run.counters.as_dict() == expected
+
     def test_absorb_worker_escalations_survive_later_assignment(self):
         run = RunSupervisor.from_config(EcoConfig())
         run.absorb_worker({"sat_escalations": 4, "sat_deescalations": 1})

@@ -120,11 +120,11 @@ class TestExtractCircuit:
         return impl, spec, rectify(impl, spec, EcoConfig(num_samples=8))
 
     def test_patch_netlist_is_well_formed(self):
-        from repro.netlist.validate import is_well_formed
+        from repro.lint.netlist_rules import lint_netlist
         impl, spec, result = self._rectified()
         patch_circuit, port_map = result.patch.extract_circuit(
             result.patched)
-        assert is_well_formed(patch_circuit)
+        assert lint_netlist(patch_circuit, deep=False).ok
         assert len(port_map) == len(set(result.patch.rewired_pins))
 
     def test_ports_drive_the_recorded_pins(self):

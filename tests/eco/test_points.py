@@ -2,7 +2,6 @@
 
 import itertools
 
-import pytest
 
 from repro.bdd.manager import FALSE, BddManager
 from repro.eco.points import (

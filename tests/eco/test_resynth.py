@@ -1,6 +1,5 @@
 """Tests for the rectification-logic resynthesis post-pass."""
 
-import pytest
 
 from repro.cec.equivalence import check_equivalence
 from repro.eco.config import EcoConfig
@@ -8,7 +7,7 @@ from repro.eco.engine import rectify
 from repro.eco.resynth import resubstitute_patch
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import GateType
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 from repro.synth import optimize_heavy, optimize_light
 from repro.workloads.generators import control_design
 from repro.workloads.revisions import apply_revision
@@ -35,7 +34,7 @@ class TestResubstitute:
         resubs, patch_gates = resubstitute_patch(
             c, {"eco$h1", "eco$h2"})
         assert resubs >= 1
-        assert is_well_formed(c)
+        assert lint_netlist(c, deep=False).ok
         assert check_equivalence(reference, c).equivalent is True
         # the clone pair is gone; one freshly built gate remains
         assert "eco$h2" not in c.gates
@@ -91,4 +90,4 @@ class TestEngineIntegration:
         resynth = rectify(impl, revised, EcoConfig(resynthesis=True))
         assert check_equivalence(resynth.patched, revised).equivalent
         assert resynth.stats().gates <= plain.stats().gates
-        assert "resubstitutions" in resynth.counters
+        assert "resubstitutions" in resynth.counters.as_dict()

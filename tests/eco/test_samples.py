@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 
 from repro.eco.samples import (
     collect_error_samples,

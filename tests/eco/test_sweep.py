@@ -2,9 +2,9 @@
 
 from repro.cec.equivalence import check_equivalence
 from repro.eco.sweep import refine_patch_inputs
-from repro.netlist.circuit import Circuit, Pin
+from repro.netlist.circuit import Circuit
 from repro.netlist.gate import GateType
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 
 
 def circuit_with_redundant_clone():
@@ -31,7 +31,7 @@ class TestRefinePatchInputs:
         assert remaining == {"eco$h2"}
         assert c.gates["eco$h2"].fanins == ["g1"]
         assert check_equivalence(reference, c).equivalent
-        assert is_well_formed(c)
+        assert lint_netlist(c, deep=False).ok
 
     def test_no_clones_noop(self, tiny_adder):
         replaced, remaining = refine_patch_inputs(tiny_adder, set())
@@ -65,4 +65,4 @@ class TestRefinePatchInputs:
         c.set_output("o", "g1")
         replaced, remaining = refine_patch_inputs(c, {"eco$h"})
         assert replaced == 0
-        assert is_well_formed(c)
+        assert lint_netlist(c, deep=False).ok

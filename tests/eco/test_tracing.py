@@ -10,7 +10,7 @@ produces the identical patch.
 from repro.cec.equivalence import check_equivalence
 from repro.eco.config import EcoConfig
 from repro.eco.engine import rectify
-from repro.obs import NULL_TRACE, Trace, summarize
+from repro.obs import NULL_TRACE, Trace
 from repro.runtime import (
     FAULT_UNKNOWN,
     FaultInjector,

@@ -13,7 +13,7 @@ from repro.eco.validate import (
 )
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.simulate import random_patterns
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 
 
 def chain_circuit():
@@ -103,7 +103,7 @@ class TestCloning:
         top = clone_spec_cone(work, self.spec(), "h2", clone_map)
         assert top in work.gates
         assert clone_map == {"h1": "eco$h1", "h2": "eco$h2"}
-        assert is_well_formed(work)
+        assert lint_netlist(work, deep=False).ok
 
     def test_clone_reuse(self):
         work = chain_circuit()
@@ -151,7 +151,7 @@ class TestValidateRewire:
         assert outcome.valid
         assert outcome.fixed == ("o",)
         assert outcome.patched is not None
-        assert is_well_formed(outcome.patched)
+        assert lint_netlist(outcome.patched, deep=False).ok
 
     def test_wrong_rewire_rejected(self):
         impl, spec = self.pair()

@@ -3,7 +3,6 @@
 import json
 
 from repro.lint.diag import (
-    Diagnostic,
     LintReport,
     Severity,
     error,

@@ -1,8 +1,8 @@
 """Bit-equivalence of :class:`CompiledPlan` against the reference walk.
 
 The compiled simulation plan is a pure performance device: every test
-here pins its results to the legacy per-gate dictionary walk (forced by
-passing an explicit ``order=``), on whole circuits, output cones and
+here pins its results to the per-gate dictionary walk of
+:mod:`tests.netlist.reference`, on whole circuits, output cones and
 multi-word batches, plus the derived-cache lifecycle (plans recompile
 after any mutation and never ship across pickling).
 """
@@ -17,23 +17,20 @@ from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_BITS, WORD_MASK
 from repro.netlist.simulate import (
-    CompiledPlan,
     batch_mask,
     compiled_plan,
     patterns_to_words,
     random_patterns,
     signature,
     simulate,
-    simulate_words,
     words_to_patterns,
 )
 from repro.netlist.traverse import topological_order, transitive_fanin
 from tests.conftest import make_random_circuit
-
-
-def reference_values(circuit, words):
-    """Legacy dict-walk simulation, forced via an explicit order."""
-    return simulate_words(circuit, words, list(topological_order(circuit)))
+from tests.netlist.reference import (
+    reference_signature,
+    reference_simulate_words,
+)
 
 
 class TestPlanEquivalence:
@@ -42,7 +39,7 @@ class TestPlanEquivalence:
     def test_run_matches_reference_walk(self, seed):
         c = make_random_circuit(seed)
         words = random_patterns(c.inputs, random.Random(seed + 1))
-        ref = reference_values(c, words)
+        ref = reference_simulate_words(c, words)
         got = compiled_plan(c).run_dict(words)
         for net, value in ref.items():
             assert got[net] == value
@@ -60,7 +57,7 @@ class TestPlanEquivalence:
                 batched[name] |= word << (WORD_BITS * r)
         values = compiled_plan(c).run_dict(batched, mask=batch_mask(rounds))
         for r, words in enumerate(word_sets):
-            ref = reference_values(c, words)
+            ref = reference_simulate_words(c, words)
             for net, value in ref.items():
                 lane = (values[net] >> (WORD_BITS * r)) & WORD_MASK
                 assert lane == value
@@ -69,8 +66,7 @@ class TestPlanEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_signature_batched_matches_reference(self, seed):
         c = make_random_circuit(seed)
-        ref = signature(c, rounds=4, seed=7,
-                        order=topological_order(c))
+        ref = reference_signature(c, rounds=4, seed=7)
         assert signature(c, rounds=4, seed=7) == ref
 
     def test_cone_plan_matches_full_simulation(self):
@@ -80,7 +76,7 @@ class TestPlanEquivalence:
         cone = transitive_fanin(c, [root])
         assert set(plan.names) <= cone
         words = random_patterns(c.inputs, random.Random(3))
-        full = reference_values(c, words)
+        full = reference_simulate_words(c, words)
         values = plan.run_dict(words)
         for net, value in values.items():
             assert value == full[net]
@@ -119,7 +115,7 @@ class TestDerivedCacheLifecycle:
         assert compiled_plan(c) is not stale_plan
         assert topological_order(c) is not stale_order
         words = random_patterns(c.inputs, random.Random(4))
-        ref = reference_values(c, words)
+        ref = reference_simulate_words(c, words)
         got = compiled_plan(c).run_dict(words)
         for net, value in ref.items():
             assert got[net] == value
@@ -156,7 +152,7 @@ class TestSimulationEntryPoints:
         assignment = {n: bool(i % 2) for i, n in enumerate(c.inputs)}
         values = simulate(c, assignment)
         words = {n: WORD_MASK if v else 0 for n, v in assignment.items()}
-        ref = reference_values(c, words)
+        ref = reference_simulate_words(c, words)
         for net, value in values.items():
             assert value == bool(ref[net] & 1)
 

@@ -1,6 +1,5 @@
 """Unit and property tests for structural hashing."""
 
-import pytest
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.hashing import strash, structural_hash

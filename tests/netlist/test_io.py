@@ -4,11 +4,10 @@ import pytest
 
 from repro.errors import ParseError
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import GateType
 from repro.netlist.io_blif import dumps_blif, loads_blif, read_blif, \
     write_blif
 from repro.netlist.io_verilog import dumps_verilog, write_verilog
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 from tests.conftest import exhaustive_equivalent, make_random_circuit
 
 
@@ -16,14 +15,14 @@ class TestBlifRoundTrip:
     def test_small_circuit(self, tiny_adder):
         text = dumps_blif(tiny_adder)
         back = loads_blif(text)
-        assert is_well_formed(back)
+        assert lint_netlist(back, deep=False).ok
         assert exhaustive_equivalent(tiny_adder, back)
 
     def test_random_circuits(self):
         for seed in range(10):
             c = make_random_circuit(seed, n_inputs=5, n_gates=15)
             back = loads_blif(dumps_blif(c))
-            assert is_well_formed(back), seed
+            assert lint_netlist(back, deep=False).ok, seed
             assert exhaustive_equivalent(c, back), seed
 
     def test_every_gate_type_round_trips(self):
@@ -61,7 +60,7 @@ class TestBlifRoundTrip:
         c.set_output("o", "g")
         c.set_output("k", "keep")
         back = loads_blif(dumps_blif(c))
-        assert is_well_formed(back)
+        assert lint_netlist(back, deep=False).ok
         assert exhaustive_equivalent(c, back)
 
     def test_input_port_collision_round_trips(self):
@@ -72,7 +71,7 @@ class TestBlifRoundTrip:
         c.or_("a", "b", name="g")
         c.set_output("a", "g")
         back = loads_blif(dumps_blif(c))
-        assert is_well_formed(back)
+        assert lint_netlist(back, deep=False).ok
 
 
 class TestBlifParsing:
@@ -180,7 +179,7 @@ class TestVerilogReader:
         for seed in range(8):
             c = make_random_circuit(seed, n_inputs=5, n_gates=15)
             back = loads_verilog(dumps_verilog(c))
-            assert is_well_formed(back), seed
+            assert lint_netlist(back, deep=False).ok, seed
             assert exhaustive_equivalent(c, back), seed
 
     def test_round_trip_all_gate_types(self):
@@ -269,7 +268,7 @@ class TestAiger:
         for seed in range(8):
             c = make_random_circuit(seed, n_inputs=5, n_gates=15)
             back = loads_aiger(dumps_aiger(c))
-            assert is_well_formed(back), seed
+            assert lint_netlist(back, deep=False).ok, seed
             assert exhaustive_equivalent(c, back), seed
 
     def test_round_trip_all_gate_types(self):

@@ -2,8 +2,8 @@
 
 Every vector kernel is a pure performance device: these tests pin the
 level-batched :class:`VectorPlan` to the pure-Python
-:class:`CompiledPlan` interpreter and to the legacy per-gate dictionary
-walk (forced via ``order=``) on random circuits across batch widths,
+:class:`CompiledPlan` interpreter and to the per-gate dictionary walk
+of :mod:`tests.netlist.reference` on random circuits across batch widths,
 output cones and signatures; a subprocess fixture blocks the numpy
 import to prove the clean fallback; and one end-to-end check runs a
 Table-1 case on both backends and compares per-output outcomes.
@@ -25,10 +25,9 @@ from repro.netlist.simulate import (
     compiled_plan,
     random_patterns,
     signature,
-    simulate_words,
 )
-from repro.netlist.traverse import topological_order
 from tests.conftest import make_random_circuit
+from tests.netlist.reference import reference_simulate_words
 
 needs_numpy = pytest.mark.skipif(not simd.HAVE_NUMPY,
                                  reason="numpy not installed")
@@ -38,8 +37,7 @@ needs_numpy = pytest.mark.skipif(not simd.HAVE_NUMPY,
 def _restore_backend():
     previous = simd.get_backend()
     yield
-    # restore directly: set_backend would re-apply any env override
-    simd._selected = previous
+    simd.set_backend(previous)
 
 
 def batched_words(circuit, width, seed):
@@ -70,19 +68,12 @@ class TestBackendSelection:
         assert not simd.use_vector_run(8, 10000)
         assert not simd.use_vector_screen(64)
 
-    def test_env_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
-        simd.set_backend("auto")
-        assert simd.get_backend() == "python"
-        # an explicit selection is never overridden
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
-        simd.set_backend("python")
-        assert simd.get_backend() == "python"
+    def test_engine_keeps_pinned_backend(self):
+        from repro.eco.engine import SysEco
 
-    def test_backend_info_snapshot(self):
-        info = simd.backend_info()
-        assert info["selected"] in simd.BACKENDS
-        assert info["numpy_available"] == simd.HAVE_NUMPY
+        simd.set_backend("python")
+        SysEco()
+        assert simd.get_backend() == "python"
 
     @needs_numpy
     def test_auto_thresholds(self):
@@ -114,12 +105,11 @@ class TestVectorParity:
         scalar = plan.run(words, mask=mask)
         assert vector == scalar
 
-        # the legacy walk is single-word: check it lane by lane
-        order = list(topological_order(c))
+        # the reference walk is single-word: check it lane by lane
         for r in range(width):
             lane_words = {n: (w >> (64 * r)) & ((1 << 64) - 1)
                           for n, w in words.items()}
-            reference = simulate_words(c, lane_words, order)
+            reference = reference_simulate_words(c, lane_words)
             for name, value in reference.items():
                 lane = (vector[plan.index[name]] >> (64 * r)) \
                     & ((1 << 64) - 1)
@@ -195,10 +185,9 @@ class TestNumpyAbsent:
             from repro.errors import NetlistError
             from repro.netlist import simd
             from repro.netlist.simulate import (
-                batch_mask, compiled_plan, random_patterns,
-                simulate_words)
-            from repro.netlist.traverse import topological_order
+                batch_mask, compiled_plan, random_patterns)
             from tests.conftest import make_random_circuit
+            from tests.netlist.reference import reference_simulate_words
 
             assert not simd.HAVE_NUMPY
             try:
@@ -218,11 +207,10 @@ class TestNumpyAbsent:
                     words[n] |= w << (64 * r)
             plan = compiled_plan(c)
             got = plan.run(words, mask=batch_mask(4))
-            order = list(topological_order(c))
             for r in range(4):
                 lane_words = {n: (w >> (64 * r)) & ((1 << 64) - 1)
                               for n, w in words.items()}
-                ref = simulate_words(c, lane_words, order)
+                ref = reference_simulate_words(c, lane_words)
                 for name, value in ref.items():
                     lane = (got[plan.index[name]] >> (64 * r)) \
                         & ((1 << 64) - 1)
@@ -260,9 +248,8 @@ class TestNumpyAbsent:
         from repro.eco.config import EcoConfig
 
         case = build_case(1)
-        backend = "numpy" if simd.HAVE_NUMPY else "python"
-        result = SysEco(EcoConfig(sim_backend=backend)).rectify(
-            case.impl, case.spec)
+        simd.set_backend("numpy" if simd.HAVE_NUMPY else "python")
+        result = SysEco(EcoConfig()).rectify(case.impl, case.spec)
         assert line == f"OUTCOMES {sorted(result.per_output.items())}"
 
 
@@ -277,8 +264,8 @@ class TestEngineBackendIdentity:
         case = build_case(1)
         results = {}
         for backend in ("python", "numpy"):
-            res = SysEco(EcoConfig(sim_backend=backend)).rectify(
-                case.impl, case.spec)
+            simd.set_backend(backend)
+            res = SysEco(EcoConfig()).rectify(case.impl, case.spec)
             results[backend] = (sorted(res.per_output.items()),
                                 sorted(res.verified_outputs))
         assert results["python"] == results["numpy"]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import GateType
 from repro.netlist.traverse import (
     cone_of,
     dependent_outputs,

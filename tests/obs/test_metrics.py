@@ -371,6 +371,26 @@ class TestConcurrentRegistry:
             assert verdicts == ["ok", "raised"], outcomes
             assert len(registry.series("repro_kind_clash")) == 1
 
+    def test_kind_checked_when_series_appears_before_the_lock(self):
+        registry = MetricsRegistry()
+        lock = registry._lock
+
+        class RacedLock:
+            """Registers the counter the moment the gauge call misses
+            the unlocked read, then takes the real lock."""
+
+            def __enter__(self):
+                registry._lock = lock
+                registry.counter("repro_kind_raced")
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                return lock.__exit__(*exc)
+
+        registry._lock = RacedLock()
+        with pytest.raises(ValueError, match="already registered"):
+            registry.gauge("repro_kind_raced")
+
     def test_render_is_atomic_against_observers(self):
         from repro.runtime.sync import make_event, make_thread
 

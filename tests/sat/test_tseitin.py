@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import GateType, eval_gate_bool
+from repro.netlist.gate import GateType
 from repro.netlist.simulate import evaluate_outputs
 from repro.sat.solver import SAT, UNSAT, Solver
 from repro.sat.tseitin import CircuitEncoder, encode_circuit

@@ -1,6 +1,5 @@
 """Tests for restructuring passes."""
 
-import pytest
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import GateType

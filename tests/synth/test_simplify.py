@@ -1,9 +1,7 @@
 """Tests for constant propagation and algebraic simplification."""
 
-import pytest
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import GateType
 from repro.netlist.simulate import evaluate_outputs
 from repro.synth.simplify import simplify_constants
 from tests.conftest import exhaustive_equivalent, make_random_circuit

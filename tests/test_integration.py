@@ -1,6 +1,5 @@
 """Cross-module integration and end-to-end property tests."""
 
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +13,7 @@ from repro.netlist import (
     loads_blif,
     loads_verilog,
 )
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 from repro.synth import optimize_heavy, optimize_light
 from repro.timing import analyze
 from repro.workloads.generators import (
@@ -48,7 +47,7 @@ class TestFullPipeline:
         for engine in (SysEco(EcoConfig(num_samples=8)), DeltaSyn(),
                        ConeMap()):
             result = engine.rectify(impl, spec)
-            assert is_well_formed(result.patched)
+            assert lint_netlist(result.patched, deep=False).ok
             assert check_equivalence(result.patched, spec).equivalent, \
                 type(engine).__name__
 

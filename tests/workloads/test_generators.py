@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.netlist.simulate import evaluate_outputs
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 from repro.workloads.generators import (
     alu_design,
     comparator_design,
@@ -31,7 +31,7 @@ ALL_FAMILIES = [
 
 @pytest.mark.parametrize("builder", ALL_FAMILIES)
 def test_families_are_well_formed(builder):
-    assert is_well_formed(builder())
+    assert lint_netlist(builder(), deep=False).ok
 
 
 @pytest.mark.parametrize("builder", ALL_FAMILIES)
@@ -125,7 +125,7 @@ class TestMixedDesign:
     def test_blocks_isolated(self):
         blocks = [("x", parity_design(4, 2)), ("y", comparator_design(2))]
         mix = mixed_design(blocks)
-        assert is_well_formed(mix)
+        assert lint_netlist(mix, deep=False).ok
         assert any(p.startswith("x_") for p in mix.outputs)
         assert any(p.startswith("y_") for p in mix.outputs)
 
@@ -134,7 +134,7 @@ class TestMixedDesign:
         plain = mixed_design(blocks)
         glued = mixed_design(blocks, glue_seed=3)
         assert len(glued.outputs) > len(plain.outputs)
-        assert is_well_formed(glued)
+        assert lint_netlist(glued, deep=False).ok
 
 
 class TestDecoder:
@@ -159,7 +159,7 @@ class TestDecoder:
         from repro.workloads.generators import decoder_design
         d = decoder_design(2, enable=False)
         assert "en" not in d.inputs
-        assert is_well_formed(d)
+        assert lint_netlist(d, deep=False).ok
 
 
 class TestMultiplier:
@@ -167,7 +167,7 @@ class TestMultiplier:
         from repro.workloads.generators import multiplier_design
         w = 3
         m = multiplier_design(w)
-        assert is_well_formed(m)
+        assert lint_netlist(m, deep=False).ok
         for a in range(1 << w):
             for b in range(1 << w):
                 ins = {}

@@ -1,12 +1,11 @@
 """Tests for ground-truth specification revisions."""
 
-import random
 
 import pytest
 
 from repro.cec.equivalence import check_equivalence, nonequivalent_outputs
 from repro.errors import ReproError
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 from repro.workloads.generators import alu_design, control_design
 from repro.workloads.revisions import (
     apply_revision,
@@ -22,7 +21,7 @@ def test_revision_changes_function(kind):
     spec = control_design(n_inputs=8, n_outputs=5, n_terms=10, seed=4)
     revised = spec.copy()
     rev = apply_revision(revised, kind, seed=2)
-    assert is_well_formed(revised)
+    assert lint_netlist(revised, deep=False).ok
     assert rev.estimate_gates >= 1
     result = check_equivalence(spec, revised)
     assert result.equivalent is False
@@ -77,7 +76,7 @@ def test_compose_revisions_merges_records():
                                    ("polarity", {"bias": "deep"})], seed=8)
     assert "+" in rev.kind
     assert rev.estimate_gates >= 2
-    assert is_well_formed(spec)
+    assert lint_netlist(spec, deep=False).ok
     assert check_equivalence(reference, spec).equivalent is False
 
 
@@ -92,7 +91,7 @@ def test_term_revisions_change_function(kind):
     spec = control_design(n_inputs=8, n_outputs=5, n_terms=10, seed=6)
     revised = spec.copy()
     rev = apply_revision(revised, kind, seed=3)
-    assert is_well_formed(revised)
+    assert lint_netlist(revised, deep=False).ok
     assert check_equivalence(spec, revised).equivalent is False
     assert rev.estimate_gates >= 1
 

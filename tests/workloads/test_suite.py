@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cec.equivalence import nonequivalent_outputs
-from repro.netlist.validate import is_well_formed
+from repro.lint.netlist_rules import lint_netlist
 from repro.workloads.figures import example1_circuits, figure1_circuits
 from repro.workloads.suite import build_case, build_suite, build_timing_case
 from repro.errors import ReproError
@@ -17,8 +17,8 @@ FAST_CASES = [2, 4, 5, 8, 9, 10]
 def test_case_builds_and_differs(cid):
     case = build_case(cid)
     assert case.case_id == cid
-    assert is_well_formed(case.impl)
-    assert is_well_formed(case.spec)
+    assert lint_netlist(case.impl, deep=False).ok
+    assert lint_netlist(case.spec, deep=False).ok
     failing = nonequivalent_outputs(case.impl, case.spec)
     assert failing, "revision must be observable"
     assert case.designer_estimate >= 1
@@ -53,15 +53,15 @@ def test_build_suite_subset():
 def test_timing_cases_build():
     for cid in (12, 15):
         case = build_timing_case(cid)
-        assert is_well_formed(case.impl)
+        assert lint_netlist(case.impl, deep=False).ok
         assert nonequivalent_outputs(case.impl, case.spec)
 
 
 class TestFigureCircuits:
     def test_figure1_shape(self):
         impl, spec = figure1_circuits(width=3)
-        assert is_well_formed(impl)
-        assert is_well_formed(spec)
+        assert lint_netlist(impl, deep=False).ok
+        assert lint_netlist(spec, deep=False).ok
         assert set(impl.outputs) == set(spec.outputs)
         # d must behave identically in both (it is not revised)
         bad = nonequivalent_outputs(impl, spec)
