@@ -155,7 +155,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             total_bdd_nodes=args.total_bdd_nodes,
             degrade_on_budget=args.degrade_on_budget,
             resume_from=args.resume,
-            sync_debug=args.sync_debug,
         ))
     else:
         engine = DeltaSyn() if args.engine == "deltasyn" else ConeMap()
@@ -506,13 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "on 127.0.0.1:PORT for the duration of the run "
                         "(PORT omitted: an ephemeral port, printed to "
                         "stderr); point 'repro watch --url' at it")
-    p.add_argument("--sync-debug", action="store_true", default=False,
-                   help="enable the runtime lock-order/deadlock "
-                        "detector for this run: order inversions are "
-                        "logged with both acquisition stacks and "
-                        "per-lock wait times land in the "
-                        "repro_sync_lock_wait_seconds histogram "
-                        "(also: REPRO_SYNC_DEBUG=1)")
     p.add_argument("--counters-json", metavar="FILE",
                    help="dump run counters, degradation state and "
                         "per-output status as JSON")

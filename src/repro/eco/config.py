@@ -108,11 +108,6 @@ class EcoConfig:
         resume_from: run id of a dead journaled run to resume; its
             checkpoint journal is replayed before the search continues
             (``repro eco --resume``; ``None`` = fresh run).
-        worker_retries: times a parallel partition whose worker died is
-            re-dispatched before its outputs are quarantined; ``0``
-            quarantines on the first death.
-        retry_backoff_s: base of the exponential backoff slept before a
-            partition retry (doubled per retry, jittered).
 
     Telemetry sampling (active only when the run is traced; see
     :mod:`repro.obs.sampler`):
@@ -125,14 +120,6 @@ class EcoConfig:
         trace_malloc: run ``tracemalloc`` for the duration of a traced
             run and record traced-memory peaks in each sample
             (measurable overhead; off by default).
-        sync_debug: enable the runtime lock-order/deadlock detector
-            (:mod:`repro.runtime.sync`) for the run: every sanctioned
-            lock participates in the global acquisition-order graph,
-            order inversions are logged with both stacks, and per-lock
-            wait times feed the ``repro_sync_lock_wait_seconds``
-            histogram on a traced run's registry.  Equivalent to
-            ``REPRO_SYNC_DEBUG=1``; off by default (the traced
-            wrappers cost a few hundred nanoseconds per acquisition).
     """
 
     num_samples: int = 16
@@ -166,12 +153,9 @@ class EcoConfig:
     sat_deescalate_after: int = 3
     degrade_on_budget: bool = True
     resume_from: Optional[str] = None
-    worker_retries: int = 1
-    retry_backoff_s: float = 0.25
     sample_interval_s: float = 0.05
     stall_window_s: float = 30.0
     trace_malloc: bool = False
-    sync_debug: bool = False
 
     def __post_init__(self) -> None:
         for name in ("num_samples", "max_points", "max_candidate_pins",
@@ -195,10 +179,6 @@ class EcoConfig:
                 raise ValueError(f"{name} must be positive when set")
         if self.sat_escalation_factor <= 1.0:
             raise ValueError("sat_escalation_factor must exceed 1")
-        if self.worker_retries < 0:
-            raise ValueError("worker_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if self.sample_interval_s < 0:
             raise ValueError("sample_interval_s must be >= 0")
         if self.stall_window_s <= 0:

@@ -76,6 +76,7 @@ from repro.obs.trace import Trace, ensure_trace
 from repro.runtime.clock import now
 from repro.runtime.faultinject import FaultInjector
 from repro.runtime.supervisor import RunSupervisor
+from repro.runtime.sync import set_sync_registry
 
 
 logger = logging.getLogger("repro.eco")
@@ -125,9 +126,9 @@ class SysEco:
         trace = ensure_trace(trace)
         self._check_interfaces(impl, spec)
         config = self.config
-        if config.sync_debug:
-            from repro.runtime.sync import enable_sync_debug
-            enable_sync_debug(registry=trace.metrics)
+        # under REPRO_SYNC_DEBUG=1 lock waits land in this run's
+        # registry (a no-op while sync debugging is off)
+        set_sync_registry(trace.metrics)
         rng = random.Random(config.seed)
         run = RunSupervisor.from_config(config, injector=injector,
                                         trace=trace)

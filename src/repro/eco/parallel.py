@@ -13,29 +13,34 @@ uses.  Every worker gets
   output — plus its own ``targets`` subset to drive,
 * a share of the run budget: SAT conflicts and BDD nodes are divided
   ``remaining // (jobs + 1)`` (one share held back for the main
-  process), wall-clock deadline is concurrent and passed whole.
+  process); the wall-clock deadline is concurrent, so each dispatch
+  passes the time left at that moment whole.
 
-Workers return their commit logs, counters, and trace records.  The
-main process absorbs the telemetry into the run supervisor and
-*replays* each commit against its own evolving circuit under the
-supervised validator — two workers can commit patches that conflict
-(e.g. both rewire the same shared gate), so a worker's verdict is
-never trusted across process boundaries.  Commits that fail replay are
-dropped; their outputs simply stay failing and the sequential loop
-that follows the parallel phase repairs them with the reserve budget.
+Telemetry is results-only: workers return their commit logs, counters
+and trace records, and the main process absorbs them into the run
+supervisor and its trace (a bound metrics registry sees every absorbed
+span once).  It then *replays* each commit against its own evolving
+circuit under the supervised validator — two workers can commit
+patches that conflict (e.g. both rewire the same shared gate), so a
+worker's verdict is never trusted across process boundaries.  Commits
+that fail replay are dropped; their outputs simply stay failing and
+the sequential loop that follows the parallel phase repairs them with
+the reserve budget.
 
 The pool is *supervised*: each partition runs in its own single-worker
-executor so a dying process is attributable to exactly one partition.
-A death (broken pool, nonzero exit, missed heartbeat deadline derived
-from the run budget) is recorded as a ``worker.died`` event and the
-partition is re-dispatched after an exponential backoff
-(:class:`~repro.runtime.retry.RetryPolicy`, ``task.retried``); a
-partition that kills its worker more times than the policy allows is
-*quarantined* — its outputs skip the search and complete via the
-fallback, and the run is reported degraded (``output.quarantined``).
-The :data:`~repro.runtime.faultinject.SITE_WORKER` fault site is
-observed in the main process at every dispatch, so the chaos harness
-can kill any Nth task deterministically.
+executor, because one dying process breaks every in-flight future of a
+shared pool and innocent partitions would pay for it.  A death (a
+broken pool, or no result by the run deadline plus
+:data:`RESULT_GRACE_S`) is recorded as a ``worker.died`` event and the
+partition is re-dispatched once, immediately (``task.retried``); a
+second death *quarantines* it — its outputs skip the search and
+complete via the fallback, and the run is reported degraded
+(``output.quarantined``).  Dispatching needs time left before the run
+deadline: without it a retry is quarantined too, and a first round
+dispatches nothing, leaving every output to the sequential loop.  The
+:data:`~repro.runtime.faultinject.SITE_WORKER` fault site is observed
+in the main process at every dispatch, so the chaos harness can kill
+any Nth task deterministically.
 
 ``REPRO_ECO_JOBS_INLINE=1`` forces workers to run in-process (same
 code path minus the pool, including injected deaths and retries),
@@ -52,16 +57,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ResourceBudgetExceeded, WorkerDiedError
 from repro.netlist.circuit import Circuit
-from repro.obs.live import LiveAggregator, LiveBus, WorkerPublisher
 from repro.obs.trace import Trace
 from repro.runtime.faultinject import FAULT_KILL, SITE_WORKER
-from repro.runtime.retry import RetryPolicy
 from repro.runtime.supervisor import RunSupervisor
 
 logger = logging.getLogger("repro.eco")
 
-#: seconds past the run deadline before a silent worker is declared dead
-HEARTBEAT_GRACE_S = 5.0
+#: seconds past the run deadline the main process waits for a worker's
+#: result before declaring the worker dead
+RESULT_GRACE_S = 5.0
 
 
 class _PoolUnavailable(Exception):
@@ -87,50 +91,33 @@ def _run_worker(payload) -> WorkerResult:
     """One worker: repair ``targets`` on a private copy of the run.
 
     Module-level so it pickles for :class:`ProcessPoolExecutor`; also
-    called directly in inline mode.  ``payload`` is the 5-tuple built
-    by :func:`parallel_repair` plus the dispatch extras appended by
-    :func:`_run_partitions`: the kill verdict, the live-bus queue (or
-    ``None``) and the worker id.
+    called directly in inline mode.  ``payload`` is the 6-tuple built
+    by :func:`_run_partitions`: both circuits, the worker config, the
+    full failing list, the targets and the dispatcher's kill verdict.
     """
     import random
 
     from repro.eco.engine import SysEco
     from repro.eco.patch import Patch
 
-    work, spec, config, failing, targets = payload[:5]
-    kill = len(payload) > 5 and bool(payload[5])
-    bus_queue = payload[6] if len(payload) > 6 else None
-    worker_id = (payload[7] if len(payload) > 7
-                 else ",".join(targets))
-    engine = SysEco(config)
-    trace = Trace(name=f"worker:{worker_id}")
-    run = RunSupervisor.from_config(config, trace=trace)
-    trace.set_counters(run.counters)
-    publisher = None
-    if bus_queue is not None:
-        publisher = WorkerPublisher(bus_queue, worker_id,
-                                    counters=run.counters)
-        trace.listener = publisher
-        publisher.heartbeat(force=True)
-    rng = random.Random(config.seed)
-    patch = Patch()
-    per_output: Dict[str, str] = {}
-    result = WorkerResult(targets=tuple(targets))
+    work, spec, config, failing, targets, kill = payload
     if kill:
         # the dispatcher observed an armed SITE_WORKER fault for this
-        # task: open the worker span and stream it (so the chaos tests
-        # can assert that *pre-death* telemetry survives), then die the
-        # way a real crashed worker would.  Inline mode has no process
-        # to kill, so it raises the unified death signal the supervisor
-        # maps real deaths onto.
-        trace.span("eco.worker", targets=",".join(targets),
-                   failing=len(failing))
-        if publisher is not None:
-            publisher.heartbeat(force=True)
+        # task: die the way a real crashed worker would.  Inline mode
+        # has no process to kill, so it raises the unified death
+        # signal the supervisor maps real deaths onto.
         if os.environ.get("REPRO_ECO_JOBS_INLINE") == "1":
             raise WorkerDiedError(
                 f"fault injection: worker for {','.join(targets)} killed")
         os._exit(3)
+    engine = SysEco(config)
+    trace = Trace(name=f"worker:{','.join(targets)}")
+    run = RunSupervisor.from_config(config, trace=trace)
+    trace.set_counters(run.counters)
+    rng = random.Random(config.seed)
+    patch = Patch()
+    per_output: Dict[str, str] = {}
+    result = WorkerResult(targets=tuple(targets))
     try:
         with trace.span("eco.worker", targets=",".join(targets),
                         failing=len(failing)):
@@ -146,8 +133,6 @@ def _run_worker(payload) -> WorkerResult:
     result.records = trace.records()
     result.degraded = run.degraded
     result.degrade_reason = run.degrade_reason
-    if publisher is not None:
-        publisher.close()
     return result
 
 
@@ -186,30 +171,28 @@ def _ops_applicable(work: Circuit, spec: Circuit, ops) -> bool:
     return True
 
 
-def _heartbeat_timeout(run: RunSupervisor) -> Optional[float]:
-    """Per-task deadline for a worker's result, from the run budget.
+def _result_timeout(run: RunSupervisor) -> Optional[float]:
+    """How long to wait for one worker's result, from the run budget.
 
-    A worker that has not answered by the run deadline plus a small
-    grace is presumed dead (hung child, lost pipe); ``None`` when the
-    run has no deadline — the pool then waits, like the engine would.
+    A worker that has not answered by the run deadline plus
+    :data:`RESULT_GRACE_S` is presumed dead (hung child, lost pipe);
+    ``None`` when the run has no deadline — the pool then waits, like
+    the engine would.
     """
     left = run.budget.time_left()
     if left is None:
         return None
-    return max(0.0, left) + HEARTBEAT_GRACE_S
+    return max(0.0, left) + RESULT_GRACE_S
 
 
-def _dispatch_pool(payloads: List[tuple], pending: List[int],
-                   extras: Dict[int, tuple], run: RunSupervisor,
+def _dispatch_pool(payloads: Dict[int, tuple], run: RunSupervisor,
                    ) -> Tuple[Dict[int, WorkerResult], Dict[int, str]]:
     """Run one round of partitions in real processes.
 
     One single-worker executor per partition, so one worker's death
     breaks only its own future — innocent partitions keep their
-    results.  ``extras[i]`` is the per-dispatch payload tail (kill
-    verdict, live-bus queue, worker id).  Returns ``(outcomes,
-    deaths)`` keyed by partition index; a partition appears in exactly
-    one of the two.
+    results.  Returns ``(outcomes, deaths)`` keyed by partition index;
+    a partition appears in exactly one of the two.
     """
     import concurrent.futures as cf
     from concurrent.futures import ProcessPoolExecutor
@@ -223,128 +206,104 @@ def _dispatch_pool(payloads: List[tuple], pending: List[int],
     futures: Dict[int, cf.Future] = {}
     try:
         try:
-            # an explicit start method: with the live-aggregator pump
-            # thread running, fork would snapshot held locks into the
-            # children (CC005); safe_mp_context keeps fork only while
-            # the process is single-threaded
             mp_context = safe_mp_context()
-            for i in pending:
+            for i, payload in payloads.items():
                 executors[i] = ProcessPoolExecutor(
                     max_workers=1, mp_context=mp_context)
-                futures[i] = executors[i].submit(
-                    _run_worker, payloads[i] + extras[i])
+                futures[i] = executors[i].submit(_run_worker, payload)
         except (OSError, ImportError) as exc:
             raise _PoolUnavailable(str(exc)) from exc
-        for i in pending:
+        for i, future in futures.items():
             try:
-                outcomes[i] = futures[i].result(
-                    timeout=_heartbeat_timeout(run))
+                outcomes[i] = future.result(timeout=_result_timeout(run))
             except BrokenProcessPool as exc:
                 deaths[i] = f"worker process died: {exc or 'broken pool'}"
-            except WorkerDiedError as exc:
-                deaths[i] = str(exc)
             except cf.TimeoutError:
-                futures[i].cancel()
-                deaths[i] = "heartbeat deadline missed"
+                future.cancel()
+                deaths[i] = "no result by the run deadline"
             except pickle.PicklingError as exc:
                 raise _PoolUnavailable(str(exc)) from exc
             except OSError as exc:
                 deaths[i] = f"worker I/O failure: {exc}"
     finally:
-        for ex in executors.values():
-            ex.shutdown(wait=False, cancel_futures=True)
+        # join every executor whose future finished: a management or
+        # queue-feeder thread left running would make the next
+        # safe_mp_context() pick spawn.  A worker still running after
+        # its wait timed out is not waited for.
+        for i, executor in executors.items():
+            future = futures.get(i)
+            executor.shutdown(wait=future is not None and future.done(),
+                              cancel_futures=True)
     return outcomes, deaths
 
 
-def _worker_id(targets: Sequence[str], attempt: int) -> str:
-    return f"{','.join(targets)}@{attempt}"
-
-
 def _run_partitions(payloads: List[tuple], run: RunSupervisor,
-                    policy: RetryPolicy, inline: bool,
-                    bus: Optional[LiveBus] = None,
-                    aggregator: Optional[LiveAggregator] = None,
-                    ) -> List[Optional[WorkerResult]]:
+                    inline: bool) -> List[Optional[WorkerResult]]:
     """Supervised execution of every partition, with retry/quarantine.
 
-    Returns one :class:`WorkerResult` per payload, or ``None`` at the
-    indices whose partition was quarantined.  Raises
+    ``payloads[i]`` is ``(work, spec, config, failing, targets)``; each
+    dispatch sets the config's deadline to the time left and appends
+    the kill verdict.  Returns one :class:`WorkerResult` per payload,
+    or ``None`` where a partition returned nothing: it was quarantined,
+    or the deadline passed before its first dispatch.  Raises
     :class:`_PoolUnavailable` when process pools cannot run at all.
-
-    With a live ``bus``/``aggregator``, every dispatch streams its
-    telemetry under a unique worker id; on a death the aggregator's
-    buffered partial spans are grafted into the main trace and the last
-    streamed counter snapshot is charged via
-    :meth:`RunSupervisor.absorb_worker` — so quarantined partitions
-    leave their pre-death telemetry in the run record.  Workers that
-    return normally have their live buffer discarded (the shipped
-    records absorbed by the caller are authoritative).
     """
-    n = len(payloads)
-    results: List[Optional[WorkerResult]] = [None] * n
-    failures = [0] * n
-    pending = list(range(n))
-    bus_queue = bus.queue if bus is not None else None
+    results: List[Optional[WorkerResult]] = [None] * len(payloads)
+    deaths_of = [0] * len(payloads)
+    pending = list(range(len(payloads)))
     while pending:
-        # observe the fault site at dispatch time, in the main process
-        # (the injector's counters cannot cross a process boundary);
-        # the verdict rides into the worker payload
-        extras: Dict[int, tuple] = {}
-        worker_ids: Dict[int, str] = {}
+        left = run.budget.time_left()
+        if left is not None and left <= 0:
+            # a worker config cannot carry a spent deadline: first
+            # dispatches fall through to the caller's sequential loop,
+            # which degrades them, and retries are refused
+            for i in pending:
+                if deaths_of[i]:
+                    for port in payloads[i][4]:
+                        run.quarantine(port, "retry refused: the run "
+                                       "deadline passed")
+            break
+        dispatch: Dict[int, tuple] = {}
         for i in pending:
+            work, spec, config, failing, targets = payloads[i]
+            if deaths_of[i]:
+                run.counters.tasks_retried += 1
+                run.trace.event("task.retried", targets=",".join(targets),
+                                attempt=deaths_of[i])
+            # observe the fault site at dispatch time, in the main
+            # process (the injector's counters cannot cross a process
+            # boundary); the verdict rides into the worker payload
             fault = run.injector.observe(SITE_WORKER)
-            marked = fault is not None and fault.payload == FAULT_KILL
-            worker_ids[i] = _worker_id(payloads[i][4], failures[i] + 1)
-            extras[i] = (marked, bus_queue, worker_ids[i])
+            kill = fault is not None and fault.payload == FAULT_KILL
+            dispatch[i] = (work, spec, replace(config, deadline_s=left),
+                           failing, targets, kill)
         deaths: Dict[int, str] = {}
         if inline:
             outcomes: Dict[int, WorkerResult] = {}
-            for i in pending:
+            for i, payload in dispatch.items():
                 try:
-                    outcomes[i] = _run_worker(payloads[i] + extras[i])
+                    outcomes[i] = _run_worker(payload)
                 except WorkerDiedError as exc:
                     deaths[i] = str(exc)
         else:
-            outcomes, deaths = _dispatch_pool(payloads, pending,
-                                              extras, run)
-        if aggregator is not None:
-            aggregator.pump()
-        retry: List[int] = []
-        for i in pending:
+            outcomes, deaths = _dispatch_pool(dispatch, run)
+        pending = []
+        for i in dispatch:
             if i not in deaths:
                 results[i] = outcomes[i]
-                if aggregator is not None:
-                    aggregator.discard(worker_ids[i])
                 continue
-            failures[i] += 1
+            deaths_of[i] += 1
             targets = payloads[i][4]
             run.counters.worker_deaths += 1
             run.trace.event("worker.died", targets=",".join(targets),
-                            deaths=failures[i], cause=deaths[i])
+                            deaths=deaths_of[i], cause=deaths[i])
             logger.warning("worker for %s died (%d): %s",
-                           ",".join(targets), failures[i], deaths[i])
-            if aggregator is not None:
-                partial = aggregator.flush_dead(worker_ids[i])
-                if partial:
-                    run.absorb_worker(partial, degraded=False)
-            reason = None
-            if policy.allows(failures[i]):
-                delay = policy.sleep_within_budget(failures[i],
-                                                   run.budget)
-                if delay is not None:
-                    run.counters.tasks_retried += 1
-                    run.trace.event("task.retried",
-                                    targets=",".join(targets),
-                                    attempt=failures[i],
-                                    backoff_s=round(delay, 3))
-                    retry.append(i)
-                    continue
-                reason = "retry refused: backoff would eat the deadline"
+                           ",".join(targets), deaths_of[i], deaths[i])
+            if deaths_of[i] == 1:
+                pending.append(i)
             else:
-                reason = f"worker died {failures[i]} times"
-            for port in targets:
-                run.quarantine(port, reason)
-        pending = retry
+                for port in targets:
+                    run.quarantine(port, "worker died twice")
     return results
 
 
@@ -405,8 +364,9 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
     """Fan the failing outputs across supervised workers and merge.
 
     Returns the replayed work circuit and the outputs still failing
-    (replay conflicts, worker misses and quarantined partitions fall
-    through to the caller's sequential loop).  Raises
+    (replay conflicts, worker misses, quarantined partitions and
+    partitions the deadline left undispatched fall through to the
+    caller's sequential loop).  Raises
     :class:`ResourceBudgetExceeded` when a worker aborted in strict
     mode, after absorbing all telemetry.  Commits that survive replay
     are journaled when a checkpoint ``journal`` is given.
@@ -419,26 +379,11 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
     shares, _reserve = run.partition_shares(len(groups))
     payloads = []
     for group, share in zip(groups, shares):
-        worker_config = replace(
-            config, jobs=1, resume_from=None,
-            deadline_s=share["deadline_s"],
-            total_sat_budget=share["total_sat_budget"],
-            total_bdd_nodes=share["total_bdd_nodes"])
+        worker_config = replace(config, jobs=1, resume_from=None, **share)
         payloads.append((work, spec, worker_config, list(failing), group))
-    policy = RetryPolicy(max_retries=config.worker_retries,
-                         base_delay_s=config.retry_backoff_s,
-                         seed=config.seed)
-
     inline = os.environ.get("REPRO_ECO_JOBS_INLINE") == "1"
-    bus = aggregator = None
-    if run.trace.enabled:
-        bus = LiveBus.create(inline)
-        if bus is not None:
-            aggregator = LiveAggregator(
-                run.trace, bus, registry=run.trace.metrics).start()
     try:
-        supervised = _run_partitions(payloads, run, policy, inline,
-                                     bus=bus, aggregator=aggregator)
+        supervised = _run_partitions(payloads, run, inline)
     except _PoolUnavailable as exc:
         # no process pool available (restricted environments):
         # leave everything to the caller's sequential loop
@@ -446,11 +391,6 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
                        "falling back to sequential", exc)
         run.trace.event("eco.parallel_fallback", reason=str(exc))
         return work, failing
-    finally:
-        if aggregator is not None:
-            aggregator.stop()
-        if bus is not None:
-            bus.close()
     results = [r for r in supervised if r is not None]
 
     strict_error: Optional[str] = None

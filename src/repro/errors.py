@@ -90,12 +90,11 @@ class DeadlineExceeded(ResourceBudgetExceeded):
 class WorkerDiedError(ReproError):
     """A supervised pool worker died before returning its result.
 
-    Raised internally by the supervised worker pool
-    (:mod:`repro.eco.parallel`) to unify the three ways a worker can
-    vanish — a broken process pool, a nonzero exit, a missed heartbeat
-    deadline — plus the inline-mode simulation used by the chaos
-    harness.  The pool catches it and retries or quarantines; it never
-    escapes ``parallel_repair``.
+    Raised by an inline-mode worker of :mod:`repro.eco.parallel`
+    (``REPRO_ECO_JOBS_INLINE=1``) whose dispatch carried an injected
+    kill — the stand-in for a real worker process dying, which the
+    pool sees as a broken executor.  The pool catches it and retries
+    or quarantines; it never escapes ``parallel_repair``.
     """
 
 

@@ -238,8 +238,8 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
                 "repro.runtime.sync",
                 where=self._where(node),
                 hint="use repro.runtime.sync.make_lock/make_rlock/"
-                     "make_condition/make_event/make_thread so "
-                     "lock-order tracing sees the primitive"))
+                     "make_event/make_thread so lock-order tracing "
+                     "sees the primitive"))
 
         # CC002: unprotected explicit acquire
         if func.attr == "acquire" \

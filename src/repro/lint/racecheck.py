@@ -4,9 +4,8 @@ The static pass (:mod:`repro.lint.concur_rules`) proves the *shape* of
 the concurrency code; this module attacks its *behaviour*.  A race
 check runs a target workload N times, each time under a different
 seeded preemption schedule, and verifies workload-specific invariants
-afterwards — lost metric increments, double-synthesized partial spans,
-leaked sampler threads, an unreleasable endpoint port, a torn run-store
-index.
+afterwards — lost metric increments, leaked sampler threads, an
+unreleasable endpoint port, a torn run-store index.
 
 The schedule fuzzing rides two existing mechanisms rather than a
 bespoke scheduler:
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import faulthandler
 import importlib
-import queue as _queue
 import random
 import sys
 import tempfile
@@ -224,63 +222,6 @@ def _scenario_metrics(rng: random.Random) -> List[str]:
     return failures
 
 
-def _scenario_live(rng: random.Random) -> List[str]:
-    """Race ``flush_dead`` against the pump thread.
-
-    A producer streams span messages for one worker while the main
-    thread declares that worker dead mid-stream.  However the two
-    interleave, the partial telemetry must be synthesized at most once
-    and late messages must not resurrect the flushed worker.
-    """
-    from repro.obs.live import SPAN_CLOSE, SPAN_OPEN, LiveAggregator, LiveBus
-    from repro.obs.trace import Trace
-
-    failures: List[str] = []
-    trace = Trace(name="racecheck-live")
-    bus = LiveBus(_queue.Queue())
-    agg = LiveAggregator(trace, bus).start()
-    opens = 40
-    flush_after = rng.randrange(5, opens)
-
-    def produce() -> None:
-        for i in range(1, opens + 1):
-            bus.queue.put_nowait({
-                "kind": SPAN_OPEN, "worker": "w1", "id": i,
-                "parent": None, "name": f"race.span{i % 4}",
-                "ts": float(i), "tags": {}})
-            if i % 3 == 0:  # close a third, leave the rest open
-                bus.queue.put_nowait({
-                    "kind": SPAN_CLOSE, "worker": "w1",
-                    "record": {"type": "span", "id": i, "parent": None,
-                               "name": f"race.span{i % 4}",
-                               "ts": float(i), "dur": 0.5,
-                               "tags": {}, "counters": {}}})
-            if i == flush_after:
-                time.sleep(rng.uniform(0.0, 1e-3))
-
-    producer = make_thread(produce, name="race-live-producer")
-    producer.start()
-    time.sleep(rng.uniform(0.0, 2e-3))
-    agg.flush_dead("w1")
-    agg.flush_dead("w1")  # double reconciliation must be a no-op
-    _join_all([producer], failures)
-    agg.stop()
-
-    partial_events = [e for e in trace.events
-                      if e.name == "worker.partial_telemetry"]
-    if len(partial_events) > 1:
-        failures.append("partial telemetry synthesized "
-                        f"{len(partial_events)} times (want <= 1)")
-    partial_spans = [sp for sp in trace.spans
-                     if sp.tags.get("partial")]
-    if len(partial_spans) > opens:
-        failures.append(f"{len(partial_spans)} partial spans grafted "
-                        f"from {opens} opens — duplicates")
-    if agg.snapshot().get("w1"):
-        failures.append("flushed worker resurrected in the aggregator")
-    return failures
-
-
 def _scenario_sampler(rng: random.Random) -> List[str]:
     """Start/stop the telemetry sampler under jitter; no leaked thread."""
     from repro.obs.trace import Trace
@@ -397,8 +338,6 @@ SCENARIOS: Dict[str, Scenario] = {
     s.name: s for s in (
         Scenario("metrics", "registry hammer: no lost increments, "
                  "kind collisions still detected", _scenario_metrics),
-        Scenario("live", "flush_dead vs. pump thread: partial spans "
-                 "synthesized at most once", _scenario_live),
         Scenario("sampler", "sampler start/stop leaves no thread "
                  "behind", _scenario_sampler),
         Scenario("serve", "endpoint shutdown releases its port for an "

@@ -40,7 +40,6 @@ from repro.obs.export import (
     write_jsonl,
     write_prometheus,
 )
-from repro.obs.live import LiveAggregator, LiveBus, WorkerPublisher
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     SIZE_BUCKETS,
@@ -96,9 +95,6 @@ __all__ = [
     "write_chrome",
     "write_jsonl",
     "write_prometheus",
-    "LiveAggregator",
-    "LiveBus",
-    "WorkerPublisher",
     "LATENCY_BUCKETS",
     "SIZE_BUCKETS",
     "SPAN_HISTOGRAMS",

@@ -6,7 +6,7 @@ module answers *what is the latency distribution right now*.  A
 
 * :class:`Counter` — monotone totals (``repro_counter_total``),
 * :class:`Gauge` — point-in-time values (run progress, live BDD nodes,
-  worker heartbeat ages),
+  budget spend),
 * :class:`Histogram` — log-bucketed latency/size distributions with
   Prometheus-style cumulative buckets and derived p50/p95/p99.
 
@@ -31,8 +31,9 @@ strict parser (used by the conformance tests, the CI smoke job and the
 
 Stdlib only apart from :mod:`repro.runtime.sync` (itself pure stdlib),
 which supplies the sanctioned lock factories: every series carries a
-small update lock so concurrent ``inc``/``observe`` calls from worker
-pump threads never lose increments (``x += y`` is not atomic), and
+small update lock so concurrent ``inc``/``observe`` calls (the
+sampler thread against the engine) never lose increments
+(``x += y`` is not atomic), and
 under ``REPRO_SYNC_DEBUG`` all registry locks join the global
 lock-order graph.
 """
@@ -323,9 +324,9 @@ class MetricsRegistry:
                      tags: Optional[Dict[str, Any]] = None) -> None:
         """Route one finished span into its histogram family (if any).
 
-        Called by :meth:`Trace._finish` for every span and by the live
-        aggregator for streamed worker spans; unmapped names cost one
-        dict miss.
+        Called by :meth:`Trace._finish` for every span and by
+        :meth:`Trace.absorb` for every grafted worker span; unmapped
+        names cost one dict miss.
         """
         mapped = SPAN_HISTOGRAMS.get(name)
         if mapped is not None:

@@ -12,7 +12,8 @@ duration of a run, serving
 * ``GET /healthz`` — a JSON liveness document: run name and phase
   (the open span stack), the tracer's monotone progress counter, the
   stall verdict from the PR 4 detector, plus anything the caller's
-  ``health_provider`` contributes (outputs completed, live workers).
+  ``health_provider`` contributes (the CLI adds the run id and
+  engine).
 
 Port ``0`` binds an ephemeral port (tests, parallel CI); the bound
 port is on :attr:`MetricsServer.port` and in the startup log line.

@@ -113,8 +113,8 @@ class Trace:
         name: run label (usually the implementation's name).
         clock: monotonic time source (injectable for tests).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when bound, every finished span is routed into its latency
-            histogram family (``sat.validate`` →
+            when bound, every finished or absorbed span is routed into
+            its latency histogram family (``sat.validate`` →
             ``repro_sat_call_seconds``, ...) so ``/metrics`` and the
             persisted ``RunRecord.histograms`` see live distributions.
     """
@@ -129,11 +129,6 @@ class Trace:
         self.epoch = clock()
         #: bound MetricsRegistry or None
         self.metrics = metrics
-        #: optional live listener (``span_open(span)`` /
-        #: ``span_close(span)``) — parallel workers bind a
-        #: :class:`~repro.obs.live.WorkerPublisher` here to stream
-        #: span activity to the supervisor while they run
-        self.listener = None
         #: finished spans, in finish order
         self.spans: List[Span] = []
         self.events: List[Event] = []
@@ -163,8 +158,6 @@ class Trace:
         self._next_id += 1
         self.progress += 1
         self._stack.append(sp)
-        if self.listener is not None:
-            self.listener.span_open(sp)
         return sp
 
     def event(self, name: str, **tags: Any) -> None:
@@ -188,8 +181,6 @@ class Trace:
         self.spans.append(span)
         if self.metrics is not None:
             self.metrics.observe_span(span.name, span.duration, span.tags)
-        if self.listener is not None:
-            self.listener.span_close(span)
 
     # ------------------------------------------------------------------
     def absorb(self, records: List[Dict[str, Any]],
@@ -202,7 +193,10 @@ class Trace:
         (offset by this trace's id counter, so ids stay unique), hangs
         worker roots under ``parent`` (or under the currently open span
         when ``None``) and shifts timestamps by ``offset_s``.  ``meta``
-        records are dropped — the parent run owns the metadata.
+        records are dropped — the parent run owns the metadata.  Each
+        grafted span is routed into the bound metrics registry, like a
+        span finished here: worker traces carry no registry, so this
+        is the one observation their spans get.
         """
         base = self._next_id
         if parent is None and self._stack:
@@ -220,6 +214,8 @@ class Trace:
                 sp.t_end = sp.t_start + rec.get("dur", 0.0)
                 sp.counters = dict(rec.get("counters", {}))
                 self.spans.append(sp)
+                if self.metrics is not None:
+                    self.metrics.observe_span(sp.name, sp.duration, sp.tags)
             elif kind == "event":
                 span_id = rec.get("span")
                 self.events.append(Event(
@@ -308,7 +304,6 @@ class NullTrace:
     wall_seconds = 0.0
     progress = 0
     metrics = None
-    listener = None
 
     @property
     def meta(self) -> Dict[str, Any]:

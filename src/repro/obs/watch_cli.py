@@ -179,11 +179,6 @@ def render_live(health: Dict[str, Any],
     out.append("phase    " + (" > ".join(phase) if phase else "(idle)"))
     if health.get("stalled"):
         out.append("*** STALLED: no span progress within the window ***")
-    workers = health.get("workers") or {}
-    for worker_id, info in sorted(workers.items()):
-        out.append(f"worker {worker_id}: {info.get('open_spans', 0)} "
-                   f"open / {info.get('closed_spans', 0)} closed spans, "
-                   f"last seen {info.get('age_s', '?')}s ago")
 
     counter_family = families.get("repro_counter_total")
     if counter_family:

@@ -12,8 +12,6 @@ supervision & failure handling"):
   degradation state the engine consults;
 * :class:`FaultInjector` — deterministic fault injection at named call
   sites, making every degradation branch unit-testable;
-* :class:`RetryPolicy` — exponential backoff with deterministic jitter
-  for the supervised worker pool;
 * :class:`RunCounters` — typed per-run telemetry;
 * :mod:`repro.runtime.sync` — the sanctioned sync-primitive factories
   (``make_lock`` & co.) with optional lock-order tracing, deadlock
@@ -44,14 +42,12 @@ from repro.runtime.faultinject import (
     SITE_SAT,
     SITE_WORKER,
 )
-from repro.runtime.retry import RetryPolicy
 from repro.runtime.sync import (
     LockOrderEdge,
     LockOrderViolation,
     SITE_SYNC,
     disable_sync_debug,
     enable_sync_debug,
-    make_condition,
     make_event,
     make_lock,
     make_rlock,
@@ -74,13 +70,11 @@ __all__ = [
     "InjectedClock",
     "InjectedCrash",
     "MonotonicClock",
-    "RetryPolicy",
     "RunSupervisor",
     "LockOrderEdge",
     "LockOrderViolation",
     "disable_sync_debug",
     "enable_sync_debug",
-    "make_condition",
     "make_event",
     "make_lock",
     "make_rlock",

@@ -20,7 +20,7 @@ Sites observed by the supervisor:
   conflict budget were spent.
 * :data:`SITE_CLOCK` — once per wall-clock read.  Payload is a number
   of seconds the clock jumps forward (simulating a stall that blows a
-  deadline, or a heartbeat that misses its per-task deadline).
+  deadline, or a worker result that misses the run deadline).
 
 Process-level sites observed by the fault-tolerant execution layer
 (the chaos harness of ``docs/robustness.md``):
@@ -29,7 +29,7 @@ Process-level sites observed by the fault-tolerant execution layer
   dispatches.  Payload :data:`FAULT_KILL` makes that task's worker die
   (``os._exit`` in a real pool; a simulated
   :class:`~repro.errors.WorkerDiedError` inline), exercising the
-  retry/backoff/quarantine machinery deterministically.
+  retry/quarantine rule deterministically.
 * :data:`SITE_JOURNAL` — once per checkpoint-journal append.  Payload
   :data:`FAULT_CRASH` raises :class:`InjectedCrash` *before* the
   record is written (clean kill between records);

@@ -85,7 +85,7 @@ class RunSupervisor:
         self._merged_escalations = 0
         self._merged_deescalations = 0
         # guards the degradation/quarantine/absorb state, which the
-        # main loop and aggregator-driven paths can reach concurrently;
+        # sampler thread reads while the main loop updates it;
         # reentrant because absorb_worker may call mark_degraded
         self._state_lock = make_rlock("supervisor.state")
 
@@ -298,45 +298,28 @@ class RunSupervisor:
     # ------------------------------------------------------------------
     # parallel workers
     # ------------------------------------------------------------------
-    def partition_budget(self, jobs: int) -> Dict[str, Optional[float]]:
-        """Budget share of one of ``jobs`` parallel workers.
-
-        SAT conflicts and BDD nodes are split evenly with one extra
-        share held back for the main process (commit replay, fallbacks),
-        so the aggregate caps hold across workers by construction.
-        Wall-clock time is concurrent, not divided: every worker gets
-        the remaining deadline.
-        """
-        time_left = self.budget.time_left()
-        sat_left = self.budget.sat_remaining()
-        bdd_left = self.budget.bdd_remaining()
-        shares = jobs + 1
-        return {
-            "deadline_s": time_left,
-            "total_sat_budget":
-                None if sat_left is None else max(1, sat_left // shares),
-            "total_bdd_nodes":
-                None if bdd_left is None else max(1, bdd_left // shares),
-        }
-
     def partition_shares(self, jobs: int) -> tuple:
         """Exact budget partition across ``jobs`` workers + the main
         process.
 
         Returns ``(shares, reserve)`` where ``shares`` is one budget
-        dict per worker (same keys as :meth:`partition_budget`) and
-        ``reserve`` is the main process's share.  For each capped
-        resource the worker shares plus the reserve sum *exactly* to
-        the remaining budget — the division remainder goes to the
-        reserve, so partitioning loses nothing and a retried task
-        re-uses its partition's share instead of drawing a fresh one
-        (no double-spend).  The one exception: every worker share has
-        a floor of 1 (configs reject zero budgets), so a budget
-        smaller than ``jobs + 1`` over-allocates and the reserve
-        clamps to 0 — the workers' aggregate spend is still charged
-        against the real budget when their telemetry is absorbed.
+        dict per worker (``total_sat_budget`` and ``total_bdd_nodes``,
+        ``None`` when unlimited) and ``reserve`` is the main process's
+        share.  SAT conflicts and BDD nodes are split evenly with one
+        extra share held back for the main process (commit replay,
+        fallbacks).  For each capped resource the worker shares plus
+        the reserve sum *exactly* to the remaining budget — the
+        division remainder goes to the reserve, so partitioning loses
+        nothing and a retried task re-uses its partition's share
+        instead of drawing a fresh one (no double-spend).  The one
+        exception: every worker share has a floor of 1 (configs reject
+        zero budgets), so a budget smaller than ``jobs + 1``
+        over-allocates and the reserve clamps to 0 — the workers'
+        aggregate spend is still charged against the real budget when
+        their telemetry is absorbed.  Wall-clock time is concurrent,
+        not divided: the dispatcher hands every worker the time left
+        when it starts.
         """
-        time_left = self.budget.time_left()
         sat_left = self.budget.sat_remaining()
         bdd_left = self.budget.bdd_remaining()
 
@@ -350,12 +333,10 @@ class RunSupervisor:
         sat_shares, sat_reserve = split(sat_left)
         bdd_shares, bdd_reserve = split(bdd_left)
         shares = [{
-            "deadline_s": time_left,
             "total_sat_budget": sat_shares[i],
             "total_bdd_nodes": bdd_shares[i],
         } for i in range(jobs)]
         reserve = {
-            "deadline_s": time_left,
             "total_sat_budget": sat_reserve,
             "total_bdd_nodes": bdd_reserve,
         }

@@ -1,26 +1,26 @@
 """Sanctioned synchronization primitives with optional runtime tracing.
 
-Every thread, lock, condition and event in the codebase is constructed
-through this module (the ``CC001`` concurrency lint rule enforces it).
-The factories have two modes:
+Every thread, lock and event in the codebase is constructed through
+this module (the ``CC001`` concurrency lint rule enforces it).  The
+factories have two modes:
 
 * **disabled** (the default): :func:`make_lock` & co. return the bare
   ``threading`` primitives — zero wrappers, zero indirection, zero
   overhead.  This is the production path.
 * **enabled** (``REPRO_SYNC_DEBUG=1`` in the environment, or
-  ``EcoConfig.sync_debug`` / :func:`enable_sync_debug`): the factories
-  return ``Traced*`` wrappers that maintain a process-wide
-  **lock-acquisition-order graph**.  Acquiring lock *B* while holding
-  lock *A* records the edge ``A -> B`` with the acquiring thread and
-  stack; the first acquisition that closes a cycle in that graph is a
-  potential deadlock and is reported as a structured
-  :class:`LockOrderViolation` carrying *both* acquisition stacks (the
-  one that established the forward edges and the one that closed the
-  cycle).  Traced locks also feed per-lock wait-time histograms into
-  the run's :class:`~repro.obs.metrics.MetricsRegistry`
-  (``repro_sync_lock_wait_seconds``, the ``sync.lock_wait`` family —
-  persisted in run records and p95-gated by ``repro runs regress``
-  like every other latency family).
+  :func:`enable_sync_debug`): the factories return ``Traced*``
+  wrappers that maintain a process-wide **lock-acquisition-order
+  graph**.  Acquiring lock *B* while holding lock *A* records the edge
+  ``A -> B`` with the acquiring thread and stack; the first
+  acquisition that closes a cycle in that graph is a potential
+  deadlock and is reported as a structured :class:`LockOrderViolation`
+  carrying *both* acquisition stacks (the one that established the
+  forward edges and the one that closed the cycle).  Traced locks also
+  feed per-lock wait-time histograms into the
+  :class:`~repro.obs.metrics.MetricsRegistry` a traced run binds with
+  :func:`set_sync_registry` (``repro_sync_lock_wait_seconds``, the
+  ``sync.lock_wait`` family — persisted in run records and p95-gated
+  by ``repro runs regress`` like every other latency family).
 
 The tracing layer additionally observes the :data:`SITE_SYNC` fault
 site once per traced acquisition.  The race-fuzzing harness
@@ -29,9 +29,9 @@ payloads to inject deterministic preemption jitter at exactly the
 boundaries where interleavings matter.
 
 Ordering discipline is tracked per lock *name* (the role a lock plays,
-e.g. ``"metrics.registry"``), not per instance: the discipline "never
-acquire the registry lock while holding the aggregator lock" is what
-stays true across runs, while instance identities do not.  Reentrant
+e.g. ``"metrics.registry"``), not per instance: a discipline such as
+"never take role A while holding role B" is what stays true across
+runs, while instance identities do not.  Reentrant
 acquisitions of the same instance (``TracedRLock``) add no edges, and
 same-name edges are ignored (two instances of the same role are never
 nested in this codebase; flagging them would make every sharded lock a
@@ -217,21 +217,6 @@ class SyncDebugState:
         # released by a thread that never acquired it: legal for a bare
         # Lock, nothing to unwind here
 
-    def drop_held(self, key: int) -> int:
-        """Fully forget ``key`` for this thread (``Condition.wait``);
-        returns the recursion count to restore."""
-        stack = self._held.stack
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i][0] == key:
-                count = int(stack[i][2])
-                del stack[i]
-                return count
-        return 0
-
-    def restore_held(self, key: int, name: str, count: int) -> None:
-        if count > 0:
-            self._held.stack.append([key, name, count])
-
     def _observe_wait(self, name: str, wait_s: float) -> None:
         registry = self.registry
         if registry is None:
@@ -366,41 +351,9 @@ class TracedLock:
 
 
 class TracedRLock(TracedLock):
-    """A ``threading.RLock`` wrapper; reentrancy adds no order edges.
-
-    Implements the private ``_release_save`` / ``_acquire_restore`` /
-    ``_is_owned`` protocol so a ``threading.Condition`` built on it
-    fully releases recursive holds across ``wait()`` (and the held-lock
-    bookkeeping follows).
-    """
+    """A ``threading.RLock`` wrapper; reentrancy adds no order edges."""
 
     _inner_factory = staticmethod(threading.RLock)
-
-    def _release_save(self) -> Tuple[int, Any]:
-        count = self._state.drop_held(id(self))
-        saver = getattr(self._inner, "_release_save", None)
-        if saver is not None:
-            return count, saver()
-        self._inner.release()
-        return count, None
-
-    def _acquire_restore(self, saved: Tuple[int, Any]) -> None:
-        count, inner_state = saved
-        restorer = getattr(self._inner, "_acquire_restore", None)
-        if restorer is not None and inner_state is not None:
-            restorer(inner_state)
-        else:
-            self._inner.acquire()
-        self._state.restore_held(id(self), self.name, count)
-
-    def _is_owned(self) -> bool:
-        owned = getattr(self._inner, "_is_owned", None)
-        if owned is not None:
-            return bool(owned())
-        if self._inner.acquire(False):
-            self._inner.release()
-            return False
-        return True
 
 
 class TracedEvent:
@@ -519,16 +472,6 @@ def make_rlock(name: str = "rlock") -> Any:
     return TracedRLock(name, state)
 
 
-def make_condition(name: str = "condition",
-                   lock: Optional[Any] = None) -> threading.Condition:
-    """A condition variable over a (traced) reentrant lock."""
-    state = _state
-    if state is None:
-        return threading.Condition(lock)
-    return threading.Condition(lock if lock is not None
-                               else TracedRLock(name, state))
-
-
 def make_event(name: str = "event") -> Any:
     """An event: bare ``threading.Event`` or the traced wrapper."""
     state = _state
@@ -557,19 +500,17 @@ def safe_mp_context() -> Any:
     inherits locked locks whose owners never ran).  While the process
     is still single-threaded the fast ``fork`` method is safe and is
     kept; once any helper thread is alive the pool falls back to
-    ``spawn``.  ``REPRO_MP_START`` overrides the choice.
+    ``spawn``.
     """
     import multiprocessing
 
-    method = os.environ.get("REPRO_MP_START")
-    if not method:
-        available = multiprocessing.get_all_start_methods()
-        if "fork" in available and threading.active_count() == 1:
-            method = "fork"
-        elif "spawn" in available:
-            method = "spawn"
-        else:  # exotic platforms: trust the configured default
-            method = multiprocessing.get_start_method()
+    available = multiprocessing.get_all_start_methods()
+    if "fork" in available and threading.active_count() == 1:
+        method = "fork"
+    elif "spawn" in available:
+        method = "spawn"
+    else:  # exotic platforms: trust the configured default
+        method = multiprocessing.get_start_method()
     return multiprocessing.get_context(method)
 
 

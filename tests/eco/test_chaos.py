@@ -6,9 +6,9 @@ and supervised-pool machinery exists for:
 * a run killed before or *during* any journal append (``SITE_JOURNAL``
   payloads ``crash`` / ``torn``) resumes to **bit-identical** patch
   outcomes — same per-output resolutions, same patched netlist;
-* a worker killed at dispatch (``SITE_WORKER``) is retried with
-  backoff (``task.retried``); a partition that keeps killing its
-  worker is quarantined and the run degrades but still verifies;
+* a worker killed at dispatch (``SITE_WORKER``) is retried once,
+  immediately (``task.retried``); a partition that kills its worker
+  twice is quarantined and the run degrades but still verifies;
 * the telemetry sampler thread never outlives a crashed run.
 
 Everything is driven through the public ``rectify`` API with a real
@@ -209,8 +209,7 @@ class TestWorkerChaos:
         impl, spec = multi_bug_circuits(4)
         injector = FaultInjector().arm(SITE_WORKER, 1, payload=FAULT_KILL)
         result = rectify(impl, spec,
-                         EcoConfig(num_samples=8, jobs=2,
-                                   retry_backoff_s=0.0),
+                         EcoConfig(num_samples=8, jobs=2),
                          injector=injector)
         assert result.counters.worker_deaths == 1
         assert result.counters.tasks_retried == 1
@@ -226,8 +225,7 @@ class TestWorkerChaos:
         injector = FaultInjector().arm(SITE_WORKER, (1, 3),
                                        payload=FAULT_KILL)
         result = rectify(impl, spec,
-                         EcoConfig(num_samples=8, jobs=2,
-                                   retry_backoff_s=0.0),
+                         EcoConfig(num_samples=8, jobs=2),
                          injector=injector)
         assert result.counters.worker_deaths == 2
         assert result.counters.outputs_quarantined == 2
@@ -239,13 +237,14 @@ class TestWorkerChaos:
         assert check_equivalence(result.patched, spec).equivalent is True
 
     def test_partial_telemetry_survives_quarantine(self):
-        """Live-streamed pre-death telemetry outlives the workers.
+        """The surviving worker's telemetry outlives the quarantine.
 
-        Both kill attempts open their ``eco.worker`` span and publish
-        it on the live bus before dying; the aggregator must graft
-        those as ``partial=True`` spans — attributed to the worker —
-        into the main trace alongside the ``output.quarantined``
-        events, and all of it must land in the persisted run record.
+        Telemetry is results-only: the twice-killed partition returns
+        nothing, so it leaves its ``worker.died`` and
+        ``output.quarantined`` events and no spans, while the surviving
+        partition's shipped records are absorbed into the main trace
+        and feed the bound registry — all of it persisted in the run
+        record.
         """
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.store import record_from_result
@@ -254,34 +253,43 @@ class TestWorkerChaos:
         injector = FaultInjector().arm(SITE_WORKER, (1, 3),
                                        payload=FAULT_KILL)
         trace = Trace(name="chaos", metrics=MetricsRegistry())
-        result = rectify(impl, spec,
-                         EcoConfig(num_samples=8, jobs=2,
-                                   retry_backoff_s=0.0),
+        result = rectify(impl, spec, EcoConfig(num_samples=8, jobs=2),
                          injector=injector, trace=trace)
         assert result.counters.outputs_quarantined == 2
 
-        partial = [s for s in trace.spans if s.tags.get("partial")]
-        assert len(partial) == 2                 # one per killed worker
-        assert all(s.name == "eco.worker" for s in partial)
-        workers = {s.tags["worker"] for s in partial}
-        assert len(workers) == 2                 # attempt 1 and retry
-        assert len([e for e in trace.events
-                    if e.name == "worker.partial_telemetry"]) == 2
-        assert any(e.name == "output.quarantined" for e in trace.events)
+        (killer,) = {e.tags["targets"] for e in trace.events
+                     if e.name == "worker.died"}
+        quarantined = sorted(e.tags["port"] for e in trace.events
+                             if e.name == "output.quarantined")
+        assert quarantined == sorted(killer.split(","))
+        assert sorted(port for port, how in result.per_output.items()
+                      if how == "fallback-degraded") == quarantined
+
+        (worker,) = [s for s in trace.spans if s.name == "eco.worker"]
+        survivors = sorted(set(result.per_output) - set(quarantined))
+        assert sorted(worker.tags["targets"].split(",")) == survivors
+        parallel = next(s for s in trace.spans if s.name == "eco.parallel")
+        assert worker.parent_id == parallel.span_id
+        assert not [s for s in trace.spans if s.tags.get("partial")]
+        # every sat.validate span, the absorbed ones included, is
+        # observed exactly once
+        sat_spans = [s for s in trace.spans if s.name == "sat.validate"]
+        assert sat_spans
+        (sat,) = trace.metrics.series("repro_sat_call_seconds")
+        assert sat.count == len(sat_spans)
 
         record = record_from_result(result, trace=trace, name="chaos")
-        assert record.events.get("worker.partial_telemetry") == 2
-        assert record.events.get("output.quarantined", 0) >= 1
+        assert record.events.get("output.quarantined") == 2
+        assert record.events.get("worker.died") == 2
+        assert "worker.partial_telemetry" not in record.events
         assert any("eco.worker" in row["phase"] for row in record.phases)
-        # surviving workers streamed their span closes into the live
-        # latency histograms, which persist too
         assert "repro_sat_call_seconds" in record.histograms
 
     def test_worker_kill_then_host_kill_then_resume(self, tmp_path):
         """The full gauntlet: a worker dies and is retried, then the
         main process dies mid-journal, then the run resumes clean."""
         store = str(tmp_path / "store")
-        config = EcoConfig(num_samples=8, jobs=2, retry_backoff_s=0.0)
+        config = EcoConfig(num_samples=8, jobs=2)
         impl, spec = multi_bug_circuits(4)
         baseline = rectify(impl, spec, config,
                            journal=RunJournal("base", store_root=store))

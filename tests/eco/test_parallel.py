@@ -1,11 +1,14 @@
 """Parallel per-output search: partitioning, merge, telemetry absorb.
 
-The multi-worker tests run with ``REPRO_ECO_JOBS_INLINE=1`` so the
+Most multi-worker tests run with ``REPRO_ECO_JOBS_INLINE=1`` so the
 worker loop executes in-process (same code path minus the pool), which
 keeps partitioning, budget shares, counter merges and trace grafting
-deterministic.  One test exercises the real :mod:`concurrent.futures`
-pool end to end.
+deterministic.  The process-pool tests exercise the real
+:mod:`concurrent.futures` pool end to end: search, death attribution
+and executor teardown.
 """
+
+import threading
 
 import pytest
 
@@ -13,7 +16,9 @@ from repro.cec.equivalence import check_equivalence
 from repro.errors import ResourceBudgetExceeded
 from repro.netlist.circuit import Circuit
 from repro.obs.trace import Trace
+from repro.runtime.faultinject import FAULT_KILL, SITE_WORKER, FaultInjector
 from repro.runtime.supervisor import RunSupervisor
+from repro.eco import parallel
 from repro.eco.config import EcoConfig
 from repro.eco.engine import rectify
 from repro.eco.parallel import parallel_verify, partition_targets
@@ -45,16 +50,15 @@ class TestPartitioning:
     def test_budget_shares_reserve_one_for_main(self):
         run = RunSupervisor.from_config(
             EcoConfig(total_sat_budget=100, total_bdd_nodes=50))
-        share = run.partition_budget(3)
-        assert share["total_sat_budget"] == 100 // 4
-        assert share["total_bdd_nodes"] == 50 // 4
-        assert share["deadline_s"] is None
+        shares, _reserve = run.partition_shares(3)
+        assert all(s["total_sat_budget"] == 100 // 4 for s in shares)
+        assert all(s["total_bdd_nodes"] == 50 // 4 for s in shares)
 
     def test_unlimited_budgets_stay_unlimited(self):
         run = RunSupervisor.from_config(EcoConfig())
-        share = run.partition_budget(2)
-        assert share["total_sat_budget"] is None
-        assert share["total_bdd_nodes"] is None
+        shares, _reserve = run.partition_shares(2)
+        assert all(s["total_sat_budget"] is None for s in shares)
+        assert all(s["total_bdd_nodes"] is None for s in shares)
 
     @pytest.mark.parametrize("total,jobs", [
         (100, 3), (100, 4), (7, 3), (101, 2), (997, 16),
@@ -91,7 +95,6 @@ class TestPartitioning:
         shares, reserve = run.partition_shares(2)
         assert all(s["total_sat_budget"] is None for s in shares)
         assert reserve["total_bdd_nodes"] is None
-        assert reserve["deadline_s"] is None
 
 
 class TestTelemetryMerge:
@@ -251,3 +254,105 @@ class TestProcessPoolSearch:
         # the pool may be unavailable in restricted sandboxes, in which
         # case the engine falls back to the sequential loop
         assert result.counters.parallel_workers in (0, 2)
+
+
+class TestDeadlineBeforeDispatch:
+    @pytest.mark.parametrize("inline", ["1", None], ids=["inline", "pool"])
+    def test_spent_deadline_degrades_like_sequential(self, monkeypatch,
+                                                    inline):
+        # the deadline passes before the parallel phase: nothing is
+        # dispatched and the sequential loop degrades every output
+        if inline:
+            monkeypatch.setenv("REPRO_ECO_JOBS_INLINE", inline)
+        else:
+            monkeypatch.delenv("REPRO_ECO_JOBS_INLINE", raising=False)
+        impl, spec = multi_bug_circuits(4)
+        result = rectify(impl, spec, EcoConfig(num_samples=8, jobs=2,
+                                               deadline_s=1e-6))
+        assert result.degraded is True
+        assert result.counters.parallel_workers == 0
+        assert set(result.per_output.values()) == {"fallback-degraded"}
+        assert check_equivalence(result.patched, spec).equivalent is True
+
+    def test_retry_without_time_left_is_quarantined(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ECO_JOBS_INLINE", "1")
+        injector = FaultInjector().arm(SITE_WORKER, 1, payload=FAULT_KILL)
+        run = RunSupervisor.from_config(EcoConfig(), injector=injector)
+        # time is left for the first round, none for the retry
+        time_left = iter([30.0, 0.0])
+        monkeypatch.setattr(run.budget, "time_left",
+                            lambda: next(time_left))
+        impl, spec = multi_bug_circuits(2)
+        failing = ["o0", "o1"]
+        payloads = [(impl, spec, EcoConfig(num_samples=8), failing, [port])
+                    for port in failing]
+        results = parallel._run_partitions(payloads, run, inline=True)
+        assert results[0] is None
+        assert results[1].targets == ("o1",)
+        assert list(run.quarantined) == ["o0"]
+        assert "deadline" in run.quarantined["o0"]
+        assert run.counters.worker_deaths == 1
+        assert run.counters.tasks_retried == 0
+
+
+class TestProcessPoolSupervision:
+    """Real processes, one single-worker executor per partition: a
+    death is charged to the partition whose worker died, never to its
+    neighbour."""
+
+    @pytest.fixture(autouse=True)
+    def _real_pool(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ECO_JOBS_INLINE", raising=False)
+
+    def run_killing(self, ordinals):
+        impl, spec = multi_bug_circuits(4)
+        trace = Trace(name="pool-chaos")
+        result = rectify(impl, spec, EcoConfig(num_samples=8, jobs=2),
+                         injector=FaultInjector().arm(
+                             SITE_WORKER, ordinals, payload=FAULT_KILL),
+                         trace=trace)
+        if any(e.name == "eco.parallel_fallback" for e in trace.events):
+            pytest.skip("process pools are unavailable here")
+        assert check_equivalence(result.patched, spec).equivalent is True
+        return result, trace
+
+    def test_killed_worker_is_retried(self):
+        result, _ = self.run_killing(1)
+        counters = result.counters
+        assert counters.worker_deaths == 1
+        assert counters.tasks_retried == 1
+        assert counters.outputs_quarantined == 0
+        assert counters.parallel_workers == 2
+        assert result.degraded is False
+
+    def test_repeat_killer_quarantines_only_its_outputs(self):
+        result, trace = self.run_killing((1, 3))
+        (killer,) = {e.tags["targets"] for e in trace.events
+                     if e.name == "worker.died"}
+        quarantined = sorted(e.tags["port"] for e in trace.events
+                             if e.name == "output.quarantined")
+        assert result.counters.worker_deaths == 2
+        assert result.counters.outputs_quarantined == 2
+        assert result.counters.parallel_workers == 1
+        assert quarantined == sorted(killer.split(","))
+        assert sorted(port for port, how in result.per_output.items()
+                      if how == "fallback-degraded") == quarantined
+
+    def test_no_pool_thread_outlives_parallel_repair(self, monkeypatch):
+        # a leftover executor thread would make the next
+        # safe_mp_context() (parallel_verify's) pick spawn over fork
+        before = set(threading.enumerate())
+        leftover = []
+        real = parallel.parallel_repair
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            leftover.extend(t.name for t in threading.enumerate()
+                            if t not in before)
+            return out
+
+        monkeypatch.setattr(parallel, "parallel_repair", spy)
+        impl, spec = multi_bug_circuits(4)
+        result = rectify(impl, spec, EcoConfig(num_samples=8, jobs=2))
+        assert result.counters.parallel_workers in (0, 2)
+        assert leftover == []

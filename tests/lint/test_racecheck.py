@@ -52,9 +52,6 @@ class TestScenarios:
         assert result.acquisitions > 0
         assert result.graph["enabled"]
 
-    def test_live_scenario_clean(self):
-        assert run_racecheck("live", runs=2, seed=11).ok
-
     def test_store_scenario_clean(self):
         assert run_racecheck("store", runs=1, seed=11).ok
 

@@ -188,14 +188,19 @@ class TestTraceIntegration:
         assert reg.series("repro_output_seconds")[0].count == 1
 
     def test_absorb_does_not_double_feed(self):
-        """Worker spans reach the registry via the live bus only; the
-        final graft must not observe them again."""
+        """Worker spans reach the registry through the graft, exactly
+        once: finishing the span open during the graft observes only
+        itself."""
         reg = MetricsRegistry()
         trace = Trace(name="t", metrics=reg)
-        trace.absorb([{"type": "span", "id": 1, "parent": None,
-                       "name": "sat.validate", "ts": 0.0, "dur": 0.5,
-                       "tags": {}, "counters": {}}])
-        assert reg.series("repro_sat_call_seconds") == []
+        with trace.span("eco.output", output="o1"):
+            trace.absorb([{"type": "span", "id": 1, "parent": None,
+                           "name": "sat.validate", "ts": 0.0, "dur": 0.5,
+                           "tags": {}, "counters": {}}])
+        (sat,) = reg.series("repro_sat_call_seconds")
+        assert sat.count == 1
+        assert sat.sum == 0.5
+        assert reg.series("repro_output_seconds")[0].count == 1
 
 
 class TestExpositionRoundTrip:

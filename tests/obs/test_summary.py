@@ -142,7 +142,7 @@ class TestUncleanRuns:
             {"type": "span", "id": 1, "parent": None,
              "name": "eco.rectify", "ts": 0.0, "dur": 5.0, "tags": {},
              "counters": {}},
-            # partial span grafted by LiveAggregator.flush_dead
+            # a partial worker span, as older stored runs carry them
             {"type": "span", "id": 2, "parent": 1, "name": "eco.worker",
              "ts": 0.5, "dur": 1.5,
              "tags": {"partial": True, "worker": "o1,o2@1"},

@@ -130,15 +130,11 @@ class TestRenderLive:
 
     def test_live_frame_sections(self):
         health = {"status": "ok", "run": "demo", "progress": 7,
-                  "phase": ["eco.rectify", "eco.output"],
-                  "workers": {"o1@1": {"open_spans": 2,
-                                       "closed_spans": 5,
-                                       "age_s": 0.1}}}
+                  "phase": ["eco.rectify", "eco.output"]}
         history = {}
         frame = render_live(health, self.scraped_families(), history)
         assert "run demo  status=ok  progress=7" in frame
         assert "phase    eco.rectify > eco.output" in frame
-        assert "worker o1@1: 2 open / 5 closed spans" in frame
         assert "sat_validations" in frame
         assert "repro_sat_call_seconds" in frame
         assert history["sat_validations"] == [12.0]
