@@ -4,7 +4,7 @@ The paper's third Table-2 observation: syseco 'scales well on the
 larger test cases, where DeltaSyn times out', because the symbolic
 computation runs in the sampling domain whose size is independent of
 the design.  This bench grows one design family (word gating + control)
-from 48 to ~13k gates while keeping the revision fixed, and reports
+from 48 to ~26k gates while keeping the revision fixed, and reports
 each engine's runtime and patch size, asserting that runtime growth
 stays moderate (no exponential blowup in the symbolic core).
 """
@@ -38,7 +38,7 @@ def build_instance(scale: int):
 
 
 def test_scalability(benchmark, publish):
-    scales = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+    scales = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
     def run():
         rows = []
@@ -61,7 +61,7 @@ def test_scalability(benchmark, publish):
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    lines = ["Scalability: one family grown ~270x, fixed revision",
+    lines = ["Scalability: one family grown ~540x, fixed revision",
              f"{'scale':>6} {'gates':>7} {'syseco,s':>9} "
              f"{'DeltaSyn,s':>11} {'patch gates':>12}"]
     for r in rows:

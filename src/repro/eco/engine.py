@@ -52,7 +52,11 @@ from repro.netlist.traverse import (
     topological_order,
     transitive_fanin,
 )
-from repro.cec.equivalence import check_equivalence, nonequivalent_outputs
+from repro.cec.equivalence import (
+    PairwiseChecker,
+    check_equivalence,
+    nonequivalent_outputs,
+)
 from repro.eco.choices import (
     enumerate_rewiring_choices,
     make_clone_aware_cost,
@@ -180,8 +184,11 @@ class SysEco:
         patch = Patch()
         per_output: Dict[str, str] = {}
 
+        # the run's one equivalence context: diagnosis, patch-input
+        # refinement and final verification share its encoding and sweep
+        context = PairwiseChecker(work, spec)
         with trace.span("eco.diagnose") as dsp:
-            failing = nonequivalent_outputs(work, spec)
+            failing = nonequivalent_outputs(work, spec, context=context)
             failing = self._order_by_cone(work, failing)
             dsp.tag(failing=len(failing))
         logger.info("rectifying %s: %d of %d outputs non-equivalent",
@@ -219,9 +226,11 @@ class SysEco:
                                              per_output, rng, run,
                                              journal=journal)
 
-        with trace.span("eco.refine"):
+        with trace.span("eco.refine") as fsp:
+            solves = context.solves
             refine_patch_inputs(work, patch.cloned_gates,
-                                seed=self.config.seed)
+                                seed=self.config.seed, context=context)
+            fsp.tag(solves=context.solves - solves)
         if self.config.resynthesis:
             from repro.eco.resynth import resubstitute_patch
             with trace.span("eco.resynth") as rsp:
@@ -232,12 +241,16 @@ class SysEco:
             run.counters.resubstitutions = resubs
 
         with trace.span("cec.verify_final") as vsp:
+            encoded, swept = context.encoded, len(context.seen)
             if config.jobs > 1:
                 from repro.eco.parallel import parallel_verify
                 verification = parallel_verify(work, spec, config.jobs)
             else:
-                verification = check_equivalence(work, spec)
-            vsp.tag(equivalent=verification.equivalent)
+                verification = check_equivalence(work, spec,
+                                                 context=context)
+            vsp.tag(equivalent=verification.equivalent,
+                    encoded=context.encoded - encoded,
+                    swept=len(context.seen) - swept)
         if verification.equivalent is not True:
             raise EcoError(
                 "final verification failed; counterexample: "

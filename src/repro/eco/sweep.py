@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.cec.equivalence import PairwiseChecker
+from repro.cec.sweep import prune_dangling
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulate import signature
 from repro.netlist.traverse import transitive_fanout
-from repro.cec.sweep import prune_dangling
-from repro.sat import Solver, UNSAT
-from repro.sat.tseitin import CircuitEncoder
 
 
 def refine_patch_inputs(patched: Circuit, cloned_gates: Set[str],
                         rounds: int = 4, seed: int = 97,
-                        conflict_budget: Optional[int] = 20000
+                        conflict_budget: Optional[int] = 20000,
+                        context: Optional[PairwiseChecker] = None
                         ) -> Tuple[int, Set[str]]:
     """Replace cloned patch logic with equivalent existing nets.
 
@@ -32,6 +32,10 @@ def refine_patch_inputs(patched: Circuit, cloned_gates: Set[str],
         rounds: random-simulation rounds for candidate pairing.
         seed: simulation seed.
         conflict_budget: SAT budget per equivalence proof.
+        context: the run's equivalence context, rebound to ``patched``:
+            a pair it already tied is replaced without a solve, and a
+            pair its sweep patterns tell apart is skipped.  By default
+            a checker of its own.
 
     Returns:
         ``(replacements, remaining_clones)`` — the number of cloned
@@ -47,9 +51,10 @@ def refine_patch_inputs(patched: Circuit, cloned_gates: Set[str],
         if net not in alive:
             by_sig.setdefault(sig, []).append(net)
 
-    solver = Solver()
-    encoder = CircuitEncoder(solver)
-    varmap = encoder.encode(patched)
+    if context is None:
+        # only the left side of a checker of its own is ever encoded
+        context = PairwiseChecker(patched, patched)
+    varmap = context.rebind(patched)
 
     replacements = 0
     # deepest clones first so upstream replacements cascade
@@ -57,12 +62,14 @@ def refine_patch_inputs(patched: Circuit, cloned_gates: Set[str],
         if clone not in patched.gates or not patched.sinks(clone):
             continue
         originals = by_sig.get(sigs[clone], ())
+        if not originals:
+            continue
+        # wiring in a net downstream of the clone would close a cycle;
+        # nothing edits the circuit until the loop below breaks
+        downstream = transitive_fanout(patched, [clone])
         for candidate in originals:
-            if candidate in transitive_fanout(patched, [clone]):
-                continue  # would create a cycle
-            neq = encoder._encode_xor2(varmap[clone], varmap[candidate])
-            if solver.solve(assumptions=[neq],
-                            conflict_budget=conflict_budget) == UNSAT:
+            if candidate not in downstream and context.nets_equal(
+                    varmap[clone], varmap[candidate], conflict_budget):
                 patched.replace_net(clone, candidate)
                 replacements += 1
                 break

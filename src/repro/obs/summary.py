@@ -52,6 +52,10 @@ class TraceSummary:
     degraded: bool
     #: fraction of root wall time covered by its direct child phases
     coverage: float
+    #: ``(name, tags)`` of each tagged phase the root ran exactly once
+    #: (diagnosis, refinement, final verification, ...), in start order
+    run_phases: List[Tuple[str, Dict[str, Any]]] = field(
+        default_factory=list)
 
     def top_phases(self, limit: int = 6) -> List[PhaseNode]:
         """Flattened phases ordered by total time, deepest-first rows
@@ -140,6 +144,15 @@ def summarize(records: Sequence[Dict[str, Any]]) -> TraceSummary:
     ]
     hot.sort(key=lambda h: -h.seconds)
 
+    root_ids = {s["id"] for s in spans if s.get("parent") not in by_id}
+    children = [s for s in spans if s.get("parent") in root_ids]
+    calls: Dict[str, int] = {}
+    for s in children:
+        calls[s["name"]] = calls.get(s["name"], 0) + 1
+    run_phases = [(s["name"], dict(s["tags"]))
+                  for s in sorted(children, key=lambda s: s["ts"])
+                  if calls[s["name"]] == 1 and s.get("tags")]
+
     coverage = 1.0
     if roots and roots[0].seconds > 0:
         root = roots[0]
@@ -155,6 +168,7 @@ def summarize(records: Sequence[Dict[str, Any]]) -> TraceSummary:
         counters=dict(meta.get("counters") or {}),
         degraded=bool(meta.get("degraded", False)),
         coverage=coverage,
+        run_phases=run_phases,
     )
 
 
@@ -192,6 +206,12 @@ def format_summary(summary: TraceSummary, hot: int = 5,
     if summary.roots:
         lines.append(f"phase coverage : {100.0 * summary.coverage:.1f}% "
                      "of root wall time attributed to child phases")
+
+    if summary.run_phases:
+        lines.append("run phases:")
+        for name, tags in summary.run_phases:
+            lines.append(f"  {name:<20} " + " ".join(
+                f"{k}={v}" for k, v in sorted(tags.items())))
 
     if summary.hot_outputs:
         lines.append("hottest outputs:")

@@ -180,9 +180,14 @@ class TestRefinement:
     def test_sweep_visits_only_the_compared_cones(self):
         left, right = wide_and_against_const0()
         checker = PairwiseChecker(left, right)
-        # the colliding AND and constants lie outside z's cone
         assert checker.sweep(["z"]) == []
-        assert checker.merged == 1 and checker.refuted == 0
+        assert checker.refuted == 0
+        # the colliding AND and constants lie outside z's cone: the
+        # sweep never visits their variables
+        lv, rv = checker.left_vars(), checker.right_vars()
+        outside = [lv[left.outputs["y"]], lv[left.outputs["zero"]],
+                   rv[right.outputs["y"]], rv[right.outputs["zero"]]]
+        assert not checker.seen & set(outside)
         assert check_equivalence(left, right, outputs=["z"]).equivalent
 
 

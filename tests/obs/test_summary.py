@@ -95,6 +95,29 @@ class TestFormatting:
         text = format_summary(summarize(records), events=8)
         assert "... 5 more" in text
 
+    def test_run_phase_tags(self):
+        records = make_records() + [
+            {"type": "span", "id": 5, "parent": 1, "name": "eco.diagnose",
+             "ts": -0.5, "dur": 0.2, "tags": {"failing": 2},
+             "counters": {}},
+            {"type": "span", "id": 6, "parent": 1,
+             "name": "cec.verify_final", "ts": 9.6, "dur": 0.3,
+             "tags": {"equivalent": True, "encoded": 3, "swept": 7},
+             "counters": {}},
+        ]
+        summary = summarize(records)
+        # once-per-run phases only: the two eco.output spans repeat
+        assert summary.run_phases == [
+            ("eco.diagnose", {"failing": 2}),
+            ("cec.verify_final",
+             {"equivalent": True, "encoded": 3, "swept": 7})]
+        lines = format_summary(summary).splitlines()
+        assert any(l.split() == ["cec.verify_final", "encoded=3",
+                                 "equivalent=True", "swept=7"]
+                   for l in lines)
+        assert "run phases:" not in format_summary(
+            summarize(make_records()))
+
     def test_brief_phase_lines(self):
         lines = brief_phase_lines(make_records(), limit=2)
         assert len(lines) == 2
