@@ -13,8 +13,7 @@ Run ``python -m repro <command> --help``.  Commands:
   and regression-check recorded runs (``repro runs regress
   --baseline REF`` exits nonzero on regression — a CI gate), plus
   ``recover`` to salvage a crashed store and list resumable runs;
-* ``watch``  — TTY dashboard over a recorded run, or over a live
-  ``repro eco --serve-metrics`` endpoint with ``--url``;
+* ``watch``  — TTY dashboard over a recorded run;
 * ``lint``   — static diagnostics: netlist analyzer, patch-op
   legality, or the repo's own invariants (``--self``);
 * ``tables`` — regenerate the paper's tables on the scaled suite.
@@ -180,33 +179,19 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             run_id = new_run_id(_clock_now())
             journal = RunJournal(run_id, store_root=store_root)
 
-    serve_port = getattr(args, "serve_metrics", None)
-    want_export = bool(args.trace or args.metrics
-                       or serve_port is not None)
+    want_export = bool(args.trace or args.metrics)
     trace = None
     if want_export and args.engine != "syseco":
-        print(f"warning: --trace/--metrics/--serve-metrics is only "
-              f"supported by the syseco engine, not {args.engine}; "
-              f"skipping", file=sys.stderr)
-        serve_port = None
+        print(f"warning: --trace/--metrics is only supported by the "
+              f"syseco engine, not {args.engine}; skipping",
+              file=sys.stderr)
     elif (want_export or args.store_runs) and args.engine == "syseco":
         # traced whenever the run is being recorded, so the run store
         # gets the phase summary and the obs.sample timeline; the
         # metrics registry rides on the trace, collecting latency
-        # histograms for the run record and the live endpoint
+        # histograms for the run record
         from repro.obs import MetricsRegistry, Trace
         trace = Trace(name=impl.name, metrics=MetricsRegistry())
-
-    server = None
-    if serve_port is not None and trace is not None:
-        from repro.obs import maybe_serve
-        server = maybe_serve(
-            trace.metrics, serve_port, trace=trace,
-            health_provider=lambda: {"run_id": run_id,
-                                     "engine": args.engine})
-        if server is not None:
-            print(f"serving metrics on {server.url} "
-                  f"(/metrics, /healthz)", file=sys.stderr)
 
     from repro.runtime.clock import now as _now
     from repro.runtime.profile import profiled
@@ -222,11 +207,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         print("\ninterrupted (SIGINT)", file=sys.stderr)
         if args.store_runs and run_id is not None:
             _publish_interrupted(args, impl, run_id, started_s)
-        if server is not None:
-            server.stop()
         return 130
-    if server is not None:
-        server.stop()
     if args.profile:
         print(f"wrote {args.profile} (cProfile stats)")
     from repro.eco.report import format_patch_report
@@ -499,12 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", metavar="FILE",
                    help="write a Prometheus-style text metrics snapshot "
                         "of the run")
-    p.add_argument("--serve-metrics", metavar="PORT", type=int,
-                   nargs="?", const=0, default=None,
-                   help="serve /metrics (Prometheus text) and /healthz "
-                        "on 127.0.0.1:PORT for the duration of the run "
-                        "(PORT omitted: an ephemeral port, printed to "
-                        "stderr); point 'repro watch --url' at it")
     p.add_argument("--counters-json", metavar="FILE",
                    help="dump run counters, degradation state and "
                         "per-output status as JSON")
@@ -553,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "watch",
-        help="TTY dashboard: render a recorded run, or tail a live "
-             "'repro eco --serve-metrics' endpoint with --url")
+        help="TTY dashboard: render a recorded run")
     from repro.obs.watch_cli import add_watch_arguments, run_watch
     add_watch_arguments(p)
     p.set_defaults(func=run_watch)

@@ -108,18 +108,6 @@ class EcoConfig:
         resume_from: run id of a dead journaled run to resume; its
             checkpoint journal is replayed before the search continues
             (``repro eco --resume``; ``None`` = fresh run).
-
-    Telemetry sampling (active only when the run is traced; see
-    :mod:`repro.obs.sampler`):
-
-        sample_interval_s: seconds between ``obs.sample`` counter
-            snapshots taken by the in-run sampler thread; ``0``
-            disables the thread but keeps the start/stop snapshots.
-        stall_window_s: span-progress silence after which the sampler
-            emits a ``run.stalled`` event with a degradation hint.
-        trace_malloc: run ``tracemalloc`` for the duration of a traced
-            run and record traced-memory peaks in each sample
-            (measurable overhead; off by default).
     """
 
     num_samples: int = 16
@@ -153,9 +141,6 @@ class EcoConfig:
     sat_deescalate_after: int = 3
     degrade_on_budget: bool = True
     resume_from: Optional[str] = None
-    sample_interval_s: float = 0.05
-    stall_window_s: float = 30.0
-    trace_malloc: bool = False
 
     def __post_init__(self) -> None:
         for name in ("num_samples", "max_points", "max_candidate_pins",
@@ -179,7 +164,3 @@ class EcoConfig:
                 raise ValueError(f"{name} must be positive when set")
         if self.sat_escalation_factor <= 1.0:
             raise ValueError("sat_escalation_factor must exceed 1")
-        if self.sample_interval_s < 0:
-            raise ValueError("sample_interval_s must be >= 0")
-        if self.stall_window_s <= 0:
-            raise ValueError("stall_window_s must be positive")

@@ -80,7 +80,6 @@ from repro.obs.trace import Trace, ensure_trace
 from repro.runtime.clock import now
 from repro.runtime.faultinject import FaultInjector
 from repro.runtime.supervisor import RunSupervisor
-from repro.runtime.sync import set_sync_registry
 
 
 logger = logging.getLogger("repro.eco")
@@ -130,37 +129,24 @@ class SysEco:
         trace = ensure_trace(trace)
         self._check_interfaces(impl, spec)
         config = self.config
-        # under REPRO_SYNC_DEBUG=1 lock waits land in this run's
-        # registry (a no-op while sync debugging is off)
-        set_sync_registry(trace.metrics)
         rng = random.Random(config.seed)
         run = RunSupervisor.from_config(config, injector=injector,
                                         trace=trace)
         trace.set_counters(run.counters)
 
-        sampler = maybe_sampler(
+        run.sampler = maybe_sampler(
             trace, counters=run.counters, bdd_stats=run.live_bdd_stats,
-            interval_s=config.sample_interval_s,
-            stall_window_s=config.stall_window_s,
-            gauge_hook=run.publish_gauges,
-            trace_malloc=config.trace_malloc)
+            gauge_hook=run.publish_gauges)
+        if run.sampler is not None:
+            run.sampler.start()
         try:
-            if sampler is not None:
-                sampler.start()
             with trace.span("eco.rectify", impl=impl.name,
                             outputs=len(impl.outputs)):
                 result = self._rectify_run(impl, spec, rng, run, started,
                                            journal=journal)
         finally:
-            if sampler is not None:
-                # the sampler thread must never outlive the run, even
-                # when teardown's final sample raises (e.g. a broken
-                # trace exporter) while the run itself is unwinding a
-                # failure — log and keep the original exception
-                try:
-                    sampler.stop()
-                except Exception:
-                    logger.exception("telemetry sampler teardown failed")
+            if run.sampler is not None:
+                run.sampler.stop()
         trace.meta.update(
             impl=impl.name,
             counters=run.counters.as_dict(),

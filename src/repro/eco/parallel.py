@@ -72,6 +72,28 @@ class _PoolUnavailable(Exception):
     """Process pools cannot run here; fall back to sequential search."""
 
 
+def safe_mp_context():
+    """An *explicit* multiprocessing context for the pools (CC005).
+
+    ``fork`` after threads exist is undefined behavior (the child
+    inherits locked locks whose owners never ran).  A run has one
+    thread, but a host program may start others; while the process is
+    single-threaded the fast ``fork`` method is safe and is kept, and
+    once any other thread is alive the pool falls back to ``spawn``.
+    """
+    import multiprocessing
+    import threading
+
+    available = multiprocessing.get_all_start_methods()
+    if "fork" in available and threading.active_count() == 1:
+        method = "fork"
+    elif "spawn" in available:
+        method = "spawn"
+    else:  # exotic platforms: trust the configured default
+        method = multiprocessing.get_start_method()
+    return multiprocessing.get_context(method)
+
+
 @dataclass
 class WorkerResult:
     """Everything a search worker ships back to the main process."""
@@ -197,8 +219,6 @@ def _dispatch_pool(payloads: Dict[int, tuple], run: RunSupervisor,
     import concurrent.futures as cf
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
-
-    from repro.runtime.sync import safe_mp_context
 
     outcomes: Dict[int, WorkerResult] = {}
     deaths: Dict[int, str] = {}
@@ -339,7 +359,6 @@ def parallel_verify(work: Circuit, spec: Circuit, jobs: int):
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            from repro.runtime.sync import safe_mp_context
             with ProcessPoolExecutor(
                     max_workers=len(groups),
                     mp_context=safe_mp_context()) as pool:

@@ -13,25 +13,16 @@ Three analyzers share one diagnostics core (:mod:`repro.lint.diag`):
   invariants: the ``RI...`` family (sanctioned wall-clock reads,
   seeded randomness, supervised solver calls, no bare excepts,
   sanctioned Circuit mutation, no library prints) plus the ``CC...``
-  concurrency discipline (:mod:`repro.lint.concur_rules` — sanctioned
-  sync factories, release-safe acquires, no blocking under locks,
-  joinable threads, context-pinned pools).
+  process-pool rules (:mod:`repro.lint.concur_rules` — context-pinned
+  pools, no global start-method mutation).
 
-A fourth, *dynamic* analyzer complements the static ones:
-:func:`run_racecheck` (:mod:`repro.lint.racecheck`, ``RC...``) fuzzes
-the threaded runtime across seeded preemption schedules and audits
-lock order at runtime.
+CLI: ``repro lint [NETLIST ...| --patch-ops OPS --impl C | --self]``
+with ``--format json|text``; also available as ``python -m
+repro.lint``.  The code catalog lives in ``docs/static-analysis.md``.
 
-CLI: ``repro lint [NETLIST ...| --patch-ops OPS --impl C | --self |
---race TARGET]`` with ``--format json|text``; also available as
-``python -m repro.lint``.  The code catalog lives in
-``docs/static-analysis.md``.
-
-The static analyzers depend only on ``errors`` + ``netlist`` (the
-self analyzer is pure stdlib); the race harness additionally rides
-:mod:`repro.runtime` (fault injection + sync tracing) and imports the
-:mod:`repro.obs` workloads lazily — neither imports ``lint`` back, so
-``eco`` can still consume this package without layering violations.
+The analyzers depend only on ``errors`` + ``netlist`` (the self
+analyzer is pure stdlib), so ``eco`` can consume this package without
+layering violations.
 """
 
 from repro.lint.diag import (
@@ -51,12 +42,6 @@ from repro.lint.patch_rules import (
 )
 from repro.lint.concur_rules import lint_concur_source_text
 from repro.lint.pylint_rules import lint_source_text, lint_sources
-from repro.lint.racecheck import (
-    SCENARIOS,
-    RaceCheckResult,
-    race_targets,
-    run_racecheck,
-)
 
 __all__ = [
     "Diagnostic",
@@ -75,8 +60,4 @@ __all__ = [
     "lint_source_text",
     "lint_sources",
     "lint_concur_source_text",
-    "SCENARIOS",
-    "RaceCheckResult",
-    "race_targets",
-    "run_racecheck",
 ]

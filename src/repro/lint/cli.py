@@ -8,13 +8,7 @@ Shared by ``repro lint ...`` (the main CLI subcommand) and
   patch analyzer on a rewire-op set (see
   :func:`repro.lint.patch_rules.parse_ops` for the JSON format);
 * ``repro lint --self`` — repo-invariant analyzer on the running
-  ``repro`` package sources (or ``--root DIR``);
-* ``repro lint --race TARGET`` — seeded schedule fuzzing of the
-  threaded runtime (:mod:`repro.lint.racecheck`); ``TARGET`` is a
-  built-in scenario name, ``all``, or a dotted path to a callable.
-  ``--race-runs`` / ``--race-seed`` / ``--race-timeout`` control the
-  schedule sweep; ``--sync-graph FILE`` dumps the cumulative
-  lock-order graph as JSON (the CI artifact).
+  ``repro`` package sources (or ``--root DIR``).
 
 ``--format json`` emits the stable report schema; ``-o FILE`` writes
 the report there as well (CI uploads it as an artifact).  Exit status
@@ -54,25 +48,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--patch-ops", metavar="FILE",
         help="JSON rewire-op list to analyze against --impl")
     parser.add_argument(
-        "--race", metavar="TARGET", default=None,
-        help="race-check TARGET under seeded schedule fuzzing: a "
-             "scenario name (metrics, live, sampler, serve, store, "
-             "inversion), 'all', or 'pkg.mod:callable'")
-    parser.add_argument(
-        "--race-runs", type=int, metavar="N", default=None,
-        help="seeded executions per race scenario (default: 5)")
-    parser.add_argument(
-        "--race-seed", type=int, metavar="SEED", default=None,
-        help="base seed; run i uses SEED+i (default: 1337)")
-    parser.add_argument(
-        "--race-timeout", type=float, metavar="S", default=None,
-        help="faulthandler watchdog: dump all thread stacks if a race "
-             "run wedges for S seconds (default: 120)")
-    parser.add_argument(
-        "--sync-graph", metavar="FILE", default=None,
-        help="with --race: write the cumulative lock-order graph "
-             "(locks, edges, violations with stacks) to FILE as JSON")
-    parser.add_argument(
         "--format", dest="fmt", choices=["text", "json"],
         default="text", help="report rendering (default: text)")
     parser.add_argument(
@@ -91,28 +66,6 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.self_lint:
         from repro.lint.pylint_rules import lint_sources
         reports.append(lint_sources(args.root))
-
-    if args.race:
-        from repro.lint.racecheck import (
-            DEFAULT_RUNS, DEFAULT_SEED, DEFAULT_TIMEOUT_S, run_racecheck)
-        try:
-            result = run_racecheck(
-                args.race,
-                runs=(args.race_runs if args.race_runs is not None
-                      else DEFAULT_RUNS),
-                seed=(args.race_seed if args.race_seed is not None
-                      else DEFAULT_SEED),
-                timeout_s=(args.race_timeout
-                           if args.race_timeout is not None
-                           else DEFAULT_TIMEOUT_S))
-        except ValueError as exc:  # bad target spec: usage error
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        reports.append(result.report)
-        if args.sync_graph:
-            with open(args.sync_graph, "w", encoding="utf-8") as fh:
-                json.dump(result.graph, fh, indent=2, sort_keys=True)
-                fh.write("\n")
 
     if args.patch_ops:
         if not args.impl:
@@ -143,8 +96,8 @@ def run_lint(args: argparse.Namespace) -> int:
         reports.append(report)
 
     if not reports:
-        print("error: nothing to lint (give a netlist, --patch-ops, "
-              "--race or --self)", file=sys.stderr)
+        print("error: nothing to lint (give a netlist, --patch-ops "
+              "or --self)", file=sys.stderr)
         return 2
 
     if args.fmt == "json":

@@ -279,13 +279,13 @@ def package_root() -> str:
 
 
 def lint_sources(root: Optional[str] = None) -> LintReport:
-    """Run the invariant + concurrency rules on every module under
+    """Run the invariant + process-pool rules on every module under
     ``root``.
 
     ``root`` defaults to the directory containing the ``repro``
     package itself, so ``repro lint --self`` checks whatever
     installation is running it.  Each module gets both the ``RI``
-    repo-invariant pass and the ``CC`` concurrency pass
+    repo-invariant pass and the ``CC`` process-pool pass
     (:mod:`repro.lint.concur_rules`).
     """
     from repro.lint.concur_rules import lint_concur_source_text

@@ -49,14 +49,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     PrometheusParseError,
-    get_registry,
-    histogram_percentiles,
     log_buckets,
     parse_prometheus_text,
     render_prometheus,
 )
 from repro.obs.sampler import RunSampler, maybe_sampler
-from repro.obs.serve import MetricsServer, maybe_serve
 from repro.obs.store import (
     DEFAULT_STORE_DIR,
     MetricDelta,
@@ -103,13 +100,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PrometheusParseError",
-    "get_registry",
-    "histogram_percentiles",
     "log_buckets",
     "parse_prometheus_text",
     "render_prometheus",
-    "MetricsServer",
-    "maybe_serve",
     "RunSampler",
     "maybe_sampler",
     "DEFAULT_STORE_DIR",

@@ -2,7 +2,7 @@
 
 The span tracer answers *where did the time go* after a run; this
 module answers *what is the latency distribution right now*.  A
-:class:`MetricsRegistry` is a process-wide (or per-run) collection of
+:class:`MetricsRegistry` is a per-run collection of
 
 * :class:`Counter` — monotone totals (``repro_counter_total``),
 * :class:`Gauge` — point-in-time values (run progress, live BDD nodes,
@@ -20,22 +20,16 @@ maps instrumented phase names onto histogram families
 (:data:`SPAN_HISTOGRAMS` — SAT-call latency, incremental-validation
 latency, candidate screen time, BDD node growth) — and
 :class:`~repro.obs.sampler.RunSampler` syncs ``RunCounters`` deltas
-into counter series on every tick.
+into counter series on every snapshot.
 
 :func:`render_prometheus` emits the registry in strict exposition
 format — ``# HELP``/``# TYPE`` for every family, histogram
 ``_bucket``/``_sum``/``_count`` series with cumulative counts and a
 ``+Inf`` bucket — and :func:`parse_prometheus_text` is the matching
-strict parser (used by the conformance tests, the CI smoke job and the
-``repro watch`` live dashboard).
+strict parser (used by the conformance tests).
 
-Stdlib only apart from :mod:`repro.runtime.sync` (itself pure stdlib),
-which supplies the sanctioned lock factories: every series carries a
-small update lock so concurrent ``inc``/``observe`` calls (the
-sampler thread against the engine) never lose increments
-(``x += y`` is not atomic), and
-under ``REPRO_SYNC_DEBUG`` all registry locks join the global
-lock-order graph.
+Stdlib only.  A registry belongs to one run, which has one thread; it
+is not safe to share between threads.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.export import sanitize_metric_name
-from repro.runtime.sync import make_lock
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 
@@ -76,52 +69,45 @@ SIZE_BUCKETS = log_buckets(64, 4.0, 13)
 
 
 class Counter:
-    """One monotone counter series (thread-safe updates)."""
+    """One monotone counter series."""
 
-    __slots__ = ("name", "labels", "value", "_lock")
+    __slots__ = ("name", "labels", "value")
 
     def __init__(self, name: str, labels: LabelPairs):
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self._lock = make_lock("metrics.series")
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
     def set_to_at_least(self, total: float) -> None:
         """Raise the counter to ``total`` (sync from a monotone source
         like ``RunCounters``); never lowers it."""
-        with self._lock:
-            if total > self.value:
-                self.value = total
+        if total > self.value:
+            self.value = total
 
 
 class Gauge:
-    """One point-in-time gauge series (thread-safe updates)."""
+    """One point-in-time gauge series."""
 
-    __slots__ = ("name", "labels", "value", "_lock")
+    __slots__ = ("name", "labels", "value")
 
     def __init__(self, name: str, labels: LabelPairs):
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self._lock = make_lock("metrics.series")
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
+        self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
+        self.value -= amount
 
 
 class Histogram:
@@ -134,7 +120,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "bounds", "bucket_counts",
-                 "count", "sum", "_lock")
+                 "count", "sum")
 
     def __init__(self, name: str, labels: LabelPairs,
                  bounds: Sequence[float]):
@@ -146,13 +132,11 @@ class Histogram:
         self.bucket_counts = [0] * (len(self.bounds) + 1)  # + overflow
         self.count = 0
         self.sum = 0.0
-        self._lock = make_lock("metrics.series")
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self.bucket_counts[bisect_left(self.bounds, value)] += 1
-            self.count += 1
-            self.sum += value
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        self.count += 1
+        self.sum += value
 
     # ------------------------------------------------------------------
     def percentile(self, q: float) -> float:
@@ -162,10 +146,6 @@ class Histogram:
         bucket reports its lower bound (the last finite boundary) — a
         conservative answer for an unbounded tail.  ``0.0`` when empty.
         """
-        with self._lock:
-            return self._percentile_locked(q)
-
-    def _percentile_locked(self, q: float) -> float:
         if self.count == 0:
             return 0.0
         rank = q * self.count
@@ -186,45 +166,31 @@ class Histogram:
     def snapshot(self) -> Dict[str, Any]:
         """Serializable state: count/sum/cumulative buckets + derived
         percentiles — the form persisted into ``RunRecord.histograms``.
-
-        Taken atomically under the series lock, so a scrape racing an
-        ``observe`` never sees a count/bucket mismatch.
         """
-        with self._lock:
-            cumulative = 0
-            buckets: List[List[Any]] = []
-            for bound, n in zip(self.bounds, self.bucket_counts):
-                cumulative += n
-                buckets.append([bound, cumulative])
-            buckets.append(["+Inf", self.count])
-            return {
-                "count": self.count,
-                "sum": round(self.sum, 9),
-                "buckets": buckets,
-                "p50": round(self._percentile_locked(0.50), 9),
-                "p95": round(self._percentile_locked(0.95), 9),
-                "p99": round(self._percentile_locked(0.99), 9),
-            }
+        cumulative = 0
+        buckets: List[List[Any]] = []
+        for bound, n in zip(self.bounds, self.bucket_counts):
+            cumulative += n
+            buckets.append([bound, cumulative])
+        buckets.append(["+Inf", self.count])
+        return {
+            "count": self.count,
+            "sum": round(self.sum, 9),
+            "buckets": buckets,
+            "p50": round(self.percentile(0.50), 9),
+            "p95": round(self.percentile(0.95), 9),
+            "p99": round(self.percentile(0.99), 9),
+        }
 
     def merge_counts(self, other: "Histogram") -> None:
-        """Fold another series' observations in (same bounds required).
-
-        The two locks are taken sequentially, never nested, so merging
-        cannot participate in a lock-order cycle.
-        """
-        with other._lock:
-            bounds = other.bounds
-            counts = list(other.bucket_counts)
-            count = other.count
-            total = other.sum
-        if bounds != self.bounds:
+        """Fold another series' observations in (same bounds required)."""
+        if other.bounds != self.bounds:
             raise ValueError("cannot merge histograms with different "
                              "bucket boundaries")
-        with self._lock:
-            for i, n in enumerate(counts):
-                self.bucket_counts[i] += n
-            self.count += count
-            self.sum += total
+        for i, n in enumerate(other.bucket_counts):
+            self.bucket_counts[i] += n
+        self.count += other.count
+        self.sum += other.sum
 
 
 # ----------------------------------------------------------------------
@@ -259,17 +225,12 @@ JOURNAL_APPEND_HISTOGRAM = ("repro_journal_append_seconds",
 class MetricsRegistry:
     """A named collection of metric families and their series.
 
-    Thread-safe throughout: series creation is double-checked-locked
-    (the hot path is one unlocked dict hit; the slow path re-checks
-    under the registry lock, so a kind collision can never slip
-    through the lock-free read), every series update takes the series'
-    own lock (no lost increments), and the read paths copy under the
-    registry lock so a mid-run scrape never iterates a dict another
-    thread is growing.
+    One family name has one kind: asking for a series under a name
+    already registered as another kind raises :class:`ValueError`,
+    whether or not that series exists yet.
     """
 
     def __init__(self):
-        self._lock = make_lock("metrics.registry")
         #: family name -> (kind, help)
         self._families: Dict[str, Tuple[str, str]] = {}
         self._series: Dict[Tuple[str, LabelPairs], Any] = {}
@@ -281,21 +242,16 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         series = self._series.get(key)
         if series is None:
-            with self._lock:
-                series = self._series.get(key)
-                if series is None:
-                    family = self._families.get(name)
-                    if family is not None and family[0] != kind:
-                        raise ValueError(
-                            f"metric {name!r} already registered as "
-                            f"{family[0]}, not {kind}")
-                    if family is None:
-                        self._families[name] = (kind, help_ or name)
-                    series = cls(name, key[1], **kwargs)
-                    self._series[key] = series
-        # checked on both paths: another thread may have created the
-        # series between the unlocked read and taking the lock
-        if not isinstance(series, cls):
+            family = self._families.get(name)
+            if family is not None and family[0] != kind:
+                raise ValueError(
+                    f"metric {name!r} already registered as "
+                    f"{family[0]}, not {kind}")
+            if family is None:
+                self._families[name] = (kind, help_ or name)
+            series = cls(name, key[1], **kwargs)
+            self._series[key] = series
+        elif not isinstance(series, cls):
             raise ValueError(
                 f"metric {name!r} already registered as "
                 f"{self._families[name][0]}, not {kind}")
@@ -342,7 +298,7 @@ class MetricsRegistry:
                       prefix: str = "repro_counter_total") -> None:
         """Sync monotone ``RunCounters`` totals into labeled counters.
 
-        The sampler calls this every tick; deltas accumulate because
+        The sampler calls this on every snapshot; deltas accumulate because
         :meth:`Counter.set_to_at_least` never lowers a series.
         """
         for key, value in totals.items():
@@ -353,13 +309,11 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def families(self) -> Dict[str, Tuple[str, str]]:
-        with self._lock:
-            return dict(self._families)
+        return dict(self._families)
 
     def series(self, name: Optional[str] = None) -> List[Any]:
         name = sanitize_metric_name(name) if name else None
-        with self._lock:
-            items = sorted(self._series.items())
+        items = sorted(self._series.items())
         return [s for (n, _), s in items if name is None or n == name]
 
     def histogram_snapshots(self) -> Dict[str, Dict[str, Any]]:
@@ -369,8 +323,7 @@ class MetricsRegistry:
         persists into ``RunRecord.histograms`` so ``repro runs
         diff/regress`` can gate on tail latency.
         """
-        with self._lock:
-            items = sorted(self._series.items())
+        items = sorted(self._series.items())
         merged: Dict[str, Histogram] = {}
         for (name, _), series in items:
             if not isinstance(series, Histogram):
@@ -381,15 +334,6 @@ class MetricsRegistry:
                 merged[name] = base
             base.merge_counts(series)
         return {name: h.snapshot() for name, h in merged.items()}
-
-
-#: the process-wide default registry (`--serve-metrics` serves the
-#: run's registry, which the CLI aliases to this one)
-REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY
 
 
 # ----------------------------------------------------------------------
@@ -439,26 +383,19 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         for series in registry.series(name):
             labels = series.labels
             if kind == "histogram":
-                # one atomic read per series: a scrape racing observe()
-                # must never see bucket sums disagree with _count (the
-                # strict parser rejects exactly that)
-                with series._lock:
-                    bucket_counts = list(series.bucket_counts)
-                    count = series.count
-                    total = series.sum
                 cumulative = 0
-                for bound, n in zip(series.bounds, bucket_counts):
+                for bound, n in zip(series.bounds, series.bucket_counts):
                     cumulative += n
                     le = labels + (("le", _fmt_bound(bound)),)
                     lines.append(f"{name}_bucket{_labels_text(le)} "
                                  f"{cumulative}")
                 le = labels + (("le", "+Inf"),)
                 lines.append(f"{name}_bucket{_labels_text(le)} "
-                             f"{count}")
+                             f"{series.count}")
                 lines.append(f"{name}_sum{_labels_text(labels)} "
-                             f"{_fmt_value(total)}")
+                             f"{_fmt_value(series.sum)}")
                 lines.append(f"{name}_count{_labels_text(labels)} "
-                             f"{count}")
+                             f"{series.count}")
             else:
                 lines.append(f"{name}{_labels_text(labels)} "
                              f"{_fmt_value(series.value)}")
@@ -466,7 +403,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 
 
 # ----------------------------------------------------------------------
-# strict exposition parsing (conformance tests + `repro watch`)
+# strict exposition parsing (conformance tests)
 # ----------------------------------------------------------------------
 class PrometheusParseError(ValueError):
     """The text violates the exposition format contract."""
@@ -645,36 +582,3 @@ def _validate_histograms(families: Dict[str, Dict[str, Any]]) -> None:
                 raise PrometheusParseError(
                     f"histogram {name!r} +Inf bucket ({counts[-1]}) != "
                     f"_count ({entry['count']})")
-
-
-def histogram_percentiles(family: Dict[str, Any]
-                          ) -> Dict[LabelPairs, Dict[str, float]]:
-    """Derive p50/p95/p99 from a parsed histogram family's buckets.
-
-    The ``repro watch`` live dashboard uses this on scraped
-    ``/metrics`` payloads.
-    """
-    out: Dict[LabelPairs, Dict[str, float]] = {}
-    series: Dict[LabelPairs, List[Tuple[float, float]]] = {}
-    for sample_name, labels, value in family["samples"]:
-        if not sample_name.endswith("_bucket"):
-            continue
-        base = _label_key({k: v for k, v in labels.items() if k != "le"})
-        series.setdefault(base, []).append(
-            (_parse_value(labels["le"], labels["le"]), value))
-    for labels_key, buckets in series.items():
-        buckets.sort()
-        finite = [(b, c) for b, c in buckets if b != math.inf]
-        total = buckets[-1][1] if buckets else 0
-        hist = Histogram("tmp", (), [b for b, _ in finite] or [1.0])
-        previous = 0
-        for i, (_, cumulative) in enumerate(finite):
-            hist.bucket_counts[i] = int(cumulative - previous)
-            previous = int(cumulative)
-        hist.bucket_counts[len(finite)] = int(total - previous)
-        hist.count = int(total)
-        out[labels_key] = {"p50": hist.percentile(0.50),
-                           "p95": hist.percentile(0.95),
-                           "p99": hist.percentile(0.99),
-                           "count": float(total)}
-    return out

@@ -1,52 +1,64 @@
 """In-run telemetry sampling: counter time-series and stall detection.
 
 Span traces attribute *deltas* to phases, but a long phase is a black
-box while it runs.  :class:`RunSampler` fixes that: while the engine
-works, a small daemon thread periodically snapshots the run's
-:class:`~repro.runtime.counters.RunCounters`, the live BDD node count
-(via a supervisor callback) and — when enabled — the ``tracemalloc``
-peak, emitting each snapshot as an ``obs.sample`` event on the trace.
-The result is a *timeline*: BDD-node growth, SAT-conflict spend and
-memory high-water marks over the run, exported and summarized like any
-other trace content and persisted per run by
-:mod:`repro.obs.store`.
+box while it runs.  :class:`RunSampler` fixes that: it snapshots the
+run's :class:`~repro.runtime.counters.RunCounters`, the live BDD node
+count (via a supervisor callback) and — when the caller already runs
+``tracemalloc`` — the traced-memory peak, emitting each snapshot as an
+``obs.sample`` event on the trace.  The result is a *timeline*:
+BDD-node growth, SAT-conflict spend and memory high-water marks over
+the run, exported and summarized like any other trace content and
+persisted per run by :mod:`repro.obs.store`.
 
-Each tick doubles as a supervisor heartbeat with a **stall detector**:
-the tracer bumps a monotone ``progress`` counter on every span open /
-finish; when no span progresses within ``stall_window_s`` the sampler
-emits a single ``run.stalled`` event carrying the idle time and a
-degradation hint (``--deadline`` / ``--total-sat-budget``), and re-arms
-once progress resumes.
+A run has one thread, so the sampler has none.  It takes one snapshot
+at :meth:`~RunSampler.start` and one at :meth:`~RunSampler.stop`; in
+between, the run supervisor's ``checkpoint()`` and ``node_hook()`` —
+the seams that already enforce the deadline — call
+:meth:`~RunSampler.tick`, which takes a snapshot once
+:data:`TICK_INTERVAL_S` has passed since the last one.  Phases that
+reach no checkpoint (diagnosis, patch-input refinement, final
+verification) show as gaps in the timeline; the counters a snapshot
+records do not move inside them.
 
-When tracing is disabled the engine never constructs a sampler at all
-(the ``NULL_TRACE`` no-op path allocates nothing and starts no
-thread); with tracing on but ``interval_s=0`` the sampler degrades to
-two deterministic snapshots — one at :meth:`start`, one at
-:meth:`stop` — so every traced run still gets a (short) timeline.
+Each tick also runs the **stall detector**: the tracer bumps a
+monotone ``progress`` counter on every span open / finish; when ticks
+keep arriving for :data:`STALL_WINDOW_S` without span progress — a BDD
+blowup inside one session, which reaches only ``node_hook`` — the
+sampler emits a single ``run.stalled`` event carrying the idle time
+and a degradation hint (``--deadline`` / ``--total-sat-budget``), and
+re-arms once progress resumes.
 
-Stdlib only apart from :mod:`repro.runtime.sync` (itself pure
-stdlib), which supplies the sanctioned thread/event factories so the
-tick thread participates in lock-order tracing.
+Telemetry cannot fail a run: a snapshot that raises is logged once and
+ends sampling for that run.  When tracing is disabled the engine never
+constructs a sampler at all (the ``NULL_TRACE`` no-op path allocates
+nothing).
 """
 
 from __future__ import annotations
 
+import logging
 import time
 import tracemalloc
 from typing import Any, Callable, Dict, Optional
 
-from repro.runtime.sync import make_event, make_thread
+logger = logging.getLogger("repro.obs")
 
 #: event kinds emitted by the sampler
 SAMPLE_EVENT = "obs.sample"
 STALL_EVENT = "run.stalled"
+
+#: seconds between two tick snapshots
+TICK_INTERVAL_S = 0.05
+
+#: span-progress silence, in seconds, that counts as a stall
+STALL_WINDOW_S = 30.0
 
 STALL_HINT = ("no span progress; consider --deadline / "
               "--total-sat-budget / --total-bdd-nodes")
 
 
 class RunSampler:
-    """Periodic telemetry snapshots of one run, written to its trace.
+    """Telemetry snapshots of one run, written to its trace.
 
     Args:
         trace: the run's :class:`~repro.obs.trace.Trace`.  Callers must
@@ -57,74 +69,43 @@ class RunSampler:
         bdd_stats: zero-argument callable returning a dict of live BDD
             statistics (the run supervisor's ``live_bdd_stats``);
             cumulative, so sampled node counts are non-decreasing.
-        interval_s: seconds between samples; ``0`` disables the thread
-            (only the start/stop snapshots are taken).
-        stall_window_s: span-progress silence that counts as a stall.
         gauge_hook: optional callable invoked with the trace's metrics
-            registry on every sample — the run supervisor publishes
-            its budget/quarantine heartbeat gauges through this.
+            registry on every snapshot — the run supervisor publishes
+            its budget/quarantine gauges through this.
         clock: monotonic time source (injectable for tests).
-        trace_malloc: start ``tracemalloc`` for the duration of the run
-            and record the traced-memory peak per sample (KiB).  When
-            False, the peak is still recorded if the caller already has
-            ``tracemalloc`` tracing.
     """
 
     def __init__(self, trace, counters=None,
                  bdd_stats: Optional[Callable[[], Dict[str, int]]] = None,
-                 interval_s: float = 0.05,
-                 stall_window_s: float = 30.0,
                  gauge_hook: Optional[Callable[[Any], None]] = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 trace_malloc: bool = False):
+                 clock: Callable[[], float] = time.monotonic):
         self.trace = trace
         self.counters = counters
         self.bdd_stats = bdd_stats
         self.gauge_hook = gauge_hook
-        self.interval_s = max(0.0, float(interval_s))
-        self.stall_window_s = float(stall_window_s)
         self._clock = clock
-        self._trace_malloc = trace_malloc
-        self._started_malloc = False
         self._seq = 0
         self._stalled = False
         self._last_progress = -1
-        self._last_change = clock()
-        self._stop = make_event("sampler.stop")
-        self._thread: Optional[Any] = None
+        self._last_change = 0.0
+        self._next_tick = 0.0
+        self._live = False
 
     # ------------------------------------------------------------------
     def start(self) -> "RunSampler":
-        """Take the initial sample and start the tick thread (if any)."""
-        if self._trace_malloc and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_malloc = True
-        self._last_change = self._clock()
-        self.sample()
-        if self.interval_s > 0:
-            self._thread = make_thread(
-                self._run, name="repro-obs-sampler", daemon=True)
-            self._thread.start()
+        """Take the initial snapshot; ticks sample from now on."""
+        now = self._clock()
+        self._last_change = now
+        self._next_tick = now + TICK_INTERVAL_S
+        self._live = True
+        self._snapshot()
         return self
 
     def stop(self) -> None:
-        """Stop the tick thread and take the final sample.
-
-        Join-first and exception-safe: the thread is always signalled
-        and joined (and ``tracemalloc`` always stopped) even when the
-        final sample raises — a failing trace exporter must not leave
-        the daemon thread ticking into the next run.
-        """
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=5.0)
-        try:
-            self.sample()
-        finally:
-            if self._started_malloc:
-                tracemalloc.stop()
-                self._started_malloc = False
+        """Take the final snapshot; later ticks do nothing."""
+        if self._live:
+            self._snapshot()
+        self._live = False
 
     def __enter__(self) -> "RunSampler":
         return self.start()
@@ -134,23 +115,38 @@ class RunSampler:
         return False
 
     # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.tick()
-
     def tick(self) -> None:
-        """One heartbeat: snapshot plus stall check (thread + tests)."""
-        self.sample()
-        self._check_stall()
+        """Snapshot plus stall check, once :data:`TICK_INTERVAL_S` has
+        passed since the last snapshot (the supervisor's checkpoints
+        call this)."""
+        if not self._live:
+            return
+        now = self._clock()
+        if now < self._next_tick:
+            return
+        self._next_tick = now + TICK_INTERVAL_S
+        self._snapshot(now)
+
+    def _snapshot(self, now: Optional[float] = None) -> None:
+        """One sample, plus the stall check when ``now`` is given; a
+        failure is logged and ends sampling."""
+        try:
+            self.sample()
+            if now is not None:
+                self._check_stall(now)
+        except Exception:  # telemetry must never take the run down
+            self._live = False
+            logger.exception("telemetry sampling failed; no further "
+                             "samples for this run")
 
     def sample(self) -> None:
         """Emit one ``obs.sample`` event with the current telemetry.
 
         When the trace carries a
-        :class:`~repro.obs.metrics.MetricsRegistry`, each tick also
+        :class:`~repro.obs.metrics.MetricsRegistry`, each snapshot also
         syncs the monotone counter totals into labeled counter series
-        and the live BDD/progress values into gauges, so ``/metrics``
-        scrapes see the same timeline the trace records.
+        and the live BDD/progress values into gauges, so a ``--metrics``
+        snapshot carries the same values the timeline records.
         """
         self._seq += 1
         tags: Dict[str, Any] = {"seq": self._seq}
@@ -164,7 +160,7 @@ class RunSampler:
             current, peak = tracemalloc.get_traced_memory()
             tags["mem_kib"] = current // 1024
             tags["mem_peak_kib"] = peak // 1024
-        self._emit(SAMPLE_EVENT, tags)
+        self.trace.event(SAMPLE_EVENT, **tags)
         self._sync_registry(tags)
 
     def _sync_registry(self, tags: Dict[str, Any]) -> None:
@@ -178,10 +174,7 @@ class RunSampler:
                            help="cumulative BDD nodes incl. live sessions"
                            ).set(tags["bdd_nodes"])
         if self.gauge_hook is not None:
-            try:
-                self.gauge_hook(registry)
-            except Exception:  # a gauge must never take the tick down
-                pass
+            self.gauge_hook(registry)
         if "mem_peak_kib" in tags:
             registry.gauge("repro_mem_peak_kib",
                            help="tracemalloc peak of the current run (KiB)"
@@ -190,8 +183,7 @@ class RunSampler:
                        help="monotone span-activity counter"
                        ).set(self.trace.progress)
 
-    def _check_stall(self) -> None:
-        now = self._clock()
+    def _check_stall(self, now: float) -> None:
         progress = self.trace.progress
         if progress != self._last_progress:
             self._last_progress = progress
@@ -200,20 +192,14 @@ class RunSampler:
             self._stall_gauge(0)
             return
         idle = now - self._last_change
-        if idle >= self.stall_window_s and not self._stalled:
+        if idle >= STALL_WINDOW_S and not self._stalled:
             self._stalled = True
             self._stall_gauge(1)
-            self._emit(STALL_EVENT, {
-                "idle_s": round(idle, 3),
-                "window_s": self.stall_window_s,
-                "progress": progress,
-                "hint": STALL_HINT,
-            })
-
-    @property
-    def stalled(self) -> bool:
-        """Current stall verdict (``/healthz`` reads this)."""
-        return self._stalled
+            self.trace.event(STALL_EVENT,
+                             idle_s=round(idle, 3),
+                             window_s=STALL_WINDOW_S,
+                             progress=progress,
+                             hint=STALL_HINT)
 
     def _stall_gauge(self, value: int) -> None:
         registry = getattr(self.trace, "metrics", None)
@@ -222,18 +208,10 @@ class RunSampler:
                            help="1 while the stall detector is tripped"
                            ).set(value)
 
-    def _emit(self, name: str, tags: Dict[str, Any]) -> None:
-        # the tick thread races the engine's span stack; losing one
-        # sample to a concurrent pop is fine, corrupting the run is not
-        try:
-            self.trace.event(name, **tags)
-        except (IndexError, RuntimeError):
-            pass
-
 
 def maybe_sampler(trace, **kwargs) -> Optional[RunSampler]:
-    """A sampler for an enabled trace; ``None`` (no allocation, no
-    thread) when tracing is off."""
+    """A sampler for an enabled trace; ``None`` (no allocation) when
+    tracing is off."""
     if not getattr(trace, "enabled", False):
         return None
     return RunSampler(trace, **kwargs)

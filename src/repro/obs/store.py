@@ -321,26 +321,22 @@ class RunStore:
         self.index_path = os.path.join(root, "index.json")
         #: unparsable record lines skipped by the last load
         self.skipped = 0
-        # lazy: obs sits below runtime, but sync is pure stdlib
-        from repro.runtime.sync import make_lock
-        self._publish_lock = make_lock("store.publish")
 
     # ------------------------------------------------------------------
     def publish(self, record: RunRecord) -> str:
         """Append ``record`` and update the index; returns the run id.
 
-        Serialized per store instance: the append itself is atomic,
-        but the read-modify-write of the derived index is not — two
-        concurrent publishers (e.g. the CI smoke script's scrape
-        thread racing the engine) would otherwise drop an entry.
+        The append itself is atomic, but the read-modify-write of the
+        derived index is not: two publishers racing on one store can
+        drop an index entry, which :meth:`list` rebuilds from the
+        records.
         """
-        with self._publish_lock:
-            os.makedirs(self.root, exist_ok=True)
-            append_jsonl_line(self.records_path, record.to_json())
-            entries = self._index_entries()
-            entries.append(record.index_entry())
-            self._write_index(entries)
-            return record.run_id
+        os.makedirs(self.root, exist_ok=True)
+        append_jsonl_line(self.records_path, record.to_json())
+        entries = self._index_entries()
+        entries.append(record.index_entry())
+        self._write_index(entries)
+        return record.run_id
 
     def load_all(self) -> List[RunRecord]:
         """Every record, oldest first; corrupt lines are skipped and

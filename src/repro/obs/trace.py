@@ -115,8 +115,9 @@ class Trace:
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             when bound, every finished or absorbed span is routed into
             its latency histogram family (``sat.validate`` →
-            ``repro_sat_call_seconds``, ...) so ``/metrics`` and the
-            persisted ``RunRecord.histograms`` see live distributions.
+            ``repro_sat_call_seconds``, ...) so ``--metrics`` snapshots
+            and the persisted ``RunRecord.histograms`` see the
+            distributions.
     """
 
     enabled = True

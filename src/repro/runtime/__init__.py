@@ -12,10 +12,7 @@ supervision & failure handling"):
   degradation state the engine consults;
 * :class:`FaultInjector` — deterministic fault injection at named call
   sites, making every degradation branch unit-testable;
-* :class:`RunCounters` — typed per-run telemetry;
-* :mod:`repro.runtime.sync` — the sanctioned sync-primitive factories
-  (``make_lock`` & co.) with optional lock-order tracing, deadlock
-  detection and per-lock wait histograms.
+* :class:`RunCounters` — typed per-run telemetry.
 
 Only :mod:`repro.errors` is depended on; the package sits at the bottom
 of the layering next to ``netlist`` / ``bdd`` / ``sat``.
@@ -42,22 +39,6 @@ from repro.runtime.faultinject import (
     SITE_SAT,
     SITE_WORKER,
 )
-from repro.runtime.sync import (
-    LockOrderEdge,
-    LockOrderViolation,
-    SITE_SYNC,
-    disable_sync_debug,
-    enable_sync_debug,
-    make_event,
-    make_lock,
-    make_rlock,
-    make_thread,
-    safe_mp_context,
-    set_sync_registry,
-    sync_debug_enabled,
-    sync_graph,
-    sync_violations,
-)
 from repro.runtime.supervisor import RunSupervisor
 
 __all__ = [
@@ -71,19 +52,6 @@ __all__ = [
     "InjectedCrash",
     "MonotonicClock",
     "RunSupervisor",
-    "LockOrderEdge",
-    "LockOrderViolation",
-    "disable_sync_debug",
-    "enable_sync_debug",
-    "make_event",
-    "make_lock",
-    "make_rlock",
-    "make_thread",
-    "safe_mp_context",
-    "set_sync_registry",
-    "sync_debug_enabled",
-    "sync_graph",
-    "sync_violations",
     "FAULT_CRASH",
     "FAULT_EXHAUST",
     "FAULT_KILL",
@@ -93,6 +61,5 @@ __all__ = [
     "SITE_CLOCK",
     "SITE_JOURNAL",
     "SITE_SAT",
-    "SITE_SYNC",
     "SITE_WORKER",
 ]

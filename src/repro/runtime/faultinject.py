@@ -36,11 +36,6 @@ Process-level sites observed by the fault-tolerant execution layer
   :data:`FAULT_TORN` writes a torn half-record — bypassing the atomic
   writer, as a legacy writer or dying kernel would — and then raises,
   exercising torn-line salvage on resume.
-* :data:`SITE_SYNC` — once per traced sync-primitive acquisition while
-  sync debugging (:mod:`repro.runtime.sync`) is enabled.  Payload is a
-  number of seconds of preemption jitter to sleep before acquiring —
-  the seam the race-fuzzing harness (``repro lint --race``) uses to
-  perturb thread interleavings deterministically.
 
 An injector is stateful (it counts observations); create a fresh one
 per run.
@@ -51,8 +46,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Union
-
-from repro.runtime.sync import SITE_SYNC as SITE_SYNC
 
 SITE_BDD = "bdd.open"
 SITE_SAT = "sat.call"

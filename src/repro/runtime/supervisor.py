@@ -10,7 +10,8 @@ threads it through every resource-bounded step.  It bundles
 * a :class:`~repro.runtime.faultinject.FaultInjector` (deterministic
   failure testing),
 * the run's :class:`~repro.runtime.counters.RunCounters`,
-* the degradation flag the engine consults when a budget blows.
+* the degradation flag the engine consults when a budget blows,
+* the run's telemetry sampler, ticked at every checkpoint.
 
 All state of a run lives here — engine instances stay stateless and
 can serve concurrent ``rectify`` calls.
@@ -35,7 +36,6 @@ from repro.runtime.faultinject import (
     SITE_BDD,
     SITE_SAT,
 )
-from repro.runtime.sync import make_rlock
 
 logger = logging.getLogger("repro.runtime")
 
@@ -84,10 +84,9 @@ class RunSupervisor:
         # escalation policy's totals are reported on top of these
         self._merged_escalations = 0
         self._merged_deescalations = 0
-        # guards the degradation/quarantine/absorb state, which the
-        # sampler thread reads while the main loop updates it;
-        # reentrant because absorb_worker may call mark_degraded
-        self._state_lock = make_rlock("supervisor.state")
+        #: the run's :class:`~repro.obs.sampler.RunSampler` (traced
+        #: runs only); every checkpoint and node hook ticks it
+        self.sampler = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -122,21 +121,26 @@ class RunSupervisor:
     # checkpoints and degradation
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Deadline check; called at every loop boundary of the engine."""
+        """Deadline check; called at every loop boundary of the engine.
+
+        Also ticks the telemetry sampler, which snapshots the run when
+        its interval has passed.
+        """
+        if self.sampler is not None:
+            self.sampler.tick()
         self.budget.check_deadline()
 
     def node_hook(self, _count: int) -> None:
         """Periodic callback from :class:`~repro.bdd.manager.BddManager`:
-        keeps deadline enforcement responsive inside heavy symbolic
-        computation."""
-        self.budget.check_deadline()
+        keeps deadline enforcement and sampling responsive inside heavy
+        symbolic computation."""
+        self.checkpoint()
 
     def mark_degraded(self, reason: str) -> None:
-        with self._state_lock:
-            if self.degraded:
-                return
-            self.degraded = True
-            self.degrade_reason = reason
+        if self.degraded:
+            return
+        self.degraded = True
+        self.degrade_reason = reason
         self.trace.event("run.degraded", reason=reason)
         logger.warning("run degraded: %s", reason)
 
@@ -149,11 +153,10 @@ class RunSupervisor:
         still reported degraded (a fallback forced by infrastructure
         failure, not by the search).
         """
-        with self._state_lock:
-            if port in self.quarantined:
-                return
-            self.quarantined[port] = reason
-            self.counters.outputs_quarantined += 1
+        if port in self.quarantined:
+            return
+        self.quarantined[port] = reason
+        self.counters.outputs_quarantined += 1
         self.trace.event("output.quarantined", port=port, reason=reason)
         logger.warning("output %s quarantined: %s", port, reason)
 
@@ -210,10 +213,9 @@ class RunSupervisor:
         current node count of every open manager; node stores never
         shrink and close_bdd moves a session's count into
         ``bdd_nodes_spent``, so the sampled series is monotonically
-        non-decreasing.  Called from the sampler thread — it only reads
-        a snapshot of the list.
+        non-decreasing.
         """
-        live = sum(m.num_nodes for m in tuple(self._live_bdd))
+        live = sum(m.num_nodes for m in self._live_bdd)
         return {
             "bdd_nodes": self.counters.bdd_nodes_spent + live,
             "bdd_sessions": self.counters.bdd_sessions,
@@ -351,39 +353,36 @@ class RunSupervisor:
         any other name (escalation totals go through the merged
         base so later local assignments do not clobber them), charges
         the worker's actual SAT/BDD spend to the aggregate budget, and
-        propagates degradation.  Serialized under the supervisor state
-        lock: two worker results absorbed concurrently must not tear
-        the counter read-modify-writes.
+        propagates degradation.
         """
-        with self._state_lock:
-            known = self.counters.as_dict()
-            for name, value in counters.items():
-                if name not in known or not value:
-                    continue
-                if name == "sat_escalations":
-                    self._merged_escalations += value
-                elif name == "sat_deescalations":
-                    self._merged_deescalations += value
-                else:
-                    setattr(self.counters, name,
-                            getattr(self.counters, name) + value)
-            self.counters.sat_escalations = (
-                self._merged_escalations + self.escalation.escalations)
-            self.counters.sat_deescalations = (
-                self._merged_deescalations + self.escalation.deescalations)
-            self.budget.charge_sat(counters.get("sat_conflicts_spent", 0))
-            self.budget.charge_bdd(counters.get("bdd_nodes_spent", 0))
-            self.counters.parallel_workers += 1
-            if degraded:
-                self.mark_degraded(degrade_reason or "worker degraded")
+        known = self.counters.as_dict()
+        for name, value in counters.items():
+            if name not in known or not value:
+                continue
+            if name == "sat_escalations":
+                self._merged_escalations += value
+            elif name == "sat_deescalations":
+                self._merged_deescalations += value
+            else:
+                setattr(self.counters, name,
+                        getattr(self.counters, name) + value)
+        self.counters.sat_escalations = (
+            self._merged_escalations + self.escalation.escalations)
+        self.counters.sat_deescalations = (
+            self._merged_deescalations + self.escalation.deescalations)
+        self.budget.charge_sat(counters.get("sat_conflicts_spent", 0))
+        self.budget.charge_bdd(counters.get("bdd_nodes_spent", 0))
+        self.counters.parallel_workers += 1
+        if degraded:
+            self.mark_degraded(degrade_reason or "worker degraded")
 
     # ------------------------------------------------------------------
     def publish_gauges(self, registry) -> None:
-        """Heartbeat → gauge: budget and health state for ``/metrics``.
+        """Budget and health state as gauges of the run's registry.
 
-        Called by the sampler on every tick (and safe to call ad hoc);
-        each gauge reads one already-maintained field, so the cost is a
-        few dict lookups per tick.
+        Called by the sampler on every snapshot (and safe to call ad
+        hoc); each gauge reads one already-maintained field, so the
+        cost is a few dict lookups per snapshot.
         """
         if registry is None:
             return

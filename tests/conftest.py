@@ -72,20 +72,3 @@ def tiny_adder() -> Circuit:
     c.set_output("carry", c.or_(g, p, name="cout"))
     return c
 
-
-def pytest_sessionfinish(session, exitstatus):
-    """Under ``REPRO_SYNC_DEBUG=1`` (the CI concurrency job runs the
-    whole suite that way), fail the session if the lock-order detector
-    recorded any inversion while the tests drove the runtime."""
-    from repro.runtime.sync import sync_debug_enabled, sync_violations
-
-    if not sync_debug_enabled():
-        return
-    violations = [v for v in sync_violations()
-                  if not all(n.startswith("race.") for n in v.cycle)]
-    if violations:
-        lines = "\n\n".join(v.render() for v in violations)
-        session.config.pluginmanager.get_plugin("terminalreporter") \
-            .write_sep("=", "lock-order violations", red=True)
-        print(lines)
-        session.exitstatus = 3

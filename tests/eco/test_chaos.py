@@ -37,6 +37,7 @@ from repro.runtime import (
 from repro.eco.checkpoint import RunJournal
 from repro.eco.config import EcoConfig
 from repro.eco.engine import rectify
+from repro.runtime.supervisor import RunSupervisor
 from repro.workloads.suite import build_case
 
 
@@ -311,15 +312,26 @@ class TestWorkerChaos:
 
 
 class TestSamplerTeardownUnderChaos:
-    def test_no_sampler_thread_survives_an_injected_crash(self, tmp_path):
+    def test_no_sampler_thread_survives_an_injected_crash(
+            self, tmp_path, monkeypatch):
+        counts = []
+        real = RunSupervisor.checkpoint
+
+        def spy(self):
+            counts.append(threading.active_count())
+            return real(self)
+
+        monkeypatch.setattr(RunSupervisor, "checkpoint", spy)
         impl, spec = multi_bug_circuits(2)
         injector = FaultInjector().arm(SITE_JOURNAL, 3,
                                        payload=FAULT_CRASH)
         journal = RunJournal("leak", store_root=str(tmp_path / "store"))
+        trace = Trace(name="chaos")
         with pytest.raises(InjectedCrash):
-            rectify(impl, spec,
-                    EcoConfig(num_samples=8, sample_interval_s=0.001),
-                    injector=injector, trace=Trace(name="chaos"),
-                    journal=journal)
-        assert not [t for t in threading.enumerate()
-                    if t.name == "repro-obs-sampler"]
+            rectify(impl, spec, EcoConfig(num_samples=8),
+                    injector=injector, trace=trace, journal=journal)
+        assert counts and set(counts) == {1}
+        assert threading.active_count() == 1
+        # the sampler still took its final snapshot on the way out
+        assert len([e for e in trace.events
+                    if e.name == "obs.sample"]) >= 2

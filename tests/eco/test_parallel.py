@@ -356,3 +356,51 @@ class TestProcessPoolSupervision:
         result = rectify(impl, spec, EcoConfig(num_samples=8, jobs=2))
         assert result.counters.parallel_workers in (0, 2)
         assert leftover == []
+
+
+class TestSafeMpContext:
+    def test_returns_context_with_pool_support(self):
+        ctx = parallel.safe_mp_context()
+        assert ctx.get_start_method() in ("fork", "spawn", "forkserver")
+
+    def test_spawn_when_threads_alive(self):
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform has no fork")
+        stop = threading.Event()
+        t = threading.Thread(target=lambda: stop.wait(timeout=10.0),
+                             name="mp-probe", daemon=True)
+        t.start()
+        try:
+            assert parallel.safe_mp_context().get_start_method() != "fork"
+        finally:
+            stop.set()
+            t.join(timeout=5.0)
+        assert not t.is_alive()
+
+
+class TestTracedPoolForks:
+    def test_traced_run_forks_both_pools(self, monkeypatch):
+        # a traced run starts no thread, so the repair partitions and
+        # parallel_verify both keep the fast fork start method
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform has no fork")
+        monkeypatch.delenv("REPRO_ECO_JOBS_INLINE", raising=False)
+        methods = []
+        real = parallel.safe_mp_context
+
+        def spy():
+            ctx = real()
+            methods.append(ctx.get_start_method())
+            return ctx
+
+        monkeypatch.setattr(parallel, "safe_mp_context", spy)
+        impl, spec = multi_bug_circuits(4)
+        trace = Trace(name="traced-pool")
+        result = rectify(impl, spec, EcoConfig(num_samples=8, jobs=2),
+                         trace=trace)
+        if any(e.name == "eco.parallel_fallback" for e in trace.events):
+            pytest.skip("process pools are unavailable here")
+        assert check_equivalence(result.patched, spec).equivalent is True
+        assert methods == ["fork", "fork"]

@@ -195,14 +195,79 @@ class TestTelemetrySampling:
         before = {t.name for t in threading.enumerate()}
         rectify(impl, spec, EcoConfig(num_samples=8))
         after = {t.name for t in threading.enumerate()}
-        assert "repro-obs-sampler" not in (after - before)
-        assert after <= before | set()
+        assert after <= before
+        assert threading.active_count() == 1
 
-    def test_sample_interval_zero_keeps_snapshots(self):
+    def test_sample_interval_zero_keeps_snapshots(self, monkeypatch):
+        # with no tick due during the run, only the start and stop
+        # snapshots remain
+        from repro.obs import sampler as sampler_mod
+
+        monkeypatch.setattr(sampler_mod, "TICK_INTERVAL_S", float("inf"))
         impl, spec = example1_circuits(width=2)
         trace = Trace(name=impl.name)
-        rectify(impl, spec,
-                EcoConfig(num_samples=8, sample_interval_s=0),
-                trace=trace)
+        rectify(impl, spec, EcoConfig(num_samples=8), trace=trace)
         samples = events_named(trace, "obs.sample")
         assert len(samples) == 2
+
+    def test_recorded_run_has_one_thread(self, tmp_path, monkeypatch):
+        # the repro eco default: traced, journaled, published to a store
+        import threading
+
+        from repro.eco.checkpoint import RunJournal
+        from repro.obs import MetricsRegistry, RunStore, record_from_result
+        from repro.runtime.supervisor import RunSupervisor
+
+        counts = []
+        real = RunSupervisor.checkpoint
+
+        def spy(self):
+            counts.append(threading.active_count())
+            return real(self)
+
+        monkeypatch.setattr(RunSupervisor, "checkpoint", spy)
+        store = RunStore(str(tmp_path / "store"))
+        impl, spec = example1_circuits(width=2)
+        config = EcoConfig(num_samples=8)
+        trace = Trace(name=impl.name, metrics=MetricsRegistry())
+        result = rectify(impl, spec, config, trace=trace,
+                         journal=RunJournal("one", store_root=store.root))
+        store.publish(record_from_result(result, trace=trace, kind="eco",
+                                         name=impl.name, config=config))
+        assert counts and set(counts) == {1}
+        assert threading.active_count() == 1
+        assert len(events_named(trace, "obs.sample")) >= 2
+
+    def test_failing_tick_leaves_outcomes_unchanged(self, monkeypatch,
+                                                    caplog):
+        import logging
+
+        from repro.obs import sampler as sampler_mod
+
+        impl, spec = example1_circuits(width=2)
+        config = EcoConfig(num_samples=8)
+        plain = rectify(impl, spec, config)
+
+        calls = []
+        real = sampler_mod.RunSampler.sample
+
+        def sample(self):
+            calls.append(1)
+            if len(calls) > 1:      # the start snapshot succeeds
+                raise RuntimeError("broken exporter")
+            return real(self)
+
+        monkeypatch.setattr(sampler_mod, "TICK_INTERVAL_S", 0.0)
+        monkeypatch.setattr(sampler_mod.RunSampler, "sample", sample)
+        impl2, spec2 = example1_circuits(width=2)
+        trace = Trace(name=impl2.name)
+        with caplog.at_level(logging.ERROR, logger="repro.obs"):
+            broken = rectify(impl2, spec2, config, trace=trace)
+        assert len(calls) == 2      # sampling ended at the first tick
+        assert len(events_named(trace, "obs.sample")) == 1
+        assert len([r for r in caplog.records
+                    if "telemetry sampling failed" in r.getMessage()]) == 1
+        assert broken.per_output == plain.per_output
+        assert [op.describe() for op in broken.patch.ops] == \
+            [op.describe() for op in plain.patch.ops]
+        assert check_equivalence(broken.patched, spec2).equivalent is True

@@ -1,4 +1,4 @@
-"""Tests for the concurrency-discipline rules (``CC...``)."""
+"""Tests for the process-pool rules (``CC...``)."""
 
 import textwrap
 
@@ -8,92 +8,6 @@ from repro.lint.concur_rules import lint_concur_source_text
 def codes(text, module="repro/somemod.py"):
     report = lint_concur_source_text(textwrap.dedent(text), module)
     return [d.code for d in report.diagnostics]
-
-
-class TestCC001RawPrimitives:
-    def test_threading_attribute_ctor(self):
-        assert codes("""
-            import threading
-            lock = threading.Lock()
-        """) == ["CC001"]
-
-    def test_from_import_ctor(self):
-        assert codes("""
-            from threading import RLock
-            lock = RLock()
-        """) == ["CC001"]
-
-    def test_thread_ctor_flagged(self):
-        assert "CC001" in codes("""
-            import threading
-            t = threading.Thread(target=print)
-        """)
-
-    def test_sync_module_exempt(self):
-        assert codes("""
-            import threading
-            lock = threading.Lock()
-        """, module="repro/runtime/sync.py") == []
-
-    def test_sanctioned_factories_clean(self):
-        assert codes("""
-            from repro.runtime.sync import make_lock
-            lock = make_lock("x")
-        """) == []
-
-
-class TestCC002BareAcquire:
-    def test_unprotected_acquire(self):
-        assert "CC002" in codes("""
-            def f(lock):
-                lock.acquire()
-                work()
-                lock.release()
-        """)
-
-    def test_try_finally_shape_ok(self):
-        assert "CC002" not in codes("""
-            def f(lock):
-                lock.acquire()
-                try:
-                    work()
-                finally:
-                    lock.release()
-        """)
-
-    def test_with_statement_ok(self):
-        assert "CC002" not in codes("""
-            def f(lock):
-                with lock:
-                    work()
-        """)
-
-
-class TestCC003BlockingUnderLock:
-    def test_sleep_under_lock(self):
-        assert "CC003" in codes("""
-            import time
-            def f(lock):
-                with lock:
-                    time.sleep(1.0)
-        """)
-
-    def test_sleep_outside_lock_ok(self):
-        assert "CC003" not in codes("""
-            import time
-            def f(lock):
-                with lock:
-                    pass
-                time.sleep(1.0)
-        """)
-
-    def test_unbounded_join_under_lock(self):
-        found = codes("""
-            def f(lock, thread):
-                with lock:
-                    thread.join()
-        """)
-        assert "CC003" in found
 
 
 class TestCC005PoolContext:
@@ -106,7 +20,7 @@ class TestCC005PoolContext:
     def test_ppe_with_context_ok(self):
         assert "CC005" not in codes("""
             from concurrent.futures import ProcessPoolExecutor
-            from repro.runtime.sync import safe_mp_context
+            from repro.eco.parallel import safe_mp_context
             pool = ProcessPoolExecutor(max_workers=2,
                                        mp_context=safe_mp_context())
         """)
@@ -115,42 +29,6 @@ class TestCC005PoolContext:
         assert "CC005" in codes("""
             import multiprocessing
             pool = multiprocessing.Pool(2)
-        """)
-
-
-class TestCC007SwitchInterval:
-    def test_flagged_outside_harness(self):
-        assert "CC007" in codes("""
-            import sys
-            sys.setswitchinterval(1e-5)
-        """)
-
-    def test_racecheck_exempt(self):
-        assert "CC007" not in codes("""
-            import sys
-            sys.setswitchinterval(1e-5)
-        """, module="repro/lint/racecheck.py")
-
-
-class TestCC008UnboundedJoin:
-    def test_zero_arg_join(self):
-        assert "CC008" in codes("""
-            def f(thread):
-                thread.join()
-        """)
-
-    def test_join_with_timeout_ok(self):
-        assert "CC008" not in codes("""
-            def f(thread):
-                thread.join(timeout=5.0)
-        """)
-
-    def test_str_join_not_confused(self):
-        # str.join always takes an argument; zero-arg join is the
-        # only shape flagged, so this cannot false-positive
-        assert "CC008" not in codes("""
-            def f(parts):
-                return ", ".join(parts)
         """)
 
 
@@ -166,35 +44,6 @@ class TestCC009StartMethod:
             import os
             os.fork()
         """)
-
-
-class TestCC010NestingAdvisory:
-    def test_nested_distinct_locks_warn(self):
-        report = lint_concur_source_text(textwrap.dedent("""
-            def f(a_lock, b_lock):
-                with a_lock:
-                    with b_lock:
-                        pass
-        """), "repro/somemod.py")
-        assert [d.code for d in report.diagnostics] == ["CC010"]
-        # advisory: the report still passes
-        assert report.ok
-
-    def test_same_lock_no_warn(self):
-        assert codes("""
-            def f(a_lock):
-                with a_lock:
-                    with a_lock:
-                        pass
-        """) == []
-
-    def test_racecheck_exempt(self):
-        assert codes("""
-            def f(a_lock, b_lock):
-                with a_lock:
-                    with b_lock:
-                        pass
-        """, module="repro/lint/racecheck.py") == []
 
 
 class TestPlumbing:

@@ -1,14 +1,20 @@
-"""Sampler tests: timelines, stall detection, and the no-op path."""
+"""Sampler tests: timelines, checkpoint ticks, stall detection, and the
+no-op path."""
 
+import logging
 import threading
 
+from repro.eco.config import EcoConfig
 from repro.obs.sampler import (
     RunSampler,
     SAMPLE_EVENT,
     STALL_EVENT,
+    STALL_WINDOW_S,
+    TICK_INTERVAL_S,
     maybe_sampler,
 )
 from repro.obs.trace import NULL_TRACE, Trace
+from repro.runtime.supervisor import RunSupervisor
 
 
 class FakeClock:
@@ -39,9 +45,8 @@ class TestSampling:
     def test_start_stop_snapshots_without_thread(self):
         trace = Trace(name="t")
         with trace.span("root"):
-            sampler = RunSampler(trace, interval_s=0)
+            sampler = RunSampler(trace)
             sampler.start()
-            assert sampler._thread is None
             sampler.stop()
         samples = sample_events(trace)
         assert len(samples) == 2
@@ -54,12 +59,12 @@ class TestSampling:
         clock = FakeClock()
         sampler = RunSampler(
             trace, counters=counters,
-            bdd_stats=lambda: {"bdd_nodes": nodes["n"]},
-            interval_s=0, clock=clock)
+            bdd_stats=lambda: {"bdd_nodes": nodes["n"]}, clock=clock)
         with trace.span("root"):
             sampler.start()
             counters.values = {"sat_conflicts_spent": 7, "zero": 0}
             nodes["n"] = 120
+            clock.t = TICK_INTERVAL_S
             sampler.tick()
             nodes["n"] = 450
             sampler.stop()
@@ -73,78 +78,87 @@ class TestSampling:
     def test_context_manager(self):
         trace = Trace(name="t")
         with trace.span("root"):
-            with RunSampler(trace, interval_s=0):
+            with RunSampler(trace):
                 pass
         assert len(sample_events(trace)) == 2
 
-    def test_stop_joins_thread_even_when_final_sample_raises(self):
-        """Exception-safe teardown: a failing final sample must not
-        leave the daemon thread ticking into the next run."""
+    def test_tick_samples_only_after_the_interval(self):
+        clock = FakeClock()
+        trace = Trace(name="t")
+        sampler = RunSampler(trace, clock=clock)
+        with trace.span("root"):
+            sampler.start()
+            clock.t = TICK_INTERVAL_S * 0.9
+            sampler.tick()          # under 50 ms: no snapshot
+            assert len(sample_events(trace)) == 1
+            clock.t = TICK_INTERVAL_S
+            sampler.tick()          # 50 ms since the start snapshot
+            assert len(sample_events(trace)) == 2
+            sampler.tick()          # the interval restarts
+            assert len(sample_events(trace)) == 2
+            sampler.stop()
+            sampler.tick()          # stopped: ticks do nothing
+        assert len(sample_events(trace)) == 3
 
+    def test_failing_snapshot_is_logged_once_and_ends_sampling(
+            self, caplog):
         class ExplodingTrace:
             progress = 0
             enabled = True
             fail = False
+            emitted = 0
 
             def event(self, name, **tags):
                 if self.fail:
                     raise ValueError("exporter broke")
+                self.emitted += 1
 
+        clock = FakeClock()
         trace = ExplodingTrace()
-        before = threading.active_count()
-        sampler = RunSampler(trace, interval_s=0.001)
+        sampler = RunSampler(trace, clock=clock)
         sampler.start()
-        assert sampler._thread is not None
         trace.fail = True
-        try:
-            sampler.stop()
-        except ValueError:
-            pass  # the failure propagates, but only after the join
-        assert sampler._thread is None
-        assert threading.active_count() == before
-        assert not [t for t in threading.enumerate()
-                    if t.name == "repro-obs-sampler"]
-
-    def test_interval_thread_runs_and_joins(self):
-        trace = Trace(name="t")
-        before = threading.active_count()
-        with trace.span("root"):
-            sampler = RunSampler(trace, interval_s=0.001)
-            sampler.start()
-            assert sampler._thread is not None
-            assert sampler._thread.daemon
-            sampler._thread.join(0.05)  # let a few ticks land
-            sampler.stop()
-        assert sampler._thread is None
-        assert threading.active_count() == before
-        assert len(sample_events(trace)) >= 2
+        with caplog.at_level(logging.ERROR, logger="repro.obs"):
+            for step in range(1, 5):
+                clock.t = step * TICK_INTERVAL_S
+                sampler.tick()      # first tick raises, the rest skip
+            sampler.stop()          # no final snapshot either
+        trace.fail = False
+        clock.t = 10.0
+        sampler.tick()
+        assert trace.emitted == 1
+        failures = [r for r in caplog.records
+                    if "telemetry sampling failed" in r.getMessage()]
+        assert len(failures) == 1
 
 
 class TestStallDetector:
     def test_fires_once_and_rearms_on_progress(self):
         clock = FakeClock()
         trace = Trace(name="t")
-        sampler = RunSampler(trace, interval_s=0, stall_window_s=5.0,
-                             clock=clock)
+        sampler = RunSampler(trace, clock=clock)
         with trace.span("root"):
             sampler.start()
-            clock.t = 3.0
+            clock.t = 1.0
+            sampler.tick()          # first check records the progress
+            clock.t = STALL_WINDOW_S * 0.5
             sampler.tick()          # idle < window: no stall
             assert not stall_events(trace)
-            clock.t = 6.0
+            clock.t = 1.0 + STALL_WINDOW_S
             sampler.tick()          # idle >= window: stall fires
-            clock.t = 9.0
+            clock.t += STALL_WINDOW_S
             sampler.tick()          # still stalled: no duplicate
             assert len(stall_events(trace)) == 1
             (stall,) = stall_events(trace)
-            assert stall.tags["idle_s"] >= 5.0
+            assert stall.tags["idle_s"] >= STALL_WINDOW_S
+            assert stall.tags["window_s"] == STALL_WINDOW_S
             assert "--deadline" in stall.tags["hint"]
             with trace.span("work"):  # span progress re-arms
                 pass
-            clock.t = 10.0
+            clock.t += 1.0
             sampler.tick()
             assert len(stall_events(trace)) == 1
-            clock.t = 16.0
+            clock.t += STALL_WINDOW_S
             sampler.tick()          # a second silent window fires again
             assert len(stall_events(trace)) == 2
             sampler.stop()
@@ -152,17 +166,37 @@ class TestStallDetector:
     def test_progress_resets_idle_clock(self):
         clock = FakeClock()
         trace = Trace(name="t")
-        sampler = RunSampler(trace, interval_s=0, stall_window_s=5.0,
-                             clock=clock)
+        sampler = RunSampler(trace, clock=clock)
         with trace.span("root"):
             sampler.start()
-            for t in (2.0, 4.0, 6.0, 8.0):
-                clock.t = t
+            for step in range(1, 5):
+                clock.t = step * STALL_WINDOW_S * 0.6
                 with trace.span("step"):
                     pass
                 sampler.tick()
             assert not stall_events(trace)
             sampler.stop()
+
+    def test_bdd_blowup_stalls_through_node_hook_alone(self):
+        # a BDD blowup inside one session opens and finishes no span:
+        # only the manager's node hook reaches the supervisor
+        clock = FakeClock()
+        trace = Trace(name="t")
+        run = RunSupervisor.from_config(EcoConfig(), trace=trace)
+        run.sampler = RunSampler(trace, clock=clock).start()
+        with trace.span("root"):
+            for step in range(1, 40):
+                clock.t = step * 1.0
+                run.node_hook(step * 4096)
+            assert len(stall_events(trace)) == 1
+            with trace.span("next-output"):
+                pass
+            for step in range(40, 80):
+                clock.t = step * 1.0
+                run.node_hook(step * 4096)
+        assert len(stall_events(trace)) == 2
+        # one snapshot per hook call here: each is >= 50 ms apart
+        assert len(sample_events(trace)) == 1 + 79
 
 
 class TestNoopPath:
@@ -172,24 +206,11 @@ class TestNoopPath:
 
     def test_maybe_sampler_builds_for_enabled_trace(self):
         trace = Trace(name="t")
-        sampler = maybe_sampler(trace, interval_s=0)
+        sampler = maybe_sampler(trace)
         assert isinstance(sampler, RunSampler)
 
     def test_untraced_run_starts_no_thread(self):
         """The NULL_TRACE path allocates no sampler and no thread."""
         before = threading.active_count()
-        assert maybe_sampler(NULL_TRACE, interval_s=0.001) is None
+        assert maybe_sampler(NULL_TRACE) is None
         assert threading.active_count() == before
-
-    def test_sampler_emit_survives_racy_stack(self):
-        """A sample lost to a concurrent span pop must not raise."""
-
-        class RacyTrace:
-            progress = 0
-            enabled = True
-
-            def event(self, name, **tags):
-                raise IndexError("pop from empty list")
-
-        sampler = RunSampler(RacyTrace(), interval_s=0)
-        sampler.sample()  # swallowed; the sample is simply dropped

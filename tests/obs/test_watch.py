@@ -1,13 +1,10 @@
-"""``repro watch`` rendering: pure functions, both frame sources."""
+"""``repro watch`` rendering: pure functions over a recorded run."""
 
-from repro.obs.metrics import MetricsRegistry, parse_prometheus_text, \
-    render_prometheus
 from repro.obs.store import RunRecord
 from repro.obs.watch_cli import (
     SPARK_CHARS,
     progress_bar,
     render_histograms,
-    render_live,
     render_phase_rows,
     render_record,
     render_sample_sparks,
@@ -116,39 +113,3 @@ class TestRenderHelpers:
                                         "p95": 2048, "p99": 4096}})
         assert len(lines) == 1
         assert "p95=2048" in lines[0]                # sizes: no ms unit
-
-
-class TestRenderLive:
-    def scraped_families(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_counter_total",
-                    {"counter": "sat_validations"}).inc(12)
-        h = reg.histogram("repro_sat_call_seconds", help="SAT latency")
-        for _ in range(4):
-            h.observe(0.003)
-        return parse_prometheus_text(render_prometheus(reg))
-
-    def test_live_frame_sections(self):
-        health = {"status": "ok", "run": "demo", "progress": 7,
-                  "phase": ["eco.rectify", "eco.output"]}
-        history = {}
-        frame = render_live(health, self.scraped_families(), history)
-        assert "run demo  status=ok  progress=7" in frame
-        assert "phase    eco.rectify > eco.output" in frame
-        assert "sat_validations" in frame
-        assert "repro_sat_call_seconds" in frame
-        assert history["sat_validations"] == [12.0]
-
-    def test_history_accumulates_only_on_change(self):
-        health = {"status": "ok"}
-        families = self.scraped_families()
-        history = {}
-        render_live(health, families, history)
-        render_live(health, families, history)       # unchanged scrape
-        assert history["sat_validations"] == [12.0]
-
-    def test_stalled_banner_and_idle_phase(self):
-        frame = render_live({"status": "stalled", "stalled": True,
-                             "phase": []}, {}, {})
-        assert "(idle)" in frame
-        assert "STALLED" in frame

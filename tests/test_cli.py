@@ -156,12 +156,6 @@ class TestServeAndWatch:
         return main(["eco", "--impl", impl_path, "--spec", spec_path,
                      "--samples", "8", *extra])
 
-    def test_serve_metrics_announces_endpoint(self, eco_files, capsys):
-        assert self.run_eco(eco_files, "--serve-metrics") == 0
-        captured = capsys.readouterr()
-        assert "serving metrics on http://127.0.0.1:" in captured.err
-        assert "verified: True" in captured.out
-
     def test_metrics_file_is_conformant_with_histograms(
             self, eco_files, tmp_path, capsys):
         from repro.obs.metrics import parse_prometheus_text
@@ -188,27 +182,6 @@ class TestServeAndWatch:
         assert "phases:" in out
         assert "latency percentiles:" in out
         assert "repro_sat_call_seconds" in out
-
-    def test_watch_live_endpoint_once(self, capsys):
-        from repro.obs import MetricsServer, MetricsRegistry, Trace
-
-        registry = MetricsRegistry()
-        trace = Trace(name="demo", metrics=registry)
-        with trace.span("eco.rectify"):
-            with trace.span("sat.validate"):
-                pass
-        registry.sync_counters({"sat_validations": 4})
-        with MetricsServer(registry, trace=trace) as server:
-            assert main(["watch", "--url", server.url, "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "run demo" in out
-        assert "sat_validations" in out
-        assert "repro_sat_call_seconds" in out
-
-    def test_watch_dead_endpoint_is_an_error(self, capsys):
-        assert main(["watch", "--url", "http://127.0.0.1:9",
-                     "--once"]) == 3
-        assert "cannot scrape" in capsys.readouterr().err
 
     def test_watch_unknown_ref_is_cli_error(self, tmp_path, capsys):
         store = str(tmp_path / "empty")
