@@ -60,8 +60,8 @@ def main() -> None:
 
     trace = None
     if args.trace or args.metrics or args.store is not None:
-        from repro.obs import MetricsRegistry, Trace
-        trace = Trace(name=impl.name, metrics=MetricsRegistry())
+        from repro.obs import Trace
+        trace = Trace(name=impl.name)
 
     engine = SysEco(EcoConfig(num_samples=4))
     result = engine.rectify(impl, spec, trace=trace)

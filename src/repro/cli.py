@@ -13,7 +13,6 @@ Run ``python -m repro <command> --help``.  Commands:
   and regression-check recorded runs (``repro runs regress
   --baseline REF`` exits nonzero on regression — a CI gate), plus
   ``recover`` to salvage a crashed store and list resumable runs;
-* ``watch``  — TTY dashboard over a recorded run;
 * ``lint``   — static diagnostics: netlist analyzer, patch-op
   legality, or the repo's own invariants (``--self``);
 * ``tables`` — regenerate the paper's tables on the scaled suite.
@@ -187,11 +186,10 @@ def _cmd_eco(args: argparse.Namespace) -> int:
               file=sys.stderr)
     elif (want_export or args.store_runs) and args.engine == "syseco":
         # traced whenever the run is being recorded, so the run store
-        # gets the phase summary and the obs.sample timeline; the
-        # metrics registry rides on the trace, collecting latency
-        # histograms for the run record
-        from repro.obs import MetricsRegistry, Trace
-        trace = Trace(name=impl.name, metrics=MetricsRegistry())
+        # gets the phase summary, the obs.sample timeline and the
+        # latency histograms the trace's spans feed
+        from repro.obs import Trace
+        trace = Trace(name=impl.name)
 
     from repro.runtime.clock import now as _now
     from repro.runtime.profile import profiled
@@ -525,13 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.obs.runs_cli import add_runs_arguments, run_runs
     add_runs_arguments(p)
     p.set_defaults(func=run_runs)
-
-    p = sub.add_parser(
-        "watch",
-        help="TTY dashboard: render a recorded run")
-    from repro.obs.watch_cli import add_watch_arguments, run_watch
-    add_watch_arguments(p)
-    p.set_defaults(func=run_watch)
 
     p = sub.add_parser(
         "lint",

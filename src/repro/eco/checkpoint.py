@@ -29,7 +29,9 @@ reopen — everything before the torn write survives.
 Fault injection: every append observes
 :data:`~repro.runtime.faultinject.SITE_JOURNAL`, so the chaos harness
 can kill the run deterministically before or in the middle of any
-journal write (payloads ``"crash"`` / ``"torn"``).
+journal write (payloads ``"crash"`` / ``"torn"``).  On a traced run
+every append is a ``journal.append`` span, so journal time shows in
+the phase tree and in ``repro_journal_append_seconds``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -47,6 +48,7 @@ from repro.netlist.circuit import Pin
 from repro.eco.patch import RewireOp
 from repro.obs.atomicio import append_jsonl_line, read_jsonl, salvage_jsonl
 from repro.obs.store import DEFAULT_STORE_DIR
+from repro.obs.trace import NULL_TRACE, ensure_trace
 from repro.runtime.faultinject import (
     FAULT_CRASH,
     FAULT_TORN,
@@ -170,7 +172,7 @@ class RunJournal:
         self.path = journal_path(self.store_root, run_id)
         self.state = JournalState()
         self._injector = None
-        self._metrics = None
+        self._trace = NULL_TRACE
         self._seq = 0
         if resume:
             self.load()
@@ -189,12 +191,11 @@ class RunJournal:
     def commits(self) -> List[JournalCommit]:
         return self.state.commits
 
-    def bind(self, injector, metrics=None) -> None:
-        """Route subsequent appends through a fault injector, and
-        optionally time them into the ``repro_journal_append_seconds``
-        histogram of a :class:`~repro.obs.metrics.MetricsRegistry`."""
+    def bind(self, injector, trace=None) -> None:
+        """Route subsequent appends through a fault injector, and time
+        each one as a ``journal.append`` span on the run's ``trace``."""
         self._injector = injector
-        self._metrics = metrics
+        self._trace = ensure_trace(trace)
 
     # ------------------------------------------------------------------
     def load(self) -> JournalState:
@@ -309,16 +310,8 @@ class RunJournal:
                 raise InjectedCrash(
                     f"fault injection: process killed mid-append "
                     f"{self._injector.calls(SITE_JOURNAL)} (torn write)")
-        if self._metrics is None:
+        with self._trace.span("journal.append"):
             append_jsonl_line(self.path, record)
-            return
-        t0 = time.monotonic()
-        append_jsonl_line(self.path, record)
-        from repro.obs.metrics import JOURNAL_APPEND_HISTOGRAM
-        self._metrics.histogram(
-            JOURNAL_APPEND_HISTOGRAM[0],
-            help=JOURNAL_APPEND_HISTOGRAM[1],
-        ).observe(time.monotonic() - t0)
 
     def _tear(self, record: Dict[str, Any]) -> None:
         """Write half a record non-atomically, as a dying legacy writer

@@ -135,8 +135,7 @@ class SysEco:
         trace.set_counters(run.counters)
 
         run.sampler = maybe_sampler(
-            trace, counters=run.counters, bdd_stats=run.live_bdd_stats,
-            gauge_hook=run.publish_gauges)
+            trace, counters=run.counters, bdd_stats=run.live_bdd_stats)
         if run.sampler is not None:
             run.sampler.start()
         try:
@@ -156,6 +155,10 @@ class SysEco:
             # the budget clock observes injected clock faults, so the
             # supervised elapsed time is the one regression checks trust
             supervised_elapsed_s=run.budget.elapsed(),
+            # the budget's final spend: on a resumed run it includes the
+            # dead run's journaled spend, which run.counters does not
+            budget_sat_spent=run.budget.sat_spent,
+            budget_bdd_spent=run.budget.bdd_spent,
         )
         if trace.enabled:
             result.trace = trace
@@ -181,7 +184,7 @@ class SysEco:
                     impl.name, len(failing), len(impl.outputs))
 
         if journal is not None:
-            journal.bind(run.injector, metrics=trace.metrics)
+            journal.bind(run.injector, trace)
             if journal.resuming:
                 journal.check_resumable(impl.name, config, failing)
                 with trace.span("eco.resume",

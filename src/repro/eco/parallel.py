@@ -18,8 +18,8 @@ uses.  Every worker gets
 
 Telemetry is results-only: workers return their commit logs, counters
 and trace records, and the main process absorbs them into the run
-supervisor and its trace (a bound metrics registry sees every absorbed
-span once).  It then *replays* each commit against its own evolving
+supervisor and its trace (whose registry sees every absorbed span
+once).  It then *replays* each commit against its own evolving
 circuit under the supervised validator — two workers can commit
 patches that conflict (e.g. both rewire the same shared gate), so a
 worker's verdict is never trusted across process boundaries.  Commits

@@ -79,7 +79,6 @@ PRINT_ALLOWED: Tuple[str, ...] = (
     "repro/cli.py",
     "repro/lint/cli.py",
     "repro/obs/runs_cli.py",
-    "repro/obs/watch_cli.py",
 )
 
 #: ``random`` module functions that use the shared global RNG

@@ -3,11 +3,14 @@
 The engine is instrumented with :class:`Trace` spans end to end — per
 failing output, point-set enumeration, candidate ranking, choice
 search, the simulation screen, every supervised SAT validation, every
-BDD session, resynthesis, and the degradation events.  A finished
-trace exports as JSONL, Chrome trace-event JSON (Perfetto /
-``chrome://tracing``), or a Prometheus-style metrics snapshot, and
-renders as a phase tree with SAT-conflict and BDD-node attribution
-(``repro trace <file>``).
+BDD session, every journal append, resynthesis, and the degradation
+events.  Counts live in the run's ``RunCounters`` and time in the
+trace; the latency histograms of the trace's :class:`MetricsRegistry`,
+the persisted :class:`RunRecord` and the Prometheus-style metrics file
+are derived from those two.  A finished trace exports as JSONL, Chrome
+trace-event JSON (Perfetto / ``chrome://tracing``), or the metrics
+file, and renders as a phase tree with SAT-conflict and BDD-node
+attribution (``repro trace <file>``).
 
 When no trace is requested the engine threads :data:`NULL_TRACE`,
 whose calls are inert — instrumentation costs one attribute lookup
@@ -35,7 +38,6 @@ from repro.obs.export import (
     chrome_payload,
     prometheus_text,
     read_trace,
-    sanitize_metric_name,
     write_chrome,
     write_jsonl,
     write_prometheus,
@@ -44,14 +46,13 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS,
     SIZE_BUCKETS,
     SPAN_HISTOGRAMS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     PrometheusParseError,
     log_buckets,
     parse_prometheus_text,
     render_prometheus,
+    sanitize_metric_name,
 )
 from repro.obs.sampler import RunSampler, maybe_sampler
 from repro.obs.store import (
@@ -95,8 +96,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "SIZE_BUCKETS",
     "SPAN_HISTOGRAMS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "PrometheusParseError",

@@ -10,9 +10,10 @@ Three output formats:
   ``chrome://tracing``.  Span ids, tags and counter deltas ride in
   ``args`` so the file round-trips losslessly through
   :func:`read_trace`.
-* **Prometheus text** — a point-in-time metrics snapshot: per-phase
-  time/call/conflict/node totals plus every run counter, suitable for
-  a textfile-collector scrape.
+* **Prometheus text** — the run's metrics, each value once: latency
+  histograms, per-phase time/call/conflict/node totals, every run
+  counter and the run budget's final spend, suitable for a
+  textfile-collector scrape.
 
 :func:`read_trace` sniffs the format (JSONL vs. Chrome) and returns
 the canonical record list that :mod:`repro.obs.summary` consumes.
@@ -21,10 +22,10 @@ the canonical record list that :mod:`repro.obs.summary` consumes.
 from __future__ import annotations
 
 import json
-import re
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Tuple
 
 from repro.obs.atomicio import atomic_write_text
+from repro.obs.metrics import Family, LabelPairs, render_prometheus
 from repro.obs.summary import summarize
 
 
@@ -121,112 +122,82 @@ def write_chrome(trace_or_records, path: str) -> None:
 # ----------------------------------------------------------------------
 # Prometheus text snapshot
 # ----------------------------------------------------------------------
-def _escape(value: str) -> str:
-    """Escape a label value per the Prometheus exposition format.
+#: trace-meta keys the engine writes at run end, as the gauge families
+#: the exporter renders them to: the run budget's final spend.  On a
+#: resumed run they include the dead run's journaled spend, which the
+#: ``RunCounters`` of the resuming process do not.
+_BUDGET_GAUGES = (
+    ("supervised_elapsed_s", "repro_budget_elapsed_seconds",
+     "supervised wall time of the run"),
+    ("budget_sat_spent", "repro_sat_conflicts_spent",
+     "aggregate SAT conflicts charged to the run budget"),
+    ("budget_bdd_spent", "repro_bdd_nodes_spent",
+     "aggregate BDD nodes charged to the run budget"),
+)
 
-    Backslash, double quote *and line feed* must be escaped — phase
-    names contain ``.``/``/`` (legal in label values) but user-supplied
-    tags and run names can contain anything.
+
+def prometheus_text(trace_or_records) -> str:
+    """The run's metrics in Prometheus exposition format.
+
+    Every value is derived from one of the run's two stores: latency
+    histograms from the live trace's registry (a re-loaded record list
+    has none), per-phase time/call/conflict/node totals and the final
+    ``RunCounters`` from the trace, and the run budget's final spend
+    from the trace meta.  Each value appears once.
     """
-    return (value.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-_METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def sanitize_metric_name(name: str) -> str:
-    """Coerce ``name`` into a legal Prometheus metric name.
-
-    Illegal characters (``.`` in phase names, ``-``, whitespace, ...)
-    become ``_``; a leading digit is prefixed with ``_``.
-    """
-    cleaned = _METRIC_NAME_RE.sub("_", name) or "_"
-    if cleaned[0].isdigit():
-        cleaned = "_" + cleaned
-    return cleaned
-
-
-def prometheus_text(trace_or_records, registry=None) -> str:
-    """Per-phase and per-run metrics in Prometheus exposition format.
-
-    With a :class:`~repro.obs.metrics.MetricsRegistry` (passed
-    explicitly, or found on a live trace's ``metrics`` attribute) the
-    payload leads with the registry's series — labeled counters,
-    gauges and full histogram ``_bucket``/``_sum``/``_count`` families
-    — followed by the per-phase snapshot derived from the trace.
-    """
-    if registry is None:
-        registry = getattr(trace_or_records, "metrics", None)
-    prefix = ""
-    if registry is not None:
-        from repro.obs.metrics import render_prometheus
-        prefix = render_prometheus(registry)
     records = _records_of(trace_or_records)
     summary = summarize(records)
+    meta = next((r for r in records if r.get("type") == "meta"), {})
 
-    flat = []
+    flat: List[Tuple[LabelPairs, Any]] = []
 
     def walk(node, path):
         full = path + (node.name,)
-        flat.append(("/".join(full), node))
+        flat.append(((("phase", "/".join(full)),), node))
         for c in node.children:
             walk(c, full)
 
     for root in summary.roots:
         walk(root, ())
 
-    lines: List[str] = []
-
-    def emit(metric: str, mtype: str, help_: str,
-             samples: Sequence) -> None:
-        metric = sanitize_metric_name(metric)
-        lines.append(f"# HELP {metric} {help_}")
-        lines.append(f"# TYPE {metric} {mtype}")
-        for labels, value in samples:
-            label_s = ""
-            if labels:
-                inner = ",".join(
-                    f'{sanitize_metric_name(str(k))}="{_escape(str(v))}"'
-                    for k, v in labels)
-                label_s = "{" + inner + "}"
-            lines.append(f"{metric}{label_s} {value}")
-
-    emit("repro_run_info", "gauge",
+    families: List[Family] = [
+        ("repro_run_info", "gauge",
          "constant 1; the run name rides in the label",
-         [((("name", summary.name),), 1)])
-    emit("repro_phase_seconds_total", "counter",
+         [((("name", summary.name),), 1)]),
+        ("repro_phase_seconds_total", "counter",
          "wall seconds spent per phase (children included)",
-         [(((("phase", name),)), f"{node.seconds:.6f}")
-          for name, node in flat])
-    emit("repro_phase_calls_total", "counter",
+         [(labels, round(node.seconds, 6)) for labels, node in flat]),
+        ("repro_phase_calls_total", "counter",
          "spans recorded per phase",
-         [(((("phase", name),)), node.calls) for name, node in flat])
-    emit("repro_phase_sat_conflicts_total", "counter",
+         [(labels, node.calls) for labels, node in flat]),
+        ("repro_phase_sat_conflicts_total", "counter",
          "SAT conflicts attributed per phase",
-         [(((("phase", name),)), node.sat_conflicts)
-          for name, node in flat])
-    emit("repro_phase_bdd_nodes_total", "counter",
+         [(labels, node.sat_conflicts) for labels, node in flat]),
+        ("repro_phase_bdd_nodes_total", "counter",
          "BDD nodes attributed per phase",
-         [(((("phase", name),)), node.bdd_nodes) for name, node in flat])
-    emit("repro_run_wall_seconds", "gauge",
+         [(labels, node.bdd_nodes) for labels, node in flat]),
+        ("repro_run_wall_seconds", "gauge",
          "wall time covered by the trace",
-         [((), f"{summary.wall_seconds:.6f}")])
-    emit("repro_run_degraded", "gauge",
+         [((), round(summary.wall_seconds, 6))]),
+        ("repro_run_degraded", "gauge",
          "1 when the run degraded to the guaranteed fallback",
-         [((), int(summary.degraded))])
+         [((), int(summary.degraded))]),
+    ]
     if summary.counters:
-        emit("repro_run_counter_total", "counter",
-             "final RunCounters values of the run",
-             [((("counter", k),), v)
-              for k, v in sorted(summary.counters.items())])
-    return prefix + "\n".join(lines) + "\n"
+        families.append((
+            "repro_run_counter_total", "counter",
+            "final RunCounters values of the run",
+            [((("counter", k),), v)
+             for k, v in sorted(summary.counters.items())]))
+    for key, name, help_ in _BUDGET_GAUGES:
+        if meta.get(key) is not None:
+            families.append((name, "gauge", help_, [((), meta[key])]))
+    return render_prometheus(getattr(trace_or_records, "metrics", None),
+                             families)
 
 
-def write_prometheus(trace_or_records, path: str, registry=None) -> None:
-    atomic_write_text(path, prometheus_text(trace_or_records,
-                                            registry=registry))
+def write_prometheus(trace_or_records, path: str) -> None:
+    atomic_write_text(path, prometheus_text(trace_or_records))
 
 
 # ----------------------------------------------------------------------

@@ -1,32 +1,24 @@
-"""Labeled metrics registry: counters, gauges, log-bucketed histograms.
+"""Latency histograms and the one Prometheus exposition writer.
 
-The span tracer answers *where did the time go* after a run; this
-module answers *what is the latency distribution right now*.  A
-:class:`MetricsRegistry` is a per-run collection of
+The span tracer answers *where did the time go*; this module answers
+*what is the latency distribution*.  A :class:`MetricsRegistry` is a
+per-run collection of :class:`Histogram` families — log-bucketed
+latency/size distributions with Prometheus-style cumulative buckets
+and derived p50/p95/p99.  Counts are not kept here: they live in the
+run's ``RunCounters``, and the exporter renders them from the trace.
 
-* :class:`Counter` — monotone totals (``repro_counter_total``),
-* :class:`Gauge` — point-in-time values (run progress, live BDD nodes,
-  budget spend),
-* :class:`Histogram` — log-bucketed latency/size distributions with
-  Prometheus-style cumulative buckets and derived p50/p95/p99.
+The registry has one writer, the :class:`~repro.obs.trace.Trace` that
+owns it: every finished or absorbed span goes through
+:meth:`MetricsRegistry.observe_span`, which maps instrumented phase
+names onto histogram families (:data:`SPAN_HISTOGRAMS` — SAT-call
+latency, incremental-validation latency, candidate screen time,
+journal appends, BDD node growth).
 
-Every metric family may carry *labels*; ``registry.counter(name,
-labels)`` returns the one series for that ``(name, labels)`` pair, so
-hot paths can cache the series object and pay one ``+=`` per update.
-
-The tracer feeds the registry automatically: :meth:`Span.finish`
-routes the span through :meth:`MetricsRegistry.observe_span`, which
-maps instrumented phase names onto histogram families
-(:data:`SPAN_HISTOGRAMS` — SAT-call latency, incremental-validation
-latency, candidate screen time, BDD node growth) — and
-:class:`~repro.obs.sampler.RunSampler` syncs ``RunCounters`` deltas
-into counter series on every snapshot.
-
-:func:`render_prometheus` emits the registry in strict exposition
-format — ``# HELP``/``# TYPE`` for every family, histogram
-``_bucket``/``_sum``/``_count`` series with cumulative counts and a
-``+Inf`` bucket — and :func:`parse_prometheus_text` is the matching
-strict parser (used by the conformance tests).
+:func:`render_prometheus` writes every family of a ``--metrics`` file
+in strict exposition format — ``# HELP``/``# TYPE`` per family,
+histogram ``_bucket``/``_sum``/``_count`` series with cumulative counts
+and a ``+Inf`` bucket — and :func:`parse_prometheus_text` is the
+matching strict parser (used by the conformance tests).
 
 Stdlib only.  A registry belongs to one run, which has one thread; it
 is not safe to share between threads.
@@ -39,15 +31,32 @@ import re
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.export import sanitize_metric_name
-
 LabelPairs = Tuple[Tuple[str, str], ...]
+
+#: one counter or gauge family for :func:`render_prometheus`:
+#: ``(name, kind, help, [(labels, value), ...])``
+Family = Tuple[str, str, str, Sequence[Tuple[LabelPairs, float]]]
 
 
 def _label_key(labels: Optional[Dict[str, str]]) -> LabelPairs:
     if not labels:
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+_METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def sanitize_metric_name(name: str) -> str:
+    """Coerce ``name`` into a legal Prometheus metric name.
+
+    Illegal characters (``.`` in phase names, ``-``, whitespace, ...)
+    become ``_``; a leading digit is prefixed with ``_``.
+    """
+    cleaned = _METRIC_NAME_RE.sub("_", name) or "_"
+    if cleaned[0].isdigit():
+        cleaned = "_" + cleaned
+    return cleaned
 
 
 def log_buckets(start: float, factor: float, count: int) -> List[float]:
@@ -67,51 +76,11 @@ LATENCY_BUCKETS = log_buckets(0.0001, 2.0, 20)
 #: default size boundaries (BDD nodes, bytes, ...): 64 .. ~1.07 G, x4
 SIZE_BUCKETS = log_buckets(64, 4.0, 13)
 
-
-class Counter:
-    """One monotone counter series."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelPairs):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-    def set_to_at_least(self, total: float) -> None:
-        """Raise the counter to ``total`` (sync from a monotone source
-        like ``RunCounters``); never lowers it."""
-        if total > self.value:
-            self.value = total
-
-
-class Gauge:
-    """One point-in-time gauge series."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelPairs):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+_LATENCY_BOUNDS = tuple(float(b) for b in LATENCY_BUCKETS)
 
 
 class Histogram:
-    """One log-bucketed histogram series.
+    """One log-bucketed histogram family.
 
     ``bucket_counts[i]`` counts observations ``<= bounds[i]``
     *non-cumulatively*; the exposition renderer accumulates.  The
@@ -119,15 +88,13 @@ class Histogram:
     implicit ``+Inf`` bucket.
     """
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts",
-                 "count", "sum")
+    __slots__ = ("name", "help", "bounds", "bucket_counts", "count", "sum")
 
-    def __init__(self, name: str, labels: LabelPairs,
-                 bounds: Sequence[float]):
+    def __init__(self, name: str, bounds: Sequence[float], help: str = ""):
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError("histogram bounds must be strictly increasing")
         self.name = name
-        self.labels = labels
+        self.help = help or name
         self.bounds = tuple(float(b) for b in bounds)
         self.bucket_counts = [0] * (len(self.bounds) + 1)  # + overflow
         self.count = 0
@@ -182,16 +149,6 @@ class Histogram:
             "p99": round(self.percentile(0.99), 9),
         }
 
-    def merge_counts(self, other: "Histogram") -> None:
-        """Fold another series' observations in (same bounds required)."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different "
-                             "bucket boundaries")
-        for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        self.count += other.count
-        self.sum += other.sum
-
 
 # ----------------------------------------------------------------------
 # span -> histogram routing
@@ -211,6 +168,8 @@ SPAN_HISTOGRAMS: Dict[str, Tuple[str, str]] = {
                    "per-output rectification latency"),
     "eco.search": ("repro_search_seconds",
                    "symbolic search attempt latency"),
+    "journal.append": ("repro_journal_append_seconds",
+                       "checkpoint-journal append latency"),
 }
 
 #: span name whose node count feeds the BDD-growth size histogram
@@ -218,64 +177,32 @@ BDD_SESSION_SPAN = "bdd.session"
 BDD_NODES_HISTOGRAM = ("repro_bdd_session_nodes",
                        "BDD nodes grown per symbolic session")
 
-JOURNAL_APPEND_HISTOGRAM = ("repro_journal_append_seconds",
-                            "checkpoint-journal append latency")
-
 
 class MetricsRegistry:
-    """A named collection of metric families and their series.
+    """The histogram families of one run, by name.
 
-    One family name has one kind: asking for a series under a name
-    already registered as another kind raises :class:`ValueError`,
-    whether or not that series exists yet.
+    Asking for an existing family with different bucket bounds raises
+    :class:`ValueError`: one name has one bucket layout.
     """
 
     def __init__(self):
-        #: family name -> (kind, help)
-        self._families: Dict[str, Tuple[str, str]] = {}
-        self._series: Dict[Tuple[str, LabelPairs], Any] = {}
+        self._histograms: Dict[str, Histogram] = {}
 
-    # ------------------------------------------------------------------
-    def _get(self, kind: str, cls, name: str,
-             labels: Optional[Dict[str, str]], help_: str, **kwargs):
-        name = sanitize_metric_name(name)
-        key = (name, _label_key(labels))
-        series = self._series.get(key)
-        if series is None:
-            family = self._families.get(name)
-            if family is not None and family[0] != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{family[0]}, not {kind}")
-            if family is None:
-                self._families[name] = (kind, help_ or name)
-            series = cls(name, key[1], **kwargs)
-            self._series[key] = series
-        elif not isinstance(series, cls):
-            raise ValueError(
-                f"metric {name!r} already registered as "
-                f"{self._families[name][0]}, not {kind}")
-        return series
-
-    def counter(self, name: str,
-                labels: Optional[Dict[str, str]] = None,
-                help: str = "") -> Counter:
-        return self._get("counter", Counter, name, labels, help)
-
-    def gauge(self, name: str,
-              labels: Optional[Dict[str, str]] = None,
-              help: str = "") -> Gauge:
-        return self._get("gauge", Gauge, name, labels, help)
-
-    def histogram(self, name: str,
-                  labels: Optional[Dict[str, str]] = None,
-                  help: str = "",
+    def histogram(self, name: str, help: str = "",
                   buckets: Optional[Sequence[float]] = None) -> Histogram:
-        return self._get("histogram", Histogram, name, labels, help,
-                         bounds=tuple(buckets if buckets is not None
-                                      else LATENCY_BUCKETS))
+        """The family ``name``, created on first use (latency buckets
+        unless ``buckets`` says otherwise)."""
+        name = sanitize_metric_name(name)
+        bounds = (_LATENCY_BOUNDS if buckets is None
+                  else tuple(float(b) for b in buckets))
+        family = self._histograms.get(name)
+        if family is None:
+            family = self._histograms[name] = Histogram(name, bounds, help)
+        elif family.bounds != bounds:
+            raise ValueError(f"histogram {name!r} already registered "
+                             "with other bucket bounds")
+        return family
 
-    # ------------------------------------------------------------------
     def observe_span(self, name: str, duration: float,
                      tags: Optional[Dict[str, Any]] = None) -> None:
         """Route one finished span into its histogram family (if any).
@@ -294,46 +221,16 @@ class MetricsRegistry:
                                help=BDD_NODES_HISTOGRAM[1],
                                buckets=SIZE_BUCKETS).observe(float(nodes))
 
-    def sync_counters(self, totals: Dict[str, int],
-                      prefix: str = "repro_counter_total") -> None:
-        """Sync monotone ``RunCounters`` totals into labeled counters.
-
-        The sampler calls this on every snapshot; deltas accumulate because
-        :meth:`Counter.set_to_at_least` never lowers a series.
-        """
-        for key, value in totals.items():
-            if value:
-                self.counter(prefix, labels={"counter": key},
-                             help="RunCounters totals of the current run"
-                             ).set_to_at_least(value)
-
-    # ------------------------------------------------------------------
-    def families(self) -> Dict[str, Tuple[str, str]]:
-        return dict(self._families)
-
-    def series(self, name: Optional[str] = None) -> List[Any]:
-        name = sanitize_metric_name(name) if name else None
-        items = sorted(self._series.items())
-        return [s for (n, _), s in items if name is None or n == name]
+    def histograms(self) -> Dict[str, Histogram]:
+        """Every family, by name, in name order."""
+        return dict(sorted(self._histograms.items()))
 
     def histogram_snapshots(self) -> Dict[str, Dict[str, Any]]:
-        """Per-family snapshots with label series merged.
-
-        This is what :func:`repro.obs.store.record_from_result`
-        persists into ``RunRecord.histograms`` so ``repro runs
-        diff/regress`` can gate on tail latency.
-        """
-        items = sorted(self._series.items())
-        merged: Dict[str, Histogram] = {}
-        for (name, _), series in items:
-            if not isinstance(series, Histogram):
-                continue
-            base = merged.get(name)
-            if base is None:
-                base = Histogram(name, (), series.bounds)
-                merged[name] = base
-            base.merge_counts(series)
-        return {name: h.snapshot() for name, h in merged.items()}
+        """Per-family snapshots — what
+        :func:`repro.obs.store.record_from_result` persists into
+        ``RunRecord.histograms`` so ``repro runs diff/regress`` can
+        gate on tail latency."""
+        return {name: h.snapshot() for name, h in self.histograms().items()}
 
 
 # ----------------------------------------------------------------------
@@ -359,46 +256,45 @@ def _fmt_value(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_bound(bound: float) -> str:
-    return "+Inf" if bound == math.inf else _fmt_value(bound)
-
-
 def _labels_text(pairs: Iterable[Tuple[str, str]]) -> str:
     inner = ",".join(f'{sanitize_metric_name(k)}="{_escape_label(v)}"'
                      for k, v in pairs)
     return "{" + inner + "}" if inner else ""
 
 
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in strict Prometheus exposition format.
+def render_prometheus(registry: Optional[MetricsRegistry] = None,
+                      families: Iterable[Family] = ()) -> str:
+    """Histogram families of ``registry`` plus counter/gauge
+    ``families``, in strict Prometheus exposition format.
 
-    One ``# HELP`` + ``# TYPE`` pair per family, histogram families as
+    One ``# HELP`` + ``# TYPE`` pair per family; histograms as
     cumulative ``_bucket`` series (``le`` labels, terminal ``+Inf``)
-    plus ``_sum`` and ``_count``.
+    plus ``_sum`` and ``_count``.  Label values are escaped and names
+    sanitized, so run names and phase paths can carry anything.
     """
     lines: List[str] = []
-    for name, (kind, help_) in sorted(registry.families().items()):
+
+    def head(name: str, kind: str, help_: str) -> None:
         lines.append(f"# HELP {name} {_escape_help(help_)}")
         lines.append(f"# TYPE {name} {kind}")
-        for series in registry.series(name):
-            labels = series.labels
-            if kind == "histogram":
-                cumulative = 0
-                for bound, n in zip(series.bounds, series.bucket_counts):
-                    cumulative += n
-                    le = labels + (("le", _fmt_bound(bound)),)
-                    lines.append(f"{name}_bucket{_labels_text(le)} "
-                                 f"{cumulative}")
-                le = labels + (("le", "+Inf"),)
-                lines.append(f"{name}_bucket{_labels_text(le)} "
-                             f"{series.count}")
-                lines.append(f"{name}_sum{_labels_text(labels)} "
-                             f"{_fmt_value(series.sum)}")
-                lines.append(f"{name}_count{_labels_text(labels)} "
-                             f"{series.count}")
-            else:
-                lines.append(f"{name}{_labels_text(labels)} "
-                             f"{_fmt_value(series.value)}")
+
+    hists: Iterable[Histogram] = (
+        registry.histograms().values() if registry is not None else ())
+    for h in hists:
+        head(h.name, "histogram", h.help)
+        cumulative = 0
+        for bound, n in zip(h.bounds, h.bucket_counts):
+            cumulative += n
+            lines.append(f'{h.name}_bucket{{le="{_fmt_value(bound)}"}} '
+                         f"{cumulative}")
+        lines.append(f'{h.name}_bucket{{le="+Inf"}} {h.count}')
+        lines.append(f"{h.name}_sum {_fmt_value(h.sum)}")
+        lines.append(f"{h.name}_count {h.count}")
+    for name, kind, help_, samples in families:
+        name = sanitize_metric_name(name)
+        head(name, kind, help_)
+        for labels, value in samples:
+            lines.append(f"{name}{_labels_text(labels)} {_fmt_value(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -4,15 +4,16 @@ Five verbs over :class:`~repro.obs.store.RunStore`:
 
 * ``list``    — one line per recorded run (id, kind, name, age, wall
   time, outcome);
-* ``show``    — the full record of one run (``--json`` for the raw
-  payload);
+* ``show``    — the full record of one run: counters, resolution
+  tallies, the phase tree, timeline sparklines and latency percentiles
+  (``--json`` for the raw payload);
 * ``diff``    — metric deltas between two runs;
 * ``regress`` — compare a run against a baseline under noise
   thresholds; exits ``1`` when a regression is detected, which makes
   it usable as a CI gate;
-* ``recover`` — crash-recovery sweep: salvage torn writes, rebuild the
-  index, and list the interrupted runs ``repro eco --resume`` can
-  continue.
+* ``recover`` — crash-recovery sweep: salvage torn writes, sweep
+  orphaned temp files, and list the interrupted runs ``repro eco
+  --resume`` can continue.
 
 Run references accept ``last`` / ``first``, negative indexes (``-2`` =
 second newest) and unique run-id prefixes.  This module is on the
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 from repro.obs.store import (
     MetricDelta,
@@ -72,6 +73,44 @@ def _fmt_latency(value: float) -> str:
     return f"{value * 1000:.1f}ms"
 
 
+#: eight-level bar characters, lowest to highest
+SPARK_CHARS = "▁▂▃▄▅▆▇█"
+
+#: sample-timeline counters worth a sparkline, in display order
+SPARK_KEYS = ("sat_conflicts_spent", "bdd_nodes", "sat_validations",
+              "plan_evals", "mem_peak_kib")
+
+
+def sparkline(values: Sequence[float], width: int = 40) -> str:
+    """``values`` as a fixed-width bar string (empty input -> '')."""
+    points = [float(v) for v in values]
+    if not points:
+        return ""
+    if len(points) > width:
+        step = len(points) / width
+        points = [points[int(i * step)] for i in range(width)]
+    lo, hi = min(points), max(points)
+    if hi <= lo:
+        return SPARK_CHARS[0] * len(points)
+    span = hi - lo
+    return "".join(
+        SPARK_CHARS[min(len(SPARK_CHARS) - 1,
+                        int((v - lo) / span * len(SPARK_CHARS)))]
+        for v in points)
+
+
+def _timeline_lines(samples: Sequence[Dict[str, Any]]) -> List[str]:
+    """One sparkline per :data:`SPARK_KEYS` series that moved."""
+    lines = []
+    for key in SPARK_KEYS:
+        series = [s.get(key, 0) for s in samples
+                  if isinstance(s.get(key, 0), (int, float))]
+        if any(series):
+            lines.append(f"  {key:<22.22} {sparkline(series)} "
+                         f"{series[-1]:g}")
+    return lines
+
+
 def _format_show(record: RunRecord) -> str:
     lines = [
         f"run      : {record.run_id}",
@@ -91,11 +130,11 @@ def _format_show(record: RunRecord) -> str:
     if record.resolution:
         lines.append("resolved : " + ", ".join(
             f"{k}={v}" for k, v in sorted(record.resolution.items())))
-    if record.lint.get("lint_screens"):
-        lines.append(
-            f"lint     : {record.lint['lint_screens']} screens, "
-            f"{record.lint['lint_rejects']} rejects "
-            f"({100.0 * record.lint['lint_reject_rate']:.0f}%)")
+    screens = record.counters.get("lint_screens", 0)
+    if screens:
+        rejects = record.counters.get("lint_rejects", 0)
+        lines.append(f"lint     : {screens} screens, {rejects} rejects "
+                     f"({100.0 * rejects / screens:.0f}%)")
     if record.phases:
         lines.append(f"{'phase':<42} {'calls':>6} {'time':>9} "
                      f"{'sat-conf':>9} {'bdd-nodes':>10}")
@@ -111,6 +150,7 @@ def _format_show(record: RunRecord) -> str:
             f"samples  : {len(record.samples)} obs.sample points, "
             f"bdd_nodes {first.get('bdd_nodes', 0)} -> "
             f"{last.get('bdd_nodes', 0)}")
+        lines.extend(_timeline_lines(record.samples))
     populated = {name: snap for name, snap
                  in sorted(record.histograms.items())
                  if snap.get("count")}
@@ -258,7 +298,7 @@ def add_runs_arguments(parser: argparse.ArgumentParser) -> None:
     p.add_argument("--limit", type=int, default=0, metavar="N",
                    help="show only the N most recent runs")
     p.add_argument("--json", action="store_true",
-                   help="machine-readable index entries")
+                   help="machine-readable list entries")
     p.set_defaults(runs_func=_cmd_list)
 
     p = sub.add_parser("show", help="show one run record")

@@ -69,20 +69,15 @@ class RunSampler:
         bdd_stats: zero-argument callable returning a dict of live BDD
             statistics (the run supervisor's ``live_bdd_stats``);
             cumulative, so sampled node counts are non-decreasing.
-        gauge_hook: optional callable invoked with the trace's metrics
-            registry on every snapshot — the run supervisor publishes
-            its budget/quarantine gauges through this.
         clock: monotonic time source (injectable for tests).
     """
 
     def __init__(self, trace, counters=None,
                  bdd_stats: Optional[Callable[[], Dict[str, int]]] = None,
-                 gauge_hook: Optional[Callable[[Any], None]] = None,
                  clock: Callable[[], float] = time.monotonic):
         self.trace = trace
         self.counters = counters
         self.bdd_stats = bdd_stats
-        self.gauge_hook = gauge_hook
         self._clock = clock
         self._seq = 0
         self._stalled = False
@@ -140,14 +135,7 @@ class RunSampler:
                              "samples for this run")
 
     def sample(self) -> None:
-        """Emit one ``obs.sample`` event with the current telemetry.
-
-        When the trace carries a
-        :class:`~repro.obs.metrics.MetricsRegistry`, each snapshot also
-        syncs the monotone counter totals into labeled counter series
-        and the live BDD/progress values into gauges, so a ``--metrics``
-        snapshot carries the same values the timeline records.
-        """
+        """Emit one ``obs.sample`` event with the current telemetry."""
         self._seq += 1
         tags: Dict[str, Any] = {"seq": self._seq}
         if self.counters is not None:
@@ -161,27 +149,6 @@ class RunSampler:
             tags["mem_kib"] = current // 1024
             tags["mem_peak_kib"] = peak // 1024
         self.trace.event(SAMPLE_EVENT, **tags)
-        self._sync_registry(tags)
-
-    def _sync_registry(self, tags: Dict[str, Any]) -> None:
-        registry = getattr(self.trace, "metrics", None)
-        if registry is None:
-            return
-        if self.counters is not None:
-            registry.sync_counters(self.counters.as_dict())
-        if "bdd_nodes" in tags:
-            registry.gauge("repro_bdd_live_nodes",
-                           help="cumulative BDD nodes incl. live sessions"
-                           ).set(tags["bdd_nodes"])
-        if self.gauge_hook is not None:
-            self.gauge_hook(registry)
-        if "mem_peak_kib" in tags:
-            registry.gauge("repro_mem_peak_kib",
-                           help="tracemalloc peak of the current run (KiB)"
-                           ).set(tags["mem_peak_kib"])
-        registry.gauge("repro_trace_progress",
-                       help="monotone span-activity counter"
-                       ).set(self.trace.progress)
 
     def _check_stall(self, now: float) -> None:
         progress = self.trace.progress
@@ -189,24 +156,15 @@ class RunSampler:
             self._last_progress = progress
             self._last_change = now
             self._stalled = False  # re-arm once the run moves again
-            self._stall_gauge(0)
             return
         idle = now - self._last_change
         if idle >= STALL_WINDOW_S and not self._stalled:
             self._stalled = True
-            self._stall_gauge(1)
             self.trace.event(STALL_EVENT,
                              idle_s=round(idle, 3),
                              window_s=STALL_WINDOW_S,
                              progress=progress,
                              hint=STALL_HINT)
-
-    def _stall_gauge(self, value: int) -> None:
-        registry = getattr(self.trace, "metrics", None)
-        if registry is not None:
-            registry.gauge("repro_run_stalled",
-                           help="1 while the stall detector is tripped"
-                           ).set(value)
 
 
 def maybe_sampler(trace, **kwargs) -> Optional[RunSampler]:

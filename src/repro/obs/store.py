@@ -2,15 +2,12 @@
 
 Every engine, CLI and bench invocation can publish a :class:`RunRecord`
 — config, git SHA, final counters, the per-phase span summary, the
-``obs.sample`` counter timeline, lint-screen stats, degradation state
-and exit outcome — into a :class:`RunStore`:
-
-* ``records.jsonl`` — the append-only source of truth, one JSON record
-  per line.  All writes are atomic (tmp file + fsync + rename via
-  :mod:`repro.obs.atomicio`), so a killed run never leaves a truncated
-  record.
-* ``index.json`` — a lightweight summary per run for fast listing;
-  derived data, rebuilt automatically whenever it is missing or stale.
+``obs.sample`` counter timeline, latency histograms, degradation state
+and exit outcome — into a :class:`RunStore`, whose one file is
+``records.jsonl``: append-only, one JSON record per line.  All writes
+are atomic (tmp file + fsync + rename via :mod:`repro.obs.atomicio`),
+so a killed run never leaves a truncated record.  An ``index.json``
+left by an older version is ignored and left in place.
 
 On top of the store sit :func:`diff_records` (field-by-field metric
 deltas between two runs) and :func:`check_regressions` (noise-aware
@@ -26,7 +23,6 @@ lazily to keep ``obs`` at the bottom of the layering).
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import os
 import subprocess
@@ -36,7 +32,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.obs.atomicio import (
     append_jsonl_line,
-    atomic_write_text,
     read_jsonl,
     salvage_jsonl,
     sweep_temp_leftovers,
@@ -86,7 +81,6 @@ class RunRecord:
     phases: List[Dict[str, Any]] = field(default_factory=list)
     samples: List[Dict[str, Any]] = field(default_factory=list)
     events: Dict[str, int] = field(default_factory=dict)
-    lint: Dict[str, Any] = field(default_factory=dict)
     resolution: Dict[str, int] = field(default_factory=dict)
     #: per-family histogram snapshots (count / sum / cumulative buckets
     #: / derived p50-p95-p99) from the run's metrics registry — the
@@ -116,8 +110,8 @@ class RunRecord:
         kwargs.setdefault("outcome", "?")
         return cls(extra=extra, **kwargs)
 
-    def index_entry(self) -> Dict[str, Any]:
-        """The lightweight summary ``index.json`` keeps per run."""
+    def list_entry(self) -> Dict[str, Any]:
+        """The summary ``repro runs list`` shows for this run."""
         return {
             "run_id": self.run_id,
             "kind": self.kind,
@@ -217,8 +211,7 @@ def record_from_result(result, trace=None, kind: str = "eco",
                        config: Optional[Any] = None,
                        outcome: Optional[str] = None,
                        tags: Optional[Dict[str, Any]] = None,
-                       run_id: Optional[str] = None,
-                       metrics: Optional[Any] = None) -> RunRecord:
+                       run_id: Optional[str] = None) -> RunRecord:
     """Build a :class:`RunRecord` from a ``RectificationResult``.
 
     ``trace`` (when the run was traced) supplies the per-phase summary,
@@ -230,18 +223,19 @@ def record_from_result(result, trace=None, kind: str = "eco",
     up front (journaled runs use the journal's id so ``--resume`` and
     the run record agree); omitted, a fresh id is generated.
 
-    When the trace carries a metrics registry (or ``metrics`` is given
-    explicitly), its per-family histogram snapshots are persisted so
-    ``repro runs diff/regress`` can gate on tail latency.
+    A traced run's histogram snapshots are persisted too, so ``repro
+    runs diff/regress`` can gate on tail latency.
     """
     from repro.runtime.clock import now  # lazy: obs sits below runtime
 
     trace = trace if trace is not None else getattr(result, "trace", None)
     records: List[Dict[str, Any]] = []
     meta: Dict[str, Any] = {}
+    histograms: Dict[str, Dict[str, Any]] = {}
     if trace is not None and getattr(trace, "enabled", False):
         records = trace.records()
         meta = records[0] if records else {}
+        histograms = trace.metrics.histogram_snapshots()
 
     wall = meta.get("supervised_elapsed_s")
     if wall is None:
@@ -273,13 +267,7 @@ def record_from_result(result, trace=None, kind: str = "eco",
         outcome = "degraded" if degraded else "ok"
 
     started_at = now() - float(getattr(result, "runtime_seconds", 0.0))
-    screens = counters.get("lint_screens", 0)
-    rejects = counters.get("lint_rejects", 0)
-    registry = metrics if metrics is not None else \
-        getattr(trace, "metrics", None)
-    histograms = (registry.histogram_snapshots()
-                  if registry is not None else {})
-    record = RunRecord(
+    return RunRecord(
         run_id=run_id or new_run_id(started_at),
         kind=kind,
         name=name or meta.get("impl") or meta.get("name") or "run",
@@ -295,47 +283,30 @@ def record_from_result(result, trace=None, kind: str = "eco",
         phases=_phase_rows(records),
         samples=_downsample(samples),
         events=event_counts,
-        lint={
-            "lint_screens": screens,
-            "lint_rejects": rejects,
-            "lint_reject_rate": (rejects / screens) if screens else 0.0,
-        },
         resolution=resolution,
         histograms=histograms,
         tags=dict(tags or {}),
     )
-    return record
 
 
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
 class RunStore:
-    """Append-only registry of run records plus a derived index."""
+    """Append-only store of run records: ``records.jsonl`` alone."""
 
     def __init__(self, root: Optional[str] = None):
         if root is None:
             root = os.environ.get("REPRO_RUN_STORE") or DEFAULT_STORE_DIR
         self.root = root
         self.records_path = os.path.join(root, "records.jsonl")
-        self.index_path = os.path.join(root, "index.json")
         #: unparsable record lines skipped by the last load
         self.skipped = 0
 
     # ------------------------------------------------------------------
     def publish(self, record: RunRecord) -> str:
-        """Append ``record`` and update the index; returns the run id.
-
-        The append itself is atomic, but the read-modify-write of the
-        derived index is not: two publishers racing on one store can
-        drop an index entry, which :meth:`list` rebuilds from the
-        records.
-        """
-        os.makedirs(self.root, exist_ok=True)
+        """Append ``record`` atomically; returns the run id."""
         append_jsonl_line(self.records_path, record.to_json())
-        entries = self._index_entries()
-        entries.append(record.index_entry())
-        self._write_index(entries)
         return record.run_id
 
     def load_all(self) -> List[RunRecord]:
@@ -345,15 +316,9 @@ class RunStore:
         return [RunRecord.from_json(p) for p in payloads]
 
     def list(self) -> List[Dict[str, Any]]:
-        """Index entries (oldest first), rebuilding a stale index."""
-        entries = self._index_entries()
-        line_count = self._record_count()
-        if len(entries) != line_count:
-            records = self.load_all()
-            entries = [r.index_entry() for r in records]
-            if os.path.isdir(self.root):
-                self._write_index(entries)
-        return entries
+        """One :meth:`RunRecord.list_entry` per intact record, oldest
+        first.  Read-only: a corrupt line is skipped, never rewritten."""
+        return [r.list_entry() for r in self.load_all()]
 
     def resolve(self, ref: str) -> RunRecord:
         """A record by reference.
@@ -390,19 +355,12 @@ class RunStore:
         return matches[0]
 
     # ------------------------------------------------------------------
-    def _record_count(self) -> int:
-        if not os.path.exists(self.records_path):
-            return 0
-        with open(self.records_path, "r", encoding="utf-8") as fh:
-            return sum(1 for line in fh if line.strip())
-
     def recover(self) -> Dict[str, Any]:
         """Crash-recovery sweep of the store directory.
 
         Salvages a torn trailing line a legacy writer may have left in
-        ``records.jsonl``, rebuilds ``index.json`` from the surviving
-        records, removes orphaned ``.tmp-*`` files, and lists the
-        checkpoint journals of runs that never finished (the ones
+        ``records.jsonl``, removes orphaned ``.tmp-*`` files, and lists
+        the checkpoint journals of runs that never finished (the ones
         ``repro eco --resume`` can continue).  Safe to run any time —
         a healthy store passes through untouched.
         """
@@ -417,8 +375,6 @@ class RunStore:
                     "run store %s: dropped torn trailing record "
                     "(%d bytes)", self.records_path, len(fragment))
         records = self.load_all()
-        if os.path.isdir(self.root):
-            self._write_index([r.index_entry() for r in records])
         swept = sweep_temp_leftovers(self.root)
         return {
             "records": len(records),
@@ -427,32 +383,6 @@ class RunStore:
             "swept_tmp": len(swept),
             "resumable": list_resumable(self.root),
         }
-
-    # ------------------------------------------------------------------
-    def _index_entries(self) -> List[Dict[str, Any]]:
-        if not os.path.exists(self.index_path):
-            return []
-        try:
-            with open(self.index_path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, OSError) as exc:
-            # a half-written or garbage index is derived data: warn and
-            # let the caller rebuild it from records.jsonl
-            logger.warning("run-store index %s unreadable (%s); "
-                           "rebuilding from records.jsonl",
-                           self.index_path, exc)
-            return []
-        runs = payload.get("runs") if isinstance(payload, dict) else None
-        if not isinstance(runs, list):
-            logger.warning("run-store index %s malformed; rebuilding "
-                           "from records.jsonl", self.index_path)
-            return []
-        return list(runs)
-
-    def _write_index(self, entries: List[Dict[str, Any]]) -> None:
-        atomic_write_text(self.index_path, json.dumps(
-            {"version": RECORD_VERSION, "runs": entries},
-            indent=2, sort_keys=True) + "\n")
 
 
 # ----------------------------------------------------------------------

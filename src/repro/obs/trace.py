@@ -22,19 +22,26 @@ or started/finished manually when the boundaries are not lexical
     ...
     sp.tag(nodes=manager.num_nodes).finish()
 
+Every trace owns a :class:`~repro.obs.metrics.MetricsRegistry` and is
+its only writer: each finished span is routed into its latency
+histogram family, so counts stay in ``RunCounters``, time stays in the
+spans, and the distributions are derived from the spans.
+
 When tracing is off the engine threads :data:`NULL_TRACE` instead — a
 singleton whose ``span``/``event`` calls return a shared inert object,
 so the instrumented hot paths pay one attribute lookup and one call,
 nothing else.
 
-The module depends on nothing but the standard library; ``runtime``
-and ``eco`` sit above it.
+The module depends on nothing but the standard library and
+:mod:`repro.obs.metrics`; ``runtime`` and ``eco`` sit above it.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.obs.metrics import MetricsRegistry
 
 
 class Span:
@@ -112,24 +119,24 @@ class Trace:
     Args:
         name: run label (usually the implementation's name).
         clock: monotonic time source (injectable for tests).
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when bound, every finished or absorbed span is routed into
-            its latency histogram family (``sat.validate`` →
-            ``repro_sat_call_seconds``, ...) so ``--metrics`` snapshots
-            and the persisted ``RunRecord.histograms`` see the
-            distributions.
+        metrics: the :class:`~repro.obs.metrics.MetricsRegistry` this
+            trace writes; a fresh one when omitted.  Every finished or
+            absorbed span is routed into its latency histogram family
+            (``sat.validate`` → ``repro_sat_call_seconds``, ...), so
+            ``--metrics`` files and the persisted
+            ``RunRecord.histograms`` see the distributions.
     """
 
     enabled = True
 
     def __init__(self, name: str = "run",
                  clock: Callable[[], float] = time.monotonic,
-                 metrics=None):
+                 metrics: Optional[MetricsRegistry] = None):
         self.name = name
         self._clock = clock
         self.epoch = clock()
-        #: bound MetricsRegistry or None
-        self.metrics = metrics
+        #: the histogram families this trace's spans feed
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: finished spans, in finish order
         self.spans: List[Span] = []
         self.events: List[Event] = []
@@ -180,8 +187,7 @@ class Trace:
             pass
         self.progress += 1
         self.spans.append(span)
-        if self.metrics is not None:
-            self.metrics.observe_span(span.name, span.duration, span.tags)
+        self.metrics.observe_span(span.name, span.duration, span.tags)
 
     # ------------------------------------------------------------------
     def absorb(self, records: List[Dict[str, Any]],
@@ -195,9 +201,9 @@ class Trace:
         worker roots under ``parent`` (or under the currently open span
         when ``None``) and shifts timestamps by ``offset_s``.  ``meta``
         records are dropped — the parent run owns the metadata.  Each
-        grafted span is routed into the bound metrics registry, like a
-        span finished here: worker traces carry no registry, so this
-        is the one observation their spans get.
+        grafted span is routed into this trace's registry, like a span
+        finished here; the worker's own registry stays in the worker,
+        so this is the one observation the run's registry gets.
         """
         base = self._next_id
         if parent is None and self._stack:
@@ -215,8 +221,7 @@ class Trace:
                 sp.t_end = sp.t_start + rec.get("dur", 0.0)
                 sp.counters = dict(rec.get("counters", {}))
                 self.spans.append(sp)
-                if self.metrics is not None:
-                    self.metrics.observe_span(sp.name, sp.duration, sp.tags)
+                self.metrics.observe_span(sp.name, sp.duration, sp.tags)
             elif kind == "event":
                 span_id = rec.get("span")
                 self.events.append(Event(

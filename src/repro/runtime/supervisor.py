@@ -377,34 +377,6 @@ class RunSupervisor:
             self.mark_degraded(degrade_reason or "worker degraded")
 
     # ------------------------------------------------------------------
-    def publish_gauges(self, registry) -> None:
-        """Budget and health state as gauges of the run's registry.
-
-        Called by the sampler on every snapshot (and safe to call ad
-        hoc); each gauge reads one already-maintained field, so the
-        cost is a few dict lookups per snapshot.
-        """
-        if registry is None:
-            return
-        registry.gauge("repro_budget_elapsed_seconds",
-                       help="supervised wall time of the current run"
-                       ).set(self.budget.elapsed())
-        registry.gauge("repro_sat_conflicts_spent",
-                       help="aggregate SAT conflicts charged to the "
-                       "run budget").set(self.budget.sat_spent)
-        registry.gauge("repro_bdd_nodes_spent",
-                       help="aggregate BDD nodes charged to the run "
-                       "budget").set(self.budget.bdd_spent)
-        registry.gauge("repro_outputs_quarantined",
-                       help="outputs quarantined after repeated worker "
-                       "deaths").set(len(self.quarantined))
-        # "_live" suffix: the trace exporter's end-of-run snapshot
-        # already owns the repro_run_degraded family
-        registry.gauge("repro_run_degraded_live",
-                       help="1 once the run degraded to the guaranteed "
-                       "fallback (live view)").set(1 if self.degraded
-                                                   else 0)
-
     def summary(self) -> str:
         """One-line budget summary for end-of-run logging."""
         c = self.counters

@@ -117,6 +117,12 @@ class TestTracedCaseRun:
         series = [s.get("bdd_nodes", 0) for s in record.samples]
         assert series == sorted(series)
         assert series[-1] > 0
+        # the trace's own registry: one observation per sat.validate
+        sat_spans = [s for s in result.trace.spans
+                     if s.name == "sat.validate"]
+        assert sat_spans
+        assert record.histograms["repro_sat_call_seconds"]["count"] \
+            == len(sat_spans)
 
     def test_lint_screen_stats_can_collect_records(self, case2):
         from repro.bench.runner import lint_screen_stats

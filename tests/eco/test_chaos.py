@@ -200,6 +200,32 @@ class TestKillAndResumeTable1:
         assert resumed.counters.replayed_commits == 3
         assert_identical_outcome(resumed, baseline, case.spec, tmp_path)
 
+    def test_traced_resume_reports_the_budget_spend(self, tmp_path):
+        """The metrics file's budget gauges include the dead run's
+        journaled spend, which the resuming process's counters do not."""
+        from repro.obs import parse_prometheus_text, prometheus_text
+
+        store = str(tmp_path / "store")
+        config = EcoConfig(num_samples=8)
+        case = build_case(1)
+        injector = FaultInjector().arm(SITE_JOURNAL, 6,
+                                       payload=FAULT_CRASH)
+        with pytest.raises(InjectedCrash):
+            rectify(case.impl, case.spec, config, injector=injector,
+                    journal=RunJournal("chaos", store_root=store))
+
+        case = build_case(1)
+        journal = RunJournal("chaos", store_root=store, resume=True)
+        journaled = journal.commits[-1].bdd_spent
+        assert journaled > 0
+        trace = Trace(name="resumed")
+        resumed = rectify(case.impl, case.spec, config, journal=journal,
+                          trace=trace)
+        families = parse_prometheus_text(prometheus_text(trace))
+        (sample,) = families["repro_bdd_nodes_spent"]["samples"]
+        assert sample[2] == resumed.counters.bdd_nodes_spent + journaled
+        assert families["repro_bdd_nodes_spent"]["type"] == "gauge"
+
 
 class TestWorkerChaos:
     @pytest.fixture(autouse=True)
@@ -244,16 +270,14 @@ class TestWorkerChaos:
         nothing, so it leaves its ``worker.died`` and
         ``output.quarantined`` events and no spans, while the surviving
         partition's shipped records are absorbed into the main trace
-        and feed the bound registry — all of it persisted in the run
-        record.
+        and feed its registry — all of it persisted in the run record.
         """
-        from repro.obs.metrics import MetricsRegistry
         from repro.obs.store import record_from_result
 
         impl, spec = multi_bug_circuits(4)
         injector = FaultInjector().arm(SITE_WORKER, (1, 3),
                                        payload=FAULT_KILL)
-        trace = Trace(name="chaos", metrics=MetricsRegistry())
+        trace = Trace(name="chaos")
         result = rectify(impl, spec, EcoConfig(num_samples=8, jobs=2),
                          injector=injector, trace=trace)
         assert result.counters.outputs_quarantined == 2
@@ -276,7 +300,7 @@ class TestWorkerChaos:
         # observed exactly once
         sat_spans = [s for s in trace.spans if s.name == "sat.validate"]
         assert sat_spans
-        (sat,) = trace.metrics.series("repro_sat_call_seconds")
+        sat = trace.metrics.histograms()["repro_sat_call_seconds"]
         assert sat.count == len(sat_spans)
 
         record = record_from_result(result, trace=trace, name="chaos")

@@ -271,3 +271,34 @@ class TestTelemetrySampling:
         assert [op.describe() for op in broken.patch.ops] == \
             [op.describe() for op in plain.patch.ops]
         assert check_equivalence(broken.patched, spec2).equivalent is True
+
+
+class TestJournalSpans:
+    def test_journal_time_is_in_the_span_tree(self, tmp_path):
+        """One ``journal.append`` span per journal line, counted by
+        ``repro_journal_append_seconds``; tracing adds no line."""
+        from repro.eco.checkpoint import RunJournal, journal_path
+
+        store = str(tmp_path / "store")
+        config = EcoConfig(num_samples=8)
+
+        def lines(run_id):
+            with open(journal_path(store, run_id), encoding="utf-8") as fh:
+                return fh.read().count("\n")
+
+        impl, spec = example1_circuits(width=2)
+        trace = Trace(name=impl.name)
+        rectify(impl, spec, config, trace=trace,
+                journal=RunJournal("traced", store_root=store))
+        appends = spans_named(trace, "journal.append")
+        assert len(appends) == lines("traced") >= 3
+        (root,) = spans_named(trace, "eco.rectify")
+        assert all(s.parent_id is not None for s in appends)
+        assert root.span_id in {s.parent_id for s in appends}
+        family = trace.metrics.histograms()["repro_journal_append_seconds"]
+        assert family.count == len(appends)
+
+        impl, spec = example1_circuits(width=2)
+        rectify(impl, spec, config,
+                journal=RunJournal("untraced", store_root=store))
+        assert lines("untraced") == lines("traced")

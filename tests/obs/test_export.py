@@ -9,11 +9,11 @@ from repro.obs.export import (
     chrome_payload,
     prometheus_text,
     read_trace,
-    sanitize_metric_name,
     write_chrome,
     write_jsonl,
     write_prometheus,
 )
+from repro.obs.metrics import sanitize_metric_name
 from repro.obs.trace import Trace
 
 

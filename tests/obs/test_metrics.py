@@ -1,4 +1,4 @@
-"""Metrics registry, histogram math, and exposition conformance.
+"""Histogram registry, histogram math, and exposition conformance.
 
 The round-trip tests are the conformance satellite: every payload
 ``render_prometheus`` emits must survive ``parse_prometheus_text``,
@@ -44,33 +44,9 @@ class TestBuckets:
         assert SIZE_BUCKETS[-1] > 1e9
 
 
-class TestCounterGauge:
-    def test_counter_is_monotone(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_x_total")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_set_to_at_least_never_lowers(self):
-        c = MetricsRegistry().counter("repro_x_total")
-        c.set_to_at_least(10)
-        c.set_to_at_least(4)
-        assert c.value == 10
-
-    def test_gauge_moves_both_ways(self):
-        g = MetricsRegistry().gauge("repro_x")
-        g.set(5)
-        g.inc(2)
-        g.dec(3)
-        assert g.value == 4.0
-
-
 class TestHistogram:
     def test_observations_land_in_their_buckets(self):
-        h = Histogram("h", (), [1.0, 10.0, 100.0])
+        h = Histogram("h", [1.0, 10.0, 100.0])
         for v in (0.5, 1.0, 5.0, 50.0, 500.0):
             h.observe(v)
         # <=1, <=10, <=100, overflow
@@ -80,28 +56,28 @@ class TestHistogram:
 
     def test_bounds_must_strictly_increase(self):
         with pytest.raises(ValueError):
-            Histogram("h", (), [1.0, 1.0, 2.0])
+            Histogram("h", [1.0, 1.0, 2.0])
         with pytest.raises(ValueError):
-            Histogram("h", (), [2.0, 1.0])
+            Histogram("h", [2.0, 1.0])
 
     def test_percentile_interpolates_within_a_bucket(self):
-        h = Histogram("h", (), [1.0, 2.0])
+        h = Histogram("h", [1.0, 2.0])
         for _ in range(10):
             h.observe(1.5)                         # all in (1, 2]
         assert h.percentile(0.5) == pytest.approx(1.5)
         assert 1.0 < h.percentile(0.95) <= 2.0
 
     def test_percentile_of_overflow_reports_last_bound(self):
-        h = Histogram("h", (), [1.0, 2.0])
+        h = Histogram("h", [1.0, 2.0])
         for _ in range(10):
             h.observe(99.0)
         assert h.percentile(0.5) == 2.0
 
     def test_empty_percentile_is_zero(self):
-        assert Histogram("h", (), [1.0]).percentile(0.95) == 0.0
+        assert Histogram("h", [1.0]).percentile(0.95) == 0.0
 
     def test_snapshot_buckets_are_cumulative_with_inf(self):
-        h = Histogram("h", (), [1.0, 10.0])
+        h = Histogram("h", [1.0, 10.0])
         for v in (0.5, 5.0, 50.0):
             h.observe(v)
         snap = h.snapshot()
@@ -109,132 +85,116 @@ class TestHistogram:
         assert snap["buckets"] == [[1.0, 1], [10.0, 2], ["+Inf", 3]]
         assert snap["p50"] > 0
 
-    def test_merge_requires_identical_bounds(self):
-        a = Histogram("h", (), [1.0, 2.0])
-        b = Histogram("h", (), [1.0, 2.0])
-        a.observe(0.5)
-        b.observe(1.5)
-        a.merge_counts(b)
-        assert a.count == 2
-        assert a.bucket_counts == [1, 1, 0]
-        with pytest.raises(ValueError):
-            a.merge_counts(Histogram("h", (), [1.0, 3.0]))
-
 
 class TestRegistry:
-    def test_same_name_and_labels_share_a_series(self):
+    def test_same_name_shares_a_histogram(self):
         reg = MetricsRegistry()
-        a = reg.counter("repro_n_total", {"k": "x"})
-        b = reg.counter("repro_n_total", {"k": "x"})
-        c = reg.counter("repro_n_total", {"k": "y"})
-        assert a is b and a is not c
+        a = reg.histogram("repro_n_seconds")
+        assert reg.histogram("repro_n_seconds") is a
+        assert reg.histogram("repro_m_seconds") is not a
 
-    def test_kind_collision_is_an_error(self):
+    def test_bucket_bound_collision_is_an_error(self):
         reg = MetricsRegistry()
-        reg.counter("repro_n")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("repro_n")
-
-    def test_fast_path_cannot_bypass_kind_check(self):
-        # same labels: the series exists, so the lookup takes the
-        # fast path; other labels: a new series under a known family
-        for first, second in (("counter", "gauge"), ("gauge", "counter")):
-            reg = MetricsRegistry()
-            getattr(reg, first)("repro_kind_clash")
-            for labels in (None, {"k": "v"}):
-                with pytest.raises(ValueError, match="already registered"):
-                    getattr(reg, second)("repro_kind_clash", labels=labels)
-            assert len(reg.series("repro_kind_clash")) == 1
+        reg.histogram("repro_n", buckets=[1.0, 2.0])
+        reg.histogram("repro_n", buckets=[1.0, 2.0])    # same layout: ok
+        with pytest.raises(ValueError, match="other bucket bounds"):
+            reg.histogram("repro_n", buckets=[1.0, 3.0])
+        with pytest.raises(ValueError, match="other bucket bounds"):
+            reg.histogram("repro_n")                     # latency default
 
     def test_names_are_sanitized(self):
         reg = MetricsRegistry()
-        reg.counter("repro bad-name.total")
-        assert "repro_bad_name_total" in reg.families()
-
-    def test_sync_counters_accumulates_monotonically(self):
-        reg = MetricsRegistry()
-        reg.sync_counters({"sat_validations": 3, "zeros": 0})
-        reg.sync_counters({"sat_validations": 7})
-        reg.sync_counters({"sat_validations": 5})   # stale: ignored
-        (series,) = reg.series("repro_counter_total")
-        assert series.labels == (("counter", "sat_validations"),)
-        assert series.value == 7
+        reg.histogram("repro bad-name.seconds")
+        assert list(reg.histograms()) == ["repro_bad_name_seconds"]
 
     def test_observe_span_routes_mapped_names(self):
         reg = MetricsRegistry()
         reg.observe_span("sat.validate", 0.01, {})
+        reg.observe_span("journal.append", 0.02, {})
         reg.observe_span("no.such.phase", 0.01, {})
         fam, _ = SPAN_HISTOGRAMS["sat.validate"]
-        (series,) = reg.series(fam)
-        assert series.count == 1
-        assert len(reg.series()) == 1               # unmapped: no series
+        assert reg.histograms()[fam].count == 1
+        assert reg.histograms()["repro_journal_append_seconds"].count == 1
+        assert len(reg.histograms()) == 2           # unmapped: no family
 
     def test_observe_span_bdd_session_uses_nodes_tag(self):
         reg = MetricsRegistry()
         reg.observe_span("bdd.session", 0.5, {"nodes": 5000})
         reg.observe_span("bdd.session", 0.5, {})    # no tag: skipped
-        (series,) = reg.series("repro_bdd_session_nodes")
-        assert series.count == 1
-        assert series.bounds[0] == 64.0             # size, not latency
+        nodes = reg.histograms()["repro_bdd_session_nodes"]
+        assert nodes.count == 1
+        assert nodes.bounds[0] == 64.0              # size, not latency
 
-    def test_histogram_snapshots_merge_label_series(self):
+    def test_histogram_snapshots_cover_every_family(self):
         reg = MetricsRegistry()
-        reg.histogram("repro_h_seconds", {"w": "1"},
-                      buckets=[1.0, 2.0]).observe(0.5)
-        reg.histogram("repro_h_seconds", {"w": "2"},
-                      buckets=[1.0, 2.0]).observe(1.5)
+        reg.histogram("repro_b_seconds", buckets=[1.0, 2.0]).observe(0.5)
+        reg.histogram("repro_a_seconds", buckets=[1.0, 2.0]).observe(1.5)
         snaps = reg.histogram_snapshots()
-        assert snaps["repro_h_seconds"]["count"] == 2
+        assert list(snaps) == ["repro_a_seconds", "repro_b_seconds"]
+        assert snaps["repro_b_seconds"]["count"] == 1
 
 
 class TestTraceIntegration:
     def test_finished_spans_feed_the_registry(self):
-        reg = MetricsRegistry()
-        trace = Trace(name="t", metrics=reg)
+        trace = Trace(name="t")                     # builds its own
         with trace.span("eco.output", output="o1"):
             with trace.span("sat.validate"):
                 pass
-        assert reg.series("repro_sat_call_seconds")[0].count == 1
-        assert reg.series("repro_output_seconds")[0].count == 1
+        families = trace.metrics.histograms()
+        assert families["repro_sat_call_seconds"].count == 1
+        assert families["repro_output_seconds"].count == 1
+
+    def test_passed_registry_is_the_one_written(self):
+        reg = MetricsRegistry()
+        trace = Trace(name="t", metrics=reg)
+        with trace.span("sat.validate"):
+            pass
+        assert trace.metrics is reg
+        assert reg.histograms()["repro_sat_call_seconds"].count == 1
 
     def test_absorb_does_not_double_feed(self):
         """Worker spans reach the registry through the graft, exactly
         once: finishing the span open during the graft observes only
         itself."""
-        reg = MetricsRegistry()
-        trace = Trace(name="t", metrics=reg)
+        trace = Trace(name="t")
         with trace.span("eco.output", output="o1"):
             trace.absorb([{"type": "span", "id": 1, "parent": None,
                            "name": "sat.validate", "ts": 0.0, "dur": 0.5,
                            "tags": {}, "counters": {}}])
-        (sat,) = reg.series("repro_sat_call_seconds")
+        families = trace.metrics.histograms()
+        sat = families["repro_sat_call_seconds"]
         assert sat.count == 1
         assert sat.sum == 0.5
-        assert reg.series("repro_output_seconds")[0].count == 1
+        assert families["repro_output_seconds"].count == 1
 
 
 class TestExpositionRoundTrip:
     def make_registry(self):
         reg = MetricsRegistry()
-        reg.counter("repro_counter_total", {"counter": "sat_validations"},
-                    help="RunCounters totals").inc(42)
-        reg.gauge("repro_trace_progress", help="span activity").set(17.5)
         h = reg.histogram("repro_sat_call_seconds",
                           help="SAT call latency")
         for v in (0.0002, 0.003, 0.003, 0.8, 120.0):   # incl. overflow
             h.observe(v)
         return reg
 
+    FAMILIES = [
+        ("repro_run_counter_total", "counter", "RunCounters totals",
+         [((("counter", "sat_validations"),), 42)]),
+        ("repro_run_wall_seconds", "gauge", "wall time", [((), 17.5)]),
+    ]
+
     def test_round_trip_preserves_families_and_samples(self):
-        reg = self.make_registry()
-        families = parse_prometheus_text(render_prometheus(reg))
-        assert families["repro_counter_total"]["type"] == "counter"
-        assert families["repro_trace_progress"]["type"] == "gauge"
+        text = render_prometheus(self.make_registry(), self.FAMILIES)
+        families = parse_prometheus_text(text)
+        assert families["repro_run_counter_total"]["type"] == "counter"
+        assert families["repro_run_wall_seconds"]["type"] == "gauge"
+        assert families["repro_run_wall_seconds"]["samples"] == [
+            ("repro_run_wall_seconds", {}, 17.5)]
         hist = families["repro_sat_call_seconds"]
         assert hist["type"] == "histogram"
         assert hist["help"] == "SAT call latency"
-        (sample,) = families["repro_counter_total"]["samples"]
-        assert sample == ("repro_counter_total",
+        (sample,) = families["repro_run_counter_total"]["samples"]
+        assert sample == ("repro_run_counter_total",
                           {"counter": "sat_validations"}, 42.0)
         buckets = [s for s in hist["samples"]
                    if s[0] == "repro_sat_call_seconds_bucket"]
@@ -242,9 +202,9 @@ class TestExpositionRoundTrip:
         assert buckets[-1][2] == 5.0
 
     def test_round_trip_with_label_escaping(self):
-        reg = MetricsRegistry()
-        reg.gauge("repro_g", {"path": 'a\\b"c\nd'}).set(1)
-        families = parse_prometheus_text(render_prometheus(reg))
+        text = render_prometheus(families=[
+            ("repro_g", "gauge", "g", [((("path", 'a\\b"c\nd'),), 1)])])
+        families = parse_prometheus_text(text)
         (_, labels, _) = families["repro_g"]["samples"][0]
         assert labels == {"path": 'a\\b"c\nd'}
 

@@ -87,14 +87,30 @@ class TestRunStore:
         assert [r.run_id for r in records] == ["a" * 8, "b" * 8]
         assert store.skipped == 1
 
-    def test_index_rebuilt_when_stale(self, store):
+    def test_list_is_read_only_on_a_corrupt_store(self, store):
+        """``runs list`` never writes, even past an unparsable line."""
         store.publish(make_record("a" * 8))
-        os.remove(store.index_path)
-        entries = store.list()
-        assert [e["run_id"] for e in entries] == ["a" * 8]
-        # and the rebuild was persisted
-        with open(store.index_path, encoding="utf-8") as fh:
-            assert len(json.load(fh)["runs"]) == 1
+        with open(store.records_path, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        store.publish(make_record("b" * 8))
+        for path in os.listdir(store.root):
+            os.utime(os.path.join(store.root, path), ns=(10**18, 10**18))
+
+        def state():
+            out = {}
+            for path in sorted(os.listdir(store.root)):
+                full = os.path.join(store.root, path)
+                with open(full, "rb") as fh:
+                    out[path] = (fh.read(), os.stat(full).st_mtime_ns)
+            return out
+
+        before = state()
+        for _ in range(2):
+            entries = store.list()
+            assert [e["run_id"] for e in entries] == ["a" * 8, "b" * 8]
+            assert store.skipped == 1
+        assert state() == before
+        assert list(before) == ["records.jsonl"]
 
     def test_resolve_refs(self, store):
         store.publish(make_record("2026-aaa1"))
@@ -123,29 +139,21 @@ class TestRunStore:
                      if n.startswith(".tmp-")]
         assert leftovers == []
 
-    def test_truncated_index_rebuilt_with_warning(self, store, caplog):
+    def test_legacy_index_is_ignored_and_kept(self, store, caplog):
+        """An ``index.json`` from an older version, however stale or
+        malformed, neither feeds ``list`` nor gets rewritten."""
         store.publish(make_record("a" * 8))
-        store.publish(make_record("b" * 8))
-        with open(store.index_path, "w", encoding="utf-8") as fh:
+        legacy = os.path.join(store.root, "index.json")
+        with open(legacy, "w", encoding="utf-8") as fh:
             fh.write('{"version": 1, "runs": [{"run_id"')  # killed writer
+        store.publish(make_record("b" * 8))
         with caplog.at_level("WARNING", logger="repro.obs"):
             entries = store.list()
         assert [e["run_id"] for e in entries] == ["a" * 8, "b" * 8]
-        assert any("index" in r.message for r in caplog.records)
-        # the rebuild was persisted: the next read is warning-free
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="repro.obs"):
-            assert len(store.list()) == 2
         assert not caplog.records
-
-    def test_garbage_index_rebuilt_with_warning(self, store, caplog):
-        store.publish(make_record("a" * 8))
-        with open(store.index_path, "w", encoding="utf-8") as fh:
-            fh.write('"not an index"')  # valid JSON, wrong shape
-        with caplog.at_level("WARNING", logger="repro.obs"):
-            entries = store.list()
-        assert [e["run_id"] for e in entries] == ["a" * 8]
-        assert any("index" in r.message for r in caplog.records)
+        store.recover()
+        with open(legacy, encoding="utf-8") as fh:
+            assert fh.read() == '{"version": 1, "runs": [{"run_id"'
 
 
 class TestRecover:
@@ -329,10 +337,10 @@ class TestHistogramPersistence:
 
 
 class TestRecordFromResult:
-    def run_case(self, injector=None, metrics=None):
+    def run_case(self, injector=None):
         impl, spec = example1_circuits(width=2)
         config = EcoConfig(num_samples=8)
-        trace = Trace(name=impl.name, metrics=metrics)
+        trace = Trace(name=impl.name)
         result = rectify(impl, spec, config, injector=injector,
                          trace=trace)
         return record_from_result(result, trace=trace, kind="test",
@@ -374,8 +382,7 @@ class TestRecordFromResult:
         assert ts == sorted(ts)
 
     def test_trace_registry_histograms_persist(self):
-        from repro.obs.metrics import MetricsRegistry
-        rec = self.run_case(metrics=MetricsRegistry())
+        rec = self.run_case()
         assert "repro_sat_call_seconds" in rec.histograms
         snap = rec.histograms["repro_sat_call_seconds"]
         assert snap["count"] > 0

@@ -170,23 +170,37 @@ class TestServeAndWatch:
         assert "repro_sat_call_seconds" in hist
         # the per-phase exporter snapshot shares the payload
         assert "repro_phase_seconds_total" in families
+        # each value once: counts only as the run's final counters
+        assert "repro_counter_total" not in families
+        counters = {labels["counter"]: value for _, labels, value
+                    in families["repro_run_counter_total"]["samples"]}
+        assert counters["sat_validations"] > 0
+        gauges = {n for n, f in families.items() if f["type"] == "gauge"}
+        budget = {"repro_budget_elapsed_seconds",
+                  "repro_sat_conflicts_spent", "repro_bdd_nodes_spent"}
+        assert budget <= gauges
+        assert all(n.startswith("repro_run_") for n in gauges - budget)
 
     def test_watch_renders_a_recorded_run(self, eco_files, tmp_path,
                                           capsys):
+        """What ``repro watch`` drew, drawn by ``repro runs show``."""
         store = str(tmp_path / "runs")
         assert self.run_eco(eco_files, "--store", store) == 0
         capsys.readouterr()
-        assert main(["watch", "last", "--store", store]) == 0
+        assert main(["runs", "--store", store, "show", "last"]) == 0
         out = capsys.readouterr().out
-        assert "outcome=ok" in out
-        assert "phases:" in out
-        assert "latency percentiles:" in out
-        assert "repro_sat_call_seconds" in out
+        assert "outcome  : ok" in out
+        assert "resolved : " in out
+        assert "journal.append" in out                # phase tree
+        assert "  sat_conflicts_spent " in out        # timeline sparkline
+        assert "repro_sat_call_seconds" in out        # percentile table
+        assert "repro_journal_append_seconds" in out
 
     def test_watch_unknown_ref_is_cli_error(self, tmp_path, capsys):
+        """``repro runs show`` on an empty store, as ``watch`` was."""
         store = str(tmp_path / "empty")
-        assert main(["watch", "nope", "--store", store]) == 3
-        assert "error" in capsys.readouterr().err
+        assert main(["runs", "--store", store, "show", "nope"]) == 3
+        assert "is empty" in capsys.readouterr().err
 
 
 class TestTables:
@@ -239,8 +253,8 @@ class TestRunStore:
         assert self.run_eco(eco_files, store) == 0
         out = capsys.readouterr().out
         assert "recorded run" in out
-        assert os.path.exists(os.path.join(store, "records.jsonl"))
-        assert os.path.exists(os.path.join(store, "index.json"))
+        assert sorted(os.listdir(store)) == ["journals", "records.jsonl"]
+        assert not os.path.exists(os.path.join(store, "index.json"))
 
     def test_no_store_skips_publishing(self, eco_files, tmp_path, capsys,
                                        monkeypatch):
@@ -328,6 +342,64 @@ class TestRunStore:
         out = capsys.readouterr().out
         assert code == 1
         assert "REGRESSION [wall_seconds]" in out
+
+    def test_store_from_older_version_still_works(self, tmp_path,
+                                                  capsys):
+        """A store an older version wrote — with an ``index.json`` and
+        records carrying a ``lint`` block — lists, shows, diffs and
+        regresses; ``index.json`` is left as it was and ``lint``
+        round-trips through ``extra``."""
+        import json
+        from repro.obs import RunStore
+
+        store = tmp_path / "runs"
+        store.mkdir()
+        lint = {"lint_screens": 6, "lint_rejects": 1,
+                "lint_reject_rate": 1 / 6}
+        records = [{
+            "run_id": f"20261016-12000{i}-aaaa000{i}", "kind": "eco",
+            "name": "example1", "started_at": 1760600000.0 + i,
+            "wall_seconds": 0.05, "outcome": "ok", "degraded": False,
+            "degrade_reason": None, "strict": False,
+            "git_sha": "0123456789ab", "config": {"num_samples": 8},
+            "counters": {"sat_validations": 4, "lint_screens": 6,
+                         "lint_rejects": 1, "sat_conflicts_spent": 80},
+            "phases": [{"phase": "eco.rectify", "calls": 1,
+                        "seconds": 0.05, "sat_conflicts": 80,
+                        "bdd_nodes": 0}],
+            "samples": [], "events": {}, "lint": lint,
+            "resolution": {"rewire": 2}, "histograms": {},
+            "tags": {"engine": "syseco"}, "version": 1,
+        } for i in (1, 2)]
+        with open(store / "records.jsonl", "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        index = json.dumps({"version": 1, "runs": [
+            {k: rec[k] for k in ("run_id", "kind", "name", "started_at",
+                                 "wall_seconds", "outcome", "degraded",
+                                 "git_sha")} for rec in records]})
+        (store / "index.json").write_text(index, encoding="utf-8")
+        os.utime(store / "index.json", ns=(10**18, 10**18))
+        root = str(store)
+
+        assert main(["runs", "--store", root, "list"]) == 0
+        out = capsys.readouterr().out
+        assert all(rec["run_id"] in out for rec in records)
+        assert main(["runs", "--store", root, "show", "first"]) == 0
+        assert "lint     : 6 screens, 1 rejects (17%)" in \
+            capsys.readouterr().out
+        assert main(["runs", "--store", root, "diff", "first",
+                     "last"]) == 0
+        assert "counters.sat_conflicts_spent" in capsys.readouterr().out
+        assert main(["runs", "--store", root, "regress",
+                     "--baseline", "first"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+        assert (store / "index.json").read_text(encoding="utf-8") == index
+        assert os.stat(store / "index.json").st_mtime_ns == 10**18
+        loaded = RunStore(root).resolve("first")
+        assert loaded.extra == {"lint": lint}
+        assert loaded.to_json() == records[0]
 
     def test_unknown_ref_is_cli_error(self, eco_files, tmp_path, capsys):
         store = str(tmp_path / "runs")
