@@ -1,4 +1,4 @@
-"""The ROBDD manager: unique table, computed cache, core operations.
+"""The ROBDD manager: unique table, computed tables, core operations.
 
 Nodes are integers.  ``FALSE`` is node 0 and ``TRUE`` is node 1; every
 other node ``n`` has a variable index ``var(n)`` and two children
@@ -6,11 +6,29 @@ other node ``n`` has a variable index ``var(n)`` and two children
 indices double as ordering positions: smaller index = closer to the
 root.  The manager enforces the ROBDD invariants (no redundant node,
 no duplicate node) so equality of functions is pointer equality.
+
+Each operator has its own apply and its own computed table, as in the
+classic package design (Brace, Rudell and Bryant, DAC 1990): AND, OR,
+XOR and XNOR key their table by the operand pair, smaller operand
+first; NOT by its operand; ``ite`` by its normalized triple.  Satisfy
+counts are memoized per ``num_vars`` for the manager's lifetime (nodes
+are never freed, so a count never goes stale).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import BddError, BddNodeLimitError
 
@@ -42,7 +60,19 @@ class BddManager:
         self._lo: List[int] = [FALSE, TRUE]
         self._hi: List[int] = [FALSE, TRUE]
         self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._cache: Dict[Tuple, int] = {}
+        # computed tables, one per operator
+        self._and_table: Dict[Tuple[int, int], int] = {}
+        self._or_table: Dict[Tuple[int, int], int] = {}
+        self._xor_table: Dict[Tuple[int, int], int] = {}
+        self._xnor_table: Dict[Tuple[int, int], int] = {}
+        self._not_table: Dict[int, int] = {}
+        self._ite_table: Dict[Tuple[int, int, int], int] = {}
+        self._quantify_table: Dict[Tuple[bool, int, frozenset], int] = {}
+        self._restrict_table: Dict[Tuple[int, frozenset], int] = {}
+        self._compose_table: Dict[Tuple[int, frozenset], int] = {}
+        #: num_vars -> {node: solutions over the variables from
+        #: var(node) down}
+        self._count_tables: Dict[int, Dict[int, int]] = {}
         self._nvars = 0
         self.node_limit = node_limit
         self.node_hook = node_hook
@@ -114,70 +144,201 @@ class BddManager:
         return node <= TRUE
 
     # ------------------------------------------------------------------
-    # core: if-then-else
+    # core connectives: one apply and one computed table per operator
     # ------------------------------------------------------------------
-    def ite(self, f: int, g: int, h: int) -> int:
-        """If-then-else: ``f & g | ~f & h``; the universal connective."""
-        # terminal shortcuts
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
+    # Every apply returns its operands' canonical result and builds no
+    # node outside it: a sub-result is either a child of the node it
+    # feeds or (when both children agree) that node itself, so the
+    # only nodes an apply creates are the result's own.
+    def _and(self, f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f <= TRUE:
+            return g if f else FALSE
+        if f == g:
             return f
-        key = ("ite", f, g, h)
-        hit = self._cache.get(key)
+        key = (f, g)
+        table = self._and_table
+        hit = table.get(key)
         if hit is not None:
             return hit
-        top = self._var[f]
-        for n in (g, h):
-            if n > TRUE and self._var[n] < top:
-                top = self._var[n]
-        f0, f1 = self._cofactors(f, top)
-        g0, g1 = self._cofactors(g, top)
-        h0, h1 = self._cofactors(h, top)
-        lo = self.ite(f0, g0, h0)
-        hi = self.ite(f1, g1, h1)
-        result = self._node(top, lo, hi)
-        self._cache[key] = result
+        var, lo, hi = self._var, self._lo, self._hi
+        vf, vg = var[f], var[g]
+        if vf == vg:
+            result = self._node(vf, self._and(lo[f], lo[g]),
+                                self._and(hi[f], hi[g]))
+        elif vf < vg:
+            result = self._node(vf, self._and(lo[f], g),
+                                self._and(hi[f], g))
+        else:
+            result = self._node(vg, self._and(f, lo[g]),
+                                self._and(f, hi[g]))
+        table[key] = result
         return result
 
-    def _cofactors(self, node: int, var: int) -> Tuple[int, int]:
-        if node > TRUE and self._var[node] == var:
-            return self._lo[node], self._hi[node]
-        return node, node
+    def _or(self, f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f <= TRUE:
+            return TRUE if f else g
+        if f == g:
+            return f
+        key = (f, g)
+        table = self._or_table
+        hit = table.get(key)
+        if hit is not None:
+            return hit
+        var, lo, hi = self._var, self._lo, self._hi
+        vf, vg = var[f], var[g]
+        if vf == vg:
+            result = self._node(vf, self._or(lo[f], lo[g]),
+                                self._or(hi[f], hi[g]))
+        elif vf < vg:
+            result = self._node(vf, self._or(lo[f], g),
+                                self._or(hi[f], g))
+        else:
+            result = self._node(vg, self._or(f, lo[g]),
+                                self._or(f, hi[g]))
+        table[key] = result
+        return result
+
+    def _xor(self, f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f <= TRUE:
+            return self._not(g) if f else g
+        if f == g:
+            return FALSE
+        key = (f, g)
+        table = self._xor_table
+        hit = table.get(key)
+        if hit is not None:
+            return hit
+        var, lo, hi = self._var, self._lo, self._hi
+        vf, vg = var[f], var[g]
+        if vf == vg:
+            result = self._node(vf, self._xor(lo[f], lo[g]),
+                                self._xor(hi[f], hi[g]))
+        elif vf < vg:
+            result = self._node(vf, self._xor(lo[f], g),
+                                self._xor(hi[f], g))
+        else:
+            result = self._node(vg, self._xor(f, lo[g]),
+                                self._xor(f, hi[g]))
+        table[key] = result
+        return result
+
+    def _xnor(self, f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f <= TRUE:
+            return g if f else self._not(g)
+        if f == g:
+            return TRUE
+        key = (f, g)
+        table = self._xnor_table
+        hit = table.get(key)
+        if hit is not None:
+            return hit
+        var, lo, hi = self._var, self._lo, self._hi
+        vf, vg = var[f], var[g]
+        if vf == vg:
+            result = self._node(vf, self._xnor(lo[f], lo[g]),
+                                self._xnor(hi[f], hi[g]))
+        elif vf < vg:
+            result = self._node(vf, self._xnor(lo[f], g),
+                                self._xnor(hi[f], g))
+        else:
+            result = self._node(vg, self._xnor(f, lo[g]),
+                                self._xnor(f, hi[g]))
+        table[key] = result
+        return result
+
+    def _not(self, f: int) -> int:
+        if f <= TRUE:
+            return TRUE - f
+        hit = self._not_table.get(f)
+        if hit is not None:
+            return hit
+        result = self._node(self._var[f], self._not(self._lo[f]),
+                            self._not(self._hi[f]))
+        self._not_table[f] = result
+        return result
+
+    def ite(self, f: int, g: int, h: int) -> int:
+        """If-then-else: ``f & g | ~f & h``; the universal connective."""
+        if f <= TRUE:
+            return g if f else h
+        # normalize: f in a branch is a constant there
+        if g == f:
+            g = TRUE
+        if h == f:
+            h = FALSE
+        if g == h:
+            return g
+        if h == FALSE:
+            return self._and(f, g)
+        if g == TRUE:
+            return self._or(f, h)
+        if g == FALSE and h == TRUE:
+            return self._not(f)
+        key = (f, g, h)
+        hit = self._ite_table.get(key)
+        if hit is not None:
+            return hit
+        var, lo, hi = self._var, self._lo, self._hi
+        top = var[f]
+        if g > TRUE and var[g] < top:
+            top = var[g]
+        if h > TRUE and var[h] < top:
+            top = var[h]
+        if var[f] == top:
+            f0, f1 = lo[f], hi[f]
+        else:
+            f0 = f1 = f
+        if g > TRUE and var[g] == top:
+            g0, g1 = lo[g], hi[g]
+        else:
+            g0 = g1 = g
+        if h > TRUE and var[h] == top:
+            h0, h1 = lo[h], hi[h]
+        else:
+            h0 = h1 = h
+        result = self._node(top, self.ite(f0, g0, h0), self.ite(f1, g1, h1))
+        self._ite_table[key] = result
+        return result
 
     # ------------------------------------------------------------------
-    # derived Boolean connectives
+    # public Boolean connectives
     # ------------------------------------------------------------------
     def not_(self, f: int) -> int:
-        return self.ite(f, FALSE, TRUE)
+        return self._not(f)
 
     def and_(self, *fs: int) -> int:
         acc = TRUE
         for f in fs:
-            acc = self.ite(acc, f, FALSE)
+            acc = self._and(acc, f)
         return acc
 
     def or_(self, *fs: int) -> int:
         acc = FALSE
         for f in fs:
-            acc = self.ite(acc, TRUE, f)
+            acc = self._or(acc, f)
         return acc
 
     def xor(self, f: int, g: int) -> int:
-        return self.ite(f, self.not_(g), g)
+        return self._xor(f, g)
 
     def xnor(self, f: int, g: int) -> int:
-        return self.ite(f, g, self.not_(g))
+        return self._xnor(f, g)
 
     def implies(self, f: int, g: int) -> int:
+        # ite, not or_(not_(f), g): the complement of f is no part of
+        # the result, so building it would only spend nodes
         return self.ite(f, g, TRUE)
 
     def equiv(self, f: int, g: int) -> int:
-        return self.xnor(f, g)
+        return self._xnor(f, g)
 
     def mux(self, s: int, d0: int, d1: int) -> int:
         return self.ite(s, d1, d0)
@@ -202,18 +363,18 @@ class BddManager:
     def _quantify(self, f: int, vs: frozenset, existential: bool) -> int:
         if f <= TRUE:
             return f
-        key = ("exists" if existential else "forall", f, vs)
-        hit = self._cache.get(key)
+        key = (existential, f, vs)
+        hit = self._quantify_table.get(key)
         if hit is not None:
             return hit
         v = self._var[f]
         lo = self._quantify(self._lo[f], vs, existential)
         hi = self._quantify(self._hi[f], vs, existential)
         if v in vs:
-            result = self.or_(lo, hi) if existential else self.and_(lo, hi)
+            result = self._or(lo, hi) if existential else self._and(lo, hi)
         else:
             result = self._node(v, lo, hi)
-        self._cache[key] = result
+        self._quantify_table[key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -230,8 +391,8 @@ class BddManager:
                   key_items: frozenset) -> int:
         if f <= TRUE:
             return f
-        key = ("restrict", f, key_items)
-        hit = self._cache.get(key)
+        key = (f, key_items)
+        hit = self._restrict_table.get(key)
         if hit is not None:
             return hit
         v = self._var[f]
@@ -242,7 +403,7 @@ class BddManager:
             lo = self._restrict(self._lo[f], assignment, key_items)
             hi = self._restrict(self._hi[f], assignment, key_items)
             result = self._node(v, lo, hi)
-        self._cache[key] = result
+        self._restrict_table[key] = result
         return result
 
     def compose(self, f: int, var: int, g: int) -> int:
@@ -264,8 +425,8 @@ class BddManager:
     def _vcompose(self, f: int, sub: Dict[int, int], key_items: frozenset) -> int:
         if f <= TRUE:
             return f
-        key = ("vcompose", f, key_items)
-        hit = self._cache.get(key)
+        key = (f, key_items)
+        hit = self._compose_table.get(key)
         if hit is not None:
             return hit
         v = self._var[f]
@@ -275,7 +436,7 @@ class BddManager:
         if selector is None:
             selector = self.var(v)
         result = self.ite(selector, hi, lo)
-        self._cache[key] = result
+        self._compose_table[key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -328,46 +489,64 @@ class BddManager:
 
         Defaults to the manager's full variable count.  This is the
         'efficient counting of consistent value assignments' the paper
-        relies on for the rectification-utility ratio.
+        relies on for the rectification-utility ratio.  Counts are
+        memoized per ``num_vars`` for the manager's lifetime, so shared
+        sub-BDDs are counted once per session.
         """
         n = self._nvars if num_vars is None else num_vars
         if f == FALSE:
             return 0
         if f == TRUE:
             return 1 << n
+        table = self._count_tables.get(n)
+        if table is None:
+            table = self._count_tables[n] = {}
+        count = table.get(f)
+        if count is None:
+            count = self._count(f, n, table)
+        return count << self._var[f]
 
-        def level(node: int) -> int:
-            return n if node <= TRUE else self._var[node]
+    def _count(self, f: int, n: int, table: Dict[int, int]) -> int:
+        """Post-order count of ``f``'s uncounted nodes under ``n``.
 
-        top_support = max(self.support(f), default=-1)
-        if top_support >= n:
-            raise BddError(
-                f"num_vars={n} does not cover support variable {top_support}")
-        memo: Dict[int, int] = {}
-
-        def count(node: int) -> int:
-            """Solutions over variables strictly below level(node)."""
-            if node == FALSE:
-                return 0
-            if node == TRUE:
-                return 1
-            hit = memo.get(node)
-            if hit is not None:
-                return hit
-            lo, hi = self._lo[node], self._hi[node]
-            here = level(node)
-            total = (count(lo) << (level(lo) - here - 1)) + \
-                    (count(hi) << (level(hi) - here - 1))
-            memo[node] = total
-            return total
-
-        try:
-            return count(f) << level(f)
-        finally:
-            # count reaches itself through its closure cell; emptying the
-            # cell frees the manager and memo now, not at the next
-            # cyclic collection
-            del count
+        ``table[node]`` counts the solutions over variables
+        ``var(node) .. n-1``.  Each node's variable is range-checked
+        when the node is first counted, so a node counted under a
+        larger ``num_vars`` is still rejected here.
+        """
+        var, lo, hi = self._var, self._lo, self._hi
+        stack = [f]
+        while stack:
+            node = stack[-1]
+            if node in table:
+                stack.pop()
+                continue
+            v = var[node]
+            if v >= n:
+                raise BddError(
+                    f"num_vars={n} does not cover support variable "
+                    f"{max(self.support(f))}")
+            low, high = lo[node], hi[node]
+            if low > TRUE and low not in table:
+                stack.append(low)
+                if high > TRUE and high not in table:
+                    stack.append(high)
+                continue
+            if high > TRUE and high not in table:
+                stack.append(high)
+                continue
+            stack.pop()
+            total = 0
+            if low == TRUE:
+                total = 1 << (n - v - 1)
+            elif low != FALSE:
+                total = table[low] << (var[low] - v - 1)
+            if high == TRUE:
+                total += 1 << (n - v - 1)
+            elif high != FALSE:
+                total += table[high] << (var[high] - v - 1)
+            table[node] = total
+        return table[f]
 
     def pick_assignment(self, f: int,
                         variables: Optional[Sequence[int]] = None,
@@ -431,12 +610,48 @@ class BddManager:
         return result
 
     def implies_check(self, f: int, g: int) -> bool:
-        """Decide ``f => g`` (i.e. ``f & ~g`` is unsatisfiable)."""
-        return self.ite(f, self.not_(g), FALSE) == FALSE
+        """Decide ``f => g`` (i.e. ``f & ~g`` is unsatisfiable).
+
+        Walks the operand pair without building any node.
+        """
+        var, lo, hi = self._var, self._lo, self._hi
+        seen: Set[Tuple[int, int]] = set()
+        stack = [(f, g)]
+        while stack:
+            a, b = stack.pop()
+            if a == FALSE or b == TRUE or a == b:
+                continue
+            if a == TRUE or b == FALSE:
+                return False
+            if (a, b) in seen:
+                continue
+            seen.add((a, b))
+            va, vb = var[a], var[b]
+            if va == vb:
+                stack.append((hi[a], hi[b]))
+                stack.append((lo[a], lo[b]))
+            elif va < vb:
+                stack.append((hi[a], b))
+                stack.append((lo[a], b))
+            else:
+                stack.append((a, hi[b]))
+                stack.append((a, lo[b]))
+        return True
+
+    def _tables(self) -> List[dict]:
+        return [self._and_table, self._or_table, self._xor_table,
+                self._xnor_table, self._not_table, self._ite_table,
+                self._quantify_table, self._restrict_table,
+                self._compose_table, *self._count_tables.values()]
 
     def clear_cache(self) -> None:
-        """Drop the computed cache (keeps the node store)."""
-        self._cache.clear()
+        """Empty every computed table (keeps the node store)."""
+        for table in self._tables():
+            table.clear()
+        self._count_tables.clear()
+
+    def _cache_entries(self) -> int:
+        return sum(len(table) for table in self._tables())
 
     def stats(self) -> Dict[str, int]:
         """Session statistics for telemetry (node store never shrinks,
@@ -444,9 +659,9 @@ class BddManager:
         return {
             "nodes": len(self._var),
             "vars": self._nvars,
-            "cache_entries": len(self._cache),
+            "cache_entries": self._cache_entries(),
         }
 
     def __repr__(self) -> str:
         return (f"BddManager(vars={self._nvars}, nodes={len(self._var)}, "
-                f"cache={len(self._cache)})")
+                f"cache={self._cache_entries()})")

@@ -215,26 +215,21 @@ def _enumerate_choices_joint(
         combos.append((total, tuple(k for _, k in combo)))
     combos.sort()
 
+    # variables of xi outside the decision words read False
+    padding = dict.fromkeys(manager.support(xi), False)
     choices: List[Choice] = []
     for _, ks in combos:
         if all(candidates[i][k].trivial for i, k in enumerate(ks)):
             continue
-        assignment: Dict[int, bool] = {}
+        assignment = dict(padding)
         for i, k in enumerate(ks):
             word = c_words[i]
             bits = len(word)
             for b in range(bits):
                 assignment[word[b]] = bool((k >> (bits - 1 - b)) & 1)
-        if manager.evaluate(xi, _pad(assignment, manager.support(xi))):
+        if manager.evaluate(xi, assignment):
             choices.append(tuple(
                 candidates[i][k] for i, k in enumerate(ks)))
             if len(choices) >= limit:
                 break
     return choices
-
-
-def _pad(assignment: Dict[int, bool], support) -> Dict[int, bool]:
-    out = dict(assignment)
-    for v in support:
-        out.setdefault(v, False)
-    return out

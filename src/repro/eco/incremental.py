@@ -20,8 +20,13 @@ Rewires sourced from the specification need no cloning here: both
 circuits are encoded over shared input variables, so tying a pin
 variable to the spec net's variable is logically identical to wiring
 the pin to a structural clone of that cone.  The patched circuit is
-materialized (via the legacy apply path) only for the *winning*
-candidate.
+materialized (via the legacy apply path) only for candidates that pass
+validation.
+
+Legality (the Section 3.3 pin constraint and joint acyclicity) is
+re-checked on one :class:`~repro.lint.patch_rules.PatchScreen` built
+with the validator, so a candidate costs walks of only the fanout
+cones it touches, each memoized across the search.
 
 The validator reuses the run's :class:`~repro.sat.cnfcache.CnfCache`
 for the specification side and exposes the ``solver`` +
@@ -38,19 +43,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import NetlistError
+from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.traverse import dependent_outputs, topological_order
+from repro.netlist.traverse import topological_order
 from repro.sat import UNKNOWN, UNSAT, Solver
 from repro.sat.cnfcache import CnfCache
 from repro.sat.tseitin import CircuitEncoder
 from repro.cec.equivalence import EquivalenceResult
 from repro.eco.patch import RewireOp
-from repro.eco.validate import (
-    ValidationOutcome,
-    apply_rewires,
-    rewire_acyclic,
-    topological_constraint_ok,
-)
+from repro.eco.validate import ValidationOutcome, apply_rewires, rewire_legal
 
 
 class IncrementalValidator:
@@ -58,7 +59,8 @@ class IncrementalValidator:
 
     Args:
         impl: current implementation ``C`` (must not be mutated while
-            the validator is alive; the engine rebuilds one per search).
+            the validator is alive: its legality screen and fanout
+            cones are built once; the engine rebuilds one per search).
         spec: revised specification ``C'``.
         pins: candidate rectification pins — the cut points.  Only
             rewires whose pins are all in this set can be validated
@@ -87,6 +89,7 @@ class IncrementalValidator:
         self._diff_lit: Dict[str, int] = {}
         self._affected: Dict[str, List[str]] = {}
         self._assumptions: List[int] = []
+        self.screen = PatchScreen(impl)
 
         cut: Dict[str, Dict[int, Pin]] = {}
         port_pins: List[Pin] = []
@@ -231,8 +234,8 @@ class IncrementalValidator:
 
         Rewiring a gate input pin changes only the fanout cone of the
         gate, and the fanout relation is not altered by the rewire
-        itself, so per-owner dependence is precomputable on ``impl``
-        and shared across candidates.
+        itself, so per-owner dependence is read off the screen's
+        memoized cone of ``impl`` and shared across candidates.
         """
         affected: Set[str] = set()
         for op in ops:
@@ -242,7 +245,9 @@ class IncrementalValidator:
             owner = op.pin.owner
             ports = self._affected.get(owner)
             if ports is None:
-                ports = dependent_outputs(self.impl, [owner])
+                cone = self.screen.fanout_cone(owner)
+                ports = [p for p, net in self.impl.outputs.items()
+                         if net in cone]
                 self._affected[owner] = ports
             affected.update(ports)
         return sorted(affected)
@@ -260,10 +265,7 @@ class IncrementalValidator:
         least one failing output and provably damages no passing one.
         The patched scratch circuit is materialized only on success.
         """
-        pins = [op.pin for op in ops]
-        if not topological_constraint_ok(self.impl, pins):
-            return ValidationOutcome(valid=False)
-        if not rewire_acyclic(self.impl, ops):
+        if not rewire_legal(self.screen, ops):
             return ValidationOutcome(valid=False)
 
         self._arm(ops)

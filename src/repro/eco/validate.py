@@ -16,15 +16,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PatchStructureError
+from repro.lint.patch_rules import PatchScreen
 from repro.netlist import simd
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_BITS
 from repro.netlist.simulate import batch_mask, compiled_plan, eval_opcode
-from repro.netlist.traverse import (
-    dependent_outputs,
-    topological_order,
-    transitive_fanout,
-)
+from repro.netlist.traverse import dependent_outputs, topological_order
 from repro.cec.equivalence import PairwiseChecker
 from repro.eco.patch import RewireOp
 
@@ -56,72 +53,30 @@ def assert_patch_structure(patched: Circuit,
         )
 
 
-def topological_constraint_ok(impl: Circuit, pins: Sequence[Pin]) -> bool:
-    """The Section 3.3 restriction: no path connects any pair of pins."""
-    gate_pins = [p for p in pins if not p.is_output_port]
-    owners = {p.owner for p in gate_pins}
-    for pin in gate_pins:
-        downstream = transitive_fanout(impl, [pin.owner])
-        downstream.discard(pin.owner)
-        if downstream & owners:
+def pins_unconnected(screen: PatchScreen, pins: Sequence[Pin]) -> bool:
+    """The Section 3.3 restriction: no path connects any pair of pins.
+
+    Reads the screen's memoized fanout cones, so a pin owner shared
+    with earlier candidates costs no walk.
+    """
+    owners = {p.owner for p in pins if not p.is_output_port}
+    for owner in owners:
+        cone = screen.fanout_cone(owner)
+        if any(other != owner and other in cone for other in owners):
             return False
     return True
 
 
-def rewire_acyclic(impl: Circuit, ops: Sequence[RewireOp]) -> bool:
-    """No implementation-sourced rewire may close a combinational cycle.
+def rewire_legal(screen: PatchScreen, ops: Sequence[RewireOp]) -> bool:
+    """Whether ``ops`` may be validated at all on ``screen``'s circuit.
 
-    Checked jointly: with several simultaneous rewires a cycle can pass
-    through more than one new edge, so the test walks the fanout
-    relation augmented with all proposed edges at once.
+    The pin constraint of :func:`pins_unconnected`, and joint
+    acyclicity: :meth:`PatchScreen.cycle_path` masks the edges the
+    rewires remove and adds all proposed edges at once, so a cycle
+    through several new edges is found.
     """
-    extra_edges: Dict[str, Set[str]] = {}
-    for op in ops:
-        if op.from_spec or op.pin.is_output_port:
-            continue
-        extra_edges.setdefault(op.source_net, set()).add(op.pin.owner)
-
-    if not extra_edges:
-        return True
-
-    fanout: Dict[str, List[str]] = {}
-    for g in impl.gates.values():
-        for i, f in enumerate(g.fanins):
-            # skip edges that the rewires remove
-            if any(op.pin == Pin.gate(g.name, i) for op in ops):
-                continue
-            fanout.setdefault(f, []).append(g.name)
-    for src, dsts in extra_edges.items():
-        fanout.setdefault(src, []).extend(dsts)
-
-    # cycle check via DFS from the new edges' sources
-    state: Dict[str, int] = {}
-
-    def dfs(net: str) -> bool:
-        stack = [(net, iter(fanout.get(net, ())))]
-        state[net] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                st = state.get(nxt)
-                if st == 0:
-                    return False  # back edge: cycle
-                if st is None:
-                    state[nxt] = 0
-                    stack.append((nxt, iter(fanout.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 1
-                stack.pop()
-        return True
-
-    for src in extra_edges:
-        if state.get(src) is None:
-            if not dfs(src):
-                return False
-    return True
+    return pins_unconnected(screen, [op.pin for op in ops]) \
+        and screen.cycle_path(ops) is None
 
 
 def clone_spec_cone(work: Circuit, spec: Circuit, net: str,
@@ -460,10 +415,11 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
     conflicts are charged to the run's aggregate budget, and the
     deadline is checked between outputs.  Budget exhaustion then raises
     a :class:`~repro.errors.ResourceBudgetExceeded` subclass.
+
+    Legality is re-checked on one :class:`PatchScreen` of ``impl``
+    built for this call (:func:`rewire_legal`).
     """
-    if not topological_constraint_ok(impl, [op.pin for op in ops]):
-        return ValidationOutcome(valid=False)
-    if not rewire_acyclic(impl, ops):
+    if not rewire_legal(PatchScreen(impl), ops):
         return ValidationOutcome(valid=False)
 
     work = impl.copy()

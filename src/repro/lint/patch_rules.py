@@ -15,9 +15,12 @@ The cycle check is *incremental*: a :class:`PatchScreen` builds the
 sink adjacency of the circuit once, then answers per-candidate queries
 by walking only the fanout cones the candidate actually touches —
 never re-deriving the adjacency or re-topo-sorting the whole netlist
-per candidate the way ``repro.eco.validate.rewire_acyclic`` does.  The
-engine keeps one screen per search context and consults it before any
-SAT spend (the ``lint.screen`` trace spans).
+per candidate.  :meth:`PatchScreen.cycle_path` is the one cycle check
+of the flow.  The engine keeps one screen per search context and
+consults it before any SAT spend (the ``lint.screen`` trace spans);
+candidate validation re-checks legality on its own screen through
+:meth:`~PatchScreen.cycle_path` and :meth:`~PatchScreen.fanout_cone`
+(:func:`repro.eco.validate.rewire_legal`).
 """
 
 from __future__ import annotations

@@ -298,6 +298,24 @@ class Circuit:
         self._invalidate_derived()
         return old
 
+    def replace_gate(self, name: str, gtype: GateType,
+                     fanins: Sequence[str]) -> None:
+        """Give gate ``name`` a new operation and fanin list in place.
+
+        The gate keeps its name (so its sinks and ports are untouched)
+        and its position in :attr:`gates`.  As with :meth:`rewire_pin`,
+        keeping the circuit acyclic is the caller's job.
+        """
+        if name not in self.gates:
+            raise NetlistError(f"no gate {name!r}")
+        for f in fanins:
+            if not self.has_net(f):
+                raise NetlistError(
+                    f"gate {name!r}: fanin net {f!r} does not exist"
+                )
+        self.gates[name] = Gate(name, gtype, fanins)
+        self._invalidate_derived()
+
     def replace_net(self, old: str, new: str) -> int:
         """Redirect every sink of ``old`` to ``new``; returns sink count."""
         count = 0

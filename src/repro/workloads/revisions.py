@@ -5,6 +5,10 @@ what changed — the number of added/modified gates is the paper's
 "designer's estimate" column: the size an ideal patch would have,
 known here by construction.  Revisions never touch the implementation;
 the ECO engines must discover the change functionally.
+
+Every edit goes through a :class:`~repro.netlist.circuit.Circuit`
+mutator, so a circuit simulated before its revision drops its derived
+data (topological order, compiled plan) with it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import GateType
 from repro.netlist.traverse import dependent_outputs, transitive_fanout
 
@@ -80,7 +84,7 @@ def gate_type_change(spec: Circuit, rng: random.Random,
     if gate.gtype not in swaps:
         raise ReproError("no swappable gate found")
     new_type = swaps[gate.gtype]
-    spec.gates[name] = type(gate)(name, new_type, gate.fanins)
+    spec.replace_gate(name, new_type, gate.fanins)
     return Revision(
         kind="gate-type",
         description=f"{name}: {gate.gtype.value} -> {new_type.value}",
@@ -105,8 +109,7 @@ def wrong_input(spec: Circuit, rng: random.Random,
             continue
         idx = rng.randrange(len(gate.fanins))
         new_net = rng.choice(sorted(options))
-        old = gate.fanins[idx]
-        gate.fanins[idx] = new_net
+        old = spec.rewire_pin(Pin.gate(name, idx), new_net)
         return Revision(
             kind="wrong-input",
             description=f"{name}[{idx}]: {old} -> {new_net}",
@@ -156,7 +159,7 @@ def polarity_flip(spec: Circuit, rng: random.Random,
     idx = rng.randrange(len(gate.fanins))
     old = gate.fanins[idx]
     inv = spec.not_(old, name=f"rev_inv_{name}_{idx}")
-    gate.fanins[idx] = inv
+    spec.rewire_pin(Pin.gate(name, idx), inv)
     return Revision(
         kind="polarity",
         description=f"{name}[{idx}]: {old} -> ~{old}",
@@ -210,7 +213,9 @@ def drop_term(spec: Circuit, rng: random.Random,
     if len(gate.fanins) < 3:
         raise ReproError("no wide gate to drop a term from")
     idx = rng.randrange(len(gate.fanins))
-    removed = gate.fanins.pop(idx)
+    fanins = list(gate.fanins)
+    removed = fanins.pop(idx)
+    spec.replace_gate(name, gate.gtype, fanins)
     return Revision(
         kind="drop-term",
         description=f"{name}: removed operand {removed}",
@@ -231,7 +236,7 @@ def extra_term(spec: Circuit, rng: random.Random,
                               min(2, len(spec.inputs))))
     term = spec.and_(*picks, name=f"rev_term_{name}") \
         if len(picks) > 1 else picks[0]
-    gate.fanins.append(term)
+    spec.replace_gate(name, gate.gtype, gate.fanins + [term])
     return Revision(
         kind="extra-term",
         description=f"{name}: added term AND({', '.join(picks)})",

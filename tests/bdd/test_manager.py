@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import BddError, BddNodeLimitError
 from repro.bdd.manager import FALSE, TRUE, BddManager
+from tests.bdd.reference import ReferenceBddManager
 
 
 def brute_count(fn, n):
@@ -271,6 +272,176 @@ def test_demorgan_laws_hold(ta, tb):
     f, g = from_table(ta), from_table(tb)
     assert m.not_(m.and_(f, g)) == m.or_(m.not_(f), m.not_(g))
     assert m.not_(m.or_(f, g)) == m.and_(m.not_(f), m.not_(g))
+
+
+# ----------------------------------------------------------------------
+# differential tests against the generic-ite connectives
+# ----------------------------------------------------------------------
+#: connectives whose every new node must be part of their result
+CONNECTIVES = ("not", "and", "or", "xor", "xnor", "implies", "equiv",
+               "mux", "ite")
+#: n-ary folds keep their partial results, as they always did
+OPS = CONNECTIVES + ("and3", "or3", "exists", "forall", "restrict",
+                     "compose")
+
+
+def _apply(m, op, f, g, h, i, n):
+    """One step of a random expression program on manager ``m``."""
+    if op == "not":
+        return m.not_(f)
+    if op == "and":
+        return m.and_(f, g)
+    if op == "or":
+        return m.or_(f, g)
+    if op == "and3":
+        return m.and_(f, g, h)
+    if op == "or3":
+        return m.or_(f, g, h)
+    if op == "xor":
+        return m.xor(f, g)
+    if op == "xnor":
+        return m.xnor(f, g)
+    if op == "implies":
+        return m.implies(f, g)
+    if op == "equiv":
+        return m.equiv(f, g)
+    if op == "mux":
+        return m.mux(f, g, h)
+    if op == "ite":
+        return m.ite(f, g, h)
+    variables = {i % n, (i // n) % n}
+    if op == "exists":
+        return m.exists(f, variables)
+    if op == "forall":
+        return m.forall(f, variables)
+    if op == "restrict":
+        return m.restrict(f, {v: bool(v & 1) for v in variables})
+    return m.vector_compose(f, {i % n: g})
+
+
+def _reachable(m, root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node > TRUE and node not in seen:
+            seen.add(node)
+            stack.extend((m.low(node), m.high(node)))
+    return seen
+
+
+def _truth_table(m, f, n):
+    return [m.evaluate(f, dict(enumerate(bits)))
+            for bits in itertools.product([False, True], repeat=n)]
+
+
+PROGRAMS = st.lists(
+    st.tuples(st.sampled_from(OPS), st.integers(0, 2 ** 16),
+              st.integers(0, 2 ** 16), st.integers(0, 2 ** 16),
+              st.integers(0, 2 ** 16)),
+    min_size=1, max_size=24)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), PROGRAMS)
+def test_connectives_match_generic_ite_reference(n, program):
+    """Random expression DAGs built in both managers denote the same
+    functions, counts, cubes and assignments; every production
+    connective builds only nodes of its own result."""
+    prod, ref = BddManager(n), ReferenceBddManager(n)
+    pools = {m: [FALSE, TRUE] + [m.var(v) for v in range(n)]
+             for m in (prod, ref)}
+    for op, a, b, c, i in program:
+        for m in (prod, ref):
+            pool = pools[m]
+            f, g, h = (pool[x % len(pool)] for x in (a, b, c))
+            before = m.num_nodes
+            result = _apply(m, op, f, g, h, i, n)
+            if m is prod and op in CONNECTIVES:
+                assert set(range(before, m.num_nodes)) <= \
+                    _reachable(m, result), op
+            pool.append(result)
+
+    for x, y in zip(pools[prod], pools[ref]):
+        assert _truth_table(prod, x, n) == _truth_table(ref, y, n)
+        top = max(prod.support(x), default=-1)
+        for num_vars in sorted({top + 1, n, n + 3}):
+            assert prod.satcount(x, num_vars) == ref.satcount(y, num_vars)
+        assert list(prod.sat_cubes(x)) == list(ref.sat_cubes(y))
+        assert prod.pick_assignment(x) == ref.pick_assignment(y)
+        assert prod.pick_assignment(x, variables=range(n),
+                                    prefer=lambda v: v % 2 == 0) == \
+            ref.pick_assignment(y, variables=range(n),
+                                prefer=lambda v: v % 2 == 0)
+    pairs = list(zip(pools[prod], pools[ref]))
+    nodes = prod.num_nodes
+    for (x, y), (u, w) in zip(pairs, reversed(pairs)):
+        assert prod.implies_check(x, u) == ref.implies_check(y, w)
+    assert prod.num_nodes == nodes  # implies_check builds nothing
+
+
+class TestKernelTables:
+    def test_satcount_rejects_uncovered_support_after_larger_count(self):
+        for m in (BddManager(4), ReferenceBddManager(4)):
+            sub = m.and_(m.var(2), m.var(3))
+            f = m.or_(m.var(0), sub)
+            assert m.satcount(f, num_vars=4) == 10
+            assert m.satcount(f) == 10
+            for node in (f, sub):
+                with pytest.raises(BddError) as excinfo:
+                    m.satcount(node, num_vars=3)
+                assert str(excinfo.value) == \
+                    "num_vars=3 does not cover support variable 3"
+            assert m.satcount(sub, num_vars=5) == 8
+
+    def test_node_limit_stops_every_connective(self):
+        for op in CONNECTIVES:
+            m = BddManager(8, node_limit=12)
+            with pytest.raises(BddNodeLimitError):
+                acc = m.var(0)
+                for v in range(1, 8):
+                    acc = _apply(m, op, acc, m.var(v), m.nvar(v - 1), 0, 8)
+                    acc = m.xor(acc, m.var(v))
+            assert m.num_nodes <= 12
+
+    @staticmethod
+    def held_entries(m):
+        """Entries of every dict the manager holds besides its unique
+        table: the computed tables, nested ones included."""
+        total = 0
+        for name, value in vars(m).items():
+            if isinstance(value, dict) and name != "_unique":
+                total += sum(len(v) if isinstance(v, dict) else 1
+                             for v in value.values())
+        return total
+
+    def test_clear_cache_empties_every_table(self):
+        m = BddManager(4)
+        a, b, c = m.var(0), m.var(1), m.var(2)
+        steps = [
+            lambda: m.and_(a, b), lambda: m.or_(a, c),
+            lambda: m.xor(b, c), lambda: m.xnor(a, c),
+            lambda: m.not_(m.and_(b, c)), lambda: m.ite(a, b, c),
+            lambda: m.exists(m.xor(a, b), [0]),
+            lambda: m.forall(m.or_(b, c), [1]),
+            lambda: m.restrict(m.and_(a, c), {0: True}),
+            lambda: m.compose(m.or_(a, b), 0, c),
+            lambda: m.satcount(m.xor(a, c)),
+            lambda: m.satcount(m.xor(a, c), num_vars=5),
+        ]
+        results = []
+        for step in steps:
+            before = m.stats()["cache_entries"]
+            results.append(step())
+            assert m.stats()["cache_entries"] > before
+        assert m.stats()["cache_entries"] == self.held_entries(m)
+        m.clear_cache()
+        assert m.stats()["cache_entries"] == 0
+        assert self.held_entries(m) == 0
+        assert "cache=0" in repr(m)
+        nodes = m.num_nodes
+        assert [step() for step in steps] == results
+        assert m.num_nodes == nodes
+        assert m.stats()["cache_entries"] > 0
 
 
 class TestDotExport:

@@ -1,5 +1,8 @@
 """Tests for full-domain validation of rewire candidates."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.eco.patch import RewireOp
@@ -7,13 +10,16 @@ from repro.eco.validate import (
     SimulationFilter,
     apply_rewires,
     clone_spec_cone,
-    rewire_acyclic,
-    topological_constraint_ok,
+    pins_unconnected,
+    rewire_legal,
     validate_rewire,
 )
+from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.simulate import random_patterns
 from repro.lint.netlist_rules import lint_netlist
+from tests.conftest import make_random_circuit
+from tests.eco import reference
 
 
 def chain_circuit():
@@ -26,45 +32,50 @@ def chain_circuit():
     return c
 
 
+def pins_ok(c, pins):
+    return pins_unconnected(PatchScreen(c), pins)
+
+
+def acyclic(c, ops):
+    return PatchScreen(c).cycle_path(ops) is None
+
+
 class TestTopologicalConstraint:
     def test_connected_pins_rejected(self):
         c = chain_circuit()
         # g1 feeds g2: a path connects the pins
-        assert not topological_constraint_ok(
-            c, [Pin.gate("g1", 0), Pin.gate("g2", 1)])
+        assert not pins_ok(c, [Pin.gate("g1", 0), Pin.gate("g2", 1)])
 
     def test_disconnected_pins_accepted(self):
         c = chain_circuit()
         c.and_("a", "b", name="h1")
         c.set_output("p", "h1")
-        assert topological_constraint_ok(
-            c, [Pin.gate("g1", 0), Pin.gate("h1", 0)])
+        assert pins_ok(c, [Pin.gate("g1", 0), Pin.gate("h1", 0)])
 
     def test_output_port_pins_always_fine(self):
         c = chain_circuit()
-        assert topological_constraint_ok(
-            c, [Pin.output("o"), Pin.gate("g1", 0)])
+        assert pins_ok(c, [Pin.output("o"), Pin.gate("g1", 0)])
 
     def test_single_pin_fine(self):
         c = chain_circuit()
-        assert topological_constraint_ok(c, [Pin.gate("g2", 0)])
+        assert pins_ok(c, [Pin.gate("g2", 0)])
 
 
 class TestAcyclicity:
     def test_downstream_source_rejected(self):
         c = chain_circuit()
         ops = [RewireOp(Pin.gate("g1", 0), "g3")]
-        assert not rewire_acyclic(c, ops)
+        assert not acyclic(c, ops)
 
     def test_upstream_source_accepted(self):
         c = chain_circuit()
         ops = [RewireOp(Pin.gate("g3", 0), "g1")]
-        assert rewire_acyclic(c, ops)
+        assert acyclic(c, ops)
 
     def test_spec_sources_always_fine(self):
         c = chain_circuit()
         ops = [RewireOp(Pin.gate("g1", 0), "whatever", from_spec=True)]
-        assert rewire_acyclic(c, ops)
+        assert acyclic(c, ops)
 
     def test_joint_cycle_through_two_rewires(self):
         c = Circuit("j")
@@ -75,8 +86,8 @@ class TestAcyclicity:
         # x[0] <- y and y[0] <- x individually fine, together a cycle
         ops = [RewireOp(Pin.gate("x", 0), "y"),
                RewireOp(Pin.gate("y", 0), "x")]
-        assert not rewire_acyclic(c, ops)
-        assert rewire_acyclic(c, ops[:1])
+        assert not acyclic(c, ops)
+        assert acyclic(c, ops[:1])
 
     def test_edge_removed_by_rewire_ignored(self):
         c = chain_circuit()
@@ -85,7 +96,98 @@ class TestAcyclicity:
         # via g2 -> g3? no: g1 feeds nothing else, g2's sinks: g3.
         ops = [RewireOp(Pin.gate("g2", 0), "a"),
                RewireOp(Pin.gate("g1", 0), "g2")]
-        assert rewire_acyclic(c, ops)
+        assert acyclic(c, ops)
+
+
+def _cycle_if_nothing_removed(impl, ops):
+    """Would the new edges close a cycle if the rewired pins kept
+    their old edges too?"""
+    edges = {}
+    for g in impl.gates.values():
+        for f in g.fanins:
+            edges.setdefault(f, set()).add(g.name)
+    new = [(op.source_net, op.pin.owner) for op in ops
+           if not (op.from_spec or op.pin.is_output_port)]
+    for src, dst in new:
+        edges.setdefault(src, set()).add(dst)
+    for src, dst in new:
+        seen, stack = set(), [dst]
+        while stack:
+            n = stack.pop()
+            if n == src:
+                return True
+            if n not in seen:
+                seen.add(n)
+                stack.extend(edges.get(n, ()))
+    return False
+
+
+class TestLegalityMatchesReference:
+    """The screen-based checks give the whole-circuit walks' verdicts."""
+
+    def candidates(self, impl, spec, rng):
+        """Random 1-3 op candidates, plus two shapes random draws
+        rarely hit: a swap of two unrelated gates (a cycle only
+        through both new edges) and a rewire that drops an edge the
+        other rewire's cycle would need."""
+        screen = PatchScreen(impl)
+        gate_pins = [Pin.gate(g, i) for g, gate in impl.gates.items()
+                     for i in range(len(gate.fanins))]
+        port_pins = [Pin.output(p) for p in impl.outputs]
+        nets = list(impl.nets())
+        for _ in range(30):
+            ops = []
+            for _ in range(rng.randint(1, 3)):
+                pin = rng.choice(port_pins) if rng.random() < 0.2 \
+                    else rng.choice(gate_pins)
+                if rng.random() < 0.2:
+                    ops.append(RewireOp(pin, rng.choice(list(spec.gates)),
+                                        from_spec=True))
+                else:
+                    ops.append(RewireOp(pin, rng.choice(nets)))
+            yield ops
+        gates = list(impl.gates)
+        for _ in range(10):
+            a, b = rng.sample(gates, 2)
+            if b in screen.fanout_cone(a) or a in screen.fanout_cone(b):
+                continue
+            yield [RewireOp(Pin.gate(a, 0), b), RewireOp(Pin.gate(b, 0), a)]
+        for g in gates:
+            for i, d in enumerate(impl.gates[g].fanins):
+                if d in impl.gates:
+                    yield [RewireOp(Pin.gate(g, i), impl.inputs[0]),
+                           RewireOp(Pin.gate(d, 0), g)]
+
+    def test_verdicts_match_on_random_candidates(self):
+        rng = random.Random(2019)
+        seen = Counter()
+        for seed in range(40):
+            impl = make_random_circuit(seed, n_inputs=5, n_gates=25)
+            spec = make_random_circuit(seed + 500, n_inputs=5, n_gates=10)
+            screen = PatchScreen(impl)
+            for ops in self.candidates(impl, spec, rng):
+                pins = [op.pin for op in ops]
+                want_pins = reference.topological_constraint_ok(impl, pins)
+                want_acyclic = reference.rewire_acyclic(impl, ops)
+                assert pins_unconnected(screen, pins) == want_pins, ops
+                assert (screen.cycle_path(ops) is None) == want_acyclic, ops
+                assert rewire_legal(screen, ops) == \
+                    (want_pins and want_acyclic), ops
+                seen["acyclic" if want_acyclic else "cyclic"] += 1
+                seen["pins ok" if want_pins else "pins connected"] += 1
+                if not want_acyclic and all(
+                        reference.rewire_acyclic(impl, [op]) for op in ops):
+                    seen["cycle through two new edges"] += 1
+                if want_acyclic and _cycle_if_nothing_removed(impl, ops):
+                    seen["cycle broken by a removed edge"] += 1
+                if any(p.is_output_port for p in pins) and \
+                        any(not p.is_output_port for p in pins):
+                    seen["gate and output pins"] += 1
+                if any(op.from_spec for op in ops) and \
+                        any(not op.from_spec for op in ops):
+                    seen["impl and spec sources"] += 1
+        assert len(seen) == 8, seen
+        assert min(seen.values()) >= 10, seen
 
 
 class TestCloning:

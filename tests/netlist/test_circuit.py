@@ -142,6 +142,18 @@ class TestEdits:
         with pytest.raises(NetlistError):
             small.remove_gate("ghost")
 
+    def test_replace_gate_keeps_place_and_drops_derived_data(self, small):
+        small.derived_cache()["marker"] = 1
+        small.replace_gate("g1", GateType.XOR, ["b", "a", "b"])
+        assert list(small.gates) == ["g1", "g2"]
+        assert small.gates["g1"].gtype is GateType.XOR
+        assert small.gates["g1"].fanins == ["b", "a", "b"]
+        assert "marker" not in small.derived_cache()
+        with pytest.raises(NetlistError):
+            small.replace_gate("ghost", GateType.AND, ["a", "b"])
+        with pytest.raises(NetlistError):
+            small.replace_gate("g1", GateType.AND, ["a", "ghost"])
+
     def test_copy_is_deep(self, small):
         dup = small.copy()
         dup.rewire_pin(Pin.gate("g2", 0), "a")

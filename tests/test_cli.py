@@ -309,8 +309,12 @@ class TestRunStore:
         assert self.run_eco(eco_files, store) == 0
         assert self.run_eco(eco_files, store) == 0
         capsys.readouterr()
+        # each run's p95 is one ~40 ms output: a slow moment on a shared
+        # machine can cross the default 50 ms floor, so the p95 floor is
+        # explicit (CI's regression job uses the same); the default gate
+        # is tested in tests/obs/test_store.py
         code = main(["runs", "--store", store, "regress",
-                     "--baseline", "first"])
+                     "--baseline", "first", "--p95-floor", "0.5"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 

@@ -123,3 +123,25 @@ def test_term_revisions_rectifiable():
     revised = optimize_light(revised)
     result = rectify(impl, revised, EcoConfig(num_samples=8))
     assert check_equivalence(result.patched, revised).equivalent is True
+
+
+@pytest.mark.parametrize("kind", ["gate-type", "wrong-input", "polarity",
+                                  "drop-term", "extra-term"])
+def test_revision_drops_stale_derived_data(kind):
+    """A revision applied to a circuit that was already simulated (so
+    its derived cache holds a topological order and a compiled plan)
+    must simulate like the same revision applied to a fresh copy."""
+    import random
+
+    from repro.netlist.simulate import random_patterns, simulate_words
+
+    spec = control_design(n_inputs=8, n_outputs=4, n_terms=10, seed=1)
+    fresh = spec.copy()
+    words = random_patterns(spec.inputs, random.Random(5))
+    simulate_words(spec, words)
+    apply_revision(spec, kind, seed=1)
+    apply_revision(fresh, kind, seed=1)
+    got = simulate_words(spec, words)
+    want = simulate_words(fresh, words)
+    assert {n: got[n] for n in spec.outputs.values()} == \
+        {n: want[n] for n in fresh.outputs.values()}
