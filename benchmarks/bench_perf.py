@@ -297,7 +297,6 @@ def test_perf_engine_run(benchmark, suite_cases, publish):
         "case_id": PERF_CASE,
         "wall_seconds": benchmark.stats.stats.mean,
         "incremental_solves": counters["incremental_solves"],
-        "encode_cache_hits": counters["encode_cache_hits"],
         "plan_evals": counters["plan_evals"],
         "per_output": dict(result.per_output),
     }
@@ -305,7 +304,6 @@ def test_perf_engine_run(benchmark, suite_cases, publish):
         f"perf: engine run, case {PERF_CASE} "
         f"({benchmark.stats.stats.mean:.2f}s)\n"
         f"  incremental_solves : {data['incremental_solves']}\n"
-        f"  encode_cache_hits  : {data['encode_cache_hits']}\n"
         f"  plan_evals         : {data['plan_evals']}"),
         data=data, run_records=[record])
     assert data["incremental_solves"] > 0

@@ -109,34 +109,21 @@ class PairwiseChecker:
     reuses all learned clauses.  :meth:`sweep` first proves the pairs'
     internal equivalences.
 
-    By default the encoding is structurally hashed and made on first
-    use, and :meth:`rebind` swaps in another left circuit: one checker
-    then serves as an ECO run's equivalence context, from diagnosis to
-    final verification, and each check pays only for the gates that
-    changed.  With a :class:`~repro.sat.cnfcache.CnfCache` both
-    circuits are replayed at once from recorded CNF templates, without
-    hashing: candidate validation draws its counterexamples from that
-    plain encoding.
+    The encoding is structurally hashed and made on first use, and
+    :meth:`rebind` swaps in another left circuit: one checker then
+    serves as an ECO run's equivalence context, from diagnosis to final
+    verification, and each check pays only for the gates that changed.
     """
 
-    def __init__(self, left: Circuit, right: Circuit, cache=None):
+    def __init__(self, left: Circuit, right: Circuit):
         self.left = left
         self.right = right
         self.solver = Solver()
         names = sorted(set(left.inputs) | set(right.inputs))
         self._left_map: Optional[Dict[str, int]] = None
         self._right_map: Optional[Dict[str, int]] = None
-        if cache is None:
-            self._encoder: CircuitEncoder = _HashingEncoder(self.solver)
-            self.input_vars = {n: self.solver.new_var() for n in names}
-        else:
-            self._encoder = CircuitEncoder(self.solver)
-            self._left_map = cache.encode(self.solver, left)
-            shared = {n: self._left_map[n] for n in left.inputs}
-            self._right_map = cache.encode(self.solver, right,
-                                           input_vars=shared)
-            self.input_vars = {n: shared.get(n, self._right_map.get(n))
-                               for n in names}
+        self._encoder = _HashingEncoder(self.solver)
+        self.input_vars = {n: self.solver.new_var() for n in names}
         self._diff_var: Dict[str, int] = {}
         # sweep state, kept across calls and rebinds: the input words
         # (a fixed seed, sorted input order), one signature bit per
@@ -159,9 +146,8 @@ class PairwiseChecker:
 
     @property
     def encoded(self) -> int:
-        """Gates the hashing encoder gave a fresh variable so far
-        (0 for a checker replayed from a CNF cache)."""
-        return getattr(self._encoder, "encoded", 0)
+        """Gates the hashing encoder gave a fresh variable so far."""
+        return self._encoder.encoded
 
     def rebind(self, left: Circuit) -> Dict[str, int]:
         """Compare ``left`` from now on; returns its net -> variable map.

@@ -27,8 +27,8 @@ class EcoConfig:
             failing output.
         choice_limit: number of rewiring-choice assignments of
             ``Xi(c)`` validated per point-set.
-        sat_budget: conflict budget per validation SAT call (the
-            'resource-constrained SAT solver').
+        sat_budget: conflict budget of each validation SAT query, one
+            solve per query (the 'resource-constrained SAT solver').
         bdd_node_limit: node cap of the sampling-domain BDD manager;
             exceeding it shrinks the candidate-pin set and retries.
         error_bias: fraction of the sampling domain drawn from the
@@ -87,15 +87,6 @@ class EcoConfig:
         max_output_attempts: symbolic-search attempts (pin-shrink
             retries, CEGAR rounds) allowed per failing output before
             the engine stops searching it and falls back.
-        sat_budget_initial: starting per-call conflict budget of the
-            adaptive escalation policy (``None`` derives
-            ``sat_budget // 8``); escalated geometrically on UNKNOWN.
-        sat_escalation_factor: geometric growth of the per-call budget
-            between attempts of one validation.
-        sat_escalation_attempts: attempts per validation call before
-            the answer is accepted as UNKNOWN.
-        sat_deescalate_after: consecutive unresolved calls after which
-            the starting budget is halved (de-escalation).
         degrade_on_budget: when a run-level budget (deadline, total SAT
             conflicts, total BDD nodes) is exhausted, checkpoint the
             partial patch and force-complete the remaining failing
@@ -135,10 +126,6 @@ class EcoConfig:
     total_sat_budget: Optional[int] = None
     total_bdd_nodes: Optional[int] = None
     max_output_attempts: int = 8
-    sat_budget_initial: Optional[int] = None
-    sat_escalation_factor: float = 4.0
-    sat_escalation_attempts: int = 3
-    sat_deescalate_after: int = 3
     degrade_on_budget: bool = True
     resume_from: Optional[str] = None
 
@@ -147,8 +134,7 @@ class EcoConfig:
                      "max_rewire_candidates", "prime_limit",
                      "pointset_limit", "choice_limit", "sat_budget",
                      "bdd_node_limit", "joint_outputs",
-                     "jobs", "max_output_attempts",
-                     "sat_escalation_attempts", "sat_deescalate_after"):
+                     "jobs", "max_output_attempts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not (self.use_impl_nets or self.use_spec_nets):
@@ -157,10 +143,7 @@ class EcoConfig:
             raise ValueError("error_bias must be in [0, 1]")
         if self.exact_domain_max_inputs < 0:
             raise ValueError("exact_domain_max_inputs must be >= 0")
-        for name in ("deadline_s", "total_sat_budget", "total_bdd_nodes",
-                     "sat_budget_initial"):
+        for name in ("deadline_s", "total_sat_budget", "total_bdd_nodes"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when set")
-        if self.sat_escalation_factor <= 1.0:
-            raise ValueError("sat_escalation_factor must exceed 1")

@@ -20,7 +20,7 @@ patch inputs are refined by sweeping against existing logic.
 
 Every resource-bounded step runs under a per-run
 :class:`~repro.runtime.supervisor.RunSupervisor`: a wall-clock deadline
-and aggregate SAT/BDD budgets, adaptive per-call SAT escalation, and —
+and aggregate SAT/BDD budgets, one budgeted solve per SAT query, and —
 unless strict mode is configured — *graceful degradation*: when a
 run-level budget blows mid-search, the partial patch is kept and every
 remaining failing output is force-completed via the Section 3.3
@@ -863,23 +863,17 @@ class SysEco:
         lazily — only when a candidate actually survives the screens —
         and kept in ``inc_box`` so every later candidate of the same
         search is a single assumption-based solve on the one persistent
-        miter.  Rewires outside the registered cut go through the
-        copy-and-re-encode :func:`validate_rewire` instead.
+        miter.  Its cut is ``pins``, the search's candidate pins, so it
+        covers every candidate the search proposes.
         """
-        config = self.config
         validator = inc_box[0]
         if validator is None:
-            validator = IncrementalValidator(
-                work, spec, pins, cache=run.cnf_cache,
-                counters=run.counters)
+            validator = IncrementalValidator(work, spec, pins,
+                                             counters=run.counters)
             inc_box[0] = validator
-        if validator.covers(ops):
-            return validator.validate(
-                ops, failing, clone_map,
-                sat_budget=config.sat_budget, target=port, run=run)
-        return validate_rewire(work, spec, ops, failing, clone_map,
-                               sat_budget=config.sat_budget,
-                               target=port, run=run)
+        return validator.validate(
+            ops, failing, clone_map, sat_budget=self.config.sat_budget,
+            target=port, run=run)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -28,14 +28,14 @@ re-checked on one :class:`~repro.lint.patch_rules.PatchScreen` built
 with the validator, so a candidate costs walks of only the fanout
 cones it touches, each memoized across the search.
 
-The validator reuses the run's :class:`~repro.sat.cnfcache.CnfCache`
-for the specification side and exposes the ``solver`` +
-``check_pair(port, conflict_budget)`` surface of
-:class:`~repro.cec.equivalence.PairwiseChecker`, so
-:meth:`RunSupervisor.check_pair_supervised` drives it unchanged —
-budgets, escalation and fault injection apply exactly as on the
-copy-and-re-encode path, which still validates rewires outside the
-registered cut, journal and ``--jobs`` replays, and the fallback.
+The validator exposes the ``solver`` + ``check_pair(port,
+conflict_budget)`` surface of
+:class:`~repro.cec.equivalence.PairwiseChecker`, so the verdict loop
+:func:`~repro.eco.validate.check_ports` and
+:meth:`RunSupervisor.check_pair_supervised` drive it exactly as they
+drive the copy-and-re-encode path,
+:func:`~repro.eco.validate.validate_rewire`, which validates the
+fallback and the journal and ``--jobs`` replays.
 """
 
 from __future__ import annotations
@@ -47,11 +47,15 @@ from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.traverse import topological_order
 from repro.sat import UNKNOWN, UNSAT, Solver
-from repro.sat.cnfcache import CnfCache
 from repro.sat.tseitin import CircuitEncoder
 from repro.cec.equivalence import EquivalenceResult
 from repro.eco.patch import RewireOp
-from repro.eco.validate import ValidationOutcome, apply_rewires, rewire_legal
+from repro.eco.validate import (
+    ValidationOutcome,
+    apply_rewires,
+    check_ports,
+    rewire_legal,
+)
 
 
 class IncrementalValidator:
@@ -62,18 +66,17 @@ class IncrementalValidator:
             the validator is alive: its legality screen and fanout
             cones are built once; the engine rebuilds one per search).
         spec: revised specification ``C'``.
-        pins: candidate rectification pins — the cut points.  Only
-            rewires whose pins are all in this set can be validated
-            (:meth:`covers`); the engine falls back to
-            :func:`~repro.eco.validate.validate_rewire` otherwise.
-        cache: optional :class:`CnfCache` for the specification side.
+        pins: candidate rectification pins — the cut points.  Every
+            rewire validated must have its pins in this set; the
+            engine's candidates do, since their pins are the search's
+            candidate pins.  Sources may be any net of either circuit,
+            since both are encoded whole.
         counters: optional ``RunCounters`` receiving
             ``incremental_solves``.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit,
-                 pins: Sequence[Pin], cache: Optional[CnfCache] = None,
-                 counters=None):
+                 pins: Sequence[Pin], counters=None):
         self.impl = impl
         self.spec = spec
         self.counters = counters
@@ -119,13 +122,11 @@ class IncrementalValidator:
             varmap[name] = self._encoder.encode_gate(gate.gtype, operands)
         self._impl_map = varmap
 
+        # the spec gets its own encoder: its constants must not reuse
+        # the implementation side's constant variables
         shared = {n: varmap[n] for n in spec.inputs if n in varmap}
-        if cache is not None:
-            self._spec_map = cache.encode(solver, spec,
-                                          input_vars=shared)
-        else:
-            self._spec_map = self._encoder.encode(spec,
-                                                  input_vars=shared)
+        self._spec_map = CircuitEncoder(solver).encode(
+            spec, input_vars=shared)
         self.input_vars = {
             n: varmap.get(n, self._spec_map.get(n))
             for n in set(impl.inputs) | set(spec.inputs)
@@ -139,19 +140,6 @@ class IncrementalValidator:
             self._port_var[port] = ov
             self._pin_var[pin] = ov
             self._pin_default[pin] = varmap[impl.outputs[port]]
-
-    # ------------------------------------------------------------------
-    def covers(self, ops: Sequence[RewireOp]) -> bool:
-        """Whether every pin and source of ``ops`` is registered."""
-        for op in ops:
-            if op.pin not in self._pin_var:
-                return False
-            if op.from_spec:
-                if op.source_net not in self._spec_map:
-                    return False
-            elif op.source_net not in self._impl_map:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     def _source_var(self, op: RewireOp) -> int:
@@ -195,6 +183,10 @@ class IncrementalValidator:
         to their original drivers."""
         chosen: Dict[Pin, int] = {}
         for op in ops:  # last op per pin wins, as in apply_rewires
+            if op.pin not in self._pin_var:
+                # no selector could apply it: the verdict would be the
+                # unpatched circuit's
+                raise NetlistError(f"pin {op.pin} is outside the cut")
             chosen[op.pin] = self._source_var(op)
         assumptions = []
         for pin, pv in self._pin_var.items():
@@ -210,7 +202,7 @@ class IncrementalValidator:
         """Is the armed candidate equivalent to the spec on ``port``?
 
         Same surface as :meth:`PairwiseChecker.check_pair`, so the run
-        supervisor's escalation/budget loop drives this unchanged.
+        supervisor's budgeted query drives this unchanged.
         """
         lit = self.diff_literal(port)
         if self.counters is not None:
@@ -269,37 +261,12 @@ class IncrementalValidator:
             return ValidationOutcome(valid=False)
 
         self._arm(ops)
-        failing_set = set(failing)
-        fixed: List[str] = []
-        unknown: List[str] = []
-        target_cex: Optional[Dict[str, bool]] = None
-        for port in self._affected_outputs(ops):
-            if run is not None:
-                run.checkpoint()
-                result = run.check_pair_supervised(self, port)
-            else:
-                result = self.check_pair(port, conflict_budget=sat_budget)
-            if result.equivalent is True:
-                if port in failing_set:
-                    fixed.append(port)
-            elif result.equivalent is False:
-                if port == target:
-                    target_cex = result.counterexample
-                if port not in failing_set:
-                    return ValidationOutcome(
-                        valid=False, target_counterexample=target_cex)
-            else:
-                unknown.append(port)
-                if port not in failing_set:
-                    return ValidationOutcome(
-                        valid=False, target_counterexample=target_cex)
-        if not fixed:
-            return ValidationOutcome(valid=False,
-                                     target_counterexample=target_cex)
-        work = self.impl.copy()
-        local_clone_map = dict(clone_map)
-        new_gates = apply_rewires(work, self.spec, ops, local_clone_map)
-        return ValidationOutcome(valid=True, fixed=tuple(fixed),
-                                 unknown=tuple(unknown), patched=work,
-                                 clone_map=local_clone_map,
-                                 new_gates=new_gates)
+        outcome = check_ports(self, self._affected_outputs(ops), failing,
+                              sat_budget=sat_budget, target=target,
+                              run=run)
+        if outcome.valid:
+            outcome.patched = self.impl.copy()
+            outcome.clone_map = dict(clone_map)
+            outcome.new_gates = apply_rewires(
+                outcome.patched, self.spec, ops, outcome.clone_map)
+        return outcome

@@ -398,23 +398,75 @@ class ValidationOutcome:
     target_counterexample: Optional[Dict[str, bool]] = None
 
 
+def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
+                sat_budget: Optional[int] = None,
+                target: Optional[str] = None,
+                run=None) -> ValidationOutcome:
+    """The per-port verdict loop both validators share.
+
+    Asks ``checker`` (a :class:`PairwiseChecker` over the patched
+    circuit, or an armed
+    :class:`~repro.eco.incremental.IncrementalValidator`) whether each
+    of ``ports`` matches the spec.  A proven port that was failing is
+    fixed; a refuted or UNKNOWN port that was passing rejects the
+    candidate at once.  The outcome is valid when at least one failing
+    port is fixed; the caller attaches the patched circuit.
+
+    With a :class:`~repro.runtime.supervisor.RunSupervisor` as ``run``,
+    each query goes through :meth:`RunSupervisor.check_pair_supervised`
+    (one budgeted solve, conflicts charged to the run) and the deadline
+    is checked between ports; otherwise each query gets ``sat_budget``.
+    """
+    failing_set = set(failing)
+    fixed: List[str] = []
+    unknown: List[str] = []
+    target_cex: Optional[Dict[str, bool]] = None
+    for port in ports:
+        if run is not None:
+            run.checkpoint()
+            result = run.check_pair_supervised(checker, port)
+        else:
+            result = checker.check_pair(port, conflict_budget=sat_budget)
+        if result.equivalent is True:
+            if port in failing_set:
+                fixed.append(port)
+            continue
+        if result.equivalent is False:
+            if port == target:
+                target_cex = result.counterexample
+        else:
+            unknown.append(port)
+        if port not in failing_set:
+            # damaged a passing output, or cannot prove it intact
+            return ValidationOutcome(valid=False,
+                                     target_counterexample=target_cex)
+    if not fixed:
+        return ValidationOutcome(valid=False,
+                                 target_counterexample=target_cex)
+    return ValidationOutcome(valid=True, fixed=tuple(fixed),
+                             unknown=tuple(unknown))
+
+
 def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
                     failing: Sequence[str], clone_map: Dict[str, str],
                     sat_budget: Optional[int] = None,
                     target: Optional[str] = None,
-                    run=None, cache=None) -> ValidationOutcome:
+                    run=None) -> ValidationOutcome:
     """Exact check of a candidate rewire on the full input domain.
 
     A candidate is valid when every output it touches is either proven
     equivalent to the spec or was already failing (it may leave other
     failing outputs broken, but must never damage a passing one).
 
-    With a :class:`~repro.runtime.supervisor.RunSupervisor` as ``run``,
-    each per-output query goes through the supervisor instead of a flat
-    ``sat_budget``: budgets follow the adaptive escalation policy,
-    conflicts are charged to the run's aggregate budget, and the
-    deadline is checked between outputs.  Budget exhaustion then raises
-    a :class:`~repro.errors.ResourceBudgetExceeded` subclass.
+    Each call checks on a fresh structurally hashed
+    :class:`PairwiseChecker` over a patched copy of ``impl``, so a
+    verdict depends only on its arguments.  The engine uses it for the
+    fallback, journal replay and the ``--jobs`` merge's replay; the
+    search validates on an
+    :class:`~repro.eco.incremental.IncrementalValidator`.  The queries
+    run through :func:`check_ports` (supervised when ``run`` is given;
+    budget exhaustion then raises a
+    :class:`~repro.errors.ResourceBudgetExceeded` subclass).
 
     Legality is re-checked on one :class:`PatchScreen` of ``impl``
     built for this call (:func:`rewire_legal`).
@@ -437,39 +489,11 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
         if op.pin.is_output_port:
             affected.add(op.pin.owner)
 
-    failing_set = set(failing)
-    if cache is None and run is not None:
-        cache = getattr(run, "cnf_cache", None)
-    checker = PairwiseChecker(work, spec, cache=cache)
-    fixed: List[str] = []
-    unknown: List[str] = []
-    target_cex: Optional[Dict[str, bool]] = None
-    for port in sorted(affected):
-        if run is not None:
-            run.checkpoint()
-            result = run.check_pair_supervised(checker, port)
-        else:
-            result = checker.check_pair(port, conflict_budget=sat_budget)
-        if result.equivalent is True:
-            if port in failing_set:
-                fixed.append(port)
-        elif result.equivalent is False:
-            if port == target:
-                target_cex = result.counterexample
-            if port not in failing_set:
-                # damaged a good output
-                return ValidationOutcome(valid=False,
-                                         target_counterexample=target_cex)
-        else:
-            unknown.append(port)
-            if port not in failing_set:
-                # cannot prove we kept a passing output intact: reject
-                return ValidationOutcome(valid=False,
-                                         target_counterexample=target_cex)
-    if not fixed:
-        return ValidationOutcome(valid=False,
-                                 target_counterexample=target_cex)
-    return ValidationOutcome(valid=True, fixed=tuple(fixed),
-                             unknown=tuple(unknown), patched=work,
-                             clone_map=local_clone_map,
-                             new_gates=new_gates)
+    outcome = check_ports(PairwiseChecker(work, spec), sorted(affected),
+                          failing, sat_budget=sat_budget, target=target,
+                          run=run)
+    if outcome.valid:
+        outcome.patched = work
+        outcome.clone_map = local_clone_map
+        outcome.new_gates = new_gates
+    return outcome

@@ -13,7 +13,7 @@ relies on but Python cannot express:
 * ``RI003`` — no direct ``.solve()`` calls outside the sanctioned
   solver modules; engine code must route SAT queries through
   :meth:`repro.runtime.supervisor.RunSupervisor.check_pair_supervised`
-  so budgets and escalation apply.
+  so the run's budgets and fault injection apply.
 * ``RI004`` — no bare ``except:`` (it swallows ``KeyboardInterrupt``
   and masks programming errors).
 * ``RI005`` — no mutation of :class:`~repro.netlist.circuit.Circuit`
@@ -168,8 +168,8 @@ class _InvariantVisitor(ast.NodeVisitor):
                 "modules",
                 node,
                 hint="route the query through "
-                     "RunSupervisor.check_pair_supervised so budgets "
-                     "and escalation apply")
+                     "RunSupervisor.check_pair_supervised so the "
+                     "run's budgets and fault injection apply")
         if func.attr in _MUTATING_METHODS \
                 and not _allowed(self.module, MUTATION_ALLOWED):
             self._flag(

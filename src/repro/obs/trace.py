@@ -3,7 +3,7 @@
 A :class:`Trace` records a tree of named, timed *spans* — one per
 phase of a run (per-output rectification, point-set enumeration,
 choice search, SAT validation, BDD sessions, ...) — plus instant
-*events* (degradation, escalation retries, node-limit hits).  Each
+*events* (degradation, UNKNOWN SAT queries, node-limit hits).  Each
 span carries free-form tags and, when the trace is bound to a
 :class:`~repro.runtime.counters.RunCounters` object, the *delta* of
 every counter over the span's lifetime, so SAT conflicts and BDD nodes

@@ -1,4 +1,4 @@
-"""Run supervision: deadlines, budgets, escalation, fault injection.
+"""Run supervision: deadlines, budgets, fault injection.
 
 This package gives every resource-bounded step of the ECO flow a single
 run-level contract (see ``docs/architecture.md``, section "Run
@@ -6,9 +6,8 @@ supervision & failure handling"):
 
 * :class:`RunBudget` — wall-clock deadline plus aggregate SAT conflict
   and BDD node caps for a whole run;
-* :class:`EscalationPolicy` — adaptive per-call SAT budgets (geometric
-  escalation on ``UNKNOWN``, de-escalation after repeated failures);
-* :class:`RunSupervisor` — bundles budget, escalation, counters and the
+* :class:`RunSupervisor` — bundles the budget, the per-query SAT
+  conflict budget (one budgeted solve per query), counters and the
   degradation state the engine consults;
 * :class:`FaultInjector` — deterministic fault injection at named call
   sites, making every degradation branch unit-testable;
@@ -21,7 +20,6 @@ of the layering next to ``netlist`` / ``bdd`` / ``sat``.
 from repro.runtime.budget import RunBudget
 from repro.runtime.clock import now
 from repro.runtime.counters import RunCounters
-from repro.runtime.escalate import EscalationPolicy
 from repro.runtime.faultinject import (
     FAULT_CRASH,
     FAULT_EXHAUST,
@@ -45,7 +43,6 @@ __all__ = [
     "RunBudget",
     "now",
     "RunCounters",
-    "EscalationPolicy",
     "Fault",
     "FaultInjector",
     "InjectedClock",

@@ -33,8 +33,6 @@ class RunCounters:
 
     * ``incremental_solves`` — assumption-based candidate solves on the
       persistent validation miter;
-    * ``encode_cache_hits`` — CNF encodings served by template replay
-      instead of a fresh Tseitin walk;
     * ``plan_evals`` — batched evaluations through compiled simulation
       plans (engine-visible ones: screens and samplers);
     * ``parallel_workers`` — worker processes that contributed results
@@ -42,9 +40,8 @@ class RunCounters:
 
     Supervision (the :mod:`repro.runtime` layer writes these):
 
-    * ``sat_escalations`` — per-call budget escalation retries;
-    * ``sat_deescalations`` — starting-budget halvings;
-    * ``sat_unknowns`` — validation attempts that stayed UNKNOWN;
+    * ``sat_unknowns`` — supervised SAT queries left UNKNOWN (budget
+      spent or fault-injected);
     * ``sat_conflicts_spent`` — aggregate conflicts across the run;
     * ``bdd_nodes_spent`` — aggregate BDD nodes across all sessions;
     * ``bdd_sessions`` — symbolic sessions opened;
@@ -71,11 +68,8 @@ class RunCounters:
     joint_commits: int = 0
     resubstitutions: int = 0
     incremental_solves: int = 0
-    encode_cache_hits: int = 0
     plan_evals: int = 0
     parallel_workers: int = 0
-    sat_escalations: int = 0
-    sat_deescalations: int = 0
     sat_unknowns: int = 0
     sat_conflicts_spent: int = 0
     bdd_nodes_spent: int = 0

@@ -13,10 +13,11 @@ Sites observed by the supervisor:
 * :data:`SITE_BDD` — once per BDD session the engine opens.  A fault
   raises :class:`~repro.errors.BddNodeLimitError` as if the manager
   blew its node limit immediately.
-* :data:`SITE_SAT` — once per supervised SAT validation attempt.
-  Payload ``"unknown"`` forces the attempt to return ``UNKNOWN``
-  without solving (exercising escalation); payload ``"exhaust"``
-  raises :class:`~repro.errors.SatBudgetExceeded` as if the aggregate
+* :data:`SITE_SAT` — once per supervised SAT query.  Payload
+  ``"unknown"`` makes the query ``UNKNOWN`` without solving, as if its
+  conflict budget ran out (the engine then treats the output as
+  unproven); payload ``"exhaust"`` raises
+  :class:`~repro.errors.SatBudgetExceeded` as if the aggregate
   conflict budget were spent.
 * :data:`SITE_CLOCK` — once per wall-clock read.  Payload is a number
   of seconds the clock jumps forward (simulating a stall that blows a

@@ -5,8 +5,7 @@ threads it through every resource-bounded step.  It bundles
 
 * a :class:`~repro.runtime.budget.RunBudget` (deadline + aggregate SAT
   conflict / BDD node caps),
-* an :class:`~repro.runtime.escalate.EscalationPolicy` (adaptive
-  per-call SAT budgets),
+* the per-query SAT conflict budget (one budgeted solve per query),
 * a :class:`~repro.runtime.faultinject.FaultInjector` (deterministic
   failure testing),
 * the run's :class:`~repro.runtime.counters.RunCounters`,
@@ -25,9 +24,7 @@ from typing import Dict, List, Optional, Set
 from repro.errors import BddNodeLimitError, SatBudgetExceeded
 from repro.obs.trace import ensure_trace
 from repro.runtime.budget import RunBudget
-from repro.sat.cnfcache import CnfCache
 from repro.runtime.counters import RunCounters
-from repro.runtime.escalate import MIN_INITIAL, EscalationPolicy
 from repro.runtime.faultinject import (
     FAULT_EXHAUST,
     FAULT_UNKNOWN,
@@ -45,7 +42,9 @@ class RunSupervisor:
 
     Args:
         budget: the run-level budget contract.
-        escalation: per-call SAT budget schedule.
+        sat_budget: conflict budget of one supervised SAT query
+            (``None`` = uncapped), further capped by what is left of
+            the run's aggregate budget.
         max_output_attempts: symbolic-search attempts allowed per
             failing output before the engine stops searching it and
             falls back (``None`` = unlimited).
@@ -56,12 +55,13 @@ class RunSupervisor:
             installs the no-op trace.
     """
 
-    def __init__(self, budget: RunBudget, escalation: EscalationPolicy,
+    def __init__(self, budget: RunBudget,
+                 sat_budget: Optional[int] = None,
                  max_output_attempts: Optional[int] = None,
                  injector: Optional[FaultInjector] = None,
                  trace=None):
         self.budget = budget
-        self.escalation = escalation
+        self.sat_budget = sat_budget
         self.max_output_attempts = max_output_attempts
         self.injector = injector or FaultInjector()
         self.trace = ensure_trace(trace)
@@ -72,18 +72,12 @@ class RunSupervisor:
         #: mapped to the reason; the engine skips searching them and
         #: completes them via the fallback (port -> reason)
         self.quarantined: Dict[str, str] = {}
-        #: run-wide CNF template cache (spec cones, miter encodings)
-        self.cnf_cache = CnfCache(counters=self.counters)
         #: per-run scratch for counterexample-guided refinement
         self.cegar_cex: List[Dict[str, bool]] = []
         self._attempts: Dict[str, int] = {}
         self._capped: Set[str] = set()
         self._bdd_spans: List = []
         self._live_bdd: List = []
-        # escalation counts absorbed from parallel workers; the local
-        # escalation policy's totals are reported on top of these
-        self._merged_escalations = 0
-        self._merged_deescalations = 0
         #: the run's :class:`~repro.obs.sampler.RunSampler` (traced
         #: runs only); every checkpoint and node hook ticks it
         self.sampler = None
@@ -104,16 +98,7 @@ class RunSupervisor:
             total_sat_conflicts=config.total_sat_budget,
             total_bdd_nodes=config.total_bdd_nodes,
             clock=clock)
-        initial = config.sat_budget_initial
-        if initial is None:
-            initial = max(MIN_INITIAL, config.sat_budget // 8)
-        escalation = EscalationPolicy(
-            initial=min(initial, config.sat_budget),
-            factor=config.sat_escalation_factor,
-            ceiling=config.sat_budget,
-            max_attempts=config.sat_escalation_attempts,
-            deescalate_after=config.sat_deescalate_after)
-        return cls(budget, escalation,
+        return cls(budget, config.sat_budget,
                    max_output_attempts=config.max_output_attempts,
                    injector=injector, trace=trace)
 
@@ -245,56 +230,40 @@ class RunSupervisor:
     def check_pair_supervised(self, checker, port: str):
         """One output-pair equivalence query under run supervision.
 
-        Attempts the query with the escalation policy's budgets (small
-        first, geometrically larger on ``UNKNOWN``), charging actual
-        conflicts spent to the run budget.  Observes :data:`SITE_SAT`
-        once per attempt: an armed ``"unknown"`` fault forces that
-        attempt to UNKNOWN without solving, an ``"exhaust"`` fault
-        raises :class:`SatBudgetExceeded`.
+        Makes one solve, granted :attr:`sat_budget` capped by the run's
+        remaining SAT budget, and charges the conflicts it spent.
+        Observes :data:`SITE_SAT` once per query: an armed ``"unknown"``
+        fault makes the query UNKNOWN without solving, an ``"exhaust"``
+        fault raises :class:`SatBudgetExceeded`.
         """
         from repro.cec.equivalence import EquivalenceResult
 
         verdict = {True: "equivalent", False: "counterexample",
                    None: "unknown"}
         result = EquivalenceResult(None)
-        resolved = False
-        attempts = 0
         conflicts = 0
         with self.trace.span("sat.validate", port=port) as span:
             try:
-                for requested in self.escalation.attempt_budgets():
-                    attempts += 1
-                    granted = self.budget.grant_sat(requested)
-                    fault = self.injector.observe(SITE_SAT)
-                    if fault is not None and fault.payload == FAULT_EXHAUST:
-                        self.escalation.record(False)
-                        raise SatBudgetExceeded(
-                            "fault injection: total SAT conflict budget "
-                            f"spent at call {self.injector.calls(SITE_SAT)}")
-                    if fault is not None and fault.payload == FAULT_UNKNOWN:
-                        result = EquivalenceResult(None)
-                    else:
-                        before = checker.solver.conflicts
-                        result = checker.check_pair(
-                            port, conflict_budget=granted)
-                        spent = checker.solver.conflicts - before
-                        self.budget.charge_sat(spent)
-                        self.counters.sat_conflicts_spent += spent
-                        conflicts += spent
-                    if result.equivalent is not None:
-                        resolved = True
-                        break
+                granted = self.budget.grant_sat(self.sat_budget)
+                fault = self.injector.observe(SITE_SAT)
+                if fault is not None and fault.payload == FAULT_EXHAUST:
+                    raise SatBudgetExceeded(
+                        "fault injection: total SAT conflict budget "
+                        f"spent at call {self.injector.calls(SITE_SAT)}")
+                if fault is None or fault.payload != FAULT_UNKNOWN:
+                    before = checker.solver.conflicts
+                    result = checker.check_pair(
+                        port, conflict_budget=granted)
+                    conflicts = checker.solver.conflicts - before
+                    self.budget.charge_sat(conflicts)
+                    self.counters.sat_conflicts_spent += conflicts
+                if result.equivalent is None:
                     self.counters.sat_unknowns += 1
                     self.trace.event("sat.unknown", port=port,
-                                     budget=granted, attempt=attempts)
+                                     budget=granted)
             finally:
-                span.tag(attempts=attempts, conflicts=conflicts,
+                span.tag(conflicts=conflicts,
                          result=verdict[result.equivalent])
-        self.escalation.record(resolved)
-        self.counters.sat_escalations = (
-            self._merged_escalations + self.escalation.escalations)
-        self.counters.sat_deescalations = (
-            self._merged_deescalations + self.escalation.deescalations)
         return result
 
     # ------------------------------------------------------------------
@@ -350,26 +319,14 @@ class RunSupervisor:
         """Merge one worker's telemetry into this run.
 
         Adds every counter that names a ``RunCounters`` field and skips
-        any other name (escalation totals go through the merged
-        base so later local assignments do not clobber them), charges
-        the worker's actual SAT/BDD spend to the aggregate budget, and
-        propagates degradation.
+        any other name, charges the worker's actual SAT/BDD spend to
+        the aggregate budget, and propagates degradation.
         """
         known = self.counters.as_dict()
         for name, value in counters.items():
-            if name not in known or not value:
-                continue
-            if name == "sat_escalations":
-                self._merged_escalations += value
-            elif name == "sat_deescalations":
-                self._merged_deescalations += value
-            else:
+            if name in known and value:
                 setattr(self.counters, name,
                         getattr(self.counters, name) + value)
-        self.counters.sat_escalations = (
-            self._merged_escalations + self.escalation.escalations)
-        self.counters.sat_deescalations = (
-            self._merged_deescalations + self.escalation.deescalations)
         self.budget.charge_sat(counters.get("sat_conflicts_spent", 0))
         self.budget.charge_bdd(counters.get("bdd_nodes_spent", 0))
         self.counters.parallel_workers += 1
@@ -384,7 +341,6 @@ class RunSupervisor:
                  f"sat_conflicts={self.budget.sat_spent}",
                  f"bdd_nodes={c.bdd_nodes_spent}",
                  f"bdd_sessions={c.bdd_sessions}",
-                 f"escalations={c.sat_escalations}",
                  f"fallbacks={c.fallbacks}"]
         if self.budget.total_sat_conflicts is not None:
             parts[1] += f"/{self.budget.total_sat_conflicts}"

@@ -15,7 +15,6 @@ to validate sampled rewire candidates (Section 5.1).
 from repro.sat.solver import Solver, SAT, UNSAT, UNKNOWN
 from repro.sat.cnf import Cnf, parse_dimacs, to_dimacs
 from repro.sat.tseitin import CircuitEncoder, encode_circuit
-from repro.sat.cnfcache import CnfCache, CnfTemplate
 
 __all__ = [
     "Solver",
@@ -27,6 +26,4 @@ __all__ = [
     "to_dimacs",
     "CircuitEncoder",
     "encode_circuit",
-    "CnfCache",
-    "CnfTemplate",
 ]

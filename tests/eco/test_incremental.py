@@ -7,9 +7,9 @@ rejections for topological-constraint and acyclicity violations — and
 any patched circuit it materializes must be functionally identical to
 that one.  The property tests below drive both validators with
 the same randomized circuits, pins and rewire ops and compare them
-check by check; the fault-injection tests confirm budgets, escalation
-and strict mode behave identically when the supervised solver runs
-through the incremental miter.
+check by check; the fault-injection tests confirm budgets, UNKNOWN
+queries and strict mode behave identically when the supervised solver
+runs through the incremental miter.
 """
 
 import itertools
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cec.equivalence import check_equivalence
-from repro.errors import SatBudgetExceeded
+from repro.errors import NetlistError, SatBudgetExceeded
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.simulate import evaluate_outputs
 from repro.netlist.traverse import topological_order
@@ -32,7 +32,7 @@ from repro.runtime import (
 )
 from repro.runtime.supervisor import RunSupervisor
 from repro.eco.config import EcoConfig
-from repro.eco.engine import rectify
+from repro.eco.engine import SysEco, rectify
 from repro.eco.incremental import IncrementalValidator
 from repro.eco.patch import RewireOp
 from repro.eco.validate import validate_rewire
@@ -117,7 +117,6 @@ class TestVerdictParity:
         for trial in range(4):
             ops = random_ops(impl, spec, pins, rng,
                              count=rng.randrange(1, 3))
-            assert validator.covers(ops)
             legacy = validate_rewire(impl, spec, ops, failing, {})
             incremental = validator.validate(ops, failing, {})
             assert_same_outcome(impl, spec, legacy, incremental)
@@ -142,22 +141,15 @@ class TestVerdictParity:
         assert check_equivalence(incremental.patched, spec).equivalent \
             is True
 
-    def test_covers_rejects_unregistered_pins_and_sources(self):
+    def test_pin_outside_the_cut_is_refused(self):
         spec = make_random_circuit(21, n_inputs=4, n_gates=12)
         impl = mutate(spec, 22)
-        gname = list(impl.gates)[0]
-        pin = Pin.gate(gname, 0)
-        validator = IncrementalValidator(impl, spec, [pin])
-        other = Pin.gate(list(impl.gates)[1], 0)
-        assert not validator.covers(
-            [RewireOp(pin=other, source_net=impl.inputs[0])])
-        assert not validator.covers(
-            [RewireOp(pin=pin, source_net="no-such-net")])
-        assert not validator.covers(
-            [RewireOp(pin=pin, source_net="no-such-net",
-                      from_spec=True)])
-        assert validator.covers(
-            [RewireOp(pin=pin, source_net=impl.inputs[0])])
+        gates = list(impl.gates)
+        validator = IncrementalValidator(impl, spec, [Pin.gate(gates[0], 0)])
+        ops = [RewireOp(pin=Pin.gate(gates[1], 0),
+                        source_net=impl.inputs[0])]
+        with pytest.raises(NetlistError, match="outside the cut"):
+            validator.validate(ops, list(impl.outputs), {})
 
     def test_counts_incremental_solves(self):
         spec = make_random_circuit(0, n_inputs=4, n_gates=12)
@@ -248,10 +240,15 @@ class TestEngineParity:
         assert impl is not None
         assert failing_outputs(impl, spec)  # seeds chosen to be visible
         fast = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
-        # a validator that covers no rewire sends every candidate
-        # through validate_rewire
-        monkeypatch.setattr(IncrementalValidator, "covers",
-                            lambda self, ops: False)
+
+        def legacy_path(self, run, inc_box, work, spec, pins, ops,
+                        failing, clone_map, port):
+            return validate_rewire(work, spec, ops, failing, clone_map,
+                                   sat_budget=self.config.sat_budget,
+                                   target=port, run=run)
+
+        # every candidate goes through validate_rewire instead
+        monkeypatch.setattr(SysEco, "_validate_candidate", legacy_path)
         slow = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
         assert check_equivalence(fast.patched, spec).equivalent is True
         assert check_equivalence(slow.patched, spec).equivalent is True

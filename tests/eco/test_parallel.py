@@ -118,16 +118,6 @@ class TestTelemetryMerge:
                            "nonzero": 2})
         assert run.counters.as_dict() == expected
 
-    def test_absorb_worker_escalations_survive_later_assignment(self):
-        run = RunSupervisor.from_config(EcoConfig())
-        run.absorb_worker({"sat_escalations": 4, "sat_deescalations": 1})
-        # check_pair_supervised re-assigns sat_escalations from the
-        # local escalation object; the merged base must persist
-        run.counters.sat_escalations = (
-            run._merged_escalations + run.escalation.escalations)
-        assert run.counters.sat_escalations == 4
-        assert run.counters.sat_deescalations == 1
-
     def test_absorb_worker_propagates_degradation(self):
         run = RunSupervisor.from_config(EcoConfig())
         run.absorb_worker({}, degraded=True, degrade_reason="worker hit "

@@ -5,7 +5,7 @@ through the public API (``rectify(impl, spec, injector=...)``) — no
 monkeypatching of engine internals:
 
 * deadline expiry mid-run (simulated wall-clock jump);
-* injected SAT ``UNKNOWN`` streaks (escalation, then fallback);
+* injected SAT ``UNKNOWN`` streaks (unproven outputs, then fallback);
 * injected aggregate SAT budget exhaustion;
 * injected BDD node-limit hits and aggregate BDD node exhaustion;
 * strict mode turning each degradation into a raised
@@ -92,24 +92,11 @@ class TestSatUnknownEscalation:
         result = rectify(impl, spec, EcoConfig(num_samples=4),
                          injector=injector)
         # every supervised validation stayed UNKNOWN: the engine must
-        # have escalated, given up on the search, and used the fallback
+        # have given up on the search and used the fallback
         assert result.counters.sat_unknowns > 0
-        assert result.counters.sat_escalations > 0
         assert result.counters.fallbacks >= 1
         assert result.degraded is False  # UNKNOWN is not exhaustion
         assert result.per_output == {"o": "fallback"}
-        assert_verified(result, spec)
-
-    def test_unresolved_calls_deescalate(self):
-        impl, spec = single_bug_circuits()
-        injector = FaultInjector().arm(
-            SITE_SAT, range(1, 301), payload=FAULT_UNKNOWN)
-        result = rectify(impl, spec,
-                         EcoConfig(num_samples=4, sat_budget_initial=4096,
-                                   sat_deescalate_after=1),
-                         injector=injector)
-        if result.counters.sat_unknowns >= 2:
-            assert result.counters.sat_deescalations >= 1
         assert_verified(result, spec)
 
 
@@ -194,8 +181,7 @@ class TestConfigValidation:
         "sat_budget", "bdd_node_limit", "choice_limit",
         "pointset_limit", "joint_outputs",
         "max_candidate_pins", "max_rewire_candidates", "prime_limit",
-        "max_output_attempts", "sat_escalation_attempts",
-        "sat_deescalate_after",
+        "max_output_attempts",
     ])
     def test_positive_int_fields_rejected_at_zero(self, field):
         with pytest.raises(ValueError):
@@ -203,16 +189,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field", [
         "deadline_s", "total_sat_budget", "total_bdd_nodes",
-        "sat_budget_initial",
     ])
     def test_optional_budgets_must_be_positive_when_set(self, field):
         with pytest.raises(ValueError):
             EcoConfig(**{field: 0})
         EcoConfig(**{field: 1})  # and fine when positive
-
-    def test_escalation_factor_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            EcoConfig(sat_escalation_factor=1.0)
 
     def test_defaults_still_valid(self):
         EcoConfig()

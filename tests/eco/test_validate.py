@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.eco.config import EcoConfig
 from repro.eco.patch import RewireOp
 from repro.eco.validate import (
     SimulationFilter,
@@ -17,6 +18,7 @@ from repro.eco.validate import (
 from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.simulate import random_patterns
+from repro.runtime.supervisor import RunSupervisor
 from repro.lint.netlist_rules import lint_netlist
 from tests.conftest import make_random_circuit
 from tests.eco import reference
@@ -279,6 +281,26 @@ class TestValidateRewire:
         ops = [RewireOp(Pin.gate("g1", 0), "g2")]
         outcome = validate_rewire(impl, spec, ops, ["o"], {})
         assert not outcome.valid
+
+    def test_supervised_verdicts_do_not_depend_on_history(self):
+        # two patched copies that differ only in the wiring of g
+        impl = Circuit("impl")
+        impl.add_inputs(["x", "y", "z"])
+        impl.set_output("o", impl.and_("x", "y", name="g"))
+        spec = Circuit("spec")
+        spec.add_inputs(["x", "y", "z"])
+        spec.set_output("o", spec.and_("x", "z", name="s"))
+        run = RunSupervisor.from_config(EcoConfig())
+        verdicts = {}
+        for source in ("x", "z"):
+            ops = [RewireOp(Pin.gate("g", 1), source)]
+            supervised = validate_rewire(impl, spec, ops, ["o"], {},
+                                         run=run)
+            alone = validate_rewire(impl, spec, ops, ["o"], {})
+            assert supervised.valid == alone.valid
+            assert supervised.fixed == alone.fixed
+            verdicts[source] = supervised.valid
+        assert verdicts == {"x": False, "z": True}
 
 
 class TestSimulationFilter:

@@ -1,4 +1,4 @@
-"""Unit tests for run budgets, escalation and the error hierarchy."""
+"""Unit tests for run budgets and the error hierarchy."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.errors import (
     ResourceBudgetExceeded,
     SatBudgetExceeded,
 )
-from repro.runtime import EscalationPolicy, RunBudget
+from repro.runtime import RunBudget
 
 
 class FakeClock:
@@ -101,47 +101,3 @@ class TestRunBudgetBdd:
         with pytest.raises(ResourceBudgetExceeded) as info:
             budget.grant_bdd(5)
         assert not isinstance(info.value, BddNodeLimitError)
-
-
-class TestEscalationPolicy:
-    def test_geometric_attempt_budgets(self):
-        policy = EscalationPolicy(initial=100, factor=2.0, ceiling=10000,
-                                  max_attempts=4)
-        assert list(policy.attempt_budgets()) == [100, 200, 400, 800]
-        assert policy.escalations == 3
-
-    def test_ceiling_stops_escalation(self):
-        policy = EscalationPolicy(initial=600, factor=4.0, ceiling=1000,
-                                  max_attempts=5)
-        assert list(policy.attempt_budgets()) == [600, 1000]
-
-    def test_deescalation_after_repeated_failures(self):
-        policy = EscalationPolicy(initial=1024, factor=2.0, ceiling=4096,
-                                  max_attempts=2, deescalate_after=3)
-        for _ in range(3):
-            policy.record(False)
-        assert policy.current_initial == 512
-        assert policy.deescalations == 1
-
-    def test_success_restores_configured_initial(self):
-        policy = EscalationPolicy(initial=1024, factor=2.0, ceiling=4096,
-                                  max_attempts=2, deescalate_after=1)
-        policy.record(False)
-        assert policy.current_initial == 512
-        policy.record(True)
-        assert policy.current_initial == 1024
-
-    def test_deescalation_floors(self):
-        policy = EscalationPolicy(initial=70, factor=2.0,
-                                  max_attempts=1, deescalate_after=1)
-        for _ in range(10):
-            policy.record(False)
-        assert policy.current_initial == 64  # MIN_INITIAL
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            EscalationPolicy(initial=0)
-        with pytest.raises(ValueError):
-            EscalationPolicy(initial=10, factor=1.0)
-        with pytest.raises(ValueError):
-            EscalationPolicy(initial=10, max_attempts=0)
