@@ -349,9 +349,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         config = diagnosis.suggest_config()
         print("\nsuggested engine settings:")
         print(f"  --samples {config.num_samples}")
-        if config.exact_domain_max_inputs:
-            print(f"  exact domain (support <= "
-                  f"{config.exact_domain_max_inputs} inputs)")
     return 0
 
 

@@ -58,15 +58,8 @@ class EcoDiagnosis:
     def suggest_config(self):
         """A reasonable :class:`EcoConfig` for this instance."""
         from repro.eco.config import EcoConfig
-        widest = max(
-            (d.impl_support for d in self.per_output.values()),
-            default=0)
-        exact = 8 if widest <= 8 else 0
         rare = any(d.error_rate < 0.02 for d in self.per_output.values())
-        return EcoConfig(
-            num_samples=32 if rare else 16,
-            exact_domain_max_inputs=exact,
-        )
+        return EcoConfig(num_samples=32 if rare else 16)
 
 
 def error_rate(impl: Circuit, spec: Circuit, port: str,

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.bdd.manager import FALSE, TRUE
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.traverse import topological_order
+from repro.eco.points import compute_h_function
 from repro.eco.rewiring import RewireCandidate
 from repro.eco.sampling import SamplingDomain
 from repro.obs.trace import ensure_trace
@@ -114,52 +115,31 @@ def enumerate_rewiring_choices(
         by total cost.  The all-trivial choice is excluded (it denotes
         'change nothing' and cannot rectify a failing output).
     """
-    return enumerate_rewiring_choices_joint(
-        impl, {port: spec_value}, domain, pins, candidates,
-        limit=limit, cost_fn=cost_fn, trace=trace)
-
-
-def enumerate_rewiring_choices_joint(
-        impl: Circuit, spec_values,
-        domain: SamplingDomain,
-        pins: Sequence[Pin],
-        candidates: Sequence[Sequence[RewireCandidate]],
-        limit: int = 16,
-        cost_fn: Optional[CostFn] = None,
-        trace=None) -> List[Choice]:
-    """Joint multi-output version of :func:`enumerate_rewiring_choices`.
-
-    ``spec_values`` maps each output port to its revised function in
-    the sampling domain; a valid choice must satisfy Theorem 1 for
-    every listed output with the *same* rewiring (the shared ``R``).
-    """
     with ensure_trace(trace).span(
-            "choices.enumerate", outputs=",".join(spec_values),
-            pins=len(pins)) as _span:
-        result = _enumerate_choices_joint(
-            impl, spec_values, domain, pins, candidates, limit, cost_fn)
+            "choices.enumerate", output=port, pins=len(pins)) as _span:
+        result = _enumerate_choices(
+            impl, port, domain, pins, candidates, spec_value, limit,
+            cost_fn)
         _span.tag(choices=len(result))
         return result
 
 
-def _enumerate_choices_joint(
-        impl: Circuit, spec_values,
+def _enumerate_choices(
+        impl: Circuit, port: str,
         domain: SamplingDomain,
         pins: Sequence[Pin],
         candidates: Sequence[Sequence[RewireCandidate]],
+        spec_value: int,
         limit: int,
         cost_fn: Optional[CostFn]) -> List[Choice]:
-    from repro.eco.points import compute_h_functions
-
     manager = domain.manager
     cost_fn = cost_fn or default_cost
     m = len(pins)
-    ports = list(spec_values)
 
     y_vars = [manager.add_var() for _ in range(m)]
     y_nodes = [manager.var(v) for v in y_vars]
-    h_map = compute_h_functions(impl, ports, domain, pins, y_nodes,
-                                selector=None)
+    h = compute_h_function(impl, port, domain, pins, y_nodes,
+                           selector=None)
 
     # decision words c_i, MSB first
     c_words: List[List[int]] = []
@@ -188,14 +168,9 @@ def _enumerate_choices_joint(
         valid_c = manager.and_(valid_c, word_valid)
 
     not_r = manager.not_(r_relation)
-    f = TRUE
-    for port in ports:
-        spec_value = spec_values[port]
-        h = h_map[port]
-        lower = manager.and_(spec_value, r_relation)
-        upper = manager.or_(spec_value, not_r)
-        f = manager.and_(f, manager.and_(
-            manager.implies(lower, h), manager.implies(h, upper)))
+    lower = manager.and_(spec_value, r_relation)
+    upper = manager.or_(spec_value, not_r)
+    f = manager.and_(manager.implies(lower, h), manager.implies(h, upper))
     xi = manager.and_(manager.forall(f, list(domain.z_vars) + y_vars),
                       valid_c)
     if xi == FALSE:

@@ -10,6 +10,10 @@ from typing import Optional
 class EcoConfig:
     """Tuning knobs of the rectification search.
 
+    The engine runs the paper's flow (Section 5.2): each failing output
+    gets one single-output search in an error-biased sampling domain,
+    then the guaranteed fallback if no candidate validates.
+
     Attributes:
         num_samples: size ``N`` of the sampling domain (Section 5.1);
             ``ceil(log2 N)`` ``z`` variables are allocated.  Larger
@@ -47,21 +51,6 @@ class EcoConfig:
             (the paper's future-work direction, Section 7): cloned
             patch logic is re-expressed as single gates over existing
             nets where SAT proves the equality.
-        sample_diversify: harvest a larger error pool and keep a greedy
-            max-Hamming-distance subset (the paper's other future-work
-            direction: sampling domain selection).
-        exact_domain_max_inputs: when a failing cone's structural
-            support has at most this many inputs, enumerate it
-            completely instead of sampling — the Section 4 computation
-            in its exact form (0 disables; 8 is a practical value).
-        cegar_refinement: when every sampled candidate for an output is
-            refuted on the full domain, fold the refuting
-            counterexamples back into the sample set and search once
-            more — counterexample-guided domain refinement.
-        joint_outputs: when greater than 1, failing outputs whose cones
-            overlap are rectified *jointly* — one point-set and one
-            rewiring must fix the whole group (addresses the paper's
-            single-output-view limitation; groups of this size at most).
         seed: randomization seed (sampling, simulation).
 
     Performance machinery (see docs/performance.md):
@@ -85,8 +74,8 @@ class EcoConfig:
             sessions of a run (``None`` = unlimited; ``bdd_node_limit``
             still caps each session).
         max_output_attempts: symbolic-search attempts (pin-shrink
-            retries, CEGAR rounds) allowed per failing output before
-            the engine stops searching it and falls back.
+            retries) allowed per failing output before the engine stops
+            searching it and falls back.
         degrade_on_budget: when a run-level budget (deadline, total SAT
             conflicts, total BDD nodes) is exhausted, checkpoint the
             partial patch and force-complete the remaining failing
@@ -116,10 +105,6 @@ class EcoConfig:
     utility_ordering: bool = True
     level_aware: bool = False
     resynthesis: bool = False
-    sample_diversify: bool = False
-    exact_domain_max_inputs: int = 0
-    cegar_refinement: bool = True
-    joint_outputs: int = 1
     jobs: int = 1
     seed: int = 2019
     deadline_s: Optional[float] = None
@@ -133,16 +118,13 @@ class EcoConfig:
         for name in ("num_samples", "max_points", "max_candidate_pins",
                      "max_rewire_candidates", "prime_limit",
                      "pointset_limit", "choice_limit", "sat_budget",
-                     "bdd_node_limit", "joint_outputs",
-                     "jobs", "max_output_attempts"):
+                     "bdd_node_limit", "jobs", "max_output_attempts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not (self.use_impl_nets or self.use_spec_nets):
             raise ValueError("at least one rewiring-net source is required")
         if not 0.0 <= self.error_bias <= 1.0:
             raise ValueError("error_bias must be in [0, 1]")
-        if self.exact_domain_max_inputs < 0:
-            raise ValueError("exact_domain_max_inputs must be >= 0")
         for name in ("deadline_s", "total_sat_budget", "total_bdd_nodes"):
             value = getattr(self, name)
             if value is not None and value <= 0:

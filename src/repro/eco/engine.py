@@ -288,8 +288,7 @@ class SysEco:
             try:
                 outcome = validate_rewire(
                     work, spec, commit.ops, failing, patch.clone_map,
-                    sat_budget=config.sat_budget, target=commit.port,
-                    run=run)
+                    sat_budget=config.sat_budget, run=run)
             except ResourceBudgetExceeded as exc:
                 if not config.degrade_on_budget:
                     raise
@@ -298,7 +297,7 @@ class SysEco:
                 # unsupervised rather than tear the patch in half
                 outcome = validate_rewire(
                     work, spec, commit.ops, failing, patch.clone_map,
-                    sat_budget=None, target=commit.port)
+                    sat_budget=None)
             except ReproError as exc:
                 # an op that no longer even applies (missing gate or
                 # pin) means the designs on disk are not the ones the
@@ -354,12 +353,11 @@ class SysEco:
         """Drive the per-output repair loop to completion.
 
         The workhorse of the run: picks the next failing output, runs
-        the symbolic search (joint first when configured), falls back
-        when the search comes up empty, commits the winning patch and
-        repeats.  With ``targets`` only those outputs are driven (other
-        failing outputs pass through untouched — parallel workers
-        restrict their search this way while still validating against
-        the full failing set).  ``commit_log`` receives one
+        its one symbolic search, falls back when the search comes up
+        empty, commits the winning patch and repeats.  With ``targets``
+        only those outputs are driven (other failing outputs pass
+        through untouched — parallel workers restrict their search this
+        way while still validating against the full failing set).  ``commit_log`` receives one
         ``(port, how, ops)`` entry per commit so a parent process can
         replay the patch sequence.
 
@@ -379,25 +377,8 @@ class SysEco:
                 if not run.degraded and not quarantined:
                     try:
                         run.checkpoint()
-                        if config.joint_outputs > 1 and len(failing) > 1:
-                            ordered = [port] + [p for p in failing
-                                                if p != port]
-                            group = self._joint_group(work, ordered)
-                            if len(group) > 1:
-                                with trace.span(
-                                        "eco.joint", output=port,
-                                        group=len(group)) as jsp:
-                                    outcome = self._rectify_joint(
-                                        work, spec, group, failing,
-                                        patch, rng, run=run)
-                                    jsp.tag(
-                                        committed=outcome is not None)
-                                if outcome is not None:
-                                    how = "joint-rewire"
-                        if outcome is None:
-                            outcome = self._rectify_output(
-                                work, spec, port, failing, patch, rng,
-                                run)
+                        outcome = self._rectify_output(
+                            work, spec, port, failing, patch, rng, run)
                     except ResourceBudgetExceeded as exc:
                         if not config.degrade_on_budget:
                             raise
@@ -477,47 +458,20 @@ class SysEco:
         """Steps 1-5 of the flow for one failing output."""
         config = self.config
         with run.trace.span("eco.samples", output=port) as sp:
-            samples = self._exact_domain_samples(work, spec, port)
-            exact = samples is not None
-            if samples is None:
-                samples = collect_error_samples(
-                    work, spec, port, config.num_samples, rng,
-                    error_bias=config.error_bias,
-                    diversify=config.sample_diversify)
-            sp.tag(count=len(samples), exact=exact)
+            samples = collect_error_samples(
+                work, spec, port, config.num_samples, rng,
+                error_bias=config.error_bias)
+            sp.tag(count=len(samples))
         if not samples:
             return None
-
-        commit = self._search_at_scale(work, spec, port, failing, patch,
-                                       samples, run)
-        if commit is not None or exact:
-            return commit
-
-        # counterexample-guided refinement: every sampled candidate was
-        # refuted on the full domain; fold the refuting assignments in
-        # and search once more on the sharper domain
-        if config.cegar_refinement and run.cegar_cex:
-            seen = {tuple(sorted(s.items())) for s in samples}
-            refined = list(samples)
-            for cex in run.cegar_cex:
-                key = tuple(sorted(cex.items()))
-                if key not in seen and len(refined) < 64:
-                    seen.add(key)
-                    refined.append(cex)
-            if len(refined) > len(samples):
-                run.counters.cegar_rounds += 1
-                run.trace.event("cegar.refine", output=port,
-                                added=len(refined) - len(samples))
-                return self._search_at_scale(work, spec, port, failing,
-                                             patch, refined, run)
-        return None
+        return self._search_at_scale(work, spec, port, failing, patch,
+                                     samples, run)
 
     def _search_at_scale(self, work: Circuit, spec: Circuit, port: str,
                          failing: Sequence[str], patch: Patch,
                          samples: List[Dict[str, bool]],
                          run: RunSupervisor) -> Optional["_Commit"]:
         """Run the symbolic search, shrinking the pin set on BDD blowup."""
-        run.cegar_cex = []
         max_pins = self.config.max_candidate_pins
         while max_pins >= 4:
             if not run.note_attempt(port):
@@ -535,28 +489,6 @@ class SysEco:
                                 max_pins=max_pins)
                 max_pins //= 2  # shrink the symbolic problem and retry
         return None
-
-    def _exact_domain_samples(self, work: Circuit, spec: Circuit,
-                              port: str) -> Optional[List[Dict[str, bool]]]:
-        """Exhaustive domain when the failing cone's support is small.
-
-        Returns None when exact mode is off or the support is too wide;
-        otherwise all assignments of the joint structural support with
-        the remaining inputs tied low — the Section 4 computation in
-        its exact form.
-        """
-        limit = self.config.exact_domain_max_inputs
-        if limit <= 0:
-            return None
-        from repro.netlist.traverse import input_support
-        from repro.eco.sampling import exhaustive_assignments
-        relevant = sorted(
-            input_support(work, work.outputs[port])
-            | input_support(spec, spec.outputs[port]))
-        if len(relevant) > limit:
-            return None
-        fixed = {n: False for n in work.inputs if n not in relevant}
-        return exhaustive_assignments(relevant, fixed=fixed)
 
     def _search_with_domain(self, work: Circuit, spec: Circuit, port: str,
                             failing: Sequence[str], patch: Patch,
@@ -674,13 +606,9 @@ class SysEco:
                                         ops=len(ops)) as vsp:
                         outcome = self._validate_candidate(
                             run, inc_box, work, spec, candidate_pins,
-                            ops, failing, patch.clone_map, port)
+                            ops, failing, patch.clone_map)
                         vsp.tag(valid=outcome.valid,
                                 fixed=len(outcome.fixed))
-                    if not outcome.valid and \
-                            outcome.target_counterexample is not None:
-                        run.cegar_cex.append(
-                            outcome.target_counterexample)
                     validations += 1
                     if outcome.valid and port in outcome.fixed:
                         commit = _Commit.from_outcome(outcome, ops)
@@ -699,164 +627,12 @@ class SysEco:
         return best
 
     # ------------------------------------------------------------------
-    # joint multi-output rectification
-    # ------------------------------------------------------------------
-    def _joint_group(self, work: Circuit,
-                     failing: Sequence[str]) -> List[str]:
-        """Failing outputs whose cones overlap the head output's cone."""
-        head = failing[0]
-        head_cone = transitive_fanin(work, [work.outputs[head]])
-        head_gates = {n for n in head_cone if n in work.gates}
-        group = [head]
-        for other in failing[1:]:
-            if len(group) >= self.config.joint_outputs:
-                break
-            cone = transitive_fanin(work, [work.outputs[other]])
-            union = len(head_cone | cone)
-            overlap = len(head_cone & cone) / union if union else 0.0
-            shared_gates = head_gates & cone
-            if overlap >= 0.2 or shared_gates:
-                group.append(other)
-        return group
-
-    def _rectify_joint(self, work: Circuit, spec: Circuit,
-                       group: Sequence[str], failing: Sequence[str],
-                       patch: Patch, rng: random.Random,
-                       run: Optional[RunSupervisor] = None
-                       ) -> Optional["_Commit"]:
-        """One point-set and rewiring fixing a whole output group."""
-        from repro.eco.choices import enumerate_rewiring_choices_joint
-        from repro.eco.points import feasible_point_sets_joint
-
-        if run is None:
-            run = RunSupervisor.from_config(self.config)
-        config = self.config
-        per_port = max(2, config.num_samples // len(group))
-        samples: List[Dict[str, bool]] = []
-        seen = set()
-        for p in group:
-            for s in collect_error_samples(work, spec, p, per_port, rng,
-                                           error_bias=config.error_bias):
-                key = tuple(sorted(s.items()))
-                if key not in seen:
-                    seen.add(key)
-                    samples.append(s)
-        if not samples:
-            return None
-        samples = samples[:64]
-
-        manager: Optional[BddManager] = None
-        try:
-            manager = BddManager(
-                node_limit=run.open_bdd(config.bdd_node_limit),
-                node_hook=run.node_hook)
-            run.adopt_bdd(manager)
-            domain = SamplingDomain(manager, samples, inputs=work.inputs,
-                                    checkpoint=run.checkpoint)
-            impl_z = domain.cast_circuit(work)
-            spec_z = domain.cast_circuit(spec)
-            input_index = {n: i for i, n in enumerate(work.inputs)}
-            impl_supports = support_masks(work, input_index)
-            spec_supports = support_masks(spec, input_index)
-            impl_levels = levelize(work)
-            spec_levels = levelize(spec)
-            ctx = RewiringContext(
-                work, spec, group[0], domain, config, impl_z, spec_z,
-                impl_supports, spec_supports, impl_levels, spec_levels,
-                ports=group, trace=run.trace)
-
-            pins: List[Pin] = []
-            per_port_pins = max(4, config.max_candidate_pins
-                                // len(group))
-            for p in group:
-                for pin in self._select_candidate_pins(
-                        work, spec, p, samples, per_port_pins):
-                    if pin not in pins:
-                        pins.append(pin)
-            spec_values = {p: spec_z[spec.outputs[p]] for p in group}
-            cost_fn = self._make_cost_fn(work, spec, group[0],
-                                         impl_levels, patch.clone_map)
-            sim_filter = self._make_sim_filter(work, spec, samples,
-                                               counters=run.counters)
-            inc_box: List[Optional[IncrementalValidator]] = [None]
-
-            best: Optional[_Commit] = None
-            validations = 0
-            for m in range(1, config.max_points + 1):
-                point_sets = feasible_point_sets_joint(
-                    work, spec_values, domain, pins, m,
-                    prime_limit=config.prime_limit,
-                    pointset_limit=config.pointset_limit,
-                    checkpoint=run.checkpoint, trace=run.trace)
-                for point_set in point_sets:
-                    cand_lists = [ctx.candidates_for_pin(p)
-                                  for p in point_set]
-                    choices = enumerate_rewiring_choices_joint(
-                        work, spec_values, domain, point_set, cand_lists,
-                        limit=config.choice_limit, cost_fn=cost_fn,
-                        trace=run.trace)
-                    for choice in choices[:4]:
-                        ops = [RewireOp(pin, cand.net, cand.from_spec)
-                               for pin, cand in zip(point_set, choice)
-                               if not cand.trivial]
-                        if not ops:
-                            continue
-                        if not self._lint_screen(run, ctx, ops,
-                                                 group[0]):
-                            continue
-                        if not all(self._screen(run, sim_filter, ops, p,
-                                                failing)
-                                   for p in group):
-                            continue
-                        validations += 1
-                        with run.trace.span(
-                                "eco.validate", output=group[0],
-                                ops=len(ops), joint=True) as vsp:
-                            outcome = self._validate_candidate(
-                                run, inc_box, work, spec, pins, ops,
-                                failing, patch.clone_map, group[0])
-                            vsp.tag(valid=outcome.valid,
-                                    fixed=len(outcome.fixed))
-                        if outcome.valid and \
-                                set(group) <= set(outcome.fixed):
-                            # economy guard: a joint commit must beat
-                            # what per-output repair would plausibly
-                            # cost — fewer rewires than outputs fixed,
-                            # or no new logic at all; otherwise the
-                            # single-output path with clone reuse wins
-                            economical = (
-                                not outcome.new_gates
-                                or len(ops) < len(outcome.fixed))
-                            if not economical:
-                                continue
-                            commit = _Commit.from_outcome(outcome, ops)
-                            if best is None or commit.score > best.score:
-                                best = commit
-                            if not commit.outcome.new_gates:
-                                run.counters.joint_commits += 1
-                                return best
-                        if validations >= 6:
-                            if best is not None:
-                                run.counters.joint_commits += 1
-                            return best
-                if best is not None:
-                    break
-            if best is not None:
-                run.counters.joint_commits += 1
-            return best
-        except BddNodeLimitError:
-            return None  # joint problem too big; single-output path
-        finally:
-            if manager is not None:
-                run.close_bdd(manager)
-
-    # ------------------------------------------------------------------
     def _validate_candidate(self, run: RunSupervisor, inc_box: List,
                             work: Circuit, spec: Circuit,
                             pins: Sequence[Pin], ops: List[RewireOp],
                             failing: Sequence[str],
-                            clone_map: Dict[str, str],
-                            port: str) -> ValidationOutcome:
+                            clone_map: Dict[str, str]
+                            ) -> ValidationOutcome:
         """Full-domain validation through the incremental miter.
 
         The :class:`IncrementalValidator` for this search is built
@@ -873,19 +649,9 @@ class SysEco:
             inc_box[0] = validator
         return validator.validate(
             ops, failing, clone_map, sat_budget=self.config.sat_budget,
-            target=port, run=run)
+            run=run)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _screen(run: RunSupervisor, sim_filter: SimulationFilter,
-                ops: List[RewireOp], port: str,
-                failing: Sequence[str]) -> bool:
-        """One simulation-screen decision, recorded as a trace span."""
-        with run.trace.span("sim.screen", output=port) as sp:
-            ok = sim_filter.passes(ops, port, failing)
-            sp.tag(passed=ok)
-            return ok
-
     @staticmethod
     def _screen_batch(run: RunSupervisor,
                       sim_filter: SimulationFilter,
@@ -893,9 +659,10 @@ class SysEco:
                       failing: Sequence[str]) -> List[bool]:
         """Batched simulation-screen decisions, one trace span.
 
-        Result-identical per candidate to :meth:`_screen`; the batch
-        shape only changes how many candidates one array evaluation
-        scores on the vector backend.
+        Result-identical per candidate to
+        :meth:`SimulationFilter.passes`; the batch shape only changes
+        how many candidates one array evaluation scores on the vector
+        backend.
         """
         with run.trace.span("sim.screen", output=port,
                             batch=len(ops_batch)) as sp:
@@ -983,11 +750,12 @@ class SysEco:
         error_mask = (base_values[out_net] ^
                       spec_values[spec.outputs[port]]) & n_mask
 
-        # score only the nets closest to the output when cones are huge
+        # score only the nets closest to the output when cones are huge;
+        # names break level ties, so the kept nets never follow set order
         scored_nets = [n for n in cone]
         if len(scored_nets) > 600:
             lv = levelize(work)
-            scored_nets.sort(key=lambda n: -lv[n])
+            scored_nets.sort(key=lambda n: (-lv[n], n))
             scored_nets = scored_nets[:600]
         scored_set = set(scored_nets)
 

@@ -127,10 +127,6 @@ class IncrementalValidator:
         shared = {n: varmap[n] for n in spec.inputs if n in varmap}
         self._spec_map = CircuitEncoder(solver).encode(
             spec, input_vars=shared)
-        self.input_vars = {
-            n: varmap.get(n, self._spec_map.get(n))
-            for n in set(impl.inputs) | set(spec.inputs)
-        }
 
         for pin in port_pins:
             port = pin.owner
@@ -202,7 +198,9 @@ class IncrementalValidator:
         """Is the armed candidate equivalent to the spec on ``port``?
 
         Same surface as :meth:`PairwiseChecker.check_pair`, so the run
-        supervisor's budgeted query drives this unchanged.
+        supervisor's budgeted query drives this unchanged.  A
+        refutation carries no counterexample: the verdict loop reads
+        verdicts only, so the SAT model is never decoded.
         """
         lit = self.diff_literal(port)
         if self.counters is not None:
@@ -214,11 +212,7 @@ class IncrementalValidator:
             return EquivalenceResult(True)
         if status == UNKNOWN:
             return EquivalenceResult(None)
-        model = self.solver.model()
-        cex = {n: model.get(v, False)
-               for n, v in self.input_vars.items()}
-        return EquivalenceResult(False, counterexample=cex,
-                                 failing_outputs=(port,))
+        return EquivalenceResult(False, failing_outputs=(port,))
 
     # ------------------------------------------------------------------
     def _affected_outputs(self, ops: Sequence[RewireOp]) -> List[str]:
@@ -248,7 +242,6 @@ class IncrementalValidator:
     def validate(self, ops: Sequence[RewireOp], failing: Sequence[str],
                  clone_map: Dict[str, str],
                  sat_budget: Optional[int] = None,
-                 target: Optional[str] = None,
                  run=None) -> ValidationOutcome:
         """Exact full-domain check of one candidate, incrementally.
 
@@ -262,8 +255,7 @@ class IncrementalValidator:
 
         self._arm(ops)
         outcome = check_ports(self, self._affected_outputs(ops), failing,
-                              sat_budget=sat_budget, target=target,
-                              run=run)
+                              sat_budget=sat_budget, run=run)
         if outcome.valid:
             outcome.patched = self.impl.copy()
             outcome.clone_map = dict(clone_map)

@@ -437,7 +437,7 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
                 continue
             outcome = validate_rewire(
                 work, spec, ops, failing_now, patch.clone_map,
-                sat_budget=config.sat_budget, target=port, run=run)
+                sat_budget=config.sat_budget, run=run)
             if not outcome.valid:
                 rejected += 1
                 run.trace.event("eco.replay_reject", output=port,

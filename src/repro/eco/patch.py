@@ -189,9 +189,10 @@ class RectificationResult:
         patch: the committed rewires and cloned logic.
         verified_outputs: ports proven equivalent to the spec.
         runtime_seconds: wall-clock time of the rectification.
-        per_output: for each initially failing port, how it was fixed
-            ('rewire', 'joint-rewire', 'fixed-by-earlier', 'fallback',
-            or 'fallback-degraded' when a budget ran out first).
+        per_output: for each initially failing port, how it was fixed:
+            'rewire' (its own search found the patch), 'fixed-by-earlier'
+            (another output's commit fixed it too), 'fallback', or
+            'fallback-degraded' when a budget ran out first.
         counters: typed per-run telemetry (search effort + supervision);
             supports mapping-style access for the ablation benches.
         degraded: True when a run-level budget (deadline, aggregate SAT

@@ -134,26 +134,11 @@ def evaluate_with_pin_overrides(
     free-input composition function (``h(x, y)``) are realized without
     editing the netlist.
     """
-    return evaluate_roots_with_pin_overrides(
-        circuit, manager, input_functions, [root_net], override)[root_net]
-
-
-def evaluate_roots_with_pin_overrides(
-        circuit: Circuit,
-        manager: BddManager,
-        input_functions: Mapping[str, int],
-        root_nets: Sequence[str],
-        override) -> Dict[str, int]:
-    """Like :func:`evaluate_with_pin_overrides` over several roots.
-
-    The union of the cones is evaluated once, so joint multi-output
-    computations share all intermediate BDDs.
-    """
     values: Dict[str, int] = {}
     for name in circuit.inputs:
         if name in input_functions:
             values[name] = input_functions[name]
-    for gname in topological_order(circuit, roots=list(root_nets)):
+    for gname in topological_order(circuit, roots=[root_net]):
         gate = circuit.gates[gname]
         operands = []
         for idx, fanin in enumerate(gate.fanins):
@@ -161,7 +146,7 @@ def evaluate_roots_with_pin_overrides(
             node = override(Pin.gate(gname, idx), node)
             operands.append(node)
         values[gname] = apply_gate(manager, gate.gtype, operands)
-    return {net: values[net] for net in root_nets}
+    return values[root_net]
 
 
 def compute_h_function(impl: Circuit, port: str, domain: SamplingDomain,
@@ -175,21 +160,6 @@ def compute_h_function(impl: Circuit, port: str, domain: SamplingDomain,
 
     With a ``selector``, every pin is augmented with the parameterized
     multiplexer — the function ``h(z, y, t)`` of Section 4.2.
-    """
-    return compute_h_functions(impl, [port], domain, pins, y_nodes,
-                               selector=selector)[port]
-
-
-def compute_h_functions(impl: Circuit, ports: Sequence[str],
-                        domain: SamplingDomain, pins: Sequence[Pin],
-                        y_nodes: Sequence[int],
-                        selector: Optional[PointSelector] = None
-                        ) -> Dict[str, int]:
-    """Joint version of :func:`compute_h_function` over several outputs.
-
-    The union cone is evaluated once with the shared overrides; the
-    result maps each port to its (augmented) composition function —
-    the basis of the multi-output rectification extension.
     """
     manager = domain.manager
     pin_index = {pin: i for i, pin in enumerate(pins)}
@@ -215,18 +185,14 @@ def compute_h_functions(impl: Circuit, ports: Sequence[str],
             sel, data1 = gadget(idx)
             return manager.ite(sel, data1, node)
 
-    roots = [impl.outputs[p] for p in ports]
-    values = evaluate_roots_with_pin_overrides(
-        impl, manager, domain.input_functions, roots, override)
-    out: Dict[str, int] = {}
-    for port in ports:
-        value = values[impl.outputs[port]]
-        # an output-port pin among the candidates overrides the value
-        port_pin = Pin.output(port)
-        if port_pin in pin_index:
-            value = override(port_pin, value)
-        out[port] = value
-    return out
+    value = evaluate_with_pin_overrides(
+        impl, manager, domain.input_functions, impl.outputs[port],
+        override)
+    # an output-port pin among the candidates overrides the value
+    port_pin = Pin.output(port)
+    if port_pin in pin_index:
+        value = override(port_pin, value)
+    return value
 
 
 def feasible_point_sets(impl: Circuit, port: str, domain: SamplingDomain,
@@ -249,62 +215,35 @@ def feasible_point_sets(impl: Circuit, port: str, domain: SamplingDomain,
     passes its deadline check here.  ``trace`` records the enumeration
     as a ``points.enumerate`` span.
     """
-    return feasible_point_sets_joint(
-        impl, {port: spec_value}, domain, candidate_pins, num_points,
-        prime_limit=prime_limit, pointset_limit=pointset_limit,
-        checkpoint=checkpoint, trace=trace)
-
-
-def feasible_point_sets_joint(impl: Circuit,
-                              spec_values: Mapping[str, int],
-                              domain: SamplingDomain,
-                              candidate_pins: Sequence[Pin],
-                              num_points: int,
-                              prime_limit: int = 8,
-                              pointset_limit: int = 12,
-                              checkpoint: Optional[Callable[[], None]] = None,
-                              trace=None) -> List[Tuple[Pin, ...]]:
-    """Point-sets that rectify *all* given outputs simultaneously.
-
-    The joint characteristic function conjoins the per-output equality
-    inside the ``exists y`` — the same rectification functions must fix
-    every output — addressing the paper's note that the single-output
-    view 'may occasionally overlook candidates that are more economical
-    for multiple outputs'.
-    """
     with ensure_trace(trace).span(
-            "points.enumerate", outputs=",".join(spec_values),
+            "points.enumerate", output=port,
             m=num_points, pins=len(candidate_pins)) as _span:
-        result = _feasible_point_sets_joint(
-            impl, spec_values, domain, candidate_pins, num_points,
+        result = _feasible_point_sets(
+            impl, port, domain, candidate_pins, spec_value, num_points,
             prime_limit, pointset_limit, checkpoint)
         _span.tag(point_sets=len(result))
         return result
 
 
-def _feasible_point_sets_joint(impl: Circuit,
-                               spec_values: Mapping[str, int],
-                               domain: SamplingDomain,
-                               candidate_pins: Sequence[Pin],
-                               num_points: int,
-                               prime_limit: int,
-                               pointset_limit: int,
-                               checkpoint: Optional[Callable[[], None]],
-                               ) -> List[Tuple[Pin, ...]]:
+def _feasible_point_sets(impl: Circuit, port: str,
+                         domain: SamplingDomain,
+                         candidate_pins: Sequence[Pin],
+                         spec_value: int,
+                         num_points: int,
+                         prime_limit: int,
+                         pointset_limit: int,
+                         checkpoint: Optional[Callable[[], None]],
+                         ) -> List[Tuple[Pin, ...]]:
     if checkpoint is not None:
         checkpoint()
     manager = domain.manager
-    ports = list(spec_values)
     y_vars = [manager.add_var() for _ in range(num_points)]
     y_nodes = [manager.var(v) for v in y_vars]
     selector = PointSelector(manager, num_points, len(candidate_pins))
 
-    h_map = compute_h_functions(impl, ports, domain, candidate_pins,
-                                y_nodes, selector=selector)
-    eq = TRUE
-    for port in ports:
-        eq = manager.and_(eq, manager.xnor(h_map[port],
-                                           spec_values[port]))
+    h = compute_h_function(impl, port, domain, candidate_pins, y_nodes,
+                           selector=selector)
+    eq = manager.xnor(h, spec_value)
     h_t = manager.forall(manager.exists(eq, y_vars), domain.z_vars)
     h_t = manager.and_(h_t, selector.validity())
     if h_t == FALSE:

@@ -19,7 +19,7 @@ point-set size collapses gracefully (Section 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Set
+from typing import List, Mapping, Optional, Set
 
 from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
@@ -57,12 +57,10 @@ class RewiringContext:
                  spec_supports: Mapping[str, int],
                  impl_levels: Mapping[str, int],
                  spec_levels: Mapping[str, int],
-                 ports: Optional[Sequence[str]] = None,
                  trace=None):
         self.impl = impl
         self.spec = spec
         self.port = port
-        self.ports = list(ports) if ports else [port]
         self.domain = domain
         self.config = config
         self.trace = ensure_trace(trace)
@@ -73,17 +71,11 @@ class RewiringContext:
         self.impl_levels = impl_levels
         self.spec_levels = spec_levels
 
-        # joint context: the error region is the union of the per-port
-        # differences and the structural filter uses the union support
         manager = domain.manager
         self.spec_out_net = spec.outputs[port]
-        self.spec_support_mask = 0
-        diff = 0  # FALSE
-        for p in self.ports:
-            snet = spec.outputs[p]
-            self.spec_support_mask |= spec_supports[snet]
-            diff = manager.or_(diff, manager.xor(
-                impl_z[impl.outputs[p]], spec_z[snet]))
+        self.spec_support_mask = spec_supports[self.spec_out_net]
+        diff = manager.xor(impl_z[impl.outputs[port]],
+                           spec_z[self.spec_out_net])
         self.error_region = manager.and_(diff, domain.valid_codes())
         self.error_count = max(1, domain.count_in_domain(diff))
         # the utility counts over the z variables, which a fresh

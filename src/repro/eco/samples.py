@@ -124,52 +124,20 @@ def uniform_samples(inputs: Sequence[str], want: int,
     return out
 
 
-def diversify_samples(samples: List[Assignment], want: int,
-                      inputs: Sequence[str]) -> List[Assignment]:
-    """Greedy max-min-Hamming-distance subset of ``samples``.
-
-    The paper's future work points at better sampling-domain selection;
-    spreading the samples across the error domain makes each ``z`` code
-    carry more information than near-duplicate assignments would.
-    Keeps the first sample as the anchor and repeatedly adds the sample
-    farthest (in minimum Hamming distance) from the chosen set.
-    """
-    if len(samples) <= want:
-        return list(samples)
-
-    def distance(a: Assignment, b: Assignment) -> int:
-        return sum(1 for n in inputs if a[n] != b[n])
-
-    chosen = [samples[0]]
-    remaining = list(samples[1:])
-    while len(chosen) < want and remaining:
-        best_idx = max(
-            range(len(remaining)),
-            key=lambda i: min(distance(remaining[i], c) for c in chosen))
-        chosen.append(remaining.pop(best_idx))
-    return chosen
-
-
 def collect_error_samples(impl: Circuit, spec: Circuit, port: str,
                           count: int, rng: random.Random,
-                          error_bias: float = 1.0,
-                          diversify: bool = False) -> List[Assignment]:
+                          error_bias: float = 1.0) -> List[Assignment]:
     """The sampling domain for one failing output.
 
     ``error_bias`` controls the fraction of samples drawn from the
     error domain (the paper's recommendation is all of them); the rest
     are uniform.  Falls back to SAT enumeration when simulation finds
     too few error patterns, and pads with uniform samples when the
-    error domain itself is smaller than requested.  With ``diversify``
-    a larger error pool is harvested first and a greedy
-    max-Hamming-distance subset of the requested size is kept.
+    error domain itself is smaller than requested.
     """
     n_error = max(1, round(count * error_bias)) if error_bias > 0 else 0
     n_uniform = count - n_error
-    harvest = n_error * 4 if diversify else n_error
-    samples = simulation_error_samples(impl, spec, port, harvest, rng)
-    if diversify and len(samples) > n_error:
-        samples = diversify_samples(samples, n_error, impl.inputs)
+    samples = simulation_error_samples(impl, spec, port, n_error, rng)
     if len(samples) < n_error:
         samples += sat_error_samples(impl, spec, port,
                                      n_error - len(samples), known=samples)

@@ -25,27 +25,6 @@ from repro.netlist.circuit import Circuit
 Assignment = Mapping[str, bool]
 
 
-def exhaustive_assignments(inputs: Sequence[str],
-                           fixed: Optional[Mapping[str, bool]] = None
-                           ) -> List[Dict[str, bool]]:
-    """All assignments over ``inputs``, each extended with ``fixed``.
-
-    Used by the engine's exact-domain mode: when a failing cone's
-    support is small, the 'sampling' domain can enumerate it completely
-    and the Section 4 computations become exact (no validation
-    false positives possible from domain abstraction).
-    """
-    base = dict(fixed) if fixed else {}
-    out: List[Dict[str, bool]] = []
-    names = list(inputs)
-    for code in range(1 << len(names)):
-        assignment = dict(base)
-        for i, n in enumerate(names):
-            assignment[n] = bool(code >> i & 1)
-        out.append(assignment)
-    return out
-
-
 class SamplingDomain:
     """Encodes a set of input samples with ``z`` variables.
 

@@ -57,8 +57,9 @@ def refine_patch_inputs(patched: Circuit, cloned_gates: Set[str],
     varmap = context.rebind(patched)
 
     replacements = 0
-    # deepest clones first so upstream replacements cascade
-    for clone in sorted(alive, key=lambda g: -_depth(patched, g)):
+    # deepest clones first so upstream replacements cascade; names
+    # break depth ties, so the order never follows set iteration
+    for clone in sorted(alive, key=lambda g: (-_depth(patched, g), g)):
         if clone not in patched.gates or not patched.sinks(clone):
             continue
         originals = by_sig.get(sigs[clone], ())

@@ -393,14 +393,10 @@ class ValidationOutcome:
     patched: Optional[Circuit] = None
     clone_map: Dict[str, str] = field(default_factory=dict)
     new_gates: Set[str] = field(default_factory=set)
-    #: input assignment refuting the target output, when the check
-    #: found one (feeds counterexample-guided domain refinement)
-    target_counterexample: Optional[Dict[str, bool]] = None
 
 
 def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
                 sat_budget: Optional[int] = None,
-                target: Optional[str] = None,
                 run=None) -> ValidationOutcome:
     """The per-port verdict loop both validators share.
 
@@ -410,7 +406,8 @@ def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
     of ``ports`` matches the spec.  A proven port that was failing is
     fixed; a refuted or UNKNOWN port that was passing rejects the
     candidate at once.  The outcome is valid when at least one failing
-    port is fixed; the caller attaches the patched circuit.
+    port is fixed; the caller attaches the patched circuit.  Only the
+    verdicts are read: a refutation's counterexample is not.
 
     With a :class:`~repro.runtime.supervisor.RunSupervisor` as ``run``,
     each query goes through :meth:`RunSupervisor.check_pair_supervised`
@@ -420,7 +417,6 @@ def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
     failing_set = set(failing)
     fixed: List[str] = []
     unknown: List[str] = []
-    target_cex: Optional[Dict[str, bool]] = None
     for port in ports:
         if run is not None:
             run.checkpoint()
@@ -431,18 +427,13 @@ def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
             if port in failing_set:
                 fixed.append(port)
             continue
-        if result.equivalent is False:
-            if port == target:
-                target_cex = result.counterexample
-        else:
+        if result.equivalent is None:
             unknown.append(port)
         if port not in failing_set:
             # damaged a passing output, or cannot prove it intact
-            return ValidationOutcome(valid=False,
-                                     target_counterexample=target_cex)
+            return ValidationOutcome(valid=False)
     if not fixed:
-        return ValidationOutcome(valid=False,
-                                 target_counterexample=target_cex)
+        return ValidationOutcome(valid=False)
     return ValidationOutcome(valid=True, fixed=tuple(fixed),
                              unknown=tuple(unknown))
 
@@ -450,7 +441,6 @@ def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
 def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
                     failing: Sequence[str], clone_map: Dict[str, str],
                     sat_budget: Optional[int] = None,
-                    target: Optional[str] = None,
                     run=None) -> ValidationOutcome:
     """Exact check of a candidate rewire on the full input domain.
 
@@ -490,8 +480,7 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
             affected.add(op.pin.owner)
 
     outcome = check_ports(PairwiseChecker(work, spec), sorted(affected),
-                          failing, sat_budget=sat_budget, target=target,
-                          run=run)
+                          failing, sat_budget=sat_budget, run=run)
     if outcome.valid:
         outcome.patched = work
         outcome.clone_map = local_clone_map

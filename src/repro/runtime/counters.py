@@ -25,8 +25,6 @@ class RunCounters:
     * ``sat_validations`` — full-domain SAT validations performed;
     * ``point_sets`` — candidate point-sets enumerated;
     * ``fallbacks`` — outputs completed by the Sec. 3.3 fallback;
-    * ``cegar_rounds`` — counterexample-guided refinement rounds;
-    * ``joint_commits`` — multi-output joint commits;
     * ``resubstitutions`` — resynthesis-pass resubstitutions.
 
     Performance machinery (the incremental/compiled fast paths):
@@ -64,8 +62,6 @@ class RunCounters:
     sat_validations: int = 0
     point_sets: int = 0
     fallbacks: int = 0
-    cegar_rounds: int = 0
-    joint_commits: int = 0
     resubstitutions: int = 0
     incremental_solves: int = 0
     plan_evals: int = 0

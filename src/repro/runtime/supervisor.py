@@ -72,8 +72,6 @@ class RunSupervisor:
         #: mapped to the reason; the engine skips searching them and
         #: completes them via the fallback (port -> reason)
         self.quarantined: Dict[str, str] = {}
-        #: per-run scratch for counterexample-guided refinement
-        self.cegar_cex: List[Dict[str, bool]] = []
         self._attempts: Dict[str, int] = {}
         self._capped: Set[str] = set()
         self._bdd_spans: List = []

@@ -68,11 +68,6 @@ class TestDiagnose:
             assert d.cone_gates > 0
             assert d.impl_support >= 2
 
-    def test_suggest_config_exact_for_small_support(self):
-        impl, spec = xor_vs_or()
-        config = diagnose(impl, spec).suggest_config()
-        assert config.exact_domain_max_inputs == 8
-
     def test_suggest_config_samples_for_rare_errors(self):
         impl = Circuit("i")
         impl.add_inputs([f"x{i}" for i in range(10)])

@@ -1,12 +1,16 @@
 """End-to-end tests of the syseco engine."""
 
+import random
+
 import pytest
 
 from repro.cec.equivalence import check_equivalence
 from repro.errors import EcoError
 from repro.eco.config import EcoConfig
+from repro.eco import engine
 from repro.eco.engine import SysEco, rectify
 from repro.netlist.circuit import Circuit
+from repro.netlist.traverse import transitive_fanin
 from repro.lint.netlist_rules import lint_netlist
 from repro.synth import optimize_heavy, optimize_light
 from repro.workloads.figures import example1_circuits, figure1_circuits
@@ -60,6 +64,15 @@ class TestSmallEcos:
         revised = optimize_light(revised)
         result = rectify(impl, revised)
         assert_rectified(result, revised)
+
+    def test_two_sample_domain_still_verified(self):
+        # two samples leave most candidates indistinguishable: the
+        # simulation screen and SAT validation must reject the sampling
+        # false positives
+        impl, spec = figure1_circuits(width=3)
+        result = rectify(impl, spec, EcoConfig(num_samples=2))
+        assert_rectified(result, spec)
+        assert result.counters.sim_rejects > 0
 
     def test_per_output_records(self):
         impl, spec = example1_circuits(width=2)
@@ -136,41 +149,41 @@ class TestRuntimeBookkeeping:
         assert set(result.verified_outputs) == set(spec.outputs)
 
 
-class TestExactDomain:
-    def test_exact_mode_rectifies(self):
-        impl, spec = example1_circuits(width=2)
-        result = rectify(impl, spec,
-                         EcoConfig(exact_domain_max_inputs=8))
-        assert_rectified(result, spec)
-
-    def test_exact_mode_skipped_for_wide_support(self):
-        impl, spec = example1_circuits(width=2)
-        # support is 7 inputs; limit 2 forces the sampled path
-        result = rectify(impl, spec,
-                         EcoConfig(num_samples=8,
-                                   exact_domain_max_inputs=2))
-        assert_rectified(result, spec)
-
-    def test_exhaustive_assignments_helper(self):
-        from repro.eco.sampling import exhaustive_assignments
-        out = exhaustive_assignments(["a", "b"], fixed={"c": False})
-        assert len(out) == 4
-        assert all(s["c"] is False for s in out)
-        assert len({(s["a"], s["b"]) for s in out}) == 4
+def xor_tree(name: str, width: int, top_xnor: bool) -> Circuit:
+    """A balanced XOR tree over ``width`` inputs; gates g0, g1, ...
+    level by level from the inputs up."""
+    c = Circuit(name)
+    level = c.add_inputs([f"x{i}" for i in range(width)])
+    gid = 0
+    while len(level) > 1:
+        nxt = []
+        for a, b in zip(level[::2], level[1::2]):
+            top = len(level) == 2 and top_xnor
+            nxt.append(c.xnor(a, b, name=f"g{gid}") if top
+                       else c.xor(a, b, name=f"g{gid}"))
+            gid += 1
+        level = nxt
+    c.set_output("o", level[0])
+    return c
 
 
-class TestCegarRefinement:
-    def test_cegar_counter_appears_when_rounds_happen(self):
-        # tiny domains produce false positives; CEGAR should be able
-        # to run without breaking correctness either way
-        impl, spec = figure1_circuits(width=3)
-        result = rectify(impl, spec,
-                         EcoConfig(num_samples=2, cegar_refinement=True))
-        assert_rectified(result, spec)
+class TestCandidatePins:
+    def test_selection_independent_of_cone_order(self, monkeypatch):
+        # a 2,047-net cone: only the 600 nets nearest the output are
+        # scored, and hundreds of them tie on level
+        impl = xor_tree("impl", 1024, top_xnor=False)
+        spec = xor_tree("spec", 1024, top_xnor=True)
+        rng = random.Random(0)
+        samples = [{n: bool(rng.getrandbits(1)) for n in impl.inputs}
+                   for _ in range(8)]
+        cone = sorted(transitive_fanin(impl, [impl.outputs["o"]]))
+        assert len(cone) == 2047
 
-    def test_cegar_disabled_still_correct(self):
-        impl, spec = figure1_circuits(width=3)
-        result = rectify(impl, spec,
-                         EcoConfig(num_samples=2,
-                                   cegar_refinement=False))
-        assert_rectified(result, spec)
+        picks = []
+        for order in (cone, cone[::-1]):
+            monkeypatch.setattr(engine, "transitive_fanin",
+                                lambda c, roots, order=order: list(order))
+            picks.append(SysEco()._select_candidate_pins(
+                impl, spec, "o", samples, 20))
+        assert len(picks[0]) == 20
+        assert picks[0] == picks[1]

@@ -242,10 +242,10 @@ class TestEngineParity:
         fast = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
 
         def legacy_path(self, run, inc_box, work, spec, pins, ops,
-                        failing, clone_map, port):
+                        failing, clone_map):
             return validate_rewire(work, spec, ops, failing, clone_map,
                                    sat_budget=self.config.sat_budget,
-                                   target=port, run=run)
+                                   run=run)
 
         # every candidate goes through validate_rewire instead
         monkeypatch.setattr(SysEco, "_validate_candidate", legacy_path)

@@ -112,40 +112,3 @@ def test_uniform_samples_distinct():
     out = uniform_samples(["a", "b", "c"], 6, random.Random(0))
     keys = {tuple(sorted(s.items())) for s in out}
     assert len(keys) == len(out) == 6
-
-
-class TestDiversify:
-    def test_subset_size(self):
-        from repro.eco.samples import diversify_samples
-        inputs = ["a", "b", "c"]
-        pool = [{"a": bool(k & 1), "b": bool(k & 2), "c": bool(k & 4)}
-                for k in range(8)]
-        subset = diversify_samples(pool, 3, inputs)
-        assert len(subset) == 3
-        assert all(s in pool for s in subset)
-
-    def test_small_pool_passthrough(self):
-        from repro.eco.samples import diversify_samples
-        pool = [{"a": True}, {"a": False}]
-        assert diversify_samples(pool, 5, ["a"]) == pool
-
-    def test_spreads_hamming_distance(self):
-        from repro.eco.samples import diversify_samples
-        inputs = [f"x{i}" for i in range(6)]
-        zero = {n: False for n in inputs}
-        ones = {n: True for n in inputs}
-        near_zero = dict(zero, x0=True)
-        pool = [zero, near_zero, ones]
-        subset = diversify_samples(pool, 2, inputs)
-        # the farthest point from the anchor wins over the near one
-        assert subset == [zero, ones]
-
-    def test_engine_accepts_diversify_config(self):
-        from repro.eco.config import EcoConfig
-        from repro.eco.engine import rectify
-        from repro.cec.equivalence import check_equivalence
-        from repro.workloads.figures import example1_circuits
-        impl, spec = example1_circuits(width=2)
-        result = rectify(impl, spec,
-                         EcoConfig(num_samples=8, sample_diversify=True))
-        assert check_equivalence(result.patched, spec).equivalent is True

@@ -179,7 +179,7 @@ class TestRunIsolation:
 class TestConfigValidation:
     @pytest.mark.parametrize("field", [
         "sat_budget", "bdd_node_limit", "choice_limit",
-        "pointset_limit", "joint_outputs",
+        "pointset_limit",
         "max_candidate_pins", "max_rewire_candidates", "prime_limit",
         "max_output_attempts",
     ])

@@ -103,7 +103,7 @@ class TestObservability:
         assert counters["degraded"] is False
         assert counters["counters"]["sat_validations"] > 0
         assert set(counters["per_output"].values()) <= {
-            "rewire", "joint-rewire", "fixed-by-earlier", "fallback",
+            "rewire", "fixed-by-earlier", "fallback",
             "fallback-degraded"}
 
     def test_trace_subcommand_prints_summary(self, eco_files, tmp_path,
