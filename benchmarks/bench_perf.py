@@ -256,7 +256,7 @@ def test_perf_validation(benchmark, suite_cases, publish):
                   for ops in candidates]
         t1 = time.perf_counter()
         validator = IncrementalValidator(impl, spec, pins)
-        incremental = [validator.validate(ops, failing, {})
+        incremental = [validator.validate(ops, failing)
                        for ops in candidates]
         t2 = time.perf_counter()
         for leg, inc in zip(legacy, incremental):

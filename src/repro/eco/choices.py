@@ -26,10 +26,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import FALSE, TRUE
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.traverse import topological_order
 from repro.eco.points import compute_h_function
 from repro.eco.rewiring import RewireCandidate
 from repro.eco.sampling import SamplingDomain
+from repro.eco.validate import spec_cone_clones
 from repro.obs.trace import ensure_trace
 
 #: a choice assigns one candidate to every point of the set
@@ -62,17 +62,9 @@ def make_clone_aware_cost(spec: Circuit, clone_map: Dict[str, str],
 
     def clone_gates(net: str) -> int:
         hit = cache.get(net)
-        if hit is not None:
-            return hit
-        if net in spec.inputs:
-            cache[net] = 0
-            return 0
-        count = sum(
-            1 for g in topological_order(spec, roots=[net])
-            if g not in clone_map
-        )
-        cache[net] = count
-        return count
+        if hit is None:
+            hit = cache[net] = len(spec_cone_clones(spec, net, clone_map))
+        return hit
 
     def cost(pin: Pin, candidate: RewireCandidate) -> float:
         if candidate.trivial:

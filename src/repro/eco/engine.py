@@ -15,8 +15,12 @@ of the current implementation ``C`` and revised specification ``C'``
 
 A guaranteed fallback (rewiring the output port itself to a clone of
 the revised function — the completeness argument of Section 3.3)
-handles outputs the search cannot fix within budget.  Afterwards the
-patch inputs are refined by sweeping against existing logic.
+handles outputs the search cannot fix within budget; it is valid by
+construction (Proposition 1), so it makes no solve.  Each proven rewire
+is applied once, in place, on the run's private copy of the
+implementation (:meth:`SysEco._commit`).  Afterwards the patch inputs
+are refined by sweeping against existing logic, and final verification
+proves the whole circuit.
 
 Every resource-bounded step runs under a per-run
 :class:`~repro.runtime.supervisor.RunSupervisor`: a wall-clock deadline
@@ -32,13 +36,13 @@ from __future__ import annotations
 
 import logging
 import random
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     BddNodeLimitError,
     EcoError,
     JournalError,
-    PatchStructureError,
     ReproError,
     ResourceBudgetExceeded,
 )
@@ -72,7 +76,9 @@ from repro.eco.sweep import refine_patch_inputs
 from repro.eco.validate import (
     SimulationFilter,
     ValidationOutcome,
+    apply_rewires,
     assert_patch_structure,
+    clones_needed,
     validate_rewire,
 )
 from repro.obs.sampler import maybe_sampler
@@ -189,7 +195,7 @@ class SysEco:
                 journal.check_resumable(impl.name, config, failing)
                 with trace.span("eco.resume",
                                 commits=len(journal.commits)) as rsp:
-                    work, failing = self._replay_journal(
+                    failing = self._replay_journal(
                         work, spec, failing, patch, per_output, rng,
                         run, journal)
                     rsp.tag(remaining=len(failing))
@@ -200,20 +206,15 @@ class SysEco:
             from repro.eco.parallel import parallel_repair
             with trace.span("eco.parallel", jobs=config.jobs,
                             failing=len(failing)) as psp:
-                try:
-                    work, failing = parallel_repair(
-                        self, work, spec, failing, patch, per_output,
-                        run, journal=journal, rng=rng)
-                except ResourceBudgetExceeded as exc:
-                    if not config.degrade_on_budget:
-                        raise
-                    run.mark_degraded(str(exc))
+                # degrades the run itself when the budget runs out
+                failing = parallel_repair(self, work, spec, failing, patch,
+                                          per_output, run, journal=journal,
+                                          rng=rng)
                 psp.tag(remaining=len(failing))
             failing = self._order_by_cone(work, failing)
 
-        work, failing = self._repair_outputs(work, spec, failing, patch,
-                                             per_output, rng, run,
-                                             journal=journal)
+        self._repair_outputs(work, spec, failing, patch, per_output, rng,
+                             run, journal=journal)
 
         with trace.span("eco.refine") as fsp:
             solves = context.solves
@@ -269,17 +270,17 @@ class SysEco:
     def _replay_journal(self, work: Circuit, spec: Circuit,
                         failing: List[str], patch: Patch,
                         per_output: Dict[str, str], rng: random.Random,
-                        run: RunSupervisor, journal
-                        ) -> Tuple[Circuit, List[str]]:
+                        run: RunSupervisor, journal) -> List[str]:
         """Re-prove and re-apply a dead run's journaled commits.
 
         A journal is never trusted blindly: each commit's op set is
         re-validated under the supervised validator before it is
-        applied (a commit that no longer validates means the inputs
+        committed (a commit that no longer validates means the inputs
         changed — :class:`JournalError`).  After the last commit the
         engine RNG is restored to the journaled stream position and the
         journaled cumulative budget spend is topped up, so the
         continued search is bit-identical to the uninterrupted run.
+        Returns the outputs still failing.
         """
         config = self.config
         replayed = 0
@@ -312,16 +313,9 @@ class SysEco:
                     f"journaled commit #{commit.seq} for output "
                     f"{commit.port!r} failed re-validation; the "
                     "journal does not match the input designs")
-            work = outcome.patched
-            assert_patch_structure(work, commit.ops)
-            patch.record(commit.ops, outcome.clone_map,
-                         outcome.new_gates)
-            for fixed_port in outcome.fixed:
-                per_output[fixed_port] = (
-                    commit.how if fixed_port == commit.port
-                    else "fixed-by-earlier")
-            fixed = set(outcome.fixed)
-            failing = [p for p in failing if p not in fixed]
+            failing = self._commit(work, spec, commit.port, commit.how,
+                                   commit.ops, outcome.fixed, patch,
+                                   per_output, failing)
             run.counters.replayed_commits += 1
             replayed += 1
             last = commit
@@ -339,7 +333,7 @@ class SysEco:
                         remaining=len(failing))
         logger.info("resumed run: %d commit(s) replayed, %d output(s) "
                     "remaining", replayed, len(failing))
-        return work, failing
+        return failing
 
     # ------------------------------------------------------------------
     def _repair_outputs(self, work: Circuit, spec: Circuit,
@@ -348,20 +342,20 @@ class SysEco:
                         run: RunSupervisor,
                         targets: Optional[Set[str]] = None,
                         commit_log: Optional[List] = None,
-                        journal=None
-                        ) -> Tuple[Circuit, List[str]]:
+                        journal=None) -> List[str]:
         """Drive the per-output repair loop to completion.
 
         The workhorse of the run: picks the next failing output, runs
         its one symbolic search, falls back when the search comes up
-        empty, commits the winning patch and repeats.  With ``targets``
-        only those outputs are driven (other failing outputs pass
-        through untouched — parallel workers restrict their search this
-        way while still validating against the full failing set).  ``commit_log`` receives one
+        empty, commits the winning patch to ``work`` in place and
+        repeats.  With ``targets`` only those outputs are driven (other
+        failing outputs pass through untouched — parallel workers
+        restrict their search this way while still validating against
+        the full failing set).  ``commit_log`` receives one
         ``(port, how, ops)`` entry per commit so a parent process can
         replay the patch sequence.
 
-        Returns the patched circuit and the outputs still failing.
+        Returns the outputs still failing.
         """
         config = self.config
         trace = run.trace
@@ -371,13 +365,13 @@ class SysEco:
             if port is None:
                 break
             with trace.span("eco.output", output=port) as osp:
-                outcome = None
+                commit = None
                 how = "rewire"
                 quarantined = port in run.quarantined
                 if not run.degraded and not quarantined:
                     try:
                         run.checkpoint()
-                        outcome = self._rectify_output(
+                        commit = self._rectify_output(
                             work, spec, port, failing, patch, rng, run)
                     except ResourceBudgetExceeded as exc:
                         if not config.degrade_on_budget:
@@ -387,51 +381,64 @@ class SysEco:
                             "budget exhausted on output %s; degrading: "
                             "remaining outputs force-completed via "
                             "fallback", port)
-                        outcome = None
-                if outcome is None:
+                if commit is None:
                     forced = run.degraded or quarantined
                     how = "fallback-degraded" if forced else "fallback"
                     with trace.span("eco.fallback", output=port,
                                     degraded=forced):
-                        outcome = self._fallback(work, spec, port,
-                                                 failing, patch)
+                        commit = self._fallback(spec, port)
                     run.counters.fallbacks += 1
                     if forced:
                         run.counters.degraded_outputs += 1
-                logger.info(
-                    "output %s: %s with %d op(s), %d cloned gate(s), "
-                    "fixes %s", port, how, len(outcome.committed_ops),
-                    len(outcome.new_gates), ", ".join(outcome.fixed))
-                logger.debug("ops: %s",
-                             "; ".join(op.describe()
-                                       for op in outcome.committed_ops))
                 if journal is not None:
                     # write-ahead: the journal record lands before the
                     # in-memory commit, so a crash at any point either
                     # replays this commit or re-finds it — never loses
                     # it half-applied
                     journal.record_commit(
-                        port, how, outcome.committed_ops, outcome.fixed,
+                        port, how, commit.ops, commit.fixed,
                         rng_state=rng.getstate(),
                         sat_spent=run.budget.sat_spent,
                         bdd_spent=run.budget.bdd_spent)
-                work = outcome.patched
-                # post-commit structural assertion: the lint screen
-                # should make this unreachable
-                assert_patch_structure(work, outcome.committed_ops)
-                patch.record(outcome.committed_ops, outcome.clone_map,
-                             outcome.new_gates)
-                for fixed_port in outcome.fixed:
-                    per_output[fixed_port] = (
-                        how if fixed_port == port else "fixed-by-earlier")
-                fixed = set(outcome.fixed)
-                failing = [p for p in failing if p not in fixed]
+                failing = self._commit(work, spec, port, how, commit.ops,
+                                       commit.fixed, patch, per_output,
+                                       failing)
                 if commit_log is not None:
-                    commit_log.append(
-                        (port, how, list(outcome.committed_ops)))
-                osp.tag(how=how, ops=len(outcome.committed_ops),
-                        fixed=len(fixed))
-        return work, failing
+                    commit_log.append((port, how, list(commit.ops)))
+                osp.tag(how=how, ops=len(commit.ops),
+                        fixed=len(commit.fixed))
+        return failing
+
+    @staticmethod
+    def _commit(work: Circuit, spec: Circuit, port: str, how: str,
+                ops: List[RewireOp], fixed: Sequence[str], patch: Patch,
+                per_output: Dict[str, str],
+                failing: Sequence[str]) -> List[str]:
+        """Apply one proven rewire to ``work`` in place and record it.
+
+        The one commit step of the search, the fallback, journal replay
+        and the ``--jobs`` merge.  ``fixed`` are the failing outputs the
+        rewire was proven to fix; ``port`` is labelled ``how`` and the
+        others ``fixed-by-earlier``.  Editing in place is safe: ``work``
+        is the run's private copy, the per-search objects that held it
+        are gone by now, and every edit drops its derived caches.
+        Returns the outputs still failing.
+        """
+        clone_map = dict(patch.clone_map)
+        new_gates = apply_rewires(work, spec, ops, clone_map)
+        # post-commit structural assertion: the lint screen should make
+        # this unreachable
+        assert_patch_structure(work, ops)
+        patch.record(ops, clone_map, new_gates)
+        for fixed_port in fixed:
+            per_output[fixed_port] = (
+                how if fixed_port == port else "fixed-by-earlier")
+        logger.info("output %s: %s with %d op(s), %d cloned gate(s), "
+                    "fixes %s", port, how, len(ops), len(new_gates),
+                    ", ".join(fixed))
+        logger.debug("ops: %s", "; ".join(op.describe() for op in ops))
+        done = set(fixed)
+        return [p for p in failing if p not in done]
 
     # ------------------------------------------------------------------
     def _check_interfaces(self, impl: Circuit, spec: Circuit) -> None:
@@ -531,7 +538,7 @@ class SysEco:
 
         with run.trace.span("eco.rank_pins", output=port) as psp:
             candidate_pins = self._select_candidate_pins(
-                work, spec, port, samples, max_pins)
+                work, spec, port, samples, max_pins, impl_levels)
             psp.tag(pins=len(candidate_pins))
         if not candidate_pins:
             return None
@@ -606,23 +613,24 @@ class SysEco:
                                         ops=len(ops)) as vsp:
                         outcome = self._validate_candidate(
                             run, inc_box, work, spec, candidate_pins,
-                            ops, failing, patch.clone_map)
+                            ops, failing)
                         vsp.tag(valid=outcome.valid,
                                 fixed=len(outcome.fixed))
                     validations += 1
                     if outcome.valid and port in outcome.fixed:
-                        commit = _Commit.from_outcome(outcome, ops)
+                        commit = _Commit(ops, outcome.fixed, clones_needed(
+                            spec, ops, patch.clone_map))
                         if best is None or commit.score > best.score:
                             best = commit
                         # a pure rewire (no new logic) cannot be beaten
                         # on patch size; commit it immediately
-                        if not commit.outcome.new_gates:
+                        if commit.clones == 0:
                             return best
                     if validations >= max_validations:
                         return best
             # grow the point-set only while the best patch still clones
             # a noticeable amount of logic
-            if best is not None and len(best.outcome.new_gates) <= 2 * m:
+            if best is not None and best.clones <= 2 * m:
                 return best
         return best
 
@@ -630,9 +638,7 @@ class SysEco:
     def _validate_candidate(self, run: RunSupervisor, inc_box: List,
                             work: Circuit, spec: Circuit,
                             pins: Sequence[Pin], ops: List[RewireOp],
-                            failing: Sequence[str],
-                            clone_map: Dict[str, str]
-                            ) -> ValidationOutcome:
+                            failing: Sequence[str]) -> ValidationOutcome:
         """Full-domain validation through the incremental miter.
 
         The :class:`IncrementalValidator` for this search is built
@@ -648,8 +654,7 @@ class SysEco:
                                              counters=run.counters)
             inc_box[0] = validator
         return validator.validate(
-            ops, failing, clone_map, sat_budget=self.config.sat_budget,
-            run=run)
+            ops, failing, sat_budget=self.config.sat_budget, run=run)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -729,13 +734,15 @@ class SysEco:
     # ------------------------------------------------------------------
     def _select_candidate_pins(self, work: Circuit, spec: Circuit,
                                port: str, samples: List[Dict[str, bool]],
-                               max_pins: int) -> List[Pin]:
+                               max_pins: int,
+                               levels: Dict[str, int]) -> List[Pin]:
         """Rank the sink pins of the failing cone as candidate points.
 
         Nets are scored by *flip credit*: the number of error samples on
         which complementing the net corrects the output (64-way parallel
         resimulation).  Pins inherit the score of their driving net;
         the output port pin is always included (completeness).
+        ``levels`` is ``work``'s :func:`levelize` map.
         """
         out_net = work.outputs[port]
         cone = transitive_fanin(work, [out_net])
@@ -754,10 +761,8 @@ class SysEco:
         # names break level ties, so the kept nets never follow set order
         scored_nets = [n for n in cone]
         if len(scored_nets) > 600:
-            lv = levelize(work)
-            scored_nets.sort(key=lambda n: (-lv[n], n))
+            scored_nets.sort(key=lambda n: (-levels[n], n))
             scored_nets = scored_nets[:600]
-        scored_set = set(scored_nets)
 
         from repro.netlist.gate import eval_gate
         flip_credit: Dict[str, int] = {}
@@ -781,7 +786,6 @@ class SysEco:
 
         # collect gate input pins of the cone, ranked by driver credit
         pins: List[Tuple[int, int, Pin]] = []
-        levels = levelize(work)
         for gname in cone:
             gate = work.gates.get(gname)
             if gate is None:
@@ -797,59 +801,38 @@ class SysEco:
         return selected
 
     # ------------------------------------------------------------------
-    def _fallback(self, work: Circuit, spec: Circuit, port: str,
-                  failing: Sequence[str], patch: Patch) -> "_Commit":
+    @staticmethod
+    def _fallback(spec: Circuit, port: str) -> "_Commit":
         """Completeness fallback: drive the output port from a clone of
-        the revised function (always valid by Proposition 1).
+        the revised function.
 
-        Deliberately unsupervised: this is the path degradation relies
-        on, so it must complete regardless of budgets (no conflict
-        limit, no deadline check).
+        Valid by construction (Proposition 1), so it makes no solve: the
+        clone computes the spec function of ``port`` over the shared
+        primary inputs, and no output port reads another, so the rewire
+        fixes ``port`` and changes no other output.  Final verification
+        proves the whole circuit.  Degradation relies on this path, and
+        it spends no budget.
         """
         ops = [RewireOp(Pin.output(port), spec.outputs[port],
                         from_spec=True)]
-        outcome = validate_rewire(work, spec, ops, failing,
-                                  patch.clone_map, sat_budget=None)
-        if not outcome.valid:
-            raise EcoError(
-                f"fallback rectification failed for output {port!r}")
-        return _Commit.from_outcome(outcome, ops)
+        # a fallback is never scored, so its clones go uncounted
+        return _Commit(ops, (port,), 0)
 
 
+@dataclass(frozen=True)
 class _Commit:
-    """A validated rewire bundled with its committed operations."""
+    """A proven rewire the engine has yet to apply."""
 
-    def __init__(self, outcome: ValidationOutcome,
-                 committed_ops: List[RewireOp]):
-        self.outcome = outcome
-        self.committed_ops = committed_ops
-        # favor most outputs fixed, then least new logic
-        self.score = (len(outcome.fixed), -len(outcome.new_gates))
-
-    @staticmethod
-    def from_outcome(outcome: ValidationOutcome,
-                     ops: List[RewireOp]) -> "_Commit":
-        return _Commit(outcome, list(ops))
+    ops: List[RewireOp]
+    #: failing outputs the rewire was proven to fix
+    fixed: Tuple[str, ...]
+    #: gates its commit would clone from the spec
+    clones: int
 
     @property
-    def patched(self) -> Circuit:
-        if self.outcome.patched is None:
-            raise PatchStructureError(
-                "commit built from an invalid validation outcome "
-                "(no patched circuit)")
-        return self.outcome.patched
-
-    @property
-    def fixed(self) -> Tuple[str, ...]:
-        return self.outcome.fixed
-
-    @property
-    def clone_map(self) -> Dict[str, str]:
-        return self.outcome.clone_map
-
-    @property
-    def new_gates(self) -> Set[str]:
-        return self.outcome.new_gates
+    def score(self) -> Tuple[int, int]:
+        """Most outputs fixed first, then least new logic."""
+        return (len(self.fixed), -self.clones)
 
 
 def rectify(impl: Circuit, spec: Circuit,

@@ -19,9 +19,9 @@ learned clause carries over to the next candidate.
 Rewires sourced from the specification need no cloning here: both
 circuits are encoded over shared input variables, so tying a pin
 variable to the spec net's variable is logically identical to wiring
-the pin to a structural clone of that cone.  The patched circuit is
-materialized (via the legacy apply path) only for candidates that pass
-validation.
+the pin to a structural clone of that cone.  The validator returns
+verdicts only and never builds a patched circuit: the engine applies
+the one rewire it commits, once, in place.
 
 Legality (the Section 3.3 pin constraint and joint acyclicity) is
 re-checked on one :class:`~repro.lint.patch_rules.PatchScreen` built
@@ -35,7 +35,7 @@ conflict_budget)`` surface of
 :meth:`RunSupervisor.check_pair_supervised` drive it exactly as they
 drive the copy-and-re-encode path,
 :func:`~repro.eco.validate.validate_rewire`, which validates the
-fallback and the journal and ``--jobs`` replays.
+journal and ``--jobs`` replays.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from repro.cec.equivalence import EquivalenceResult
 from repro.eco.patch import RewireOp
 from repro.eco.validate import (
     ValidationOutcome,
-    apply_rewires,
     check_ports,
     rewire_legal,
 )
@@ -240,7 +239,6 @@ class IncrementalValidator:
 
     # ------------------------------------------------------------------
     def validate(self, ops: Sequence[RewireOp], failing: Sequence[str],
-                 clone_map: Dict[str, str],
                  sat_budget: Optional[int] = None,
                  run=None) -> ValidationOutcome:
         """Exact full-domain check of one candidate, incrementally.
@@ -248,17 +246,10 @@ class IncrementalValidator:
         Verdict-identical to :func:`repro.eco.validate.validate_rewire`
         (see the property tests): a candidate is valid when it fixes at
         least one failing output and provably damages no passing one.
-        The patched scratch circuit is materialized only on success.
         """
         if not rewire_legal(self.screen, ops):
             return ValidationOutcome(valid=False)
 
         self._arm(ops)
-        outcome = check_ports(self, self._affected_outputs(ops), failing,
-                              sat_budget=sat_budget, run=run)
-        if outcome.valid:
-            outcome.patched = self.impl.copy()
-            outcome.clone_map = dict(clone_map)
-            outcome.new_gates = apply_rewires(
-                outcome.patched, self.spec, ops, outcome.clone_map)
-        return outcome
+        return check_ports(self, self._affected_outputs(ops), failing,
+                           sat_budget=sat_budget, run=run)

@@ -132,6 +132,9 @@ def _run_worker(payload) -> WorkerResult:
             raise WorkerDiedError(
                 f"fault injection: worker for {','.join(targets)} killed")
         os._exit(3)
+    # commits edit the circuit in place, and an inline worker holds the
+    # main process's circuit itself
+    work = work.copy()
     engine = SysEco(config)
     trace = Trace(name=f"worker:{','.join(targets)}")
     run = RunSupervisor.from_config(config, trace=trace)
@@ -379,18 +382,20 @@ def parallel_verify(work: Circuit, spec: Circuit, jobs: int):
 def parallel_repair(engine, work: Circuit, spec: Circuit,
                     failing: List[str], patch, per_output: Dict[str, str],
                     run: RunSupervisor, journal=None, rng=None,
-                    ) -> Tuple[Circuit, List[str]]:
+                    ) -> List[str]:
     """Fan the failing outputs across supervised workers and merge.
 
-    Returns the replayed work circuit and the outputs still failing
-    (replay conflicts, worker misses, quarantined partitions and
-    partitions the deadline left undispatched fall through to the
-    caller's sequential loop).  Raises
-    :class:`ResourceBudgetExceeded` when a worker aborted in strict
-    mode, after absorbing all telemetry.  Commits that survive replay
-    are journaled when a checkpoint ``journal`` is given.
+    Commits the replayed worker commits to ``work`` in place and
+    returns the outputs still failing (replay conflicts, worker misses,
+    quarantined partitions and partitions the deadline left
+    undispatched fall through to the caller's sequential loop).  In
+    strict mode, raises :class:`ResourceBudgetExceeded` when a worker
+    aborted (after absorbing all telemetry) or the budget runs out
+    during the merge; otherwise the latter degrades the run and ends
+    the merge, and the commits made so far stand.  Commits that survive
+    replay are journaled when a checkpoint ``journal`` is given.
     """
-    from repro.eco.validate import assert_patch_structure, validate_rewire
+    from repro.eco.validate import validate_rewire
 
     config = engine.config
     jobs = min(config.jobs, len(failing))
@@ -409,7 +414,7 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
         logger.warning("parallel search unavailable (%s); "
                        "falling back to sequential", exc)
         run.trace.event("eco.parallel_fallback", reason=str(exc))
-        return work, failing
+        return failing
     results = [r for r in supervised if r is not None]
 
     strict_error: Optional[str] = None
@@ -428,8 +433,9 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
     # a snapshot and may conflict with another group's commits
     failing_now = list(failing)
     replayed = rejected = 0
-    for result in results:
-        for port, how, ops in result.commits:
+    commits = [c for result in results for c in result.commits]
+    try:
+        for port, how, ops in commits:
             run.checkpoint()
             if not _ops_applicable(work, spec, ops):
                 rejected += 1
@@ -449,20 +455,20 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
                     rng_state=rng.getstate() if rng is not None else None,
                     sat_spent=run.budget.sat_spent,
                     bdd_spent=run.budget.bdd_spent)
-            new_work = outcome.patched
-            assert_patch_structure(new_work, ops)
-            work = new_work
-            patch.record(ops, outcome.clone_map, outcome.new_gates)
-            for fixed_port in outcome.fixed:
-                per_output[fixed_port] = (
-                    how if fixed_port == port else "fixed-by-earlier")
-            fixed = set(outcome.fixed)
-            failing_now = [p for p in failing_now if p not in fixed]
+            failing_now = engine._commit(work, spec, port, how, ops,
+                                         outcome.fixed, patch, per_output,
+                                         failing_now)
             replayed += 1
+    except ResourceBudgetExceeded as exc:
+        if not config.degrade_on_budget:
+            raise
+        # ``work`` already holds the commits replayed so far; the
+        # caller's loop force-completes only what is still failing
+        run.mark_degraded(str(exc))
     run.trace.event("eco.parallel_merged", workers=len(results),
                     replayed=replayed, rejected=rejected,
                     remaining=len(failing_now))
     logger.info("parallel phase: %d workers, %d commits replayed, "
                 "%d rejected, %d outputs remaining",
                 len(results), replayed, rejected, len(failing_now))
-    return work, failing_now
+    return failing_now

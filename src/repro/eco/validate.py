@@ -1,18 +1,18 @@
 """Full-domain validation of sampled rewire candidates (Section 5.2).
 
 Reasoning in the sampling domain over-approximates, so every rewire
-choice is re-checked exactly before it is committed: the operation is
-applied to a scratch copy of the implementation and the affected
-outputs are compared against the specification with a resource-
-constrained SAT solver.  The check is *global*: a candidate is rejected
-when it damages any currently-correct output, and the number of failing
-outputs it fixes is reported so the engine can favor multi-output
-repairs.
+choice is re-checked exactly before it is committed: the outputs the
+operation can affect are compared against the specification with a
+resource-constrained SAT solver.  The check is *global*: a candidate is
+rejected when it damages any currently-correct output, and the failing
+outputs it fixes are reported so the engine can favor multi-output
+repairs.  Validators return verdicts only; the engine applies the one
+rewire it commits (:func:`apply_rewires`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PatchStructureError
@@ -104,6 +104,35 @@ def clone_spec_cone(work: Circuit, spec: Circuit, net: str,
         work.add_gate(clone_name, gate.gtype, fanins)
         clone_map[gname] = clone_name
     return clone_map[net]
+
+
+def spec_cone_clones(spec: Circuit, net: str,
+                     clone_map: Dict[str, str]) -> List[str]:
+    """Gates of ``net``'s spec cone that ``clone_map`` has no clone of.
+
+    These are the gates :func:`clone_spec_cone` instantiates for
+    ``net`` when ``net`` itself is not cloned yet; a primary input
+    needs none.
+    """
+    if net in spec.inputs:
+        return []
+    return [g for g in topological_order(spec, roots=[net])
+            if g not in clone_map]
+
+
+def clones_needed(spec: Circuit, ops: Sequence[RewireOp],
+                  clone_map: Dict[str, str]) -> int:
+    """How many gates :func:`apply_rewires` would clone for ``ops``.
+
+    The union of the spec cones of the ops' specification sources,
+    minus the gates ``clone_map`` already cloned; primary inputs are
+    shared, not cloned.  Nothing is built.
+    """
+    needed: Set[str] = set()
+    for op in ops:
+        if op.from_spec and op.source_net not in clone_map:
+            needed.update(spec_cone_clones(spec, op.source_net, clone_map))
+    return len(needed)
 
 
 def apply_rewires(work: Circuit, spec: Circuit, ops: Sequence[RewireOp],
@@ -382,17 +411,11 @@ class SimulationFilter:
 
 @dataclass
 class ValidationOutcome:
-    """Result of one full-domain validation."""
+    """Verdict of one full-domain validation."""
 
     valid: bool
     #: previously-failing ports this rewire provably fixes
     fixed: Tuple[str, ...] = ()
-    #: ports whose check exhausted the SAT budget (treated as not fixed)
-    unknown: Tuple[str, ...] = ()
-    #: the patched scratch circuit (only when valid)
-    patched: Optional[Circuit] = None
-    clone_map: Dict[str, str] = field(default_factory=dict)
-    new_gates: Set[str] = field(default_factory=set)
 
 
 def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
@@ -406,8 +429,8 @@ def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
     of ``ports`` matches the spec.  A proven port that was failing is
     fixed; a refuted or UNKNOWN port that was passing rejects the
     candidate at once.  The outcome is valid when at least one failing
-    port is fixed; the caller attaches the patched circuit.  Only the
-    verdicts are read: a refutation's counterexample is not.
+    port is fixed.  Only the verdicts are read: a refutation's
+    counterexample is not.
 
     With a :class:`~repro.runtime.supervisor.RunSupervisor` as ``run``,
     each query goes through :meth:`RunSupervisor.check_pair_supervised`
@@ -416,7 +439,6 @@ def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
     """
     failing_set = set(failing)
     fixed: List[str] = []
-    unknown: List[str] = []
     for port in ports:
         if run is not None:
             run.checkpoint()
@@ -427,15 +449,12 @@ def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
             if port in failing_set:
                 fixed.append(port)
             continue
-        if result.equivalent is None:
-            unknown.append(port)
         if port not in failing_set:
             # damaged a passing output, or cannot prove it intact
             return ValidationOutcome(valid=False)
     if not fixed:
         return ValidationOutcome(valid=False)
-    return ValidationOutcome(valid=True, fixed=tuple(fixed),
-                             unknown=tuple(unknown))
+    return ValidationOutcome(valid=True, fixed=tuple(fixed))
 
 
 def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
@@ -447,12 +466,14 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
     A candidate is valid when every output it touches is either proven
     equivalent to the spec or was already failing (it may leave other
     failing outputs broken, but must never damage a passing one).
+    Returns the verdict only; ``impl`` is left untouched, and the
+    caller commits a valid rewire itself.
 
-    Each call checks on a fresh structurally hashed
-    :class:`PairwiseChecker` over a patched copy of ``impl``, so a
-    verdict depends only on its arguments.  The engine uses it for the
-    fallback, journal replay and the ``--jobs`` merge's replay; the
-    search validates on an
+    Each call encodes the rewire on a private patched copy of ``impl``
+    and checks it on a fresh structurally hashed
+    :class:`PairwiseChecker`, so a verdict depends only on its
+    arguments.  The engine uses it for journal replay and the
+    ``--jobs`` merge's replay; the search validates on an
     :class:`~repro.eco.incremental.IncrementalValidator`.  The queries
     run through :func:`check_ports` (supervised when ``run`` is given;
     budget exhaustion then raises a
@@ -465,8 +486,7 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
         return ValidationOutcome(valid=False)
 
     work = impl.copy()
-    local_clone_map = dict(clone_map)
-    new_gates = apply_rewires(work, spec, ops, local_clone_map)
+    apply_rewires(work, spec, ops, dict(clone_map))
 
     changed_nets = set()
     for op in ops:
@@ -479,10 +499,5 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
         if op.pin.is_output_port:
             affected.add(op.pin.owner)
 
-    outcome = check_ports(PairwiseChecker(work, spec), sorted(affected),
-                          failing, sat_budget=sat_budget, run=run)
-    if outcome.valid:
-        outcome.patched = work
-        outcome.clone_map = local_clone_map
-        outcome.new_gates = new_gates
-    return outcome
+    return check_ports(PairwiseChecker(work, spec), sorted(affected),
+                       failing, sat_budget=sat_budget, run=run)

@@ -9,13 +9,16 @@ from repro.errors import EcoError
 from repro.eco.config import EcoConfig
 from repro.eco import engine
 from repro.eco.engine import SysEco, rectify
-from repro.netlist.circuit import Circuit
-from repro.netlist.traverse import transitive_fanin
+from repro.eco.patch import RewireOp
+from repro.netlist.circuit import Circuit, Pin
+from repro.netlist.traverse import levelize, transitive_fanin
 from repro.lint.netlist_rules import lint_netlist
+from repro.sat import Solver
 from repro.synth import optimize_heavy, optimize_light
 from repro.workloads.figures import example1_circuits, figure1_circuits
 from repro.workloads.generators import alu_design, control_design
 from repro.workloads.revisions import apply_revision
+from repro.workloads.suite import build_suite
 
 
 def assert_rectified(result, spec):
@@ -148,6 +151,39 @@ class TestRuntimeBookkeeping:
         result = rectify(impl, spec, EcoConfig(num_samples=8))
         assert set(result.verified_outputs) == set(spec.outputs)
 
+    def test_rectify_copies_the_implementation_once(self, monkeypatch):
+        # validators return verdicts, and the one winning rewire per
+        # output is committed in place on the run's private copy
+        (case,) = build_suite([2])
+        copies = []
+        real_copy = Circuit.copy
+
+        def counting_copy(self, *args, **kwargs):
+            copies.append(self.name)
+            return real_copy(self, *args, **kwargs)
+
+        monkeypatch.setattr(Circuit, "copy", counting_copy)
+        result = rectify(case.impl, case.spec)
+        assert len(copies) == 1
+        assert len(result.patch.ops) >= 1
+
+
+class TestFallback:
+    def test_fallback_fixes_its_port_without_a_solve(self, monkeypatch):
+        # Proposition 1: a port rewired to a clone of its spec cone is
+        # fixed by construction, and no other port reads it
+        _impl, spec = example1_circuits(width=2)
+        port = sorted(spec.outputs)[0]
+
+        def no_solve(self, *args, **kwargs):
+            raise AssertionError("the fallback made a solve")
+
+        monkeypatch.setattr(Solver, "solve", no_solve)
+        commit = SysEco()._fallback(spec, port)
+        assert commit.fixed == (port,)
+        assert commit.ops == [
+            RewireOp(Pin.output(port), spec.outputs[port], from_spec=True)]
+
 
 def xor_tree(name: str, width: int, top_xnor: bool) -> Circuit:
     """A balanced XOR tree over ``width`` inputs; gates g0, g1, ...
@@ -184,6 +220,6 @@ class TestCandidatePins:
             monkeypatch.setattr(engine, "transitive_fanin",
                                 lambda c, roots, order=order: list(order))
             picks.append(SysEco()._select_candidate_pins(
-                impl, spec, "o", samples, 20))
+                impl, spec, "o", samples, 20, levelize(impl)))
         assert len(picks[0]) == 20
         assert picks[0] == picks[1]

@@ -4,12 +4,12 @@ The incremental assumption-based validator is a pure performance
 device: on every candidate it must return exactly the verdict the
 copy-and-re-encode :func:`validate_rewire` returns — including
 rejections for topological-constraint and acyclicity violations — and
-any patched circuit it materializes must be functionally identical to
-that one.  The property tests below drive both validators with
-the same randomized circuits, pins and rewire ops and compare them
-check by check; the fault-injection tests confirm budgets, UNKNOWN
-queries and strict mode behave identically when the supervised solver
-runs through the incremental miter.
+a valid verdict must hold on the circuit the ops produce when applied.
+The property tests below drive both validators with the same
+randomized circuits, pins and rewire ops and compare them check by
+check; the fault-injection tests confirm budgets, UNKNOWN queries and
+strict mode behave identically when the supervised solver runs through
+the incremental miter.
 """
 
 import itertools
@@ -35,7 +35,7 @@ from repro.eco.config import EcoConfig
 from repro.eco.engine import SysEco, rectify
 from repro.eco.incremental import IncrementalValidator
 from repro.eco.patch import RewireOp
-from repro.eco.validate import validate_rewire
+from repro.eco.validate import apply_rewires, validate_rewire
 from tests.conftest import make_random_circuit
 
 
@@ -91,13 +91,23 @@ def random_ops(impl, spec, pins, rng, count=2):
     return ops
 
 
-def assert_same_outcome(impl, spec, legacy, incremental):
+def assert_verdict_holds(impl, spec, ops, failing, outcome):
+    """A valid verdict, re-proven on the circuit the ops produce: every
+    fixed output and every output that was passing match the spec."""
+    if not outcome.valid:
+        return
+    patched = impl.copy()
+    apply_rewires(patched, spec, ops, {})
+    kept = [p for p in spec.outputs if p not in failing]
+    result = check_equivalence(patched, spec,
+                               outputs=list(outcome.fixed) + kept)
+    assert result.equivalent is True
+
+
+def assert_same_outcome(impl, spec, ops, failing, legacy, incremental):
     assert incremental.valid == legacy.valid
     assert incremental.fixed == legacy.fixed
-    assert incremental.unknown == legacy.unknown
-    if legacy.valid:
-        same = check_equivalence(legacy.patched, incremental.patched)
-        assert same.equivalent is True
+    assert_verdict_holds(impl, spec, ops, failing, incremental)
 
 
 class TestVerdictParity:
@@ -118,8 +128,9 @@ class TestVerdictParity:
             ops = random_ops(impl, spec, pins, rng,
                              count=rng.randrange(1, 3))
             legacy = validate_rewire(impl, spec, ops, failing, {})
-            incremental = validator.validate(ops, failing, {})
-            assert_same_outcome(impl, spec, legacy, incremental)
+            incremental = validator.validate(ops, failing)
+            assert_same_outcome(impl, spec, ops, failing, legacy,
+                                incremental)
 
     def test_known_fix_accepted_by_both(self):
         spec = Circuit("spec")
@@ -135,11 +146,12 @@ class TestVerdictParity:
         validator = IncrementalValidator(impl, spec,
                                          [Pin.gate("h2", 0)])
         legacy = validate_rewire(impl, spec, ops, ["o"], {})
-        incremental = validator.validate(ops, ["o"], {})
+        incremental = validator.validate(ops, ["o"])
         assert legacy.valid and incremental.valid
-        assert_same_outcome(impl, spec, legacy, incremental)
-        assert check_equivalence(incremental.patched, spec).equivalent \
-            is True
+        assert_same_outcome(impl, spec, ops, ["o"], legacy, incremental)
+        patched = impl.copy()
+        apply_rewires(patched, spec, ops, {})
+        assert check_equivalence(patched, spec).equivalent is True
 
     def test_pin_outside_the_cut_is_refused(self):
         spec = make_random_circuit(21, n_inputs=4, n_gates=12)
@@ -149,7 +161,7 @@ class TestVerdictParity:
         ops = [RewireOp(pin=Pin.gate(gates[1], 0),
                         source_net=impl.inputs[0])]
         with pytest.raises(NetlistError, match="outside the cut"):
-            validator.validate(ops, list(impl.outputs), {})
+            validator.validate(ops, list(impl.outputs))
 
     def test_counts_incremental_solves(self):
         spec = make_random_circuit(0, n_inputs=4, n_gates=12)
@@ -163,7 +175,7 @@ class TestVerdictParity:
         validator.validate(
             [RewireOp(pin=pin, source_net=spec.outputs[failing[0]],
                       from_spec=True)],
-            failing, {})
+            failing)
         assert counters.incremental_solves >= 1
 
 
@@ -222,7 +234,7 @@ class TestSupervisedIncremental:
                                          counters=run.counters)
         ops = [RewireOp(pin=Pin.gate("h2", 0), source_net="g1",
                         from_spec=True)]
-        outcome = validator.validate(ops, ["o"], {}, run=run)
+        outcome = validator.validate(ops, ["o"], run=run)
         assert outcome.valid
         assert run.counters.sat_conflicts_spent >= 0
         assert run.counters.incremental_solves >= 1
@@ -242,8 +254,10 @@ class TestEngineParity:
         fast = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
 
         def legacy_path(self, run, inc_box, work, spec, pins, ops,
-                        failing, clone_map):
-            return validate_rewire(work, spec, ops, failing, clone_map,
+                        failing):
+            # earlier clones compute spec nets, so re-cloning them on
+            # validate_rewire's private copy changes no verdict
+            return validate_rewire(work, spec, ops, failing, {},
                                    sat_budget=self.config.sat_budget,
                                    run=run)
 

@@ -16,11 +16,17 @@ from repro.cec.equivalence import check_equivalence
 from repro.errors import ResourceBudgetExceeded
 from repro.netlist.circuit import Circuit
 from repro.obs.trace import Trace
-from repro.runtime.faultinject import FAULT_KILL, SITE_WORKER, FaultInjector
+from repro.runtime.faultinject import (
+    FAULT_EXHAUST,
+    FAULT_KILL,
+    SITE_SAT,
+    SITE_WORKER,
+    FaultInjector,
+)
 from repro.runtime.supervisor import RunSupervisor
 from repro.eco import parallel
 from repro.eco.config import EcoConfig
-from repro.eco.engine import rectify
+from repro.eco.engine import SysEco, rectify
 from repro.eco.parallel import parallel_verify, partition_targets
 
 
@@ -198,6 +204,42 @@ class TestInlineParallelSearch:
                          EcoConfig(num_samples=8, jobs=4))
         assert check_equivalence(result.patched, spec).equivalent is True
         assert result.counters.parallel_workers == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_budget_spent_during_merge_degrades(self, k, monkeypatch):
+        # the k-th supervised query of the main process is a merge
+        # replay: the commits replayed before it stand, and only the
+        # outputs still failing are force-completed
+        impl, spec = multi_bug_circuits(4)
+        commits = []
+        real_commit = SysEco._commit
+
+        def spy(work, *args):
+            commits.append((work, args[1]))  # args: spec, port, ...
+            return real_commit(work, *args)
+
+        monkeypatch.setattr(SysEco, "_commit", staticmethod(spy))
+        result = rectify(impl, spec, EcoConfig(num_samples=8, jobs=2),
+                         injector=FaultInjector().arm(
+                             SITE_SAT, k, payload=FAULT_EXHAUST))
+        assert result.degraded is True
+        assert check_equivalence(result.patched, spec).equivalent is True
+        ports = [port for work, port in commits if work is result.patched]
+        assert sorted(ports) == sorted(set(ports))
+        assert "rewire" in result.per_output.values()
+        assert "fallback-degraded" in result.per_output.values()
+
+    def test_worker_leaves_the_dispatched_circuit_unchanged(self):
+        # an inline worker receives the main process's circuit itself
+        impl, spec = multi_bug_circuits(2)
+        gates = {k: g.copy() for k, g in impl.gates.items()}
+        outputs = dict(impl.outputs)
+        result = parallel._run_worker(
+            (impl, spec, EcoConfig(num_samples=8), ["o0", "o1"], ["o0"],
+             False))
+        assert [port for port, _how, _ops in result.commits] == ["o0"]
+        assert impl.gates == gates
+        assert impl.outputs == outputs
 
 
 class TestParallelVerify:

@@ -4,13 +4,16 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cec.equivalence import check_equivalence
 from repro.eco.config import EcoConfig
 from repro.eco.patch import RewireOp
 from repro.eco.validate import (
     SimulationFilter,
     apply_rewires,
     clone_spec_cone,
+    clones_needed,
     pins_unconnected,
     rewire_legal,
     validate_rewire,
@@ -22,6 +25,7 @@ from repro.runtime.supervisor import RunSupervisor
 from repro.lint.netlist_rules import lint_netlist
 from tests.conftest import make_random_circuit
 from tests.eco import reference
+from tests.eco.test_incremental import mutate, random_ops, random_pins
 
 
 def chain_circuit():
@@ -231,6 +235,24 @@ class TestCloning:
         assert new == {"eco$h1", "eco$h2"}
         assert work.outputs["o"] == "eco$h2"
 
+    @given(seed=st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=40, deadline=None)
+    def test_clones_needed_counts_what_apply_rewires_clones(self, seed):
+        spec = make_random_circuit(seed, n_inputs=4, n_gates=15)
+        impl = mutate(spec, seed + 1)
+        if impl is None:
+            return
+        rng = random.Random(seed + 2)
+        pins = random_pins(impl, rng) + [
+            Pin.output(rng.choice(sorted(impl.outputs)))]
+        ops = random_ops(impl, spec, pins, rng, count=rng.randrange(1, 4))
+        # earlier clones: spec gates already stood in for by impl nets
+        impl_nets = list(impl.inputs) + list(impl.gates)
+        cloned = rng.sample(list(spec.gates), rng.randrange(1, 5))
+        m = {g: rng.choice(impl_nets) for g in cloned}
+        assert clones_needed(spec, ops, m) == len(
+            apply_rewires(impl.copy(), spec, ops, dict(m)))
+
 
 class TestValidateRewire:
     def pair(self):
@@ -254,8 +276,10 @@ class TestValidateRewire:
         outcome = validate_rewire(impl, spec, ops, ["o"], {})
         assert outcome.valid
         assert outcome.fixed == ("o",)
-        assert outcome.patched is not None
-        assert lint_netlist(outcome.patched, deep=False).ok
+        patched = impl.copy()
+        apply_rewires(patched, spec, ops, {})
+        assert lint_netlist(patched, deep=False).ok
+        assert check_equivalence(patched, spec).equivalent is True
 
     def test_wrong_rewire_rejected(self):
         impl, spec = self.pair()

@@ -70,12 +70,38 @@ class TestEco:
         assert exhaustive_equivalent(patched, spec)
 
     @pytest.mark.parametrize("engine", ["deltasyn", "conemap"])
-    def test_baseline_engines(self, eco_files, engine, capsys):
+    def test_baseline_engines(self, eco_files, engine, tmp_path, capsys):
         impl_path, spec_path = eco_files
+        out_path = str(tmp_path / "patched.blif")
         code = main(["eco", "--impl", impl_path, "--spec", spec_path,
-                     "--engine", engine])
+                     "--engine", engine, "-o", out_path])
         assert code == 0
         assert "verified: True" in capsys.readouterr().out
+        patched = read_blif(out_path)
+        spec = read_blif(spec_path)
+        assert exhaustive_equivalent(patched, spec)
+
+    def test_syseco_proves_equivalence_once(self, eco_files, monkeypatch,
+                                            capsys):
+        # the engine's final verification is the command's verdict
+        import repro.cec
+        import repro.eco.engine
+
+        calls = []
+        real = repro.cec.check_equivalence
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.eco.engine, "check_equivalence", counting)
+        monkeypatch.setattr(repro.cec, "check_equivalence", counting)
+        impl_path, spec_path = eco_files
+        code = main(["eco", "--impl", impl_path, "--spec", spec_path,
+                     "--samples", "8", "--no-store"])
+        assert code == 0
+        assert "verified: True" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestObservability:
