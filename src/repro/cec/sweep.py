@@ -87,6 +87,6 @@ def prune_dangling(circuit: Circuit) -> int:
     """Remove gates whose nets reach no output; returns removal count."""
     live = transitive_fanin(circuit, circuit.output_nets())
     dead = [g for g in circuit.gates if g not in live]
-    for g in dead:
-        del circuit.gates[g]
+    if dead:
+        circuit.remove_gates(dead)
     return len(dead)

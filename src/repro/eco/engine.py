@@ -522,8 +522,6 @@ class SysEco:
         config = self.config
         domain = SamplingDomain(manager, samples, inputs=work.inputs,
                                 checkpoint=run.checkpoint)
-        impl_z = domain.cast_circuit(work)
-        spec_z = domain.cast_circuit(spec)
 
         input_index = {n: i for i, n in enumerate(work.inputs)}
         impl_supports = support_masks(work, input_index)
@@ -532,7 +530,7 @@ class SysEco:
         spec_levels = levelize(spec)
 
         ctx = RewiringContext(
-            work, spec, port, domain, config, impl_z, spec_z,
+            work, spec, port, domain, config,
             impl_supports, spec_supports, impl_levels, spec_levels,
             trace=run.trace)
 
@@ -542,7 +540,7 @@ class SysEco:
             psp.tag(pins=len(candidate_pins))
         if not candidate_pins:
             return None
-        spec_value = spec_z[spec.outputs[port]]
+        spec_value = ctx.spec_z[spec.outputs[port]]
 
         cost_fn = self._make_cost_fn(work, spec, port, impl_levels,
                                      patch.clone_map)
@@ -571,10 +569,10 @@ class SysEco:
                 # choices are cost-ordered; the simulation screen drops
                 # sampling false positives cheaply, and only the first
                 # few survivors per point-set get a SAT proof.  The sim
-                # screen runs in lookahead batches so the vector
-                # backend can score SCREEN_BATCH candidates per array
-                # evaluation; results are consumed in choice order, so
-                # the SAT decision sequence matches the scalar loop.
+                # screen runs in lookahead batches of SCREEN_BATCH
+                # lint-passing candidates, one trace span per batch;
+                # results are consumed in choice order, so the SAT
+                # decision sequence is the one-at-a-time loop's.
                 sat_tried = 0
                 choice_iter = iter(choices)
                 pending: List[Tuple[List[RewireOp], bool]] = []
@@ -612,8 +610,8 @@ class SysEco:
                     with run.trace.span("eco.validate", output=port,
                                         ops=len(ops)) as vsp:
                         outcome = self._validate_candidate(
-                            run, inc_box, work, spec, candidate_pins,
-                            ops, failing)
+                            run, inc_box, ctx, candidate_pins, ops,
+                            failing)
                         vsp.tag(valid=outcome.valid,
                                 fixed=len(outcome.fixed))
                     validations += 1
@@ -636,8 +634,8 @@ class SysEco:
 
     # ------------------------------------------------------------------
     def _validate_candidate(self, run: RunSupervisor, inc_box: List,
-                            work: Circuit, spec: Circuit,
-                            pins: Sequence[Pin], ops: List[RewireOp],
+                            ctx: RewiringContext, pins: Sequence[Pin],
+                            ops: List[RewireOp],
                             failing: Sequence[str]) -> ValidationOutcome:
         """Full-domain validation through the incremental miter.
 
@@ -646,12 +644,14 @@ class SysEco:
         and kept in ``inc_box`` so every later candidate of the same
         search is a single assumption-based solve on the one persistent
         miter.  Its cut is ``pins``, the search's candidate pins, so it
-        covers every candidate the search proposes.
+        covers every candidate the search proposes, and it re-checks
+        legality on the search context's screen.
         """
         validator = inc_box[0]
         if validator is None:
-            validator = IncrementalValidator(work, spec, pins,
-                                             counters=run.counters)
+            validator = IncrementalValidator(
+                ctx.impl, ctx.spec, pins, counters=run.counters,
+                screen=ctx.screen)
             inc_box[0] = validator
         return validator.validate(
             ops, failing, sat_budget=self.config.sat_budget, run=run)
@@ -665,9 +665,7 @@ class SysEco:
         """Batched simulation-screen decisions, one trace span.
 
         Result-identical per candidate to
-        :meth:`SimulationFilter.passes`; the batch shape only changes
-        how many candidates one array evaluation scores on the vector
-        backend.
+        :meth:`SimulationFilter.passes`.
         """
         with run.trace.span("sim.screen", output=port,
                             batch=len(ops_batch)) as sp:

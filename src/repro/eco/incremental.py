@@ -3,18 +3,23 @@
 :func:`repro.eco.validate.validate_rewire` pays a full ``impl.copy()``,
 cone cloning and a fresh Tseitin encoding for *every* candidate
 rewire.  :class:`IncrementalValidator` amortizes all of that
-across the whole search of one output: it encodes a mux-augmented
-miter **once** — every candidate pin's fanin connection is cut and
-replaced by a free *pin variable* — and registers each concrete rewire
-behind fresh *selector literals*
+across the whole search of one output: it grows one mux-augmented
+miter on one persistent solver — every candidate pin's fanin
+connection is cut and replaced by a free *pin variable* — and
+registers each concrete rewire behind fresh *selector literals*
 
     ``sel(pin, src)  ->  pin_var == src_var``
 
-so checking a candidate is a single ``Solver.solve(assumptions=[...])``
-on one persistent solver: the selectors of the candidate's sources,
-the original-driver selectors of every untouched pin, and the target
-port's difference literal.  No circuit copy, no re-encoding, and every
-learned clause carries over to the next candidate.
+so checking a candidate is a single ``Solver.solve(assumptions=[...])``:
+the selectors of the candidate's sources, the original-driver
+selectors of every other pin encoded so far, and the target port's
+difference literal.  No circuit copy, and every learned clause carries
+over to the next candidate.
+
+The miter is encoded lazily, net by net on first use: a query encodes
+the cones of the ports it compares and of the sources it selects, and
+nothing else.  A search touches a few cones of a large design, so its
+solver stays the size of those cones, not of the two circuits.
 
 Rewires sourced from the specification need no cloning here: both
 circuits are encoded over shared input variables, so tying a pin
@@ -24,9 +29,10 @@ verdicts only and never builds a patched circuit: the engine applies
 the one rewire it commits, once, in place.
 
 Legality (the Section 3.3 pin constraint and joint acyclicity) is
-re-checked on one :class:`~repro.lint.patch_rules.PatchScreen` built
-with the validator, so a candidate costs walks of only the fanout
-cones it touches, each memoized across the search.
+re-checked on one :class:`~repro.lint.patch_rules.PatchScreen` of the
+implementation, the search's own when the engine builds the validator,
+so a candidate costs walks of only the fanout cones it touches, each
+memoized across the search.
 
 The validator exposes the ``solver`` + ``check_pair(port,
 conflict_budget)`` surface of
@@ -40,12 +46,11 @@ journal and ``--jobs`` replays.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import NetlistError
 from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.traverse import topological_order
 from repro.sat import UNKNOWN, UNSAT, Solver
 from repro.sat.tseitin import CircuitEncoder
 from repro.cec.equivalence import EquivalenceResult
@@ -58,89 +63,130 @@ from repro.eco.validate import (
 
 
 class IncrementalValidator:
-    """One persistent mux-augmented miter for an output search.
+    """One persistent, lazily encoded mux-augmented miter for an output
+    search.
 
     Args:
         impl: current implementation ``C`` (must not be mutated while
-            the validator is alive: its legality screen and fanout
-            cones are built once; the engine rebuilds one per search).
+            the validator is alive: its legality screen, fanout cones
+            and encoding are built against it; the engine builds one
+            per search).
         spec: revised specification ``C'``.
         pins: candidate rectification pins — the cut points.  Every
             rewire validated must have its pins in this set; the
             engine's candidates do, since their pins are the search's
-            candidate pins.  Sources may be any net of either circuit,
-            since both are encoded whole.
+            candidate pins.  Sources may be any net of either circuit;
+            each is encoded when first selected.
         counters: optional ``RunCounters`` receiving
             ``incremental_solves``.
+        screen: a :class:`PatchScreen` of ``impl`` to re-check legality
+            on (the search's own, so its sink map is built once); by
+            default the validator builds one.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit,
-                 pins: Sequence[Pin], counters=None):
+                 pins: Sequence[Pin], counters=None,
+                 screen: Optional[PatchScreen] = None):
         self.impl = impl
         self.spec = spec
         self.counters = counters
         self.solver = Solver()
         self._encoder = CircuitEncoder(self.solver)
-        #: gate pin -> free variable spliced into the pin's fanin slot
+        # the spec gets its own encoder: its constants must not reuse
+        # the implementation side's constant variables
+        self._spec_encoder = CircuitEncoder(self.solver)
+        #: the cut: gate pins grouped by owner, and the port pins
+        self._cut: Dict[str, Dict[int, Pin]] = {}
+        self._port_pins: Dict[str, Pin] = {}
+        for pin in pins:
+            if pin.is_output_port:
+                if pin.owner not in impl.outputs:
+                    raise NetlistError(f"no output port {pin.owner!r}")
+                self._port_pins[pin.owner] = pin
+            else:
+                gate = impl.gates.get(pin.owner)
+                # a pin the circuit lacks is never encoded, so it stays
+                # outside the cut
+                if gate is not None and pin.index < len(gate.fanins):
+                    self._cut.setdefault(pin.owner, {})[pin.index] = pin
+        #: encoded cut pin -> free variable spliced into its fanin slot
         self._pin_var: Dict[Pin, int] = {}
-        #: pin -> variable of its original driver (default selector)
+        #: encoded cut pin -> variable of its original driver
         self._pin_default: Dict[Pin, int] = {}
-        #: output-port pin -> free variable observed by the diff miter
-        self._port_var: Dict[str, int] = {}
+        self._input_var: Dict[str, int] = {}
+        self._impl_map: Dict[str, int] = {}
+        self._spec_map: Dict[str, int] = {}
         self._selectors: Dict[Tuple[Pin, int], int] = {}
         self._diff_lit: Dict[str, int] = {}
         self._affected: Dict[str, List[str]] = {}
-        self._assumptions: List[int] = []
-        self.screen = PatchScreen(impl)
+        #: the armed candidate: pin -> its op (last op per pin wins)
+        self._chosen: Dict[Pin, RewireOp] = {}
+        self.screen = screen if screen is not None else PatchScreen(impl)
 
-        cut: Dict[str, Dict[int, Pin]] = {}
-        port_pins: List[Pin] = []
-        for pin in pins:
-            if pin.is_output_port:
-                port_pins.append(pin)
-            else:
-                cut.setdefault(pin.owner, {})[pin.index] = pin
+    # ------------------------------------------------------------------
+    # lazy encoding
+    # ------------------------------------------------------------------
+    def _input(self, name: str) -> int:
+        """The one variable a primary input has on both sides."""
+        var = self._input_var.get(name)
+        if var is None:
+            var = self.solver.new_var()
+            self._input_var[name] = var
+        return var
 
-        solver = self.solver
-        varmap: Dict[str, int] = {}
-        for name in impl.inputs:
-            varmap[name] = solver.new_var()
-        for name in topological_order(impl):
-            gate = impl.gates[name]
-            pinmap = cut.get(name)
+    def _encode(self, circuit: Circuit, net: str, varmap: Dict[str, int],
+                encoder: CircuitEncoder,
+                cut: Mapping[str, Dict[int, Pin]]) -> int:
+        """Variable of ``net``, encoding its unencoded cone first.
+
+        A fanin slot of a ``cut`` pin becomes the pin's free variable,
+        with the driver's variable recorded as its default.
+        """
+        stack = [net]
+        while stack:
+            name = stack[-1]
+            if name in varmap:
+                stack.pop()
+                continue
+            gate = circuit.gates.get(name)
+            if gate is None:
+                if not circuit.is_input(name):
+                    raise NetlistError(
+                        f"no net {name!r} in {circuit.name!r}")
+                varmap[name] = self._input(name)
+                stack.pop()
+                continue
+            pending = [f for f in gate.fanins if f not in varmap]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            pins = cut.get(name)
             operands = []
             for idx, fanin in enumerate(gate.fanins):
-                pin = pinmap.get(idx) if pinmap else None
+                pin = pins.get(idx) if pins else None
                 if pin is None:
                     operands.append(varmap[fanin])
                 else:
-                    pv = solver.new_var()
+                    pv = self.solver.new_var()
                     self._pin_var[pin] = pv
                     self._pin_default[pin] = varmap[fanin]
                     operands.append(pv)
-            varmap[name] = self._encoder.encode_gate(gate.gtype, operands)
-        self._impl_map = varmap
+            varmap[name] = encoder.encode_gate(gate.gtype, operands)
+        return varmap[net]
 
-        # the spec gets its own encoder: its constants must not reuse
-        # the implementation side's constant variables
-        shared = {n: varmap[n] for n in spec.inputs if n in varmap}
-        self._spec_map = CircuitEncoder(solver).encode(
-            spec, input_vars=shared)
+    def _impl_var(self, net: str) -> int:
+        return self._encode(self.impl, net, self._impl_map, self._encoder,
+                            self._cut)
 
-        for pin in port_pins:
-            port = pin.owner
-            if port not in impl.outputs:
-                raise NetlistError(f"no output port {port!r}")
-            ov = solver.new_var()
-            self._port_var[port] = ov
-            self._pin_var[pin] = ov
-            self._pin_default[pin] = varmap[impl.outputs[port]]
+    def _spec_var(self, net: str) -> int:
+        return self._encode(self.spec, net, self._spec_map,
+                            self._spec_encoder, {})
 
-    # ------------------------------------------------------------------
     def _source_var(self, op: RewireOp) -> int:
         if op.from_spec:
-            return self._spec_map[op.source_net]
-        return self._impl_map[op.source_net]
+            return self._spec_var(op.source_net)
+        return self._impl_var(op.source_net)
 
     def _selector(self, pin: Pin, src_var: int) -> int:
         """Selector literal asserting ``pin_var == src_var``."""
@@ -158,38 +204,62 @@ class IncrementalValidator:
     def diff_literal(self, port: str) -> int:
         """Literal asserting 'port differs between C and C''.
 
-        Ports registered as candidate pins are observed through their
-        free port variable (selected per candidate); all others read
-        the implementation net directly.
+        Encodes the port's cones on first use.  A port registered as a
+        candidate pin is observed through its free port variable
+        (selected per candidate); all others read the implementation
+        net directly.
         """
         lit = self._diff_lit.get(port)
         if lit is None:
-            a = self._port_var.get(port)
-            if a is None:
-                a = self._impl_map[self.impl.outputs[port]]
-            b = self._spec_map[self.spec.outputs[port]]
+            a = self._impl_var(self.impl.outputs[port])
+            pin = self._port_pins.get(port)
+            if pin is not None:
+                pv = self.solver.new_var()
+                self._pin_var[pin] = pv
+                self._pin_default[pin] = a
+                a = pv
+            b = self._spec_var(self.spec.outputs[port])
             lit = self._encoder._encode_xor2(a, b)
             self._diff_lit[port] = lit
         return lit
 
     # ------------------------------------------------------------------
     def _arm(self, ops: Sequence[RewireOp]) -> None:
-        """Assumption set selecting ``ops`` and pinning all other pins
-        to their original drivers."""
-        chosen: Dict[Pin, int] = {}
+        """Select ``ops`` for the following queries."""
+        chosen: Dict[Pin, RewireOp] = {}
         for op in ops:  # last op per pin wins, as in apply_rewires
-            if op.pin not in self._pin_var:
+            pin = op.pin
+            if pin.is_output_port:
+                inside = pin.owner in self._port_pins
+            else:
+                inside = pin.index in self._cut.get(pin.owner, ())
+            if not inside:
                 # no selector could apply it: the verdict would be the
                 # unpatched circuit's
-                raise NetlistError(f"pin {op.pin} is outside the cut")
-            chosen[op.pin] = self._source_var(op)
-        assumptions = []
-        for pin, pv in self._pin_var.items():
-            src = chosen.get(pin)
-            if src is None:
-                src = self._pin_default[pin]
-            assumptions.append(self._selector(pin, src))
-        self._assumptions = assumptions
+                raise NetlistError(f"pin {pin} is outside the cut")
+            chosen[pin] = op
+        self._chosen = chosen
+
+    def _assumptions(self) -> List[int]:
+        """One selector per pin encoded so far: the armed source of a
+        chosen pin, the original driver of any other.
+
+        Encoding a chosen source can encode further cut pins, whose
+        own sources may then be needed, so this repeats until no new
+        pin appears.  A pin that was never encoded is in no clause, so
+        it needs no selector.
+        """
+        sources: Dict[Pin, int] = {}
+        done = 0
+        while done < len(self._pin_var):
+            fresh = list(self._pin_var)[done:]
+            done += len(fresh)
+            for pin in fresh:
+                op = self._chosen.get(pin)
+                if op is not None:
+                    sources[pin] = self._source_var(op)
+        return [self._selector(pin, sources.get(pin, default))
+                for pin, default in self._pin_default.items()]
 
     def check_pair(self, port: str,
                    conflict_budget: Optional[int] = None
@@ -202,10 +272,11 @@ class IncrementalValidator:
         verdicts only, so the SAT model is never decoded.
         """
         lit = self.diff_literal(port)
+        assumptions = self._assumptions()
         if self.counters is not None:
             self.counters.incremental_solves += 1
         status = self.solver.solve(
-            assumptions=self._assumptions + [lit],
+            assumptions=assumptions + [lit],
             conflict_budget=conflict_budget)
         if status == UNSAT:
             return EquivalenceResult(True)

@@ -45,14 +45,17 @@ class RewireCandidate:
 class RewiringContext:
     """Per-failing-output state shared across rectification points.
 
-    Precomputes, once per output: the sampled error region ``E``,
-    sampling-domain functions of every net of ``C`` and ``C'``, support
-    masks, and the spec-side support of the failing output.
+    Precomputes, once per output: the spec-side support of the failing
+    output, the *candidate pool* — the implementation nets and spec
+    gates that pass the structural filter, which depends on the output
+    and not on the pin — their sampling-domain functions together with
+    those of the two output cones, and the sampled error region ``E``.
+    Only the pool and the output cones are cast into the domain, and
+    :meth:`candidates_for_pin` scans only the pool.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit, port: str,
                  domain: SamplingDomain, config: EcoConfig,
-                 impl_z: Mapping[str, int], spec_z: Mapping[str, int],
                  impl_supports: Mapping[str, int],
                  spec_supports: Mapping[str, int],
                  impl_levels: Mapping[str, int],
@@ -64,18 +67,35 @@ class RewiringContext:
         self.domain = domain
         self.config = config
         self.trace = ensure_trace(trace)
-        self.impl_z = impl_z
-        self.spec_z = spec_z
         self.impl_supports = impl_supports
         self.spec_supports = spec_supports
         self.impl_levels = impl_levels
         self.spec_levels = spec_levels
 
-        manager = domain.manager
         self.spec_out_net = spec.outputs[port]
         self.spec_support_mask = spec_supports[self.spec_out_net]
-        diff = manager.xor(impl_z[impl.outputs[port]],
-                           spec_z[self.spec_out_net])
+        # the structural filter: a net's support must lie within the
+        # failing output's spec support
+        outside = ~self.spec_support_mask
+        #: implementation nets passing the filter, in ``impl.nets()``
+        #: order
+        self.impl_pool: List[str] = [
+            net for net in impl.nets()
+            if not impl_supports[net] & outside
+        ] if config.use_impl_nets else []
+        #: spec gates passing the filter, in ``spec.gates`` order
+        self.spec_pool: List[str] = [
+            net for net in spec.gates
+            if not spec_supports[net] & outside
+        ] if config.use_spec_nets else []
+        self.impl_z = domain.cast_circuit(
+            impl, roots=[impl.outputs[port]] + self.impl_pool)
+        self.spec_z = domain.cast_circuit(
+            spec, roots=[self.spec_out_net] + self.spec_pool)
+
+        manager = domain.manager
+        diff = manager.xor(self.impl_z[impl.outputs[port]],
+                           self.spec_z[self.spec_out_net])
         self.error_region = manager.and_(diff, domain.valid_codes())
         self.error_count = max(1, domain.count_in_domain(diff))
         # the utility counts over the z variables, which a fresh
@@ -115,7 +135,6 @@ class RewiringContext:
                             forbidden: Optional[Set[str]] = None
                             ) -> List[RewireCandidate]:
         config = self.config
-        manager = self.domain.manager
         driver = self.impl.pin_driver(pin)
         driver_z = self.impl_z[driver]
 
@@ -127,28 +146,22 @@ class RewiringContext:
             unreachable = self.screen.fanout_cone(pin.owner)
 
         scored: List[RewireCandidate] = []
-        if config.use_impl_nets:
-            for net in self.impl.nets():
-                if net == driver or net in unreachable:
-                    continue
-                if forbidden and net in forbidden:
-                    continue
-                if self.impl_supports[net] & ~self.spec_support_mask:
-                    continue  # structural filter
-                scored.append(RewireCandidate(
-                    net=net, from_spec=False,
-                    utility=self.utility(driver_z, self.impl_z[net]),
-                    z_function=self.impl_z[net],
-                    level=self.impl_levels[net]))
-        if config.use_spec_nets:
-            for net in self.spec.gates:
-                if self.spec_supports[net] & ~self.spec_support_mask:
-                    continue
-                scored.append(RewireCandidate(
-                    net=net, from_spec=True,
-                    utility=self.utility(driver_z, self.spec_z[net]),
-                    z_function=self.spec_z[net],
-                    level=self.spec_levels[net]))
+        for net in self.impl_pool:
+            if net == driver or net in unreachable:
+                continue
+            if forbidden and net in forbidden:
+                continue
+            scored.append(RewireCandidate(
+                net=net, from_spec=False,
+                utility=self.utility(driver_z, self.impl_z[net]),
+                z_function=self.impl_z[net],
+                level=self.impl_levels[net]))
+        for net in self.spec_pool:
+            scored.append(RewireCandidate(
+                net=net, from_spec=True,
+                utility=self.utility(driver_z, self.spec_z[net]),
+                z_function=self.spec_z[net],
+                level=self.spec_levels[net]))
 
         if config.utility_ordering:
             scored.sort(key=lambda c: (-c.utility, c.from_spec, c.level))

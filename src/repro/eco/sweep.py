@@ -14,9 +14,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cec.equivalence import PairwiseChecker
 from repro.cec.sweep import prune_dangling
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.simulate import signature
-from repro.netlist.traverse import transitive_fanout
 
 
 def refine_patch_inputs(patched: Circuit, cloned_gates: Set[str],
@@ -57,27 +56,44 @@ def refine_patch_inputs(patched: Circuit, cloned_gates: Set[str],
     varmap = context.rebind(patched)
 
     replacements = 0
+    # one sink map for the whole pass, kept in step with every rewire
+    sinks = patched.sink_map()
     # deepest clones first so upstream replacements cascade; names
     # break depth ties, so the order never follows set iteration
     for clone in sorted(alive, key=lambda g: (-_depth(patched, g), g)):
-        if clone not in patched.gates or not patched.sinks(clone):
+        if not sinks[clone]:
             continue
         originals = by_sig.get(sigs[clone], ())
         if not originals:
             continue
         # wiring in a net downstream of the clone would close a cycle;
         # nothing edits the circuit until the loop below breaks
-        downstream = transitive_fanout(patched, [clone])
+        downstream = _fanout_cone(sinks, clone)
         for candidate in originals:
             if candidate not in downstream and context.nets_equal(
                     varmap[clone], varmap[candidate], conflict_budget):
-                patched.replace_net(clone, candidate)
+                for pin in sinks[clone]:
+                    patched.rewire_pin(pin, candidate)
+                sinks[candidate].extend(sinks[clone])
+                sinks[clone] = []
                 replacements += 1
                 break
     if replacements:
         prune_dangling(patched)
     remaining = {g for g in alive if g in patched.gates}
     return replacements, remaining
+
+
+def _fanout_cone(sinks: Dict[str, List[Pin]], net: str) -> Set[str]:
+    """Inclusive transitive fanout of ``net`` over a sink map."""
+    seen = {net}
+    stack = [net]
+    while stack:
+        for pin in sinks[stack.pop()]:
+            if not pin.is_output_port and pin.owner not in seen:
+                seen.add(pin.owner)
+                stack.append(pin.owner)
+    return seen
 
 
 def _depth(circuit: Circuit, net: str) -> int:

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PatchStructureError
 from repro.lint.patch_rules import PatchScreen
-from repro.netlist import simd
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_BITS
 from repro.netlist.simulate import batch_mask, compiled_plan, eval_opcode
@@ -163,18 +162,15 @@ class SimulationFilter:
     necessary but not sufficient — SAT still gives the final word.
 
     All words are packed into one multi-word batch and evaluated
-    through the circuits' compiled plans once at construction; each
-    candidate is then screened as a *value overlay* — only gates
-    downstream of a rewired pin are re-evaluated, on plain
-    integer-indexed values.
-
-    When the numpy backend is active, :meth:`passes_batch` screens a
-    whole batch of candidates as one ``(net, candidate, word)`` array
-    evaluation through a cached
-    :class:`~repro.netlist.simd.OverlayKernel` (see
-    :mod:`repro.netlist.simd`); candidates whose screen result could
-    depend on step order fall back to the scalar overlay, which stays
-    the bit-identity oracle either way.
+    through the circuits' compiled plans once at construction, which
+    also records each output's *base verdict*: whether the unpatched
+    circuit matches the spec on the words.  Each candidate is then
+    screened as a *value overlay*: only the plan steps downstream of
+    its rewired gates are re-evaluated, in plan order, and only the
+    outputs they reach (or that it rewires) are compared; every other
+    output keeps its base verdict.  The steps and outputs below a set
+    of rewired gates are memoized, so a candidate costs its fanout
+    cone, not the circuit.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit,
@@ -199,10 +195,22 @@ class SimulationFilter:
         self.spec_base = self.spec_plan.run(spec_batch, self.mask)
         if counters is not None:
             counters.plan_evals += 2
-        # vector-screen state, built lazily on first passes_batch
-        self._base_vec = None
-        self._spec_lanes = None
-        self._kernels: Dict[frozenset, object] = {}
+        index = self.plan.index
+        spec_index = self.spec_plan.index
+        #: port -> the spec's value on the words
+        self._want: Dict[str, int] = {
+            port: self.spec_base[spec_index[spec.outputs[port]]]
+            for port in impl.outputs}
+        #: ports the unpatched circuit already gets wrong on the words
+        self._base_wrong: List[str] = [
+            port for port, net in impl.outputs.items()
+            if self.base[index[net]] != self._want[port]]
+        #: plan index -> ports observing that net
+        self._ports_at: Dict[int, List[str]] = {}
+        for port, net in impl.outputs.items():
+            self._ports_at.setdefault(index[net], []).append(port)
+        self._fanout: Optional[List[List[int]]] = None
+        self._cones: Dict[frozenset, Tuple[List[tuple], frozenset]] = {}
 
     def _source_value(self, op: RewireOp,
                       updated: Dict[int, int]) -> int:
@@ -210,6 +218,37 @@ class SimulationFilter:
             return self.spec_base[self.spec_plan.index[op.source_net]]
         idx = self.plan.index[op.source_net]
         return updated.get(idx, self.base[idx])
+
+    def _downstream(self, owners: frozenset
+                    ) -> Tuple[List[tuple], frozenset]:
+        """Plan steps downstream of the gates ``owners`` (inclusive, in
+        plan order) and the ports they reach, memoized per set."""
+        hit = self._cones.get(owners)
+        if hit is not None:
+            return hit
+        plan = self.plan
+        fanout = self._fanout
+        if fanout is None:
+            fanout = [[] for _ in plan.names]
+            for out, _opcode, fanins in plan.steps:
+                for j in fanins:
+                    fanout[j].append(out)
+            self._fanout = fanout
+        seen = set(owners)
+        stack = list(owners)
+        while stack:
+            for nxt in fanout[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        # a gate's plan step sits num_inputs before its net index
+        first = plan.num_inputs
+        steps = [plan.steps[i - first] for i in sorted(seen)]
+        reached = frozenset(
+            port for i in seen for port in self._ports_at.get(i, ()))
+        hit = (steps, reached)
+        self._cones[owners] = hit
+        return hit
 
     def passes(self, ops: Sequence[RewireOp], target: str,
                failing: Sequence[str]) -> bool:
@@ -221,8 +260,7 @@ class SimulationFilter:
         rewire happens to fix).
         """
         failing_set = set(failing) - {target}
-        plan = self.plan
-        index = plan.index
+        index = self.plan.index
         base = self.base
         mask = self.mask
         if self.counters is not None:
@@ -238,8 +276,15 @@ class SimulationFilter:
                 gate_ops.setdefault(
                     index[op.pin.owner], {})[op.pin.index] = op
 
+        steps, reached = self._downstream(frozenset(gate_ops))
+        # an output the rewire cannot change keeps its base verdict
+        for port in self._base_wrong:
+            if port not in failing_set and port not in port_ops \
+                    and port not in reached:
+                return False
+
         updated: Dict[int, int] = {}
-        for out, opcode, fanins in plan.steps:
+        for out, opcode, fanins in steps:
             pin_ops = gate_ops.get(out)
             if pin_ops is None:
                 for j in fanins:
@@ -260,153 +305,25 @@ class SimulationFilter:
             if new != base[out]:
                 updated[out] = new
 
-        spec_index = self.spec_plan.index
-        spec_base = self.spec_base
-        for port, net in self.impl.outputs.items():
-            if port in failing_set:
+        want = self._want
+        for port, op in port_ops.items():
+            if port in want and port not in failing_set and \
+                    self._source_value(op, updated) != want[port]:
+                return False
+        for port in reached:
+            if port in port_ops or port in failing_set:
                 continue
-            op = port_ops.get(port)
-            if op is not None:
-                got = self._source_value(op, updated)
-            else:
-                j = index[net]
-                got = updated.get(j, base[j])
-            if got != spec_base[spec_index[self.spec.outputs[port]]]:
+            j = index[self.impl.outputs[port]]
+            if updated.get(j, base[j]) != want[port]:
                 return False
         return True
-
-    # ------------------------------------------------------------------
-    # batched vector screen
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _vector_safe(ops: Sequence[RewireOp]) -> bool:
-        """Is a candidate's screen result independent of step order?
-
-        Single-op candidates and all-spec-sourced candidates are: the
-        lint screen guarantees acyclicity, so no rewired source can
-        observe another rewire of the same candidate.  Multi-op
-        candidates with implementation-sourced rewires can (the scalar
-        overlay reads sources in plan-step order), so those keep the
-        scalar path for exact parity.
-        """
-        return len(ops) == 1 or all(op.from_spec for op in ops)
-
-    def _vector_state(self):
-        if self._base_vec is None:
-            vplan = self.plan.vector_plan()
-            self._base_vec = simd.base_vec_from_ints(
-                self.base, vplan.perm, self.width)
-            self._spec_lanes = simd.lanes_from_ints(
-                self.spec_base, self.width)
-        return self.plan.vector_plan(), self._base_vec, \
-            self._spec_lanes
-
-    def _source_rows(self, np, ops_group: List[Sequence[RewireOp]],
-                     pick, vplan, base_vec):
-        """Per-candidate ``(C, W)`` operand rows for one rewired pin."""
-        rows = np.empty((len(ops_group), self.width), dtype=np.uint64)
-        for c, ops in enumerate(ops_group):
-            op = pick(ops)
-            if op.from_spec:
-                rows[c] = self._spec_lanes[
-                    self.spec_plan.index[op.source_net]]
-            else:
-                rows[c] = base_vec[
-                    vplan.perm[self.plan.index[op.source_net]]]
-        return rows
 
     def passes_batch(self, candidates: Sequence[Sequence[RewireOp]],
                      target: str,
                      failing: Sequence[str]) -> List[bool]:
-        """Screen a batch of candidates; one bool per candidate.
-
-        Result-identical to calling :meth:`passes` per candidate.  With
-        the numpy backend active, order-independent candidates sharing
-        a pin set are scored as one ``(net, candidate, word)`` array
-        evaluation; everything else (and every candidate, when the
-        backend is off) goes through the scalar overlay.
-        """
-        results: List[Optional[bool]] = [None] * len(candidates)
-        groups: Dict[tuple, List[int]] = {}
-        if simd.use_vector_screen(len(candidates)):
-            for ci, ops in enumerate(candidates):
-                if self._vector_safe(ops):
-                    key = tuple(sorted(
-                        (self.plan.index[op.pin.owner], op.pin.index)
-                        for op in ops if not op.pin.is_output_port))
-                    groups.setdefault(key, []).append(ci)
-        for key, cis in groups.items():
-            group_results = self._passes_vector(
-                key, [candidates[ci] for ci in cis], target, failing)
-            for ci, ok in zip(cis, group_results):
-                results[ci] = ok
-        for ci, ops in enumerate(candidates):
-            if results[ci] is None:
-                results[ci] = self.passes(ops, target, failing)
-        return results  # type: ignore[return-value]
-
-    def _passes_vector(self, key: tuple,
-                       ops_group: List[Sequence[RewireOp]],
-                       target: str,
-                       failing: Sequence[str]) -> List[bool]:
-        """Vector screen of candidates sharing one gate-pin set."""
-        np = simd._np  # only reached when simd reports numpy present
-        vplan, base_vec, spec_lanes = self._vector_state()
-        if self.counters is not None:
-            self.counters.plan_evals += len(ops_group)
-
-        owners = frozenset(idx for idx, _pos in key)
-        kernel = self._kernels.get(owners)
-        if kernel is None:
-            kernel = simd.OverlayKernel(vplan, self.plan.steps, owners)
-            self._kernels[owners] = kernel
-
-        overrides = {}
-        for gate_idx, pos in key:
-            def pick(ops, gi=gate_idx, p=pos):
-                chosen = None
-                for op in ops:  # last op per pin wins, as in passes()
-                    if not op.pin.is_output_port and \
-                            self.plan.index[op.pin.owner] == gi and \
-                            op.pin.index == p:
-                        chosen = op
-                return chosen
-            overrides[(gate_idx, pos)] = self._source_rows(
-                np, ops_group, pick, vplan, base_vec)
-
-        values = kernel.evaluate(base_vec, len(ops_group), overrides)
-
-        failing_set = set(failing) - {target}
-        ok = np.ones(len(ops_group), dtype=bool)
-        index = self.plan.index
-        spec_index = self.spec_plan.index
-        perm = vplan.perm
-        for port, net in self.impl.outputs.items():
-            if port in failing_set:
-                continue
-            spec_row = spec_lanes[spec_index[self.spec.outputs[port]]]
-            port_ops = [(c, op) for c, ops in enumerate(ops_group)
-                        for op in ops
-                        if op.pin.is_output_port and
-                        op.pin.owner == port]
-            if not port_ops and \
-                    index[net] not in kernel.affected_plan:
-                # untouched output: base comparison decides the whole
-                # group at once
-                if not bool((base_vec[perm[index[net]]]
-                             == spec_row).all()):
-                    ok[:] = False
-                continue
-            got = values[perm[index[net]]]
-            if port_ops:
-                got = got.copy()
-                for c, op in port_ops:
-                    if op.from_spec:
-                        got[c] = spec_lanes[spec_index[op.source_net]]
-                    else:
-                        got[c] = values[perm[index[op.source_net]], c]
-            ok &= (got == spec_row).all(axis=-1)
-        return [bool(v) for v in ok]
+        """Screen a batch of candidates; one :meth:`passes` verdict
+        per candidate."""
+        return [self.passes(ops, target, failing) for ops in candidates]
 
 
 @dataclass

@@ -17,7 +17,7 @@ relies on but Python cannot express:
 * ``RI004`` — no bare ``except:`` (it swallows ``KeyboardInterrupt``
   and masks programming errors).
 * ``RI005`` — no mutation of :class:`~repro.netlist.circuit.Circuit`
-  topology (``rewire_pin`` / ``replace_net`` / ``remove_gate`` /
+  topology (``rewire_pin`` / ``replace_net`` / ``remove_gate(s)`` /
   subscript assignment to ``.fanins`` / ``.outputs`` / ``.gates``)
   outside the sanctioned packages.
 * ``RI006`` — no ``print()`` in library modules; only the CLI prints,
@@ -88,7 +88,8 @@ _GLOBAL_RANDOM_FNS = frozenset({
     "expovariate", "vonmisesvariate", "triangular",
 })
 
-_MUTATING_METHODS = frozenset({"rewire_pin", "replace_net", "remove_gate"})
+_MUTATING_METHODS = frozenset({"rewire_pin", "replace_net", "remove_gate",
+                               "remove_gates"})
 _MUTATING_SUBSCRIPTS = frozenset({"fanins", "outputs", "gates"})
 
 

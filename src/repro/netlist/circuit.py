@@ -333,6 +333,28 @@ class Circuit:
         del self.gates[name]
         self._invalidate_derived()
 
+    def remove_gates(self, names: Iterable[str]) -> None:
+        """Remove a set of gates no remaining gate or port reads.
+
+        The bulk form of :meth:`remove_gate`: the removed gates may
+        read one another, and one pass checks the rest of the circuit.
+        """
+        doomed = set(names)
+        missing = doomed - self.gates.keys()
+        if missing:
+            raise NetlistError(f"no gate {min(missing)!r}")
+        for g in self.gates.values():
+            if g.name not in doomed and not doomed.isdisjoint(g.fanins):
+                raise NetlistError(
+                    f"gate {g.name!r} still reads a removed gate")
+        for port, net in self.outputs.items():
+            if net in doomed:
+                raise NetlistError(
+                    f"output {port!r} still reads gate {net!r}")
+        for name in doomed:
+            del self.gates[name]
+        self._invalidate_derived()
+
     def copy(self, name: Optional[str] = None) -> "Circuit":
         """Deep copy of the circuit."""
         c = Circuit(name or self.name)

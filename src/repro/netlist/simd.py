@@ -26,7 +26,7 @@ to its pure-Python twin by ``tests/netlist/test_simd.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.errors import NetlistError
 
@@ -45,8 +45,6 @@ AUTO_MIN_WORDS = 4
 #: ... and below this many compiled steps — tiny circuits fit in the
 #: pure-Python interpreter loop faster than in ufunc dispatch
 AUTO_MIN_STEPS = 192
-#: auto mode batches candidate screens only at/above this batch size
-AUTO_MIN_CANDIDATES = 2
 
 _selected = "auto"
 
@@ -84,15 +82,6 @@ def use_vector_run(width_words: int, num_steps: int) -> bool:
     if _selected == "numpy":
         return True
     return width_words >= AUTO_MIN_WORDS and num_steps >= AUTO_MIN_STEPS
-
-
-def use_vector_screen(num_candidates: int) -> bool:
-    """Should a candidate screen of this batch size be vectorized?"""
-    if _selected == "python" or not HAVE_NUMPY:
-        return False
-    if _selected == "numpy":
-        return True
-    return num_candidates >= AUTO_MIN_CANDIDATES
 
 
 # ----------------------------------------------------------------------
@@ -136,32 +125,23 @@ CONST0_FILL = 0
 CONST1_FILL = 0xFFFFFFFFFFFFFFFF
 
 
-def _apply_segment(np, opcode, arity, gathered, off, n, out=None):
+def _apply_segment(np, opcode, arity, gathered, off, n, out):
     """Evaluate one segment from its position-major operand blocks.
 
-    With ``out`` (a contiguous destination slice) the result is
-    written straight through ufunc ``out=`` arguments — no
-    intermediate copy — and ``None`` is returned.  Without it the
-    result block (a view into ``gathered``, mutated in place) is
-    returned for the caller to scatter; constant segments return an
-    int fill value either way.
+    The result is written straight into ``out`` (a contiguous
+    destination slice) through ufunc ``out=`` arguments, with no
+    intermediate copy, and ``None`` is returned; a constant segment
+    returns its int fill value instead.
     """
     if 4 <= opcode <= 9:  # AND/NAND/OR/NOR/XOR/XNOR
         ufunc = (np.bitwise_and if opcode < 6 else
                  np.bitwise_or if opcode < 8 else
                  np.bitwise_xor)
         first = gathered[off:off + n]
-        if out is None or arity == 1:
-            acc = first if out is None else out
-            if out is not None:
-                acc[...] = first
-            for p in range(1, arity):
-                ufunc(acc, gathered[off + p * n:off + (p + 1) * n],
-                      out=acc)
-            if opcode in (5, 7, 9):
-                np.bitwise_not(acc, out=acc)
-            return acc if out is None else None
-        ufunc(first, gathered[off + n:off + 2 * n], out=out)
+        if arity == 1:
+            out[...] = first
+        else:
+            ufunc(first, gathered[off + n:off + 2 * n], out=out)
         for p in range(2, arity):
             ufunc(out, gathered[off + p * n:off + (p + 1) * n],
                   out=out)
@@ -169,12 +149,9 @@ def _apply_segment(np, opcode, arity, gathered, off, n, out=None):
             np.bitwise_not(out, out=out)
         return None
     if opcode == 3:  # NOT
-        blk = gathered[off:off + n]
-        np.bitwise_not(blk, out=blk if out is None else out)
-        return blk if out is None else None
+        np.bitwise_not(gathered[off:off + n], out=out)
+        return None
     if opcode == 2:  # BUF
-        if out is None:
-            return gathered[off:off + n]
         out[...] = gathered[off:off + n]
         return None
     if opcode == 10:  # MUX(s, d0, d1) = d0 ^ (s & (d0 ^ d1))
@@ -183,8 +160,8 @@ def _apply_segment(np, opcode, arity, gathered, off, n, out=None):
         d1 = gathered[off + 2 * n:off + 3 * n]
         np.bitwise_xor(d0, d1, out=d1)
         np.bitwise_and(d1, s, out=d1)
-        np.bitwise_xor(d1, d0, out=d1 if out is None else out)
-        return d1 if out is None else None
+        np.bitwise_xor(d1, d0, out=out)
+        return None
     return CONST1_FILL if opcode == 1 else CONST0_FILL
 
 
@@ -267,8 +244,7 @@ class VectorPlan:
     # ------------------------------------------------------------------
     def _eval_levels(self, values) -> None:
         """Evaluate every level in place over ``values`` (vector
-        numbering, inputs pre-filled; trailing axes are free — the
-        screen path adds a candidate axis)."""
+        numbering, inputs pre-filled)."""
         np = _np
         for idx, segments in self.levels:
             gathered = np.take(values, idx, axis=0) if len(idx) \
@@ -313,128 +289,3 @@ class VectorPlan:
 def compile_vector(plan) -> VectorPlan:
     """Build the vector twin of a compiled plan."""
     return VectorPlan(plan.steps, len(plan.names), plan.num_inputs)
-
-
-# ----------------------------------------------------------------------
-# batched candidate screening
-# ----------------------------------------------------------------------
-class OverlayKernel:
-    """Affected-cone overlay evaluator for one set of rewired pins.
-
-    The candidate screen repeatedly re-evaluates the nets downstream of
-    the same rectification-point pins while only the rewiring *sources*
-    vary.  This kernel precomputes that downstream slice of the vector
-    plan once per pin set — segments filtered to affected entries —
-    and then scores a whole batch of candidates as ``(net, candidate,
-    word)`` array ops: one gather plus a few whole-segment ufuncs per
-    level, every candidate riding the second axis.
-    """
-
-    __slots__ = ("vplan", "affected_plan", "sub_levels", "pin_rows")
-
-    def __init__(self, vplan: VectorPlan, steps: Sequence[tuple],
-                 pin_owner_indices: Sequence[int]):
-        np = _np
-        self.vplan = vplan
-        perm = vplan.perm
-        owners = {perm[i] for i in pin_owner_indices}
-        affected = set(owners)
-        # one pass in step order marks everything downstream
-        for out, _opcode, fanins in steps:
-            v = perm[out]
-            if v in affected:
-                continue
-            for j in fanins:
-                if perm[j] in affected:
-                    affected.add(v)
-                    break
-        inv = vplan.inv_np
-        self.affected_plan = {int(inv[v]) for v in affected}
-        # filter each level's segments down to affected entries; also
-        # record, per (owner gate, pin position), the row its operand
-        # occupies in the level's gathered buffer so candidate
-        # overrides can be patched in before evaluation
-        self.sub_levels: List[tuple] = []
-        self.pin_rows: Dict[tuple, tuple] = {}
-        for idx, segments in vplan.levels:
-            gather: List[int] = []
-            subs = []
-            for seg in segments:
-                rows = [e for e in range(seg.size)
-                        if seg.out_start + e in affected]
-                if not rows:
-                    continue
-                n = len(rows)
-                outs = np.fromiter((seg.out_start + e for e in rows),
-                                   dtype=np.intp, count=n)
-                off = len(gather)
-                for p in range(seg.arity):
-                    base = seg.buf_off + p * seg.size
-                    gather.extend(int(idx[base + e]) for e in rows)
-                for e_new, e in enumerate(rows):
-                    vout = seg.out_start + e
-                    if vout in owners:
-                        for p in range(seg.arity):
-                            self.pin_rows[(int(inv[vout]), p)] = (
-                                len(self.sub_levels),
-                                off + p * n + e_new)
-                subs.append((seg.opcode, seg.arity, outs, off, n))
-            if subs:
-                sub_idx = np.fromiter(gather, dtype=np.intp,
-                                      count=len(gather))
-                self.sub_levels.append((sub_idx, subs))
-
-    # ------------------------------------------------------------------
-    def evaluate(self, base_vec, num_candidates: int, overrides):
-        """Re-evaluate the affected cone for a batch of candidates.
-
-        ``base_vec`` is the filter's base simulation as a
-        ``(num_nets, W)`` array in *vector* numbering.  ``overrides``
-        maps ``(plan_gate_index, pin_position)`` to a ``(C, W)``
-        uint64 array of per-candidate operand values.  Returns the
-        ``(num_nets, C, W)`` value array in vector numbering.
-        """
-        np = _np
-        C = num_candidates
-        values = np.empty((self.vplan.num_nets, C,
-                           base_vec.shape[1]), dtype=np.uint64)
-        values[:] = base_vec[:, None, :]
-        patches: Dict[int, list] = {}
-        for key, rows in overrides.items():
-            li, row = self.pin_rows[key]
-            patches.setdefault(li, []).append((row, rows))
-        for li, (sub_idx, subs) in enumerate(self.sub_levels):
-            gathered = np.take(values, sub_idx, axis=0)
-            for row, rows in patches.get(li, ()):
-                gathered[row] = rows
-            for opcode, arity, outs, off, n in subs:
-                res = _apply_segment(np, opcode, arity, gathered, off,
-                                     n)
-                if isinstance(res, int):
-                    values[outs] = np.uint64(res)
-                else:
-                    values[outs] = res
-        return values
-
-    def value_rows(self, values, plan_index: int):
-        """The ``(C, W)`` rows of one plan-indexed net."""
-        return values[self.vplan.perm[plan_index]]
-
-
-def base_vec_from_ints(base: Sequence[int], perm: Sequence[int],
-                       width: int):
-    """Stack per-net batch ints into a vector-numbered lane array."""
-    np = _np
-    out = np.empty((len(base), width), dtype=np.uint64)
-    for i, value in enumerate(base):
-        out[perm[i]] = int_to_lanes(value, width)
-    return out
-
-
-def lanes_from_ints(values: Sequence[int], width: int):
-    """Stack per-net batch ints into a same-order ``(N, W)`` array."""
-    np = _np
-    out = np.empty((len(values), width), dtype=np.uint64)
-    for i, value in enumerate(values):
-        out[i] = int_to_lanes(value, width)
-    return out

@@ -239,9 +239,8 @@ class CompiledPlan:
         """Array-native evaluation: a ``(num_nets, width)`` uint64
         ndarray indexed like ``names`` (lane ``w`` = patterns
         ``64*w..64*w+63``).  Requires the numpy backend; array
-        consumers (benchmarks, the batched candidate screen) use this
-        to skip the ndarray -> bignum conversion that :meth:`run`
-        pays on the vector path.
+        consumers (benchmarks) use this to skip the ndarray -> bignum
+        conversion that :meth:`run` pays on the vector path.
         """
         if not simd.HAVE_NUMPY:
             raise NetlistError(

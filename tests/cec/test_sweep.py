@@ -5,6 +5,10 @@ from repro.cec.equivalence import check_equivalence
 from repro.cec.sweep import equivalence_classes, prune_dangling, \
     sweep_equivalent_nets
 from repro.netlist.circuit import Circuit
+from repro.netlist.simulate import simulate_words
+from repro.netlist.traverse import topological_order
+from repro.sat import Solver
+from repro.sat.tseitin import encode_circuit
 from tests.conftest import exhaustive_equivalent, make_random_circuit
 
 
@@ -76,3 +80,16 @@ class TestPruneDangling:
 
     def test_keeps_everything_reachable(self, tiny_adder):
         assert prune_dangling(tiny_adder) == 0
+
+    def test_drops_derived_data(self):
+        # a cached topological order must not outlive the gates it lists
+        c = Circuit()
+        c.add_inputs(["a", "b"])
+        c.set_output("y", c.and_("a", "b", name="y"))
+        c.or_("a", "b", name="dead")
+        assert "dead" in topological_order(c)
+        assert prune_dangling(c) == 1
+        assert topological_order(c) == ["y"]
+        assert "dead" not in simulate_words(c, {"a": 1, "b": 2})
+        varmap = encode_circuit(Solver(), c)
+        assert set(varmap) == {"a", "b", "y"}

@@ -1,20 +1,28 @@
-"""Whole-circuit legality checks of rewire candidates (test oracle).
+"""Whole-circuit reference walks of the candidate search (test oracles).
 
-The Section 3.3 pin constraint and the joint acyclicity check exactly
-as candidate validation made them before it re-checked legality on a
-:class:`~repro.lint.patch_rules.PatchScreen`: every call rebuilds the
-circuit's fanout map (once per pin for the pin constraint) before
-walking it.  The differential tests pin
-:func:`repro.eco.validate.pins_unconnected` and
-:meth:`PatchScreen.cycle_path` to these verdicts.
+* The Section 3.3 pin constraint and the joint acyclicity check exactly
+  as candidate validation made them before it re-checked legality on a
+  :class:`~repro.lint.patch_rules.PatchScreen`: every call rebuilds the
+  circuit's fanout map (once per pin for the pin constraint) before
+  walking it.  The differential tests pin
+  :func:`repro.eco.validate.pins_unconnected` and
+  :meth:`PatchScreen.cycle_path` to these verdicts.
+* :func:`whole_plan_passes`, the simulation screen as it walked every
+  plan step and compared every output per candidate, the oracle of
+  :meth:`repro.eco.validate.SimulationFilter.passes`.
+* :func:`whole_cast_candidates`, the per-pin candidate scan over every
+  net of both circuits cast whole into the sampling domain, the oracle
+  of :meth:`repro.eco.rewiring.RewiringContext.candidates_for_pin`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.eco.patch import RewireOp
+from repro.eco.rewiring import RewireCandidate
 from repro.netlist.circuit import Circuit, Pin
+from repro.netlist.simulate import eval_opcode
 from repro.netlist.traverse import transitive_fanout
 
 
@@ -84,3 +92,115 @@ def rewire_acyclic(impl: Circuit, ops: Sequence[RewireOp]) -> bool:
             if not dfs(src):
                 return False
     return True
+
+
+def whole_plan_passes(filt, ops: Sequence[RewireOp], target: str,
+                      failing: Sequence[str]) -> bool:
+    """Screen one candidate on a :class:`SimulationFilter`'s words by
+    walking every step of its plan and comparing every output.
+
+    A source is read at the owner's step, so an implementation source
+    later in plan order than its pin's gate reads its base value.
+    """
+    failing_set = set(failing) - {target}
+    plan = filt.plan
+    index = plan.index
+    base = filt.base
+    spec_index = filt.spec_plan.index
+
+    def source_value(op: RewireOp, updated: Dict[int, int]) -> int:
+        if op.from_spec:
+            return filt.spec_base[spec_index[op.source_net]]
+        idx = index[op.source_net]
+        return updated.get(idx, base[idx])
+
+    # last op per pin wins
+    gate_ops: Dict[int, Dict[int, RewireOp]] = {}
+    port_ops: Dict[str, RewireOp] = {}
+    for op in ops:
+        if op.pin.is_output_port:
+            port_ops[op.pin.owner] = op
+        else:
+            gate_ops.setdefault(
+                index[op.pin.owner], {})[op.pin.index] = op
+
+    updated: Dict[int, int] = {}
+    for out, opcode, fanins in plan.steps:
+        pin_ops = gate_ops.get(out, {})
+        if not pin_ops and not any(j in updated for j in fanins):
+            continue
+        operands = []
+        for pos, j in enumerate(fanins):
+            op = pin_ops.get(pos)
+            operands.append(source_value(op, updated) if op is not None
+                            else updated.get(j, base[j]))
+        new = eval_opcode(opcode, operands, filt.mask)
+        if new != base[out]:
+            updated[out] = new
+
+    for port, net in filt.impl.outputs.items():
+        if port in failing_set:
+            continue
+        op = port_ops.get(port)
+        if op is not None:
+            got = source_value(op, updated)
+        else:
+            got = updated.get(index[net], base[index[net]])
+        if got != filt.spec_base[spec_index[filt.spec.outputs[port]]]:
+            return False
+    return True
+
+
+def whole_cast_candidates(ctx, pin: Pin,
+                          forbidden: Optional[Set[str]] = None
+                          ) -> List[RewireCandidate]:
+    """Candidate nets for ``pin``, scanning every net of both circuits
+    against the structural filter, over whole-circuit casts made in
+    ``ctx``'s sampling domain."""
+    config = ctx.config
+    impl, spec = ctx.impl, ctx.spec
+    impl_z = ctx.domain.cast_circuit(impl)
+    spec_z = ctx.domain.cast_circuit(spec)
+    mask = ctx.spec_support_mask
+    driver = impl.pin_driver(pin)
+    driver_z = impl_z[driver]
+    unreachable = set() if pin.is_output_port \
+        else transitive_fanout(impl, [pin.owner])
+
+    scored: List[RewireCandidate] = []
+    if config.use_impl_nets:
+        for net in impl.nets():
+            if net == driver or net in unreachable:
+                continue
+            if forbidden and net in forbidden:
+                continue
+            if ctx.impl_supports[net] & ~mask:
+                continue
+            scored.append(RewireCandidate(
+                net=net, from_spec=False,
+                utility=ctx.utility(driver_z, impl_z[net]),
+                z_function=impl_z[net], level=ctx.impl_levels[net]))
+    if config.use_spec_nets:
+        for net in spec.gates:
+            if ctx.spec_supports[net] & ~mask:
+                continue
+            scored.append(RewireCandidate(
+                net=net, from_spec=True,
+                utility=ctx.utility(driver_z, spec_z[net]),
+                z_function=spec_z[net], level=ctx.spec_levels[net]))
+    if config.utility_ordering:
+        scored.sort(key=lambda c: (-c.utility, c.from_spec, c.level))
+    else:
+        scored.sort(key=lambda c: (c.from_spec, c.net))
+    kept = scored[:config.max_rewire_candidates]
+    out_net = ctx.spec_out_net
+    if pin.is_output_port and config.use_spec_nets and not any(
+            c.from_spec and c.net == out_net for c in kept):
+        kept.append(RewireCandidate(
+            net=out_net, from_spec=True,
+            utility=ctx.utility(driver_z, spec_z[out_net]),
+            z_function=spec_z[out_net], level=ctx.spec_levels[out_net]))
+    trivial = RewireCandidate(
+        net=driver, from_spec=False, utility=0.0, z_function=driver_z,
+        level=ctx.impl_levels[driver], trivial=True)
+    return [trivial] + kept

@@ -163,6 +163,33 @@ class TestVerdictParity:
         with pytest.raises(NetlistError, match="outside the cut"):
             validator.validate(ops, list(impl.outputs))
 
+    def test_source_cone_holding_another_ops_pin(self):
+        # op A's source g2 reads g1, whose pin op B rewires.  Ports are
+        # queried in name order, so the query for "a_out" reaches g1's
+        # pin only through A's source: the selectors must be built
+        # until no new pin appears
+        def build(name, g1_in, h_in):
+            c = Circuit(name)
+            a, b, cc = c.add_inputs(["a", "b", "c"])
+            c.and_(g1_in, b, name="g1")
+            c.xor("g1", cc, name="g2")
+            c.set_output("z_out", c.xor("g2", a, name="g3"))
+            c.set_output("a_out", c.or_(h_in, a, name="h"))
+            return c
+
+        impl = build("impl", "a", "b")
+        spec = build("spec", "c", "g2")
+        failing = failing_outputs(impl, spec)
+        assert sorted(failing) == ["a_out", "z_out"]
+        ops = [RewireOp(pin=Pin.gate("h", 0), source_net="g2"),
+               RewireOp(pin=Pin.gate("g1", 0), source_net="c")]
+        validator = IncrementalValidator(
+            impl, spec, [Pin.gate("h", 0), Pin.gate("g1", 0)])
+        incremental = validator.validate(ops, failing)
+        legacy = validate_rewire(impl, spec, ops, failing, {})
+        assert incremental.fixed == ("a_out", "z_out")
+        assert_same_outcome(impl, spec, ops, failing, legacy, incremental)
+
     def test_counts_incremental_solves(self):
         spec = make_random_circuit(0, n_inputs=4, n_gates=12)
         impl = mutate(spec, 1)
@@ -177,6 +204,33 @@ class TestVerdictParity:
                       from_spec=True)],
             failing)
         assert counters.incremental_solves >= 1
+
+
+class TestLazyEncoding:
+    def test_untouched_block_is_never_encoded(self):
+        """The solver holds the cones a search queries, not the design:
+        a block that no candidate reaches stays unencoded."""
+        def build(name, bug):
+            c = Circuit(name)
+            a, b, cc = c.add_inputs(["a", "b", "c"])
+            g1 = c.and_(a, b, name="g1")
+            c.set_output("o", c.xor(g1, cc, name="g2") if not bug
+                         else c.xnor(g1, cc, name="g2"))
+            acc = c.add_inputs(["w0", "w1"])[0]
+            for k in range(200):
+                acc = c.xor(acc, "w1" if k % 2 else "w0",
+                            name=f"blk{k}")
+            c.set_output("blk", acc)
+            return c
+
+        impl, spec = build("impl", bug=True), build("spec", bug=False)
+        pin = Pin.output("o")
+        validator = IncrementalValidator(impl, spec, [pin])
+        assert validator.solver.num_vars == 0
+        outcome = validator.validate(
+            [RewireOp(pin=pin, source_net="g2", from_spec=True)], ["o"])
+        assert outcome.valid and outcome.fixed == ("o",)
+        assert validator.solver.num_vars < 200
 
 
 class TestSupervisedIncremental:
@@ -253,11 +307,10 @@ class TestEngineParity:
         assert failing_outputs(impl, spec)  # seeds chosen to be visible
         fast = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
 
-        def legacy_path(self, run, inc_box, work, spec, pins, ops,
-                        failing):
+        def legacy_path(self, run, inc_box, ctx, pins, ops, failing):
             # earlier clones compute spec nets, so re-cloning them on
             # validate_rewire's private copy changes no verdict
-            return validate_rewire(work, spec, ops, failing, {},
+            return validate_rewire(ctx.impl, ctx.spec, ops, failing, {},
                                    sat_budget=self.config.sat_budget,
                                    run=run)
 

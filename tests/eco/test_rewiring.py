@@ -9,7 +9,10 @@ from repro.eco.config import EcoConfig
 from repro.eco.rewiring import RewiringContext
 from repro.eco.sampling import SamplingDomain
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.traverse import levelize, support_masks
+from repro.netlist.traverse import levelize, support_masks, transitive_fanin
+from tests.conftest import make_random_circuit
+from tests.eco import reference
+from tests.eco.test_incremental import failing_outputs, mutate
 
 
 def build_context(impl, spec, port, config=None, samples=None):
@@ -19,13 +22,11 @@ def build_context(impl, spec, port, config=None, samples=None):
                    for bits in itertools.product([False, True],
                                                  repeat=len(inputs))]
     domain = SamplingDomain(BddManager(), samples, inputs)
-    impl_z = domain.cast_circuit(impl)
-    spec_z = domain.cast_circuit(spec)
     idx = {n: i for i, n in enumerate(inputs)}
     return RewiringContext(
         impl, spec, port, domain, config or EcoConfig(),
-        impl_z, spec_z, support_masks(impl, idx),
-        support_masks(spec, idx), levelize(impl), levelize(spec))
+        support_masks(impl, idx), support_masks(spec, idx),
+        levelize(impl), levelize(spec))
 
 
 def simple_pair():
@@ -137,3 +138,43 @@ class TestErrorRegion:
         ctx = build_context(impl, spec, "o")
         # |E| = |c & (a xor b)| over (a,b,c,d) = 2 * 2 = 4
         assert ctx.error_count == 4
+
+
+class TestPoolMatchesWholeCircuitScan:
+    """The per-output pool over cone-local casts gives each pin the
+    candidates, utilities and order of the per-pin scan over whole-
+    circuit casts (`tests/eco/reference.py`)."""
+
+    @pytest.mark.parametrize("config", [
+        EcoConfig(),
+        EcoConfig(utility_ordering=False),
+        EcoConfig(use_impl_nets=False),
+        EcoConfig(use_spec_nets=False),
+        EcoConfig(max_rewire_candidates=3),
+    ], ids=["default", "unordered", "spec-only", "impl-only", "capped"])
+    def test_candidates_match_reference(self, config):
+        checked = 0
+        for seed in range(30):
+            spec = make_random_circuit(seed, n_inputs=6, n_gates=30,
+                                       n_outputs=4)
+            impl = mutate(spec, seed + 7)
+            if impl is None:
+                continue
+            failing = failing_outputs(impl, spec)
+            if not failing:
+                continue
+            port = failing[0]
+            ctx = build_context(impl, spec, port, config=config)
+            fanin = transitive_fanin(impl, [impl.outputs[port]])
+            cone = [g for g in impl.gates if g in fanin]
+            pins = [Pin.output(port)] + [
+                Pin.gate(g, i) for g in cone
+                for i in range(len(impl.gates[g].fanins))]
+            for k, pin in enumerate(pins):
+                forbidden = set(impl.inputs[:k % 3])
+                got = ctx.candidates_for_pin(pin, forbidden)
+                want = reference.whole_cast_candidates(ctx, pin,
+                                                       forbidden)
+                assert got == want
+                checked += 1
+        assert checked > 50

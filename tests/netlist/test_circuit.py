@@ -142,6 +142,20 @@ class TestEdits:
         with pytest.raises(NetlistError):
             small.remove_gate("ghost")
 
+    def test_remove_gates_in_bulk(self, small):
+        small.add_gate("g3", GateType.NOT, ["g1"])
+        small.derived_cache()["marker"] = 1
+        with pytest.raises(NetlistError, match="still reads"):
+            small.remove_gates(["g1"])  # g2 and g3 read it
+        with pytest.raises(NetlistError, match="output"):
+            small.remove_gates(["g1", "g2", "g3"])
+        with pytest.raises(NetlistError, match="ghost"):
+            small.remove_gates(["ghost"])
+        assert list(small.gates) == ["g1", "g2", "g3"]
+        small.remove_gates(["g3"])
+        assert list(small.gates) == ["g1", "g2"]
+        assert "marker" not in small.derived_cache()
+
     def test_replace_gate_keeps_place_and_drops_derived_data(self, small):
         small.derived_cache()["marker"] = 1
         small.replace_gate("g1", GateType.XOR, ["b", "a", "b"])

@@ -66,7 +66,6 @@ class TestBackendSelection:
         # auto / python still select fine and fall back
         simd.set_backend("auto")
         assert not simd.use_vector_run(8, 10000)
-        assert not simd.use_vector_screen(64)
 
     def test_engine_keeps_pinned_backend(self):
         from repro.eco.engine import SysEco
