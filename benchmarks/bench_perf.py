@@ -11,8 +11,8 @@ Hot paths, each timed against the reference it replaced:
   instance, plus the learned-clause reduction (mark + lazy unhook)
   timed on a synthetic 20k-clause database;
 * **validation** — candidates/sec through the persistent incremental
-  miter vs the copy-and-re-encode ``validate_rewire`` path, with a
-  verdict-parity sanity check on every candidate.
+  miter vs the copy-and-re-encode oracle of ``tests/eco/reference.py``,
+  with a verdict-parity sanity check on every candidate.
 
 The rendered table and JSON twin land in ``benchmarks/results/`` via
 the shared publisher, and a traced engine run (incremental validation
@@ -40,8 +40,8 @@ from repro.workloads.generators import random_dag
 from repro.eco.config import EcoConfig
 from repro.eco.incremental import IncrementalValidator
 from repro.eco.patch import RewireOp
-from repro.eco.validate import validate_rewire
 from repro.bench.runner import traced_case_run
+from tests.eco.reference import validate_rewire as reference_validate
 from tests.netlist.reference import reference_simulate_words
 
 #: mid-size suite case: large enough that per-candidate re-encoding
@@ -252,7 +252,7 @@ def test_perf_validation(benchmark, suite_cases, publish):
 
     def measure():
         t0 = time.perf_counter()
-        legacy = [validate_rewire(impl, spec, ops, failing, {})
+        legacy = [reference_validate(impl, spec, ops, failing)
                   for ops in candidates]
         t1 = time.perf_counter()
         validator = IncrementalValidator(impl, spec, pins)

@@ -75,7 +75,6 @@ from repro.eco.sampling import SamplingDomain
 from repro.eco.sweep import refine_patch_inputs
 from repro.eco.validate import (
     SimulationFilter,
-    ValidationOutcome,
     apply_rewires,
     assert_patch_structure,
     clones_needed,
@@ -99,9 +98,6 @@ class SysEco:
     :class:`~repro.runtime.supervisor.RunSupervisor`, so one engine can
     serve concurrent ``rectify`` calls.
     """
-
-    #: candidates pre-screened per batched simulation screen call
-    SCREEN_BATCH = 8
 
     def __init__(self, config: Optional[EcoConfig] = None):
         self.config = config or EcoConfig()
@@ -288,7 +284,7 @@ class SysEco:
         for commit in journal.commits:
             try:
                 outcome = validate_rewire(
-                    work, spec, commit.ops, failing, patch.clone_map,
+                    work, spec, commit.ops, failing,
                     sat_budget=config.sat_budget, run=run)
             except ResourceBudgetExceeded as exc:
                 if not config.degrade_on_budget:
@@ -297,8 +293,7 @@ class SysEco:
                 # the commit was proven once already; finish the replay
                 # unsupervised rather than tear the patch in half
                 outcome = validate_rewire(
-                    work, spec, commit.ops, failing, patch.clone_map,
-                    sat_budget=None)
+                    work, spec, commit.ops, failing, sat_budget=None)
             except ReproError as exc:
                 # an op that no longer even applies (missing gate or
                 # pin) means the designs on disk are not the ones the
@@ -546,7 +541,12 @@ class SysEco:
                                      patch.clone_map)
         sim_filter = self._make_sim_filter(work, spec, samples,
                                            counters=run.counters)
-        inc_box: List[Optional[IncrementalValidator]] = [None]
+        # one persistent miter per search, cut at the candidate pins:
+        # every candidate's pins are among them, and it re-checks
+        # legality on the context's screen
+        validator = IncrementalValidator(work, spec, candidate_pins,
+                                         counters=run.counters,
+                                         screen=ctx.screen)
 
         best: Optional[_Commit] = None
         validations = 0
@@ -566,42 +566,25 @@ class SysEco:
                     limit=config.choice_limit, cost_fn=cost_fn,
                     trace=run.trace)
                 run.counters.choices += len(choices)
-                # choices are cost-ordered; the simulation screen drops
-                # sampling false positives cheaply, and only the first
-                # few survivors per point-set get a SAT proof.  The sim
-                # screen runs in lookahead batches of SCREEN_BATCH
-                # lint-passing candidates, one trace span per batch;
-                # results are consumed in choice order, so the SAT
-                # decision sequence is the one-at-a-time loop's.
+                # choices are cost-ordered; the lint and simulation
+                # screens drop sampling false positives cheaply, and only
+                # the first few survivors per point-set get a SAT proof
                 sat_tried = 0
-                choice_iter = iter(choices)
-                pending: List[Tuple[List[RewireOp], bool]] = []
-                while True:
+                for choice in choices:
                     if sat_tried >= 3:
                         break
-                    if not pending:
-                        batch: List[List[RewireOp]] = []
-                        for choice in choice_iter:
-                            ops = [
-                                RewireOp(pin, cand.net, cand.from_spec)
-                                for pin, cand in zip(pins, choice)
-                                if not cand.trivial
-                            ]
-                            if not ops:
-                                continue
-                            if not self._lint_screen(run, ctx, ops,
-                                                     port):
-                                continue
-                            batch.append(ops)
-                            if len(batch) >= self.SCREEN_BATCH:
-                                break
-                        if not batch:
-                            break
-                        oks = self._screen_batch(run, sim_filter,
-                                                 batch, port, failing)
-                        pending = list(zip(batch, oks))
-                        pending.reverse()
-                    ops, sim_ok = pending.pop()
+                    ops = [
+                        RewireOp(pin, cand.net, cand.from_spec)
+                        for pin, cand in zip(pins, choice)
+                        if not cand.trivial
+                    ]
+                    if not ops:
+                        continue
+                    if not self._lint_screen(run, ctx, ops, port):
+                        continue
+                    with run.trace.span("sim.screen", output=port) as ssp:
+                        sim_ok = sim_filter.passes(ops, port, failing)
+                        ssp.tag(passed=sim_ok)
                     if not sim_ok:
                         run.counters.sim_rejects += 1
                         continue
@@ -609,9 +592,9 @@ class SysEco:
                     run.counters.sat_validations += 1
                     with run.trace.span("eco.validate", output=port,
                                         ops=len(ops)) as vsp:
-                        outcome = self._validate_candidate(
-                            run, inc_box, ctx, candidate_pins, ops,
-                            failing)
+                        outcome = validator.validate(
+                            ops, failing, sat_budget=config.sat_budget,
+                            run=run)
                         vsp.tag(valid=outcome.valid,
                                 fixed=len(outcome.fixed))
                     validations += 1
@@ -633,46 +616,6 @@ class SysEco:
         return best
 
     # ------------------------------------------------------------------
-    def _validate_candidate(self, run: RunSupervisor, inc_box: List,
-                            ctx: RewiringContext, pins: Sequence[Pin],
-                            ops: List[RewireOp],
-                            failing: Sequence[str]) -> ValidationOutcome:
-        """Full-domain validation through the incremental miter.
-
-        The :class:`IncrementalValidator` for this search is built
-        lazily — only when a candidate actually survives the screens —
-        and kept in ``inc_box`` so every later candidate of the same
-        search is a single assumption-based solve on the one persistent
-        miter.  Its cut is ``pins``, the search's candidate pins, so it
-        covers every candidate the search proposes, and it re-checks
-        legality on the search context's screen.
-        """
-        validator = inc_box[0]
-        if validator is None:
-            validator = IncrementalValidator(
-                ctx.impl, ctx.spec, pins, counters=run.counters,
-                screen=ctx.screen)
-            inc_box[0] = validator
-        return validator.validate(
-            ops, failing, sat_budget=self.config.sat_budget, run=run)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _screen_batch(run: RunSupervisor,
-                      sim_filter: SimulationFilter,
-                      ops_batch: Sequence[List[RewireOp]], port: str,
-                      failing: Sequence[str]) -> List[bool]:
-        """Batched simulation-screen decisions, one trace span.
-
-        Result-identical per candidate to
-        :meth:`SimulationFilter.passes`.
-        """
-        with run.trace.span("sim.screen", output=port,
-                            batch=len(ops_batch)) as sp:
-            oks = sim_filter.passes_batch(ops_batch, port, failing)
-            sp.tag(passed=sum(1 for ok in oks if ok))
-            return oks
-
     @staticmethod
     def _lint_screen(run: RunSupervisor, ctx: RewiringContext,
                      ops: List[RewireOp], port: str) -> bool:

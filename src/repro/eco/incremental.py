@@ -1,12 +1,12 @@
 """Incremental assumption-based candidate validation (Section 5.2).
 
-:func:`repro.eco.validate.validate_rewire` pays a full ``impl.copy()``,
-cone cloning and a fresh Tseitin encoding for *every* candidate
-rewire.  :class:`IncrementalValidator` amortizes all of that
-across the whole search of one output: it grows one mux-augmented
-miter on one persistent solver — every candidate pin's fanin
-connection is cut and replaced by a free *pin variable* — and
-registers each concrete rewire behind fresh *selector literals*
+Re-encoding the patched circuit for every candidate rewire would pay a
+circuit copy, cone cloning and a fresh Tseitin encoding per candidate.
+:class:`IncrementalValidator` amortizes all of that across the whole
+search of one output: it grows one mux-augmented miter on one
+persistent solver — every candidate pin's fanin connection is cut and
+replaced by a free *pin variable* — and registers each concrete rewire
+behind fresh *selector literals*
 
     ``sel(pin, src)  ->  pin_var == src_var``
 
@@ -34,14 +34,14 @@ implementation, the search's own when the engine builds the validator,
 so a candidate costs walks of only the fanout cones it touches, each
 memoized across the search.
 
+This is the engine's one validator.  The search keeps one per output;
+journal replay and the ``--jobs`` merge build a one-shot validator per
+replayed commit through :func:`~repro.eco.validate.validate_rewire`.
 The validator exposes the ``solver`` + ``check_pair(port,
 conflict_budget)`` surface of
-:class:`~repro.cec.equivalence.PairwiseChecker`, so the verdict loop
-:func:`~repro.eco.validate.check_ports` and
-:meth:`RunSupervisor.check_pair_supervised` drive it exactly as they
-drive the copy-and-re-encode path,
-:func:`~repro.eco.validate.validate_rewire`, which validates the
-journal and ``--jobs`` replays.
+:class:`~repro.cec.equivalence.PairwiseChecker`, so
+:meth:`RunSupervisor.check_pair_supervised` drives its queries as it
+drives any checker's.
 """
 
 from __future__ import annotations
@@ -55,11 +55,7 @@ from repro.sat import UNKNOWN, UNSAT, Solver
 from repro.sat.tseitin import CircuitEncoder
 from repro.cec.equivalence import EquivalenceResult
 from repro.eco.patch import RewireOp
-from repro.eco.validate import (
-    ValidationOutcome,
-    check_ports,
-    rewire_legal,
-)
+from repro.eco.validate import ValidationOutcome, rewire_legal
 
 
 class IncrementalValidator:
@@ -314,13 +310,41 @@ class IncrementalValidator:
                  run=None) -> ValidationOutcome:
         """Exact full-domain check of one candidate, incrementally.
 
-        Verdict-identical to :func:`repro.eco.validate.validate_rewire`
-        (see the property tests): a candidate is valid when it fixes at
-        least one failing output and provably damages no passing one.
+        A candidate is valid when it fixes at least one failing output
+        and provably damages no passing one.  Each output the rewire
+        can change is queried in name order: a proven port that was
+        failing is fixed; a refuted or UNKNOWN port that was passing
+        rejects the candidate at once.  Only verdicts are read.
+
+        With a :class:`~repro.runtime.supervisor.RunSupervisor` as
+        ``run``, each query goes through
+        :meth:`RunSupervisor.check_pair_supervised` (one budgeted
+        solve, conflicts charged to the run) and the deadline is
+        checked between ports; budget exhaustion then raises a
+        :class:`~repro.errors.ResourceBudgetExceeded` subclass.
+        Otherwise each query gets ``sat_budget``.  The property tests
+        hold this to the verdicts of the copy-and-re-encode oracle in
+        ``tests/eco/reference.py``.
         """
         if not rewire_legal(self.screen, ops):
             return ValidationOutcome(valid=False)
 
         self._arm(ops)
-        return check_ports(self, self._affected_outputs(ops), failing,
-                           sat_budget=sat_budget, run=run)
+        failing_set = set(failing)
+        fixed: List[str] = []
+        for port in self._affected_outputs(ops):
+            if run is not None:
+                run.checkpoint()
+                result = run.check_pair_supervised(self, port)
+            else:
+                result = self.check_pair(port, conflict_budget=sat_budget)
+            if result.equivalent is True:
+                if port in failing_set:
+                    fixed.append(port)
+                continue
+            if port not in failing_set:
+                # damaged a passing output, or cannot prove it intact
+                return ValidationOutcome(valid=False)
+        if not fixed:
+            return ValidationOutcome(valid=False)
+        return ValidationOutcome(valid=True, fixed=tuple(fixed))

@@ -442,7 +442,7 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
                 run.trace.event("eco.replay_skip", output=port)
                 continue
             outcome = validate_rewire(
-                work, spec, ops, failing_now, patch.clone_map,
+                work, spec, ops, failing_now,
                 sat_budget=config.sat_budget, run=run)
             if not outcome.valid:
                 rejected += 1

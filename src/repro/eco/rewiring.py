@@ -19,7 +19,7 @@ point-set size collapses gracefully (Section 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Set
+from typing import List, Mapping, Set
 
 from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
@@ -118,22 +118,14 @@ class RewiringContext:
             num_vars=self._z_count)
         return hits / self.error_count
 
-    def candidates_for_pin(self, pin: Pin,
-                           forbidden: Optional[Set[str]] = None
-                           ) -> List[RewireCandidate]:
-        """Ordered candidate rewiring nets for one rectification point.
-
-        ``forbidden`` removes implementation nets that other pins of the
-        same point-set make unusable (cycle interactions).
-        """
+    def candidates_for_pin(self, pin: Pin) -> List[RewireCandidate]:
+        """Ordered candidate rewiring nets for one rectification point."""
         with self.trace.span("rewiring.candidates", pin=repr(pin)) as sp:
-            out = self._candidates_for_pin(pin, forbidden)
+            out = self._candidates_for_pin(pin)
             sp.tag(candidates=len(out))
             return out
 
-    def _candidates_for_pin(self, pin: Pin,
-                            forbidden: Optional[Set[str]] = None
-                            ) -> List[RewireCandidate]:
+    def _candidates_for_pin(self, pin: Pin) -> List[RewireCandidate]:
         config = self.config
         driver = self.impl.pin_driver(pin)
         driver_z = self.impl_z[driver]
@@ -148,8 +140,6 @@ class RewiringContext:
         scored: List[RewireCandidate] = []
         for net in self.impl_pool:
             if net == driver or net in unreachable:
-                continue
-            if forbidden and net in forbidden:
                 continue
             scored.append(RewireCandidate(
                 net=net, from_spec=False,

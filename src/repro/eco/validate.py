@@ -1,13 +1,17 @@
-"""Full-domain validation of sampled rewire candidates (Section 5.2).
+"""Candidate checks around full-domain validation (Section 5.2).
 
 Reasoning in the sampling domain over-approximates, so every rewire
-choice is re-checked exactly before it is committed: the outputs the
-operation can affect are compared against the specification with a
-resource-constrained SAT solver.  The check is *global*: a candidate is
-rejected when it damages any currently-correct output, and the failing
-outputs it fixes are reported so the engine can favor multi-output
-repairs.  Validators return verdicts only; the engine applies the one
-rewire it commits (:func:`apply_rewires`).
+choice is re-checked exactly before it is committed.  This module holds
+what surrounds that SAT check: the legality re-checks
+(:func:`rewire_legal`), the simulation screen that drops most false
+positives first (:class:`SimulationFilter`), the verdict record
+(:class:`ValidationOutcome`), spec-cone cloning and the in-place
+application of a committed rewire (:func:`apply_rewires`).  The check
+itself is :meth:`repro.eco.incremental.IncrementalValidator.validate`,
+and :func:`validate_rewire` runs it once for a single rewire.  The
+check is *global*: a candidate is rejected when it damages any
+currently-correct output, and the failing outputs it fixes are reported
+so the engine can favor multi-output repairs.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_BITS
 from repro.netlist.simulate import batch_mask, compiled_plan, eval_opcode
-from repro.netlist.traverse import dependent_outputs, topological_order
-from repro.cec.equivalence import PairwiseChecker
+from repro.netlist.traverse import topological_order
 from repro.eco.patch import RewireOp
 
 CLONE_PREFIX = "eco$"
@@ -322,7 +325,8 @@ class SimulationFilter:
                      target: str,
                      failing: Sequence[str]) -> List[bool]:
         """Screen a batch of candidates; one :meth:`passes` verdict
-        per candidate."""
+        per candidate.  The engine screens each candidate on its own,
+        when the search reaches it."""
         return [self.passes(ops, target, failing) for ops in candidates]
 
 
@@ -335,86 +339,20 @@ class ValidationOutcome:
     fixed: Tuple[str, ...] = ()
 
 
-def check_ports(checker, ports: Sequence[str], failing: Sequence[str],
-                sat_budget: Optional[int] = None,
-                run=None) -> ValidationOutcome:
-    """The per-port verdict loop both validators share.
-
-    Asks ``checker`` (a :class:`PairwiseChecker` over the patched
-    circuit, or an armed
-    :class:`~repro.eco.incremental.IncrementalValidator`) whether each
-    of ``ports`` matches the spec.  A proven port that was failing is
-    fixed; a refuted or UNKNOWN port that was passing rejects the
-    candidate at once.  The outcome is valid when at least one failing
-    port is fixed.  Only the verdicts are read: a refutation's
-    counterexample is not.
-
-    With a :class:`~repro.runtime.supervisor.RunSupervisor` as ``run``,
-    each query goes through :meth:`RunSupervisor.check_pair_supervised`
-    (one budgeted solve, conflicts charged to the run) and the deadline
-    is checked between ports; otherwise each query gets ``sat_budget``.
-    """
-    failing_set = set(failing)
-    fixed: List[str] = []
-    for port in ports:
-        if run is not None:
-            run.checkpoint()
-            result = run.check_pair_supervised(checker, port)
-        else:
-            result = checker.check_pair(port, conflict_budget=sat_budget)
-        if result.equivalent is True:
-            if port in failing_set:
-                fixed.append(port)
-            continue
-        if port not in failing_set:
-            # damaged a passing output, or cannot prove it intact
-            return ValidationOutcome(valid=False)
-    if not fixed:
-        return ValidationOutcome(valid=False)
-    return ValidationOutcome(valid=True, fixed=tuple(fixed))
-
-
 def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
-                    failing: Sequence[str], clone_map: Dict[str, str],
+                    failing: Sequence[str],
                     sat_budget: Optional[int] = None,
                     run=None) -> ValidationOutcome:
-    """Exact check of a candidate rewire on the full input domain.
+    """Exact check of one rewire on the full input domain, one-shot.
 
-    A candidate is valid when every output it touches is either proven
-    equivalent to the spec or was already failing (it may leave other
-    failing outputs broken, but must never damage a passing one).
-    Returns the verdict only; ``impl`` is left untouched, and the
-    caller commits a valid rewire itself.
-
-    Each call encodes the rewire on a private patched copy of ``impl``
-    and checks it on a fresh structurally hashed
-    :class:`PairwiseChecker`, so a verdict depends only on its
-    arguments.  The engine uses it for journal replay and the
-    ``--jobs`` merge's replay; the search validates on an
-    :class:`~repro.eco.incremental.IncrementalValidator`.  The queries
-    run through :func:`check_ports` (supervised when ``run`` is given;
-    budget exhaustion then raises a
-    :class:`~repro.errors.ResourceBudgetExceeded` subclass).
-
-    Legality is re-checked on one :class:`PatchScreen` of ``impl``
-    built for this call (:func:`rewire_legal`).
+    Validates ``ops`` on an
+    :class:`~repro.eco.incremental.IncrementalValidator` cut at the
+    ops' own pins, which the call builds and drops: the verdict
+    depends only on the arguments, and ``impl`` is left untouched.
+    The engine proves journal replays and the ``--jobs`` merge's
+    replays this way; the search keeps one validator per output.
     """
-    if not rewire_legal(PatchScreen(impl), ops):
-        return ValidationOutcome(valid=False)
+    from repro.eco.incremental import IncrementalValidator
 
-    work = impl.copy()
-    apply_rewires(work, spec, ops, dict(clone_map))
-
-    changed_nets = set()
-    for op in ops:
-        if op.pin.is_output_port:
-            changed_nets.add(work.outputs[op.pin.owner])
-        else:
-            changed_nets.add(op.pin.owner)
-    affected = set(dependent_outputs(work, changed_nets))
-    for op in ops:
-        if op.pin.is_output_port:
-            affected.add(op.pin.owner)
-
-    return check_ports(PairwiseChecker(work, spec), sorted(affected),
-                       failing, sat_budget=sat_budget, run=run)
+    validator = IncrementalValidator(impl, spec, [op.pin for op in ops])
+    return validator.validate(ops, failing, sat_budget=sat_budget, run=run)

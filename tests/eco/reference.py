@@ -13,17 +13,29 @@
 * :func:`whole_cast_candidates`, the per-pin candidate scan over every
   net of both circuits cast whole into the sampling domain, the oracle
   of :meth:`repro.eco.rewiring.RewiringContext.candidates_for_pin`.
+* :func:`validate_rewire`, full-domain validation by copying the
+  implementation, applying the rewire with cloned spec cones and
+  re-encoding both whole circuits on a fresh
+  :class:`~repro.cec.equivalence.PairwiseChecker`, the oracle of
+  :meth:`repro.eco.incremental.IncrementalValidator.validate`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.cec.equivalence import PairwiseChecker
 from repro.eco.patch import RewireOp
 from repro.eco.rewiring import RewireCandidate
+from repro.eco.validate import (
+    ValidationOutcome,
+    apply_rewires,
+    rewire_legal,
+)
+from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.simulate import eval_opcode
-from repro.netlist.traverse import transitive_fanout
+from repro.netlist.traverse import dependent_outputs, transitive_fanout
 
 
 def topological_constraint_ok(impl: Circuit, pins: Sequence[Pin]) -> bool:
@@ -151,9 +163,7 @@ def whole_plan_passes(filt, ops: Sequence[RewireOp], target: str,
     return True
 
 
-def whole_cast_candidates(ctx, pin: Pin,
-                          forbidden: Optional[Set[str]] = None
-                          ) -> List[RewireCandidate]:
+def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
     """Candidate nets for ``pin``, scanning every net of both circuits
     against the structural filter, over whole-circuit casts made in
     ``ctx``'s sampling domain."""
@@ -171,8 +181,6 @@ def whole_cast_candidates(ctx, pin: Pin,
     if config.use_impl_nets:
         for net in impl.nets():
             if net == driver or net in unreachable:
-                continue
-            if forbidden and net in forbidden:
                 continue
             if ctx.impl_supports[net] & ~mask:
                 continue
@@ -204,3 +212,58 @@ def whole_cast_candidates(ctx, pin: Pin,
         net=driver, from_spec=False, utility=0.0, z_function=driver_z,
         level=ctx.impl_levels[driver], trivial=True)
     return [trivial] + kept
+
+
+def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
+                    failing: Sequence[str],
+                    sat_budget: Optional[int] = None,
+                    run=None) -> ValidationOutcome:
+    """Exact check of a candidate rewire on the full input domain, by
+    copy, apply and re-encode.
+
+    Legality is re-checked on a :class:`PatchScreen` built for the
+    call.  The rewire is applied with cloned spec cones to a private
+    copy of ``impl``, which is left untouched, and every output the
+    changed nets reach is checked on a fresh structurally hashed
+    :class:`PairwiseChecker` of the copy, in name order: a proven port
+    that was failing is fixed, and a refuted or UNKNOWN port that was
+    passing rejects the candidate at once.  The outcome is valid when
+    at least one failing port is fixed.  With a run supervisor as
+    ``run``, each query is one supervised solve and the deadline is
+    checked between ports; otherwise each query gets ``sat_budget``.
+    """
+    if not rewire_legal(PatchScreen(impl), ops):
+        return ValidationOutcome(valid=False)
+
+    work = impl.copy()
+    apply_rewires(work, spec, ops, {})
+
+    changed_nets = set()
+    for op in ops:
+        if op.pin.is_output_port:
+            changed_nets.add(work.outputs[op.pin.owner])
+        else:
+            changed_nets.add(op.pin.owner)
+    affected = set(dependent_outputs(work, changed_nets))
+    for op in ops:
+        if op.pin.is_output_port:
+            affected.add(op.pin.owner)
+
+    checker = PairwiseChecker(work, spec)
+    failing_set = set(failing)
+    fixed: List[str] = []
+    for port in sorted(affected):
+        if run is not None:
+            run.checkpoint()
+            result = run.check_pair_supervised(checker, port)
+        else:
+            result = checker.check_pair(port, conflict_budget=sat_budget)
+        if result.equivalent is True:
+            if port in failing_set:
+                fixed.append(port)
+            continue
+        if port not in failing_set:
+            return ValidationOutcome(valid=False)
+    if not fixed:
+        return ValidationOutcome(valid=False)
+    return ValidationOutcome(valid=True, fixed=tuple(fixed))

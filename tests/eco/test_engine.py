@@ -168,6 +168,19 @@ class TestRuntimeBookkeeping:
         assert len(result.patch.ops) >= 1
 
 
+class TestCandidateScreens:
+    @pytest.mark.parametrize("case_id", [9, 10])
+    def test_every_screened_candidate_is_used(self, case_id):
+        # each candidate that passes the lint screen is either rejected
+        # by the simulation screen or validated: the search screens no
+        # candidate past the SAT cap of its point-set
+        (case,) = build_suite([case_id])
+        counters = rectify(case.impl, case.spec).counters
+        assert counters.sat_validations > 0
+        assert counters.lint_screens - counters.lint_rejects == \
+            counters.sim_rejects + counters.sat_validations
+
+
 class TestFallback:
     def test_fallback_fixes_its_port_without_a_solve(self, monkeypatch):
         # Proposition 1: a port rewired to a clone of its spec cone is

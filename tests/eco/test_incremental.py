@@ -1,15 +1,16 @@
-"""Verdict parity of :class:`IncrementalValidator` with :func:`validate_rewire`.
+"""Verdict parity of :class:`IncrementalValidator` with the reference
+validator.
 
-The incremental assumption-based validator is a pure performance
-device: on every candidate it must return exactly the verdict the
-copy-and-re-encode :func:`validate_rewire` returns — including
-rejections for topological-constraint and acyclicity violations — and
-a valid verdict must hold on the circuit the ops produce when applied.
-The property tests below drive both validators with the same
-randomized circuits, pins and rewire ops and compare them check by
-check; the fault-injection tests confirm budgets, UNKNOWN queries and
-strict mode behave identically when the supervised solver runs through
-the incremental miter.
+The incremental assumption-based validator is the engine's one
+validator: on every candidate it must return exactly the verdict of the
+copy-and-re-encode oracle ``tests/eco/reference.py::validate_rewire`` —
+including rejections for topological-constraint and acyclicity
+violations — and a valid verdict must hold on the circuit the ops
+produce when applied.  The property tests below drive both validators
+with the same randomized circuits, pins and rewire ops and compare them
+check by check; the fault-injection tests confirm budgets, UNKNOWN
+queries and strict mode behave identically when the supervised solver
+runs through the incremental miter.
 """
 
 import itertools
@@ -32,11 +33,12 @@ from repro.runtime import (
 )
 from repro.runtime.supervisor import RunSupervisor
 from repro.eco.config import EcoConfig
-from repro.eco.engine import SysEco, rectify
+from repro.eco.engine import rectify
 from repro.eco.incremental import IncrementalValidator
 from repro.eco.patch import RewireOp
-from repro.eco.validate import apply_rewires, validate_rewire
+from repro.eco.validate import apply_rewires
 from tests.conftest import make_random_circuit
+from tests.eco import reference
 
 
 def mutate(spec, seed):
@@ -127,7 +129,7 @@ class TestVerdictParity:
         for trial in range(4):
             ops = random_ops(impl, spec, pins, rng,
                              count=rng.randrange(1, 3))
-            legacy = validate_rewire(impl, spec, ops, failing, {})
+            legacy = reference.validate_rewire(impl, spec, ops, failing)
             incremental = validator.validate(ops, failing)
             assert_same_outcome(impl, spec, ops, failing, legacy,
                                 incremental)
@@ -145,7 +147,7 @@ class TestVerdictParity:
                         from_spec=True)]
         validator = IncrementalValidator(impl, spec,
                                          [Pin.gate("h2", 0)])
-        legacy = validate_rewire(impl, spec, ops, ["o"], {})
+        legacy = reference.validate_rewire(impl, spec, ops, ["o"])
         incremental = validator.validate(ops, ["o"])
         assert legacy.valid and incremental.valid
         assert_same_outcome(impl, spec, ops, ["o"], legacy, incremental)
@@ -186,7 +188,7 @@ class TestVerdictParity:
         validator = IncrementalValidator(
             impl, spec, [Pin.gate("h", 0), Pin.gate("g1", 0)])
         incremental = validator.validate(ops, failing)
-        legacy = validate_rewire(impl, spec, ops, failing, {})
+        legacy = reference.validate_rewire(impl, spec, ops, failing)
         assert incremental.fixed == ("a_out", "z_out")
         assert_same_outcome(impl, spec, ops, failing, legacy, incremental)
 
@@ -296,7 +298,7 @@ class TestSupervisedIncremental:
 
 class TestEngineParity:
     """Whole-engine results through the incremental validator vs
-    through :func:`validate_rewire` for every candidate."""
+    through the reference validator for every candidate."""
 
     @pytest.mark.parametrize("seed", [4, 8])
     def test_rectify_matches_legacy_validator_path(self, seed,
@@ -307,18 +309,20 @@ class TestEngineParity:
         assert failing_outputs(impl, spec)  # seeds chosen to be visible
         fast = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
 
-        def legacy_path(self, run, inc_box, ctx, pins, ops, failing):
-            # earlier clones compute spec nets, so re-cloning them on
-            # validate_rewire's private copy changes no verdict
-            return validate_rewire(ctx.impl, ctx.spec, ops, failing, {},
-                                   sat_budget=self.config.sat_budget,
-                                   run=run)
+        def reference_path(self, ops, failing, sat_budget=None, run=None):
+            return reference.validate_rewire(
+                self.impl, self.spec, ops, failing,
+                sat_budget=sat_budget, run=run)
 
-        # every candidate goes through validate_rewire instead
-        monkeypatch.setattr(SysEco, "_validate_candidate", legacy_path)
+        # every candidate goes through the reference validator instead
+        monkeypatch.setattr(IncrementalValidator, "validate",
+                            reference_path)
         slow = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
         assert check_equivalence(fast.patched, spec).equivalent is True
         assert check_equivalence(slow.patched, spec).equivalent is True
-        assert sorted(fast.per_output) == sorted(slow.per_output)
+        # the same verdicts make the same decisions
+        assert fast.per_output == slow.per_output
+        assert [op.describe() for op in fast.patch.ops] == \
+            [op.describe() for op in slow.patch.ops]
         assert fast.counters.incremental_solves > 0
         assert slow.counters.incremental_solves == 0

@@ -44,8 +44,8 @@ def sabotaged_candidates(monkeypatch):
     """
     orig = RewiringContext._candidates_for_pin
 
-    def adversarial(self, pin, forbidden=None):
-        out = orig(self, pin, forbidden)
+    def adversarial(self, pin):
+        out = orig(self, pin)
         if pin.is_output_port or len(out) < 2:
             return out
         cone = sorted(self.screen.fanout_cone(pin.owner))

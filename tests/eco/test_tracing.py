@@ -75,6 +75,22 @@ class TestHappyPathTrace:
         assert {s.tags["result"] for s in validations} <= {
             "equivalent", "counterexample", "unknown"}
 
+    def test_screen_spans_record_one_decision_each(self):
+        impl, spec, trace, result = traced_rectify()
+        counters = result.counters
+        screens = spans_named(trace, "sim.screen")
+        # one span per simulation-screen decision, and every decision
+        # ends in a rejection or a SAT validation
+        assert screens
+        assert all(isinstance(s.tags["passed"], bool) for s in screens)
+        assert all("batch" not in s.tags for s in screens)
+        assert len(screens) == counters.sim_rejects + counters.sat_validations
+        assert sum(s.tags["passed"] for s in screens) == \
+            counters.sat_validations
+        lints = spans_named(trace, "lint.screen")
+        assert len(lints) == counters.lint_screens
+        assert all(isinstance(s.tags["passed"], bool) for s in lints)
+
     def test_bdd_sessions_record_node_stats(self):
         impl, spec, trace, result = traced_rectify()
         sessions = spans_named(trace, "bdd.session")

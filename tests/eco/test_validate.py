@@ -272,7 +272,7 @@ class TestValidateRewire:
     def test_correct_rewire_accepted(self):
         impl, spec = self.pair()
         ops = [RewireOp(Pin.gate("g2", 0), "h1", from_spec=True)]
-        outcome = validate_rewire(impl, spec, ops, ["o"], {})
+        outcome = validate_rewire(impl, spec, ops, ["o"])
         assert outcome.valid
         assert outcome.fixed == ("o",)
         patched = impl.copy()
@@ -283,26 +283,26 @@ class TestValidateRewire:
     def test_wrong_rewire_rejected(self):
         impl, spec = self.pair()
         ops = [RewireOp(Pin.gate("g2", 0), "a")]  # a is not a fix
-        outcome = validate_rewire(impl, spec, ops, ["o"], {})
+        outcome = validate_rewire(impl, spec, ops, ["o"])
         assert not outcome.valid
 
     def test_damaging_rewire_rejected(self):
         impl, spec = self.pair()
         # fixes nothing and breaks the passing output 'keep'
         ops = [RewireOp(Pin.gate("g3", 0), "b")]
-        outcome = validate_rewire(impl, spec, ops, ["o"], {})
+        outcome = validate_rewire(impl, spec, ops, ["o"])
         assert not outcome.valid
 
     def test_original_untouched(self):
         impl, spec = self.pair()
         ops = [RewireOp(Pin.gate("g2", 0), "h1", from_spec=True)]
-        validate_rewire(impl, spec, ops, ["o"], {})
+        validate_rewire(impl, spec, ops, ["o"])
         assert impl.gates["g2"].fanins[0] == "g1"
 
     def test_cyclic_candidate_rejected_early(self):
         impl, spec = self.pair()
         ops = [RewireOp(Pin.gate("g1", 0), "g2")]
-        outcome = validate_rewire(impl, spec, ops, ["o"], {})
+        outcome = validate_rewire(impl, spec, ops, ["o"])
         assert not outcome.valid
 
     def test_supervised_verdicts_do_not_depend_on_history(self):
@@ -317,9 +317,9 @@ class TestValidateRewire:
         verdicts = {}
         for source in ("x", "z"):
             ops = [RewireOp(Pin.gate("g", 1), source)]
-            supervised = validate_rewire(impl, spec, ops, ["o"], {},
+            supervised = validate_rewire(impl, spec, ops, ["o"],
                                          run=run)
-            alone = validate_rewire(impl, spec, ops, ["o"], {})
+            alone = validate_rewire(impl, spec, ops, ["o"])
             assert supervised.valid == alone.valid
             assert supervised.fixed == alone.fixed
             verdicts[source] = supervised.valid
