@@ -116,9 +116,8 @@ def test_perf_vector_sim(benchmark, publish, quick):
 
     Both paths run interleaved and the minimum of N repeats is kept —
     single-core steal-time noise otherwise dominates the ratio.  The
-    vector side is timed on the array path (``run_lanes``): that is
-    what the batched candidate screen consumes; the bignum conversion
-    of ``run`` is a separate, fixed cost.
+    Python side is ``run``, the only path a run takes; the vector side
+    is the array path (``run_lanes``).
     """
     if not simd.HAVE_NUMPY:
         pytest.skip("numpy not installed (repro[perf])")
@@ -136,23 +135,19 @@ def test_perf_vector_sim(benchmark, publish, quick):
     mask = batch_mask(width)
 
     def measure():
-        previous = simd.set_backend("python")
-        try:
-            python_s = vector_s = float("inf")
-            reference = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                reference = plan.run(words, mask=mask)
-                python_s = min(python_s, time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                lanes = plan.run_lanes(words, width)
-                vector_s = min(vector_s, time.perf_counter() - t0)
-            # bit-identity spot check on the last repeat
-            for i in (0, len(reference) // 2, len(reference) - 1):
-                assert simd.lanes_to_int(lanes[i]) == reference[i]
-            return python_s, vector_s
-        finally:
-            simd.set_backend(previous)
+        python_s = vector_s = float("inf")
+        reference = None
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            reference = plan.run(words, mask=mask)
+            python_s = min(python_s, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            lanes = plan.run_lanes(words, width)
+            vector_s = min(vector_s, time.perf_counter() - t0)
+        # bit-identity spot check on the last repeat
+        for i in (0, len(reference) // 2, len(reference) - 1):
+            assert simd.lanes_to_int(lanes[i]) == reference[i]
+        return python_s, vector_s
 
     python_s, vector_s = benchmark.pedantic(measure, rounds=1,
                                             iterations=1)

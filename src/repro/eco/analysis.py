@@ -35,10 +35,6 @@ class OutputDiagnosis:
     #: gates in the implementation cone
     cone_gates: int
 
-    @property
-    def support_grew(self) -> bool:
-        return self.spec_support > self.impl_support
-
 
 @dataclass
 class EcoDiagnosis:

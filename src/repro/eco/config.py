@@ -1,4 +1,16 @@
-"""Configuration of the syseco engine."""
+"""Configuration of the syseco engine.
+
+:class:`EcoConfig` holds only what a caller tunes: the paper's sample
+count ``N`` and point-set size ``m`` (Sec. 5.2), the ablation switches,
+the seed, ``jobs`` and the run's supervision and resume settings.  The
+search's fixed caps are constants next to their one reader:
+``MAX_CANDIDATE_PINS`` and ``BDD_NODE_LIMIT`` in
+:mod:`repro.eco.engine`, ``MAX_REWIRE_CANDIDATES`` in
+:mod:`repro.eco.rewiring`, the prime, point-set and choice limits as
+the defaults of :func:`~repro.eco.points.feasible_point_sets` and
+:func:`~repro.eco.choices.enumerate_rewiring_choices`, and
+``SAT_QUERY_BUDGET`` in :mod:`repro.runtime.supervisor`.
+"""
 
 from __future__ import annotations
 
@@ -21,20 +33,6 @@ class EcoConfig:
             BDDs.
         max_points: largest rectification point-set size ``m`` tried
             (the engine starts at 1 and grows on failure).
-        max_candidate_pins: cap ``M`` on the sink pins considered as
-            rectification points per failing output.
-        max_rewire_candidates: cap on candidate rewiring nets per
-            rectification point (ordered by rectification utility).
-        prime_limit: number of prime cubes of ``H(t)`` expanded into
-            candidate point-sets.
-        pointset_limit: number of candidate point-sets examined per
-            failing output.
-        choice_limit: number of rewiring-choice assignments of
-            ``Xi(c)`` validated per point-set.
-        sat_budget: conflict budget of each validation SAT query, one
-            solve per query (the 'resource-constrained SAT solver').
-        bdd_node_limit: node cap of the sampling-domain BDD manager;
-            exceeding it shrinks the candidate-pin set and retries.
         error_bias: fraction of the sampling domain drawn from the
             error domain ``E`` (the remainder is uniform random);
             the paper observes error-domain samples give fewer false
@@ -69,13 +67,10 @@ class EcoConfig:
             gracefully or, with ``degrade_on_budget=False``, raises.
         total_sat_budget: aggregate SAT conflict cap across all
             supervised validation calls of a run (``None`` = unlimited;
-            ``sat_budget`` still caps each individual call).
+            ``SAT_QUERY_BUDGET`` still caps each individual call).
         total_bdd_nodes: aggregate BDD node cap across all symbolic
-            sessions of a run (``None`` = unlimited; ``bdd_node_limit``
+            sessions of a run (``None`` = unlimited; ``BDD_NODE_LIMIT``
             still caps each session).
-        max_output_attempts: symbolic-search attempts (pin-shrink
-            retries) allowed per failing output before the engine stops
-            searching it and falls back.
         degrade_on_budget: when a run-level budget (deadline, total SAT
             conflicts, total BDD nodes) is exhausted, checkpoint the
             partial patch and force-complete the remaining failing
@@ -92,13 +87,6 @@ class EcoConfig:
 
     num_samples: int = 16
     max_points: int = 2
-    max_candidate_pins: int = 20
-    max_rewire_candidates: int = 8
-    prime_limit: int = 8
-    pointset_limit: int = 12
-    choice_limit: int = 16
-    sat_budget: int = 50000
-    bdd_node_limit: int = 400000
     error_bias: float = 1.0
     use_impl_nets: bool = True
     use_spec_nets: bool = True
@@ -110,15 +98,11 @@ class EcoConfig:
     deadline_s: Optional[float] = None
     total_sat_budget: Optional[int] = None
     total_bdd_nodes: Optional[int] = None
-    max_output_attempts: int = 8
     degrade_on_budget: bool = True
     resume_from: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name in ("num_samples", "max_points", "max_candidate_pins",
-                     "max_rewire_candidates", "prime_limit",
-                     "pointset_limit", "choice_limit", "sat_budget",
-                     "bdd_node_limit", "jobs", "max_output_attempts"):
+        for name in ("num_samples", "max_points", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not (self.use_impl_nets or self.use_spec_nets):

@@ -89,6 +89,12 @@ from repro.runtime.supervisor import RunSupervisor
 
 logger = logging.getLogger("repro.eco")
 
+#: cap ``M`` on the sink pins ranked as rectification points per
+#: failing output; a BDD blowup halves it, down to 4
+MAX_CANDIDATE_PINS = 20
+#: node cap of each sampling-domain BDD session
+BDD_NODE_LIMIT = 400_000
+
 
 class SysEco:
     """Rewire-based ECO rectification engine.
@@ -284,8 +290,7 @@ class SysEco:
         for commit in journal.commits:
             try:
                 outcome = validate_rewire(
-                    work, spec, commit.ops, failing,
-                    sat_budget=config.sat_budget, run=run)
+                    work, spec, commit.ops, failing, run=run)
             except ResourceBudgetExceeded as exc:
                 if not config.degrade_on_budget:
                     raise
@@ -293,7 +298,7 @@ class SysEco:
                 # the commit was proven once already; finish the replay
                 # unsupervised rather than tear the patch in half
                 outcome = validate_rewire(
-                    work, spec, commit.ops, failing, sat_budget=None)
+                    work, spec, commit.ops, failing)
             except ReproError as exc:
                 # an op that no longer even applies (missing gate or
                 # pin) means the designs on disk are not the ones the
@@ -474,11 +479,8 @@ class SysEco:
                          samples: List[Dict[str, bool]],
                          run: RunSupervisor) -> Optional["_Commit"]:
         """Run the symbolic search, shrinking the pin set on BDD blowup."""
-        max_pins = self.config.max_candidate_pins
+        max_pins = MAX_CANDIDATE_PINS
         while max_pins >= 4:
-            if not run.note_attempt(port):
-                logger.debug("output %s: attempt cap reached", port)
-                return None
             span = run.trace.span("eco.search", output=port,
                                   max_pins=max_pins)
             try:
@@ -497,9 +499,8 @@ class SysEco:
                             samples: List[Dict[str, bool]],
                             max_pins: int,
                             run: RunSupervisor) -> Optional["_Commit"]:
-        config = self.config
         manager = BddManager(
-            node_limit=run.open_bdd(config.bdd_node_limit),
+            node_limit=run.open_bdd(BDD_NODE_LIMIT),
             node_hook=run.node_hook)
         run.adopt_bdd(manager)
         try:
@@ -554,8 +555,6 @@ class SysEco:
         for m in range(1, config.max_points + 1):
             point_sets = feasible_point_sets(
                 work, port, domain, candidate_pins, spec_value, m,
-                prime_limit=config.prime_limit,
-                pointset_limit=config.pointset_limit,
                 checkpoint=run.checkpoint, trace=run.trace)
             run.counters.point_sets += len(point_sets)
             for pins in point_sets:
@@ -563,8 +562,7 @@ class SysEco:
                 cand_lists = [ctx.candidates_for_pin(p) for p in pins]
                 choices = enumerate_rewiring_choices(
                     work, port, domain, pins, cand_lists, spec_value,
-                    limit=config.choice_limit, cost_fn=cost_fn,
-                    trace=run.trace)
+                    cost_fn=cost_fn, trace=run.trace)
                 run.counters.choices += len(choices)
                 # choices are cost-ordered; the lint and simulation
                 # screens drop sampling false positives cheaply, and only
@@ -592,9 +590,7 @@ class SysEco:
                     run.counters.sat_validations += 1
                     with run.trace.span("eco.validate", output=port,
                                         ops=len(ops)) as vsp:
-                        outcome = validator.validate(
-                            ops, failing, sat_budget=config.sat_budget,
-                            run=run)
+                        outcome = validator.validate(ops, failing, run=run)
                         vsp.tag(valid=outcome.valid,
                                 fixed=len(outcome.fixed))
                     validations += 1

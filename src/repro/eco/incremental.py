@@ -306,7 +306,6 @@ class IncrementalValidator:
 
     # ------------------------------------------------------------------
     def validate(self, ops: Sequence[RewireOp], failing: Sequence[str],
-                 sat_budget: Optional[int] = None,
                  run=None) -> ValidationOutcome:
         """Exact full-domain check of one candidate, incrementally.
 
@@ -322,7 +321,7 @@ class IncrementalValidator:
         solve, conflicts charged to the run) and the deadline is
         checked between ports; budget exhaustion then raises a
         :class:`~repro.errors.ResourceBudgetExceeded` subclass.
-        Otherwise each query gets ``sat_budget``.  The property tests
+        Otherwise each query is one unbudgeted solve.  The property tests
         hold this to the verdicts of the copy-and-re-encode oracle in
         ``tests/eco/reference.py``.
         """
@@ -337,7 +336,7 @@ class IncrementalValidator:
                 run.checkpoint()
                 result = run.check_pair_supervised(self, port)
             else:
-                result = self.check_pair(port, conflict_budget=sat_budget)
+                result = self.check_pair(port)
             if result.equivalent is True:
                 if port in failing_set:
                     fixed.append(port)

@@ -441,9 +441,7 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
                 rejected += 1
                 run.trace.event("eco.replay_skip", output=port)
                 continue
-            outcome = validate_rewire(
-                work, spec, ops, failing_now,
-                sat_budget=config.sat_budget, run=run)
+            outcome = validate_rewire(work, spec, ops, failing_now, run=run)
             if not outcome.valid:
                 rejected += 1
                 run.trace.event("eco.replay_reject", output=port,

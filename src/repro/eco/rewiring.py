@@ -27,6 +27,10 @@ from repro.eco.config import EcoConfig
 from repro.eco.sampling import SamplingDomain
 from repro.obs.trace import ensure_trace
 
+#: candidate rewiring nets kept per rectification point, best utility
+#: first (plus the trivial driver and, at an output port, the spec's)
+MAX_REWIRE_CANDIDATES = 8
+
 
 @dataclass(frozen=True)
 class RewireCandidate:
@@ -157,7 +161,7 @@ class RewiringContext:
             scored.sort(key=lambda c: (-c.utility, c.from_spec, c.level))
         else:
             scored.sort(key=lambda c: (c.from_spec, c.net))
-        kept = scored[:config.max_rewire_candidates]
+        kept = scored[:MAX_REWIRE_CANDIDATES]
 
         # guarantee completeness for output-port pins: the revised
         # function itself must be reachable as a candidate

@@ -341,7 +341,6 @@ class ValidationOutcome:
 
 def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
                     failing: Sequence[str],
-                    sat_budget: Optional[int] = None,
                     run=None) -> ValidationOutcome:
     """Exact check of one rewire on the full input domain, one-shot.
 
@@ -355,4 +354,4 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
     from repro.eco.incremental import IncrementalValidator
 
     validator = IncrementalValidator(impl, spec, [op.pin for op in ops])
-    return validator.validate(ops, failing, sat_budget=sat_budget, run=run)
+    return validator.validate(ops, failing, run=run)

@@ -386,6 +386,3 @@ class Circuit:
 
     def output_nets(self) -> List[str]:
         return [self.outputs[p] for p in self.outputs]
-
-    def output_ports(self) -> List[str]:
-        return list(self.outputs)

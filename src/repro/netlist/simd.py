@@ -1,10 +1,11 @@
-"""NumPy vector backend for the simulation hot loops.
+"""NumPy vector kernels for compiled simulation plans.
 
 This module is the only place in the codebase allowed to import
 ``numpy`` (enforced by the ``RI007`` repo-invariant lint rule): every
-other layer stays dependency-free and talks to the vector backend
-through :class:`~repro.netlist.simulate.CompiledPlan`, which delegates
-here when the backend is active.
+other layer stays dependency-free.  No run path reaches it:
+:meth:`~repro.netlist.simulate.CompiledPlan.run` is pure Python, and
+only :meth:`~repro.netlist.simulate.CompiledPlan.run_lanes` (and
+``vector_plan``) import this module, on first use.
 
 The kernel is *level-batched*: a :class:`VectorPlan` regroups a
 compiled plan's steps into topological levels and, within each level,
@@ -16,12 +17,9 @@ multi-word Python batch integers).  One level costs a single merged
 so thousands of patterns move per interpreter dispatch instead of one
 gate per bytecode loop iteration.
 
-Production runs use the ``auto`` rule: the vector kernels run only
-where they empirically win (numpy imports and the batch shape meets the
-``AUTO_MIN_*`` thresholds) and the pure-Python paths run everywhere
-else.  :func:`set_backend` pins one path process-wide so tests and
-benchmarks can compare them; every vector kernel is pinned bit-for-bit
-to its pure-Python twin by ``tests/netlist/test_simd.py``.
+``tests/netlist/test_simd.py`` pins the kernels bit-for-bit to
+:meth:`~repro.netlist.simulate.CompiledPlan.run` and to the per-gate
+reference walk.
 """
 
 from __future__ import annotations
@@ -36,52 +34,6 @@ except ImportError:  # pragma: no cover
     _np = None  # type: ignore[assignment]
 
 HAVE_NUMPY = _np is not None
-
-BACKENDS = ("auto", "python", "numpy")
-
-#: auto mode ignores the vector path below this many 64-bit words per
-#: batch — narrow batches are dominated by per-call dispatch overhead
-AUTO_MIN_WORDS = 4
-#: ... and below this many compiled steps — tiny circuits fit in the
-#: pure-Python interpreter loop faster than in ufunc dispatch
-AUTO_MIN_STEPS = 192
-
-_selected = "auto"
-
-
-def set_backend(name: str) -> str:
-    """Pin the process-global simulation backend; returns the previous one.
-
-    ``python`` forces the pure-Python paths and ``numpy`` the vector
-    kernels (raising :class:`~repro.errors.NetlistError` when numpy is
-    missing); ``auto``, the default, restores the shape-based rule.
-    """
-    global _selected
-    if name not in BACKENDS:
-        raise NetlistError(
-            f"unknown simulation backend {name!r} "
-            f"(choose from {', '.join(BACKENDS)})")
-    if name == "numpy" and not HAVE_NUMPY:
-        raise NetlistError(
-            "simulation backend 'numpy' requested but numpy is not "
-            "installed (pip install repro[perf])")
-    previous = _selected
-    _selected = name
-    return previous
-
-
-def get_backend() -> str:
-    """The currently selected backend name (``auto``/``python``/``numpy``)."""
-    return _selected
-
-
-def use_vector_run(width_words: int, num_steps: int) -> bool:
-    """Should a plan evaluation of this shape go through the kernels?"""
-    if _selected == "python" or not HAVE_NUMPY:
-        return False
-    if _selected == "numpy":
-        return True
-    return width_words >= AUTO_MIN_WORDS and num_steps >= AUTO_MIN_STEPS
 
 
 # ----------------------------------------------------------------------
@@ -273,17 +225,6 @@ class VectorPlan:
             values[i] = int_to_lanes(word, width)
         self._eval_levels(values)
         return np.take(values, self.perm_np, axis=0)
-
-    def run_ints(self, names: Sequence[str],
-                 input_words: Mapping[str, int],
-                 width: int) -> List[int]:
-        """Like :meth:`run_lanes`, converted to plan-indexed batch ints."""
-        lanes = self.run_lanes(names, input_words, width)
-        raw = _np.ascontiguousarray(lanes, dtype="<u8").tobytes()
-        stride = 8 * width
-        return [int.from_bytes(raw[i * stride:(i + 1) * stride],
-                               "little")
-                for i in range(self.num_nets)]
 
 
 def compile_vector(plan) -> VectorPlan:

@@ -13,6 +13,11 @@ integer per net (Python's bignum bitwise ops run in C regardless of
 width), so a whole multi-word batch costs a single topological pass.
 Plans are cached on the circuit's derived-data cache and recompiled
 transparently after any mutation.
+
+Every evaluation runs that one pure-Python loop.  The NumPy kernels of
+:mod:`repro.netlist.simd` are reached only through
+:meth:`CompiledPlan.run_lanes`, which imports them on first use, so a
+run never loads NumPy.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import NetlistError
-from repro.netlist import simd
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import WORD_BITS, WORD_MASK, GateType
 from repro.netlist.traverse import topological_order
@@ -105,8 +109,7 @@ class CompiledPlan:
 
     A plan is immutable and pure data (tuples of ints and strings), so
     it pickles cleanly and can be shared across process-pool workers.
-    When the numpy backend is active (:mod:`repro.netlist.simd`),
-    whole-word batches are dispatched to a lazily compiled
+    :meth:`run_lanes` evaluates through a lazily compiled
     :class:`~repro.netlist.simd.VectorPlan` twin; the ``_vec`` cache is
     dropped on pickling so plans still cross process boundaries into
     numpy-free interpreters.
@@ -161,18 +164,11 @@ class CompiledPlan:
     # ------------------------------------------------------------------
     def vector_plan(self):
         """The lazily compiled :class:`~repro.netlist.simd.VectorPlan`
-        twin (numpy backend only)."""
+        twin (needs numpy)."""
         if self._vec is None:
+            from repro.netlist import simd
             self._vec = simd.compile_vector(self)
         return self._vec
-
-    @staticmethod
-    def _mask_words(mask: int) -> int:
-        """Word count of a whole-word batch mask, else 0."""
-        bits = mask.bit_length()
-        if bits % WORD_BITS == 0 and mask == (1 << bits) - 1:
-            return bits // WORD_BITS
-        return 0
 
     # ------------------------------------------------------------------
     def run(self, input_words: Mapping[str, int],
@@ -180,16 +176,8 @@ class CompiledPlan:
         """Evaluate one batch; returns values indexed like ``names``.
 
         ``mask`` widens the batch: pass :func:`batch_mask` of the word
-        count to evaluate ``W`` x 64 patterns in one pass.  Whole-word
-        batches ride the numpy level-batched kernel when the vector
-        backend is active (bit-identical; see
-        :mod:`repro.netlist.simd`).
+        count to evaluate ``W`` x 64 patterns in one pass.
         """
-        width = self._mask_words(mask)
-        if width and simd.use_vector_run(width, len(self.steps)):
-            self.evals += 1
-            return self.vector_plan().run_ints(self.names, input_words,
-                                               width)
         values = [0] * len(self.names)
         names = self.names
         for i in range(self.num_inputs):
@@ -238,10 +226,12 @@ class CompiledPlan:
     def run_lanes(self, input_words: Mapping[str, int], width: int):
         """Array-native evaluation: a ``(num_nets, width)`` uint64
         ndarray indexed like ``names`` (lane ``w`` = patterns
-        ``64*w..64*w+63``).  Requires the numpy backend; array
-        consumers (benchmarks) use this to skip the ndarray -> bignum
-        conversion that :meth:`run` pays on the vector path.
+        ``64*w..64*w+63``), from the level-batched kernels of
+        :mod:`repro.netlist.simd`.  Requires numpy, which the first call
+        imports; benchmarks use it to time the kernels against
+        :meth:`run`.
         """
+        from repro.netlist import simd
         if not simd.HAVE_NUMPY:
             raise NetlistError(
                 "CompiledPlan.run_lanes requires numpy "

@@ -92,9 +92,11 @@ class RunRecord:
 
     # ------------------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
-        payload = dataclasses.asdict(self)
-        extra = payload.pop("extra")
-        payload.update(extra)
+        # a shallow field dict: the payload is only serialized, so the
+        # deep copy ``dataclasses.asdict`` makes is not needed
+        payload = {f.name: getattr(self, f.name)
+                   for f in dataclasses.fields(self)}
+        payload.update(payload.pop("extra"))
         return payload
 
     @classmethod

@@ -8,7 +8,7 @@ Read counters as attributes, or as a plain mapping via ``as_dict()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict
 
 
@@ -43,7 +43,6 @@ class RunCounters:
     * ``sat_conflicts_spent`` — aggregate conflicts across the run;
     * ``bdd_nodes_spent`` — aggregate BDD nodes across all sessions;
     * ``bdd_sessions`` — symbolic sessions opened;
-    * ``attempts_capped`` — outputs whose search hit the attempt cap;
     * ``degraded_outputs`` — outputs force-completed after exhaustion.
 
     Fault tolerance (checkpoint/resume and the supervised pool):
@@ -70,7 +69,6 @@ class RunCounters:
     sat_conflicts_spent: int = 0
     bdd_nodes_spent: int = 0
     bdd_sessions: int = 0
-    attempts_capped: int = 0
     degraded_outputs: int = 0
     worker_deaths: int = 0
     tasks_retried: int = 0
@@ -78,7 +76,10 @@ class RunCounters:
     replayed_commits: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # a copy of the instance dict: the fields in declaration order,
+        # read without walking ``dataclasses.fields`` (traced runs take
+        # two snapshots per span)
+        return self.__dict__.copy()
 
     def nonzero(self) -> Dict[str, int]:
         return {k: v for k, v in self.as_dict().items() if v}

@@ -5,7 +5,8 @@ threads it through every resource-bounded step.  It bundles
 
 * a :class:`~repro.runtime.budget.RunBudget` (deadline + aggregate SAT
   conflict / BDD node caps),
-* the per-query SAT conflict budget (one budgeted solve per query),
+* one budgeted solve per SAT query, granted :data:`SAT_QUERY_BUDGET`
+  conflicts capped by what is left of the aggregate budget,
 * a :class:`~repro.runtime.faultinject.FaultInjector` (deterministic
   failure testing),
 * the run's :class:`~repro.runtime.counters.RunCounters`,
@@ -19,7 +20,7 @@ can serve concurrent ``rectify`` calls.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.errors import BddNodeLimitError, SatBudgetExceeded
 from repro.obs.trace import ensure_trace
@@ -36,18 +37,17 @@ from repro.runtime.faultinject import (
 
 logger = logging.getLogger("repro.runtime")
 
+#: conflict budget of one supervised SAT query (the paper's
+#: 'resource-constrained SAT solver'), further capped by what is left
+#: of the run's aggregate budget
+SAT_QUERY_BUDGET = 50_000
+
 
 class RunSupervisor:
     """Supervises one rectification run end to end.
 
     Args:
         budget: the run-level budget contract.
-        sat_budget: conflict budget of one supervised SAT query
-            (``None`` = uncapped), further capped by what is left of
-            the run's aggregate budget.
-        max_output_attempts: symbolic-search attempts allowed per
-            failing output before the engine stops searching it and
-            falls back (``None`` = unlimited).
         injector: fault injector consulted at every supervised site;
             ``None`` installs an inert one.
         trace: a :class:`~repro.obs.trace.Trace` receiving BDD-session
@@ -56,13 +56,9 @@ class RunSupervisor:
     """
 
     def __init__(self, budget: RunBudget,
-                 sat_budget: Optional[int] = None,
-                 max_output_attempts: Optional[int] = None,
                  injector: Optional[FaultInjector] = None,
                  trace=None):
         self.budget = budget
-        self.sat_budget = sat_budget
-        self.max_output_attempts = max_output_attempts
         self.injector = injector or FaultInjector()
         self.trace = ensure_trace(trace)
         self.counters = RunCounters()
@@ -72,8 +68,6 @@ class RunSupervisor:
         #: mapped to the reason; the engine skips searching them and
         #: completes them via the fallback (port -> reason)
         self.quarantined: Dict[str, str] = {}
-        self._attempts: Dict[str, int] = {}
-        self._capped: Set[str] = set()
         self._bdd_spans: List = []
         self._live_bdd: List = []
         #: the run's :class:`~repro.obs.sampler.RunSampler` (traced
@@ -96,9 +90,7 @@ class RunSupervisor:
             total_sat_conflicts=config.total_sat_budget,
             total_bdd_nodes=config.total_bdd_nodes,
             clock=clock)
-        return cls(budget, config.sat_budget,
-                   max_output_attempts=config.max_output_attempts,
-                   injector=injector, trace=trace)
+        return cls(budget, injector=injector, trace=trace)
 
     # ------------------------------------------------------------------
     # checkpoints and degradation
@@ -142,25 +134,6 @@ class RunSupervisor:
         self.counters.outputs_quarantined += 1
         self.trace.event("output.quarantined", port=port, reason=reason)
         logger.warning("output %s quarantined: %s", port, reason)
-
-    # ------------------------------------------------------------------
-    # per-output attempt cap
-    # ------------------------------------------------------------------
-    def note_attempt(self, port: str) -> bool:
-        """Register one symbolic-search attempt for ``port``.
-
-        Returns False once the per-output cap is hit — the engine then
-        abandons the search for this output and uses the fallback.
-        """
-        n = self._attempts.get(port, 0) + 1
-        self._attempts[port] = n
-        if self.max_output_attempts is not None \
-                and n > self.max_output_attempts:
-            if port not in self._capped:
-                self._capped.add(port)
-                self.counters.attempts_capped += 1
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # BDD sessions
@@ -228,8 +201,8 @@ class RunSupervisor:
     def check_pair_supervised(self, checker, port: str):
         """One output-pair equivalence query under run supervision.
 
-        Makes one solve, granted :attr:`sat_budget` capped by the run's
-        remaining SAT budget, and charges the conflicts it spent.
+        Makes one solve, granted :data:`SAT_QUERY_BUDGET` capped by the
+        run's remaining SAT budget, and charges the conflicts it spent.
         Observes :data:`SITE_SAT` once per query: an armed ``"unknown"``
         fault makes the query UNKNOWN without solving, an ``"exhaust"``
         fault raises :class:`SatBudgetExceeded`.
@@ -242,7 +215,7 @@ class RunSupervisor:
         conflicts = 0
         with self.trace.span("sat.validate", port=port) as span:
             try:
-                granted = self.budget.grant_sat(self.sat_budget)
+                granted = self.budget.grant_sat(SAT_QUERY_BUDGET)
                 fault = self.injector.observe(SITE_SAT)
                 if fault is not None and fault.payload == FAULT_EXHAUST:
                     raise SatBudgetExceeded(

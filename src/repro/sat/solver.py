@@ -55,10 +55,6 @@ def _lit_var(lit: int) -> int:
 def _lit_neg(lit: int) -> int:
     return lit ^ 1
 
-def _lit_sign(lit: int) -> bool:
-    """True when the literal is negative."""
-    return bool(lit & 1)
-
 
 class Solver:
     """Incremental CDCL solver.

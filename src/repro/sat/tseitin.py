@@ -25,9 +25,6 @@ class CircuitEncoder:
         self._const0: Optional[int] = None
         self._const1: Optional[int] = None
 
-    def fresh_var(self) -> int:
-        return self.solver.new_var()
-
     def const_var(self, value: bool) -> int:
         """A variable constrained to the given constant."""
         if value:

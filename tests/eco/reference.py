@@ -22,9 +22,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.cec.equivalence import PairwiseChecker
+from repro.eco import rewiring
 from repro.eco.patch import RewireOp
 from repro.eco.rewiring import RewireCandidate
 from repro.eco.validate import (
@@ -200,7 +201,7 @@ def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
         scored.sort(key=lambda c: (-c.utility, c.from_spec, c.level))
     else:
         scored.sort(key=lambda c: (c.from_spec, c.net))
-    kept = scored[:config.max_rewire_candidates]
+    kept = scored[:rewiring.MAX_REWIRE_CANDIDATES]
     out_net = ctx.spec_out_net
     if pin.is_output_port and config.use_spec_nets and not any(
             c.from_spec and c.net == out_net for c in kept):
@@ -216,7 +217,6 @@ def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
 
 def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
                     failing: Sequence[str],
-                    sat_budget: Optional[int] = None,
                     run=None) -> ValidationOutcome:
     """Exact check of a candidate rewire on the full input domain, by
     copy, apply and re-encode.
@@ -230,7 +230,7 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
     passing rejects the candidate at once.  The outcome is valid when
     at least one failing port is fixed.  With a run supervisor as
     ``run``, each query is one supervised solve and the deadline is
-    checked between ports; otherwise each query gets ``sat_budget``.
+    checked between ports; otherwise each query is one unbudgeted solve.
     """
     if not rewire_legal(PatchScreen(impl), ops):
         return ValidationOutcome(valid=False)
@@ -257,7 +257,7 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
             run.checkpoint()
             result = run.check_pair_supervised(checker, port)
         else:
-            result = checker.check_pair(port, conflict_budget=sat_budget)
+            result = checker.check_pair(port)
         if result.equivalent is True:
             if port in failing_set:
                 fixed.append(port)

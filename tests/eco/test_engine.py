@@ -13,6 +13,7 @@ from repro.eco.patch import RewireOp
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.traverse import levelize, transitive_fanin
 from repro.lint.netlist_rules import lint_netlist
+from repro.obs.trace import Trace
 from repro.sat import Solver
 from repro.synth import optimize_heavy, optimize_light
 from repro.workloads.figures import example1_circuits, figure1_circuits
@@ -128,11 +129,14 @@ class TestConfig:
                          EcoConfig(num_samples=8, level_aware=True))
         assert_rectified(result, spec)
 
-    def test_tiny_bdd_limit_falls_back_gracefully(self):
+    def test_tiny_bdd_limit_falls_back_gracefully(self, monkeypatch):
+        monkeypatch.setattr(engine, "BDD_NODE_LIMIT", 300)
         impl, spec = example1_circuits(width=2)
-        result = rectify(impl, spec,
-                         EcoConfig(num_samples=4, bdd_node_limit=300))
+        trace = Trace(name=impl.name)
+        result = rectify(impl, spec, EcoConfig(num_samples=4), trace=trace)
         assert_rectified(result, spec)
+        # the cap bound: a search blew up and retried with fewer pins
+        assert any(e.name == "bdd.node_limit" for e in trace.events)
 
 
 class TestRuntimeBookkeeping:

@@ -309,10 +309,9 @@ class TestEngineParity:
         assert failing_outputs(impl, spec)  # seeds chosen to be visible
         fast = rectify(impl, spec, EcoConfig(num_samples=16, seed=9))
 
-        def reference_path(self, ops, failing, sat_budget=None, run=None):
+        def reference_path(self, ops, failing, run=None):
             return reference.validate_rewire(
-                self.impl, self.spec, ops, failing,
-                sat_budget=sat_budget, run=run)
+                self.impl, self.spec, ops, failing, run=run)
 
         # every candidate goes through the reference validator instead
         monkeypatch.setattr(IncrementalValidator, "validate",

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from repro.bdd.manager import BddManager
+from repro.eco import rewiring
 from repro.eco.config import EcoConfig
 from repro.eco.rewiring import RewiringContext
 from repro.eco.sampling import SamplingDomain
@@ -117,10 +118,10 @@ class TestCandidatesForPin:
         cands = ctx.candidates_for_pin(Pin.gate("g2", 0))
         assert all(c.from_spec for c in cands[1:])  # trivial is impl
 
-    def test_max_candidates_respected(self):
+    def test_max_candidates_respected(self, monkeypatch):
+        monkeypatch.setattr(rewiring, "MAX_REWIRE_CANDIDATES", 2)
         impl, spec = simple_pair()
-        cfg = EcoConfig(max_rewire_candidates=2)
-        ctx = build_context(impl, spec, "o", config=cfg)
+        ctx = build_context(impl, spec, "o")
         cands = ctx.candidates_for_pin(Pin.gate("g2", 0))
         assert len(cands) <= 1 + 2 + 1  # trivial + cap + spec-output slot
 
@@ -138,14 +139,16 @@ class TestPoolMatchesWholeCircuitScan:
     candidates, utilities and order of the per-pin scan over whole-
     circuit casts (`tests/eco/reference.py`)."""
 
-    @pytest.mark.parametrize("config", [
-        EcoConfig(),
-        EcoConfig(utility_ordering=False),
-        EcoConfig(use_impl_nets=False),
-        EcoConfig(use_spec_nets=False),
-        EcoConfig(max_rewire_candidates=3),
+    @pytest.mark.parametrize("config, cap", [
+        (EcoConfig(), None),
+        (EcoConfig(utility_ordering=False), None),
+        (EcoConfig(use_impl_nets=False), None),
+        (EcoConfig(use_spec_nets=False), None),
+        (EcoConfig(), 3),
     ], ids=["default", "unordered", "spec-only", "impl-only", "capped"])
-    def test_candidates_match_reference(self, config):
+    def test_candidates_match_reference(self, config, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(rewiring, "MAX_REWIRE_CANDIDATES", cap)
         checked = 0
         for seed in range(30):
             spec = make_random_circuit(seed, n_inputs=6, n_gates=30,

@@ -177,12 +177,7 @@ class TestRunIsolation:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("field", [
-        "sat_budget", "bdd_node_limit", "choice_limit",
-        "pointset_limit",
-        "max_candidate_pins", "max_rewire_candidates", "prime_limit",
-        "max_output_attempts",
-    ])
+    @pytest.mark.parametrize("field", ["num_samples", "max_points", "jobs"])
     def test_positive_int_fields_rejected_at_zero(self, field):
         with pytest.raises(ValueError):
             EcoConfig(**{field: 0})

@@ -1,12 +1,12 @@
-"""Bit-identity of the numpy vector backend against the Python oracle.
+"""Bit-identity of the numpy vector kernels against the Python paths.
 
-Every vector kernel is a pure performance device: these tests pin the
-level-batched :class:`VectorPlan` to the pure-Python
-:class:`CompiledPlan` interpreter and to the per-gate dictionary walk
-of :mod:`tests.netlist.reference` on random circuits across batch widths,
-output cones and signatures; a subprocess fixture blocks the numpy
-import to prove the clean fallback; and one end-to-end check runs a
-Table-1 case on both backends and compares per-output outcomes.
+The kernels are reached only through :meth:`CompiledPlan.run_lanes`;
+these tests read its lanes back with :func:`simd.lanes_to_int` and pin
+them to :meth:`CompiledPlan.run` and to the per-gate dictionary walk of
+:mod:`tests.netlist.reference` on random circuits across batch widths,
+output cones and signatures.  Subprocess checks prove that everything
+else works with the numpy import blocked, and that a run never loads
+numpy even where it is installed.
 """
 
 import os
@@ -32,12 +32,7 @@ from tests.netlist.reference import reference_simulate_words
 needs_numpy = pytest.mark.skipif(not simd.HAVE_NUMPY,
                                  reason="numpy not installed")
 
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    previous = simd.get_backend()
-    yield
-    simd.set_backend(previous)
+REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
 
 def batched_words(circuit, width, seed):
@@ -50,41 +45,20 @@ def batched_words(circuit, width, seed):
     return words
 
 
-class TestBackendSelection:
-    def test_set_backend_returns_previous(self):
-        assert simd.set_backend("python") == "auto"
-        assert simd.set_backend("auto") == "python"
+def lane_ints(plan, words, width):
+    """The kernel's batch, one plan-indexed integer per net."""
+    return [simd.lanes_to_int(row) for row in plan.run_lanes(words, width)]
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(NetlistError):
-            simd.set_backend("cuda")
 
-    def test_numpy_backend_requires_numpy(self, monkeypatch):
-        monkeypatch.setattr(simd, "HAVE_NUMPY", False)
-        with pytest.raises(NetlistError):
-            simd.set_backend("numpy")
-        # auto / python still select fine and fall back
-        simd.set_backend("auto")
-        assert not simd.use_vector_run(8, 10000)
-
-    def test_engine_keeps_pinned_backend(self):
-        from repro.eco.engine import SysEco
-
-        simd.set_backend("python")
-        SysEco()
-        assert simd.get_backend() == "python"
-
-    @needs_numpy
-    def test_auto_thresholds(self):
-        simd.set_backend("auto")
-        assert simd.use_vector_run(simd.AUTO_MIN_WORDS,
-                                   simd.AUTO_MIN_STEPS)
-        assert not simd.use_vector_run(simd.AUTO_MIN_WORDS - 1,
-                                       simd.AUTO_MIN_STEPS)
-        assert not simd.use_vector_run(simd.AUTO_MIN_WORDS,
-                                       simd.AUTO_MIN_STEPS - 1)
-        simd.set_backend("numpy")
-        assert simd.use_vector_run(1, 1)
+def run_python(body, path_first=()):
+    """Run ``body`` in a fresh interpreter with ``src`` and the repo
+    root importable, after the directories in ``path_first``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [*path_first, os.path.join(REPO, "src"), REPO])
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(body)],
+        env=env, capture_output=True, text=True, timeout=300)
 
 
 @needs_numpy
@@ -95,14 +69,10 @@ class TestVectorParity:
     def test_run_matches_python_and_reference_walk(self, seed, width):
         c = make_random_circuit(seed)
         words = batched_words(c, width, seed + 1)
-        mask = batch_mask(width)
         plan = compiled_plan(c)
 
-        simd.set_backend("numpy")
-        vector = plan.run(words, mask=mask)
-        simd.set_backend("python")
-        scalar = plan.run(words, mask=mask)
-        assert vector == scalar
+        vector = lane_ints(plan, words, width)
+        assert vector == plan.run(words, mask=batch_mask(width))
 
         # the reference walk is single-word: check it lane by lane
         for r in range(width):
@@ -121,31 +91,32 @@ class TestVectorParity:
         root = c.outputs[sorted(c.outputs)[0]]
         plan = compiled_plan(c, roots=[root])
         words = batched_words(c, 4, seed + 2)
-        mask = batch_mask(4)
-        simd.set_backend("numpy")
-        vector = plan.run(words, mask=mask)
-        simd.set_backend("python")
-        assert vector == plan.run(words, mask=mask)
+        assert lane_ints(plan, words, 4) == plan.run(words,
+                                                     mask=batch_mask(4))
 
     @given(seed=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=10, deadline=None)
     def test_signature_parity(self, seed):
+        """The kernel on the signature's batch (round ``r`` in lane
+        ``rounds - 1 - r``) gives :func:`signature`'s values."""
         c = make_random_circuit(seed)
-        simd.set_backend("numpy")
-        vector = signature(c, rounds=8, seed=7)
-        simd.set_backend("python")
-        assert signature(c, rounds=8, seed=7) == vector
+        rng = random.Random(7)
+        words = {n: 0 for n in c.inputs}
+        for r in range(8):
+            for name, word in random_patterns(c.inputs, rng).items():
+                words[name] |= word << (64 * (7 - r))
+        plan = compiled_plan(c)
+        vector = dict(zip(plan.names, lane_ints(plan, words, 8)))
+        assert vector == signature(c, rounds=8, seed=7)
 
-    def test_run_lanes_matches_run_ints(self):
+    def test_run_lanes_matches_run(self):
         c = make_random_circuit(23)
         plan = compiled_plan(c)
         words = batched_words(c, 4, 9)
-        simd.set_backend("numpy")
         lanes = plan.run_lanes(words, 4)
         assert lanes.shape == (len(plan.names), 4)
-        ints = plan.vector_plan().run_ints(plan.names, words, 4)
-        for row, value in zip(lanes, ints):
-            assert simd.lanes_to_int(row) == value
+        assert [simd.lanes_to_int(row) for row in lanes] \
+            == plan.run(words, mask=batch_mask(4))
 
     def test_lane_conversion_roundtrip(self):
         value = int.from_bytes(bytes(range(1, 33)), "little")
@@ -154,29 +125,56 @@ class TestVectorParity:
 
     def test_missing_input_raises(self):
         c = make_random_circuit(24)
-        simd.set_backend("numpy")
         with pytest.raises(NetlistError):
-            compiled_plan(c).run({}, mask=batch_mask(2))
+            compiled_plan(c).run_lanes({}, 2)
+
+
+@needs_numpy
+class TestRunPathLoadsNoNumpy:
+    def test_rectify_cec_and_cli_leave_numpy_unloaded(self, tmp_path):
+        """With numpy installed, a Table-1 ``rectify``, a
+        ``check_equivalence`` and a ``python -m repro eco`` run all go
+        through the Python loop and never import numpy."""
+        impl = tmp_path / "impl.blif"
+        spec = tmp_path / "spec.blif"
+        proc = run_python(f"""
+            import runpy, sys
+            from repro import check_equivalence, rectify
+            from repro.netlist import write_blif
+            from repro.workloads.figures import example1_circuits
+            from repro.workloads.suite import build_case
+
+            case = build_case(1)
+            result = rectify(case.impl, case.spec)
+            assert check_equivalence(result.patched,
+                                     case.spec).equivalent is True
+
+            small_impl, small_spec = example1_circuits(width=2)
+            write_blif(small_impl, {str(impl)!r})
+            write_blif(small_spec, {str(spec)!r})
+            sys.argv = ["repro", "eco", "--impl", {str(impl)!r},
+                        "--spec", {str(spec)!r}, "--no-store"]
+            try:
+                runpy.run_module("repro", run_name="__main__")
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+            print("NUMPY-LOADED", "numpy" in sys.modules)
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert "verified: True" in proc.stdout
+        assert "NUMPY-LOADED False" in proc.stdout
 
 
 class TestNumpyAbsent:
-    """A subprocess whose numpy import is blocked must fall back
-    silently — same API, pure-Python results."""
+    """A subprocess whose numpy import is blocked must work unchanged:
+    same API, pure-Python results, and ``run_lanes`` refuses cleanly."""
 
     def _run_blocked(self, tmp_path, body):
         blocker = tmp_path / "blocker" / "numpy"
         blocker.mkdir(parents=True)
         (blocker / "__init__.py").write_text(
             "raise ImportError('numpy blocked for testing')\n")
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        tests = os.path.join(os.path.dirname(__file__), "..", "..")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(blocker.parent), os.path.abspath(src),
-             os.path.abspath(tests)])
-        return subprocess.run(
-            [sys.executable, "-c", textwrap.dedent(body)],
-            env=env, capture_output=True, text=True, timeout=300)
+        return run_python(body, path_first=[str(blocker.parent)])
 
     def test_fallback_without_numpy(self, tmp_path):
         proc = self._run_blocked(tmp_path, """
@@ -189,15 +187,6 @@ class TestNumpyAbsent:
             from tests.netlist.reference import reference_simulate_words
 
             assert not simd.HAVE_NUMPY
-            try:
-                simd.set_backend("numpy")
-            except NetlistError:
-                pass
-            else:
-                raise AssertionError("numpy backend accepted")
-            simd.set_backend("auto")
-            assert not simd.use_vector_run(8, 10000)
-
             c = make_random_circuit(3)
             rng = random.Random(4)
             words = {n: 0 for n in c.inputs}
@@ -211,7 +200,7 @@ class TestNumpyAbsent:
                               for n, w in words.items()}
                 ref = reference_simulate_words(c, lane_words)
                 for name, value in ref.items():
-                    lane = (got[plan.index[name]] >> (64 * r)) \
+                    lane = (got[plan.index[name]] >> (64 * r)) \\
                         & ((1 << 64) - 1)
                     assert lane == value
             try:
@@ -227,8 +216,7 @@ class TestNumpyAbsent:
 
     def test_engine_runs_without_numpy(self, tmp_path):
         """Table-1 case 1 completes with numpy blocked, with the same
-        per-output outcomes the numpy backend produces in this
-        process (when numpy is installed)."""
+        per-output outcomes as in this process."""
         proc = self._run_blocked(tmp_path, """
             from repro.workloads.suite import build_case
             from repro.eco.engine import SysEco
@@ -247,24 +235,5 @@ class TestNumpyAbsent:
         from repro.eco.config import EcoConfig
 
         case = build_case(1)
-        simd.set_backend("numpy" if simd.HAVE_NUMPY else "python")
         result = SysEco(EcoConfig()).rectify(case.impl, case.spec)
         assert line == f"OUTCOMES {sorted(result.per_output.items())}"
-
-
-@needs_numpy
-class TestEngineBackendIdentity:
-    def test_table1_case_outcomes_identical(self):
-        """Same Table-1 per-output patch outcomes on both backends."""
-        from repro.workloads.suite import build_case
-        from repro.eco.engine import SysEco
-        from repro.eco.config import EcoConfig
-
-        case = build_case(1)
-        results = {}
-        for backend in ("python", "numpy"):
-            simd.set_backend(backend)
-            res = SysEco(EcoConfig()).rectify(case.impl, case.spec)
-            results[backend] = (sorted(res.per_output.items()),
-                                sorted(res.verified_outputs))
-        assert results["python"] == results["numpy"]

@@ -1,5 +1,7 @@
 """Unit tests for the deterministic fault-injection harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.runtime import (
@@ -75,3 +77,15 @@ class TestRunCounters:
         counters = RunCounters(choices=5, sat_validations=2)
         assert counters.as_dict()["sat_validations"] == 2
         assert counters.nonzero() == {"choices": 5, "sat_validations": 2}
+
+    def test_as_dict_is_an_ordered_copy_of_the_fields(self):
+        counters = RunCounters(choices=5, sat_validations=2,
+                               bdd_nodes_spent=7)
+        walked = {f.name: getattr(counters, f.name)
+                  for f in dataclasses.fields(counters)}
+        snapshot = counters.as_dict()
+        assert list(snapshot.items()) == list(walked.items())
+        snapshot["choices"] = 99
+        counters.fallbacks += 1
+        assert counters.choices == 5
+        assert snapshot["fallbacks"] == 0
