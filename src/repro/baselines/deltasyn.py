@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from repro.runtime.clock import now
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_BITS
@@ -43,30 +43,25 @@ from repro.eco.patch import Patch, RectificationResult, RewireOp
 from repro.sat import Solver, UNSAT
 from repro.sat.tseitin import CircuitEncoder
 
+#: random-simulation rounds (64 patterns each) for candidate matching
+SIM_ROUNDS = 8
+#: conflict budget per boundary-match confirmation
+MATCH_SAT_BUDGET = 20000
+
 
 class DeltaSyn:
     """Signal-correspondence ECO engine (DeltaSyn reimplementation).
 
     Every result is proven equivalent to the spec; :meth:`rectify`
     raises :class:`~repro.errors.EcoError` when it is not.
-
-    Args:
-        sim_rounds: random-simulation rounds for candidate matching.
-        sat_budget: conflict budget per boundary-match confirmation.
     """
 
-    def __init__(self, sim_rounds: int = 8,
-                 sat_budget: Optional[int] = 20000):
-        self.sim_rounds = sim_rounds
-        self.sat_budget = sat_budget
-
-    # ------------------------------------------------------------------
     def match_signals(self, impl: Circuit, spec: Circuit) -> Dict[str, str]:
         """Candidate correspondence: spec net -> impl net, by signature."""
         rng = random.Random(77)
         impl_sigs: Dict[str, int] = {n: 0 for n in impl.nets()}
         spec_sigs: Dict[str, int] = {n: 0 for n in spec.nets()}
-        for _ in range(self.sim_rounds):
+        for _ in range(SIM_ROUNDS):
             words = random_patterns(impl.inputs, rng)
             iv = simulate_words(impl, words)
             sv = simulate_words(
@@ -122,7 +117,7 @@ class DeltaSyn:
                     return True
                 neq = encoder._encode_xor2(spec_map[snet], impl_map[inet])
                 ok = solver.solve(assumptions=[neq],
-                                  conflict_budget=self.sat_budget) == UNSAT
+                                  conflict_budget=MATCH_SAT_BUDGET) == UNSAT
                 confirmed[snet] = ok
                 return ok
 

@@ -96,11 +96,11 @@ def traced_case_run(case: EcoCase,
                     config: Optional[EcoConfig] = None,
                     kind: str = "bench",
                     tags: Optional[dict] = None) -> Tuple[object, object]:
-    """One traced, telemetry-sampled syseco run on a case.
+    """One traced syseco run on a case.
 
     Returns ``(result, record)`` where ``record`` is the
     :class:`~repro.obs.store.RunRecord` of the run — phase summary,
-    ``obs.sample`` counter timeline, final counters — ready for
+    event counts, histograms, final counters — ready for
     :func:`publish` to push into the run store.
     """
     from repro.obs import Trace, record_from_result

@@ -151,7 +151,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             total_sat_budget=args.total_sat_budget,
             total_bdd_nodes=args.total_bdd_nodes,
             degrade_on_budget=args.degrade_on_budget,
-            resume_from=args.resume,
         ))
     else:
         engine = DeltaSyn() if args.engine == "deltasyn" else ConeMap()
@@ -185,8 +184,8 @@ def _cmd_eco(args: argparse.Namespace) -> int:
               file=sys.stderr)
     elif (want_export or args.store_runs) and args.engine == "syseco":
         # traced whenever the run is being recorded, so the run store
-        # gets the phase summary, the obs.sample timeline and the
-        # latency histograms the trace's spans feed
+        # gets the phase summary, the event counts and the latency
+        # histograms the trace's spans feed
         from repro.obs import Trace
         trace = Trace(name=impl.name)
 

@@ -10,8 +10,9 @@ module gives every journaled run durable, replayable progress:
   and cumulative budget spend at commit time), and the final outcome —
   into ``<store>/journals/<run_id>.jsonl`` via the crash-safe writers
   of :mod:`repro.obs.atomicio`.
-* ``repro eco --resume RUN_ID`` (or :attr:`EcoConfig.resume_from`)
-  reopens the journal, *replays* the committed patches under the
+* ``repro eco --resume RUN_ID`` (from Python, ``SysEco.rectify`` with
+  ``journal=RunJournal(run_id, resume=True)``) reopens the journal,
+  *replays* the committed patches under the
   supervised validator (a journal is never trusted blindly — every
   replayed op set is re-proven before it is applied), restores the RNG
   stream position and budget spend of the last commit, skips the
@@ -107,17 +108,16 @@ def decode_rng_state(payload: Sequence[Any]) -> Tuple[Any, ...]:
 
 
 def config_digest(config: Any) -> str:
-    """Stable digest of an :class:`EcoConfig`, ignoring resume wiring.
+    """Stable digest of an :class:`EcoConfig`.
 
     Bit-identical resumption requires the resumed run to search under
-    the *same* configuration; ``resume_from`` itself is excluded so the
-    original run and its resumption digest equal.
+    the *same* configuration, so a journal refuses a config whose
+    digest differs from the one it recorded.
     """
     if dataclasses.is_dataclass(config):
         payload = dataclasses.asdict(config)
     else:
         payload = dict(config or {})
-    payload.pop("resume_from", None)
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

@@ -2,14 +2,16 @@
 
 :class:`EcoConfig` holds only what a caller tunes: the paper's sample
 count ``N`` and point-set size ``m`` (Sec. 5.2), the ablation switches,
-the seed, ``jobs`` and the run's supervision and resume settings.  The
-search's fixed caps are constants next to their one reader:
+the seed, ``jobs`` and the run's supervision settings.  The search's
+fixed caps are constants next to their one reader:
 ``MAX_CANDIDATE_PINS`` and ``BDD_NODE_LIMIT`` in
 :mod:`repro.eco.engine`, ``MAX_REWIRE_CANDIDATES`` in
-:mod:`repro.eco.rewiring`, the prime, point-set and choice limits as
-the defaults of :func:`~repro.eco.points.feasible_point_sets` and
-:func:`~repro.eco.choices.enumerate_rewiring_choices`, and
-``SAT_QUERY_BUDGET`` in :mod:`repro.runtime.supervisor`.
+:mod:`repro.eco.rewiring`, ``PRIME_LIMIT`` and ``POINTSET_LIMIT`` in
+:mod:`repro.eco.points`, and ``SAT_QUERY_BUDGET`` in
+:mod:`repro.runtime.supervisor`; the choice limit is the default of
+:func:`~repro.eco.choices.enumerate_rewiring_choices`.  Resuming a
+dead journaled run is the job of the journal ``repro eco --resume``
+opens (:class:`~repro.eco.checkpoint.RunJournal` with ``resume=True``).
 """
 
 from __future__ import annotations
@@ -77,12 +79,6 @@ class EcoConfig:
             outputs via the guaranteed fallback, returning a
             ``degraded=True`` result; ``False`` = strict mode, raise
             :class:`~repro.errors.ResourceBudgetExceeded` instead.
-
-    Fault tolerance (see docs/robustness.md):
-
-        resume_from: run id of a dead journaled run to resume; its
-            checkpoint journal is replayed before the search continues
-            (``repro eco --resume``; ``None`` = fresh run).
     """
 
     num_samples: int = 16
@@ -99,7 +95,6 @@ class EcoConfig:
     total_sat_budget: Optional[int] = None
     total_bdd_nodes: Optional[int] = None
     degrade_on_budget: bool = True
-    resume_from: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in ("num_samples", "max_points", "jobs"):

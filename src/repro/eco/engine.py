@@ -80,7 +80,6 @@ from repro.eco.validate import (
     clones_needed,
     validate_rewire,
 )
-from repro.obs.sampler import maybe_sampler
 from repro.obs.trace import Trace, ensure_trace
 from repro.runtime.clock import now
 from repro.runtime.faultinject import FaultInjector
@@ -142,18 +141,10 @@ class SysEco:
                                         trace=trace)
         trace.set_counters(run.counters)
 
-        run.sampler = maybe_sampler(
-            trace, counters=run.counters, bdd_stats=run.live_bdd_stats)
-        if run.sampler is not None:
-            run.sampler.start()
-        try:
-            with trace.span("eco.rectify", impl=impl.name,
-                            outputs=len(impl.outputs)):
-                result = self._rectify_run(impl, spec, rng, run, started,
-                                           journal=journal)
-        finally:
-            if run.sampler is not None:
-                run.sampler.stop()
+        with trace.span("eco.rectify", impl=impl.name,
+                        outputs=len(impl.outputs)):
+            result = self._rectify_run(impl, spec, rng, run, started,
+                                       journal=journal)
         trace.meta.update(
             impl=impl.name,
             counters=run.counters.as_dict(),
@@ -502,7 +493,6 @@ class SysEco:
         manager = BddManager(
             node_limit=run.open_bdd(BDD_NODE_LIMIT),
             node_hook=run.node_hook)
-        run.adopt_bdd(manager)
         try:
             return self._search_in_manager(
                 work, spec, port, failing, patch, samples, max_pins,

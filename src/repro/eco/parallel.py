@@ -403,7 +403,7 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
     shares, _reserve = run.partition_shares(len(groups))
     payloads = []
     for group, share in zip(groups, shares):
-        worker_config = replace(config, jobs=1, resume_from=None, **share)
+        worker_config = replace(config, jobs=1, **share)
         payloads.append((work, spec, worker_config, list(failing), group))
     inline = os.environ.get("REPRO_ECO_JOBS_INLINE") == "1"
     try:

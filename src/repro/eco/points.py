@@ -35,6 +35,11 @@ from repro.netlist.traverse import topological_order
 from repro.eco.sampling import SamplingDomain
 from repro.obs.trace import ensure_trace
 
+#: prime cubes of ``H(t)`` expanded per enumeration
+PRIME_LIMIT = 8
+#: distinct point-sets returned per enumeration
+POINTSET_LIMIT = 12
+
 
 class PointSelector:
     """Allocates and decodes the ``t`` variables of the selection."""
@@ -198,17 +203,16 @@ def compute_h_function(impl: Circuit, port: str, domain: SamplingDomain,
 def feasible_point_sets(impl: Circuit, port: str, domain: SamplingDomain,
                         candidate_pins: Sequence[Pin],
                         spec_value: int, num_points: int,
-                        prime_limit: int = 8,
-                        pointset_limit: int = 12,
                         checkpoint: Optional[Callable[[], None]] = None,
                         trace=None) -> List[Tuple[Pin, ...]]:
     """Candidate rectification point-sets for one failing output.
 
-    Returns up to ``pointset_limit`` distinct pin tuples (deduplicated
-    as sets, smaller sets first), derived from the prime cubes of
-    ``H(t)`` computed in the sampling domain.  An empty list means no
-    point-set of size ``num_points`` over these pins can rectify the
-    sampled behaviour — callers grow ``num_points`` or widen the pins.
+    Returns up to :data:`POINTSET_LIMIT` distinct pin tuples
+    (deduplicated as sets, smaller sets first), derived from the first
+    :data:`PRIME_LIMIT` prime cubes of ``H(t)`` computed in the sampling
+    domain.  An empty list means no point-set of size ``num_points``
+    over these pins can rectify the sampled behaviour — callers grow
+    ``num_points`` or widen the pins.
 
     ``checkpoint``, when given, is invoked before the symbolic
     computation and once per expanded prime cube; the run supervisor
@@ -220,7 +224,7 @@ def feasible_point_sets(impl: Circuit, port: str, domain: SamplingDomain,
             m=num_points, pins=len(candidate_pins)) as _span:
         result = _feasible_point_sets(
             impl, port, domain, candidate_pins, spec_value, num_points,
-            prime_limit, pointset_limit, checkpoint)
+            checkpoint)
         _span.tag(point_sets=len(result))
         return result
 
@@ -230,8 +234,6 @@ def _feasible_point_sets(impl: Circuit, port: str,
                          candidate_pins: Sequence[Pin],
                          spec_value: int,
                          num_points: int,
-                         prime_limit: int,
-                         pointset_limit: int,
                          checkpoint: Optional[Callable[[], None]],
                          ) -> List[Tuple[Pin, ...]]:
     if checkpoint is not None:
@@ -251,7 +253,7 @@ def _feasible_point_sets(impl: Circuit, port: str,
 
     seen: set = set()
     results: List[Tuple[Pin, ...]] = []
-    for prime in enumerate_primes(manager, h_t, limit=prime_limit):
+    for prime in enumerate_primes(manager, h_t, limit=PRIME_LIMIT):
         if checkpoint is not None:
             checkpoint()
         literals = prime.literals
@@ -266,9 +268,9 @@ def _feasible_point_sets(impl: Circuit, port: str,
                 continue
             seen.add(key)
             results.append(tuple(candidate_pins[j] for j in sorted(key)))
-            if len(results) >= pointset_limit:
+            if len(results) >= POINTSET_LIMIT:
                 break
-        if len(results) >= pointset_limit:
+        if len(results) >= POINTSET_LIMIT:
             break
     results.sort(key=len)
     return results

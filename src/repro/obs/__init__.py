@@ -5,9 +5,11 @@ failing output, point-set enumeration, candidate ranking, choice
 search, the simulation screen, every supervised SAT validation, every
 BDD session, every journal append, resynthesis, and the degradation
 events.  Counts live in the run's ``RunCounters`` and time in the
-trace; the latency histograms of the trace's :class:`MetricsRegistry`,
-the persisted :class:`RunRecord` and the Prometheus-style metrics file
-are derived from those two.  A finished trace exports as JSONL, Chrome
+trace; every span carries the counter deltas over its lifetime, so the
+spans are the one time-resolved record of the counts.  The latency
+histograms of the trace's :class:`MetricsRegistry`, the persisted
+:class:`RunRecord` and the Prometheus-style metrics file are derived
+from those two.  A finished trace exports as JSONL, Chrome
 trace-event JSON (Perfetto / ``chrome://tracing``), or the metrics
 file, and renders as a phase tree with SAT-conflict and BDD-node
 attribution (``repro trace <file>``).
@@ -54,7 +56,6 @@ from repro.obs.metrics import (
     render_prometheus,
     sanitize_metric_name,
 )
-from repro.obs.sampler import RunSampler, maybe_sampler
 from repro.obs.store import (
     DEFAULT_STORE_DIR,
     MetricDelta,
@@ -102,8 +103,6 @@ __all__ = [
     "log_buckets",
     "parse_prometheus_text",
     "render_prometheus",
-    "RunSampler",
-    "maybe_sampler",
     "DEFAULT_STORE_DIR",
     "MetricDelta",
     "Regression",

@@ -5,7 +5,7 @@ Five verbs over :class:`~repro.obs.store.RunStore`:
 * ``list``    — one line per recorded run (id, kind, name, age, wall
   time, outcome);
 * ``show``    — the full record of one run: counters, resolution
-  tallies, the phase tree, timeline sparklines and latency percentiles
+  tallies, the phase tree, latency percentiles and event counts
   (``--json`` for the raw payload);
 * ``diff``    — metric deltas between two runs;
 * ``regress`` — compare a run against a baseline under noise
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 from repro.obs.store import (
     MetricDelta,
@@ -73,44 +73,6 @@ def _fmt_latency(value: float) -> str:
     return f"{value * 1000:.1f}ms"
 
 
-#: eight-level bar characters, lowest to highest
-SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-#: sample-timeline counters worth a sparkline, in display order
-SPARK_KEYS = ("sat_conflicts_spent", "bdd_nodes", "sat_validations",
-              "plan_evals", "mem_peak_kib")
-
-
-def sparkline(values: Sequence[float], width: int = 40) -> str:
-    """``values`` as a fixed-width bar string (empty input -> '')."""
-    points = [float(v) for v in values]
-    if not points:
-        return ""
-    if len(points) > width:
-        step = len(points) / width
-        points = [points[int(i * step)] for i in range(width)]
-    lo, hi = min(points), max(points)
-    if hi <= lo:
-        return SPARK_CHARS[0] * len(points)
-    span = hi - lo
-    return "".join(
-        SPARK_CHARS[min(len(SPARK_CHARS) - 1,
-                        int((v - lo) / span * len(SPARK_CHARS)))]
-        for v in points)
-
-
-def _timeline_lines(samples: Sequence[Dict[str, Any]]) -> List[str]:
-    """One sparkline per :data:`SPARK_KEYS` series that moved."""
-    lines = []
-    for key in SPARK_KEYS:
-        series = [s.get(key, 0) for s in samples
-                  if isinstance(s.get(key, 0), (int, float))]
-        if any(series):
-            lines.append(f"  {key:<22.22} {sparkline(series)} "
-                         f"{series[-1]:g}")
-    return lines
-
-
 def _format_show(record: RunRecord) -> str:
     lines = [
         f"run      : {record.run_id}",
@@ -144,13 +106,6 @@ def _format_show(record: RunRecord) -> str:
             lines.append(
                 f"{name:<42} {row['calls']:>6} {row['seconds']:>8.3f}s "
                 f"{row['sat_conflicts']:>9} {row['bdd_nodes']:>10}")
-    if record.samples:
-        first, last = record.samples[0], record.samples[-1]
-        lines.append(
-            f"samples  : {len(record.samples)} obs.sample points, "
-            f"bdd_nodes {first.get('bdd_nodes', 0)} -> "
-            f"{last.get('bdd_nodes', 0)}")
-        lines.extend(_timeline_lines(record.samples))
     populated = {name: snap for name, snap
                  in sorted(record.histograms.items())
                  if snap.get("count")}

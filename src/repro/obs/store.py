@@ -1,9 +1,9 @@
 """The persistent run store: cross-run history under ``.repro/runs/``.
 
 Every engine, CLI and bench invocation can publish a :class:`RunRecord`
-— config, git SHA, final counters, the per-phase span summary, the
-``obs.sample`` counter timeline, latency histograms, degradation state
-and exit outcome — into a :class:`RunStore`, whose one file is
+— config, git SHA, final counters, the per-phase span summary, event
+counts, latency histograms, degradation state and exit outcome — into
+a :class:`RunStore`, whose one file is
 ``records.jsonl``: append-only, one JSON record per line.  All writes
 are atomic (tmp file + fsync + rename via :mod:`repro.obs.atomicio`),
 so a killed run never leaves a truncated record.  An ``index.json``
@@ -45,10 +45,6 @@ RECORD_VERSION = 1
 #: ``REPRO_RUN_STORE`` environment variable overrides it
 DEFAULT_STORE_DIR = os.path.join(".repro", "runs")
 
-#: samples kept per persisted record (timeline is downsampled evenly,
-#: always keeping the first and last snapshot)
-MAX_STORED_SAMPLES = 256
-
 
 class RunStoreError(ReproError):
     """A run-store operation failed (unknown ref, ambiguous prefix, ...)."""
@@ -79,7 +75,6 @@ class RunRecord:
     config: Dict[str, Any] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     phases: List[Dict[str, Any]] = field(default_factory=list)
-    samples: List[Dict[str, Any]] = field(default_factory=list)
     events: Dict[str, int] = field(default_factory=dict)
     resolution: Dict[str, int] = field(default_factory=dict)
     #: per-family histogram snapshots (count / sum / cumulative buckets
@@ -154,38 +149,6 @@ def new_run_id(started_at: float) -> str:
     return f"{stamp}-{os.urandom(4).hex()}"
 
 
-def _downsample(samples: List[Dict[str, Any]],
-                limit: int = MAX_STORED_SAMPLES) -> List[Dict[str, Any]]:
-    if len(samples) <= limit:
-        return samples
-    step = (len(samples) - 1) / (limit - 1)
-    picked = [samples[round(i * step)] for i in range(limit - 1)]
-    picked.append(samples[-1])
-    return picked
-
-
-def _normalize_sample_ts(samples: List[Dict[str, Any]]
-                         ) -> List[Dict[str, Any]]:
-    """Rebase the timeline so the first sample is ``ts=0``.
-
-    Sample timestamps arrive relative to the *trace* epoch, which is
-    set at ``Trace`` construction — an arbitrary monotonic instant that
-    differs across processes and across how long the CLI fiddled before
-    the run started.  Rebasing to the first sample makes timelines
-    directly comparable in ``runs diff``.
-    """
-    if not samples:
-        return samples
-    t0 = min((s["ts"] for s in samples if s.get("ts") is not None),
-             default=None)
-    if t0 is None:
-        return samples
-    for sample in samples:
-        if sample.get("ts") is not None:
-            sample["ts"] = round(sample["ts"] - t0, 6)
-    return samples
-
-
 def _phase_rows(records: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Flatten the trace summary tree into per-phase rows."""
     from repro.obs.summary import summarize
@@ -217,7 +180,7 @@ def record_from_result(result, trace=None, kind: str = "eco",
     """Build a :class:`RunRecord` from a ``RectificationResult``.
 
     ``trace`` (when the run was traced) supplies the per-phase summary,
-    the ``obs.sample`` timeline and the supervised wall time — the
+    the event counts and the supervised wall time — the
     supervisor's budget clock observes fault-injected stalls, so the
     recorded wall time is exactly what regression tracking should see.
     ``config`` accepts an ``EcoConfig`` (or any dataclass) or a plain
@@ -243,10 +206,6 @@ def record_from_result(result, trace=None, kind: str = "eco",
     if wall is None:
         wall = getattr(result, "runtime_seconds", 0.0)
 
-    samples = [dict(rec.get("tags", {}), ts=rec.get("ts"))
-               for rec in records
-               if rec.get("type") == "event" and rec.get("name") == "obs.sample"]
-    samples = _normalize_sample_ts(samples)
     event_counts: Dict[str, int] = {}
     for rec in records:
         if rec.get("type") == "event":
@@ -283,7 +242,6 @@ def record_from_result(result, trace=None, kind: str = "eco",
         config=config_dict,
         counters=counters,
         phases=_phase_rows(records),
-        samples=_downsample(samples),
         events=event_counts,
         resolution=resolution,
         histograms=histograms,

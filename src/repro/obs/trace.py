@@ -142,10 +142,6 @@ class Trace:
         self.events: List[Event] = []
         #: run-level metadata (final counters, degradation, ...)
         self.meta: Dict[str, Any] = {"name": name}
-        #: monotone span-activity counter (bumped on every span open /
-        #: finish); the sampler's stall detector watches it to tell a
-        #: long-running span from a wedged run
-        self.progress = 0
         self._stack: List[Span] = []
         self._counters = None
         self._next_id = 1
@@ -164,7 +160,6 @@ class Trace:
         sp = Span(self, self._next_id, parent, name, dict(tags),
                   self._clock() - self.epoch, snapshot)
         self._next_id += 1
-        self.progress += 1
         self._stack.append(sp)
         return sp
 
@@ -185,7 +180,6 @@ class Trace:
             self._stack.remove(span)
         except ValueError:
             pass
-        self.progress += 1
         self.spans.append(span)
         self.metrics.observe_span(span.name, span.duration, span.tags)
 
@@ -229,7 +223,6 @@ class Trace:
                     parent if span_id is None else base + span_id,
                     dict(rec.get("tags", {}))))
         self._next_id = base + max_id + 1
-        self.progress += 1
 
     # ------------------------------------------------------------------
     @property
@@ -308,7 +301,6 @@ class NullTrace:
     spans: List[Span] = []
     events: List[Event] = []
     wall_seconds = 0.0
-    progress = 0
     metrics = None
 
     @property

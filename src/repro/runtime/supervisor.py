@@ -11,7 +11,8 @@ threads it through every resource-bounded step.  It bundles
   failure testing),
 * the run's :class:`~repro.runtime.counters.RunCounters`,
 * the degradation flag the engine consults when a budget blows,
-* the run's telemetry sampler, ticked at every checkpoint.
+* one ``bdd.session`` span per BDD session, tagged with the nodes the
+  session spent when it closes.
 
 All state of a run lives here — engine instances stay stateless and
 can serve concurrent ``rectify`` calls.
@@ -69,10 +70,6 @@ class RunSupervisor:
         #: completes them via the fallback (port -> reason)
         self.quarantined: Dict[str, str] = {}
         self._bdd_spans: List = []
-        self._live_bdd: List = []
-        #: the run's :class:`~repro.obs.sampler.RunSampler` (traced
-        #: runs only); every checkpoint and node hook ticks it
-        self.sampler = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -96,19 +93,13 @@ class RunSupervisor:
     # checkpoints and degradation
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Deadline check; called at every loop boundary of the engine.
-
-        Also ticks the telemetry sampler, which snapshots the run when
-        its interval has passed.
-        """
-        if self.sampler is not None:
-            self.sampler.tick()
+        """Deadline check; called at every loop boundary of the engine."""
         self.budget.check_deadline()
 
     def node_hook(self, _count: int) -> None:
         """Periodic callback from :class:`~repro.bdd.manager.BddManager`:
-        keeps deadline enforcement and sampling responsive inside heavy
-        symbolic computation."""
+        keeps deadline enforcement responsive inside heavy symbolic
+        computation."""
         self.checkpoint()
 
     def mark_degraded(self, reason: str) -> None:
@@ -157,35 +148,11 @@ class RunSupervisor:
             self.trace.span("bdd.session", limit=limit))
         return limit
 
-    def adopt_bdd(self, manager) -> None:
-        """Register a live session manager so the telemetry sampler can
-        observe node growth *while* the session runs."""
-        self._live_bdd.append(manager)
-
-    def live_bdd_stats(self) -> Dict[str, int]:
-        """Cumulative BDD telemetry including live sessions.
-
-        ``bdd_nodes`` = nodes charged by finished sessions plus the
-        current node count of every open manager; node stores never
-        shrink and close_bdd moves a session's count into
-        ``bdd_nodes_spent``, so the sampled series is monotonically
-        non-decreasing.
-        """
-        live = sum(m.num_nodes for m in self._live_bdd)
-        return {
-            "bdd_nodes": self.counters.bdd_nodes_spent + live,
-            "bdd_sessions": self.counters.bdd_sessions,
-        }
-
     def close_bdd(self, manager) -> None:
         """Charge a finished session's node count to the run budget."""
         nodes = manager.num_nodes
         self.budget.charge_bdd(nodes)
         self.counters.bdd_nodes_spent += nodes
-        try:
-            self._live_bdd.remove(manager)
-        except ValueError:
-            pass
         if self._bdd_spans:
             span = self._bdd_spans.pop()
             stats = getattr(manager, "stats", None)

@@ -112,11 +112,6 @@ class TestTracedCaseRun:
         assert record.name == "case2"
         assert record.counters == result.counters.as_dict()
         assert record.config["num_samples"] > 0
-        # the sampler's timeline is present with monotone BDD nodes
-        assert len(record.samples) >= 2
-        series = [s.get("bdd_nodes", 0) for s in record.samples]
-        assert series == sorted(series)
-        assert series[-1] > 0
         # the trace's own registry: one observation per sat.validate
         sat_spans = [s for s in result.trace.spans
                      if s.name == "sat.validate"]
@@ -156,5 +151,3 @@ class TestPublish:
                 store=store_dir, run_records=[record])
         records = RunStore(store_dir).load_all()
         assert [r.run_id for r in records] == [record.run_id]
-        series = [s.get("bdd_nodes", 0) for s in records[0].samples]
-        assert series == sorted(series) and len(series) >= 2

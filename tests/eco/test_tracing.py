@@ -146,6 +146,20 @@ class TestFaultVisibility:
         assert any(s.tags["degraded"] for s in fallbacks)
         assert result.trace_summary().degraded is True
 
+    def test_degraded_run_prints_its_one_event(self):
+        # the degradation is the run's only event, so the summary that
+        # repro trace prints shows it rather than burying it
+        from repro.obs import format_summary, summarize
+
+        injector = FaultInjector().arm(SITE_CLOCK, 2, payload=100.0)
+        impl, spec, trace, result = traced_rectify(
+            EcoConfig(num_samples=8, deadline_s=50.0), injector=injector)
+        assert result.degraded is True
+        assert [e.name for e in trace.events] == ["run.degraded"]
+        text = format_summary(summarize(trace.records()))
+        assert "events (1):" in text
+        assert "run.degraded reason=run deadline" in text
+
 
 class TestNoopPath:
     def test_untraced_run_records_nothing_and_matches(self):
@@ -176,21 +190,22 @@ class TestNoopPath:
         assert "phase breakdown" in format_patch_report(traced)
 
 
-class TestTelemetrySampling:
-    def test_traced_run_emits_sample_timeline(self):
+class TestSpanTotals:
+    def test_spans_carry_the_run_totals(self):
+        # spans are the one time-resolved record of the counters: the
+        # BDD sessions' node tags and the root span's conflict delta
+        # add up to the run's totals
         impl, spec, trace, result = traced_rectify()
-        samples = events_named(trace, "obs.sample")
-        assert len(samples) >= 2  # at least the start/stop snapshots
-        seqs = [e.tags["seq"] for e in samples]
-        assert seqs == sorted(seqs)
-        series = [e.tags.get("bdd_nodes", 0) for e in samples]
-        assert series == sorted(series), \
-            "sampled BDD node counts must be non-decreasing"
-        assert series[-1] == result.counters.bdd_nodes_spent
-        final = samples[-1].tags
-        assert final.get("sat_conflicts_spent", 0) == \
+        sessions = spans_named(trace, "bdd.session")
+        assert sessions
+        assert sum(s.tags["nodes"] for s in sessions) == \
+            result.counters.bdd_nodes_spent
+        (root,) = spans_named(trace, "eco.rectify")
+        assert root.counters.get("sat_conflicts_spent", 0) == \
             result.counters.sat_conflicts_spent
 
+
+class TestTelemetrySampling:
     def test_supervised_elapsed_recorded_in_meta(self):
         impl, spec, trace, result = traced_rectify()
         assert "supervised_elapsed_s" in trace.meta
@@ -211,18 +226,6 @@ class TestTelemetrySampling:
         after = {t.name for t in threading.enumerate()}
         assert after <= before
         assert threading.active_count() == 1
-
-    def test_sample_interval_zero_keeps_snapshots(self, monkeypatch):
-        # with no tick due during the run, only the start and stop
-        # snapshots remain
-        from repro.obs import sampler as sampler_mod
-
-        monkeypatch.setattr(sampler_mod, "TICK_INTERVAL_S", float("inf"))
-        impl, spec = example1_circuits(width=2)
-        trace = Trace(name=impl.name)
-        rectify(impl, spec, EcoConfig(num_samples=8), trace=trace)
-        samples = events_named(trace, "obs.sample")
-        assert len(samples) == 2
 
     def test_recorded_run_has_one_thread(self, tmp_path, monkeypatch):
         # the repro eco default: traced, journaled, published to a store
@@ -250,41 +253,6 @@ class TestTelemetrySampling:
                                          name=impl.name, config=config))
         assert counts and set(counts) == {1}
         assert threading.active_count() == 1
-        assert len(events_named(trace, "obs.sample")) >= 2
-
-    def test_failing_tick_leaves_outcomes_unchanged(self, monkeypatch,
-                                                    caplog):
-        import logging
-
-        from repro.obs import sampler as sampler_mod
-
-        impl, spec = example1_circuits(width=2)
-        config = EcoConfig(num_samples=8)
-        plain = rectify(impl, spec, config)
-
-        calls = []
-        real = sampler_mod.RunSampler.sample
-
-        def sample(self):
-            calls.append(1)
-            if len(calls) > 1:      # the start snapshot succeeds
-                raise RuntimeError("broken exporter")
-            return real(self)
-
-        monkeypatch.setattr(sampler_mod, "TICK_INTERVAL_S", 0.0)
-        monkeypatch.setattr(sampler_mod.RunSampler, "sample", sample)
-        impl2, spec2 = example1_circuits(width=2)
-        trace = Trace(name=impl2.name)
-        with caplog.at_level(logging.ERROR, logger="repro.obs"):
-            broken = rectify(impl2, spec2, config, trace=trace)
-        assert len(calls) == 2      # sampling ended at the first tick
-        assert len(events_named(trace, "obs.sample")) == 1
-        assert len([r for r in caplog.records
-                    if "telemetry sampling failed" in r.getMessage()]) == 1
-        assert broken.per_output == plain.per_output
-        assert [op.describe() for op in broken.patch.ops] == \
-            [op.describe() for op in plain.patch.ops]
-        assert check_equivalence(broken.patched, spec2).equivalent is True
 
 
 class TestJournalSpans:

@@ -1,24 +1,7 @@
 """``repro runs show`` rendering: pure functions over a recorded run."""
 
-from repro.obs.runs_cli import SPARK_CHARS, _format_show, sparkline
+from repro.obs.runs_cli import _format_show
 from repro.obs.store import RunRecord
-
-
-class TestSparkline:
-    def test_empty_is_empty(self):
-        assert sparkline([]) == ""
-
-    def test_flat_series_renders_the_floor(self):
-        assert sparkline([5, 5, 5]) == SPARK_CHARS[0] * 3
-
-    def test_scaling_spans_the_charset(self):
-        line = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert line[0] == SPARK_CHARS[0]
-        assert line[-1] == SPARK_CHARS[-1]
-        assert len(line) == 8
-
-    def test_long_series_downsample_to_width(self):
-        assert len(sparkline(range(1000), width=40)) == 40
 
 
 def make_record(**overrides):
@@ -38,8 +21,7 @@ def make_record(**overrides):
             {"phase": "eco.rectify/eco.output", "calls": 3,
              "seconds": 1.5, "sat_conflicts": 50, "bdd_nodes": 100},
         ],
-        samples=[{"ts": 0.0, "sat_conflicts_spent": 10, "bdd_nodes": 0},
-                 {"ts": 1.0, "sat_conflicts_spent": 50, "bdd_nodes": 0}],
+        events={"run.degraded": 1},
         histograms={"repro_sat_call_seconds": {
             "count": 9, "sum": 0.1, "p50": 0.002, "p95": 0.01,
             "p99": 0.02, "buckets": []}},
@@ -56,11 +38,9 @@ class TestFormatShow:
         assert "resolved : rewire=2, unresolved=1" in text
         assert "eco.rectify" in text
         assert "  eco.output" in text                # indented child
-        assert "samples  : 2 obs.sample points" in text
-        assert f"sat_conflicts_spent    {SPARK_CHARS[0]}" \
-               f"{SPARK_CHARS[-1]} 50" in text
         assert "repro_sat_call_seconds" in text
         assert "10.0ms" in text                      # the p95
+        assert "events   : run.degraded=1" in text
 
     def test_lint_line_comes_from_counters(self):
         text = _format_show(make_record())
@@ -73,13 +53,6 @@ class TestFormatShow:
                                         degrade_reason="deadline"))
         assert "outcome  : degraded (degraded: deadline)" in text
 
-    def test_timeline_skips_all_zero_series(self):
-        text = _format_show(make_record(
-            samples=[{"bdd_nodes": 0, "plan_evals": 3},
-                     {"bdd_nodes": 0, "plan_evals": 9}]))
-        assert "  plan_evals" in text
-        assert "  bdd_nodes" not in text
-
     def test_histograms_skip_empty_series(self):
         text = _format_show(make_record(histograms={
             "repro_empty_seconds": {"count": 0},
@@ -90,9 +63,9 @@ class TestFormatShow:
 
     def test_sparse_record_renders_header_only(self):
         text = _format_show(make_record(
-            counters={}, resolution={}, phases=[], samples=[],
+            counters={}, resolution={}, phases=[], events={},
             histograms={}))
         assert "run      : 20260807-000000-deadbeef" in text
         assert "phase" not in text
-        assert "samples" not in text
         assert "histogram" not in text
+        assert "events" not in text

@@ -218,7 +218,6 @@ class TestServeAndWatch:
         assert "outcome  : ok" in out
         assert "resolved : " in out
         assert "journal.append" in out                # phase tree
-        assert "  sat_conflicts_spent " in out        # timeline sparkline
         assert "repro_sat_call_seconds" in out        # percentile table
         assert "repro_journal_append_seconds" in out
 
@@ -307,7 +306,6 @@ class TestRunStore:
         out = capsys.readouterr().out
         assert "outcome  : ok" in out
         assert "eco.rectify" in out       # phase tree present
-        assert "obs.sample" in out        # timeline rode along
 
         assert main(["runs", "--store", store, "diff",
                      "first", "last"]) == 0
@@ -326,8 +324,7 @@ class TestRunStore:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "eco"
         assert payload["tags"]["engine"] == "syseco"
-        series = [s.get("bdd_nodes", 0) for s in payload["samples"]]
-        assert series == sorted(series) and len(series) >= 2
+        assert "samples" not in payload   # spans are the one timeline
 
     def test_regress_passes_on_identical_rerun(self, eco_files, tmp_path,
                                                capsys):
@@ -376,9 +373,10 @@ class TestRunStore:
     def test_store_from_older_version_still_works(self, tmp_path,
                                                   capsys):
         """A store an older version wrote — with an ``index.json`` and
-        records carrying a ``lint`` block — lists, shows, diffs and
-        regresses; ``index.json`` is left as it was and ``lint``
-        round-trips through ``extra``."""
+        records carrying a ``lint`` block and an ``obs.sample``
+        timeline — lists, shows, diffs and regresses; ``index.json`` is
+        left as it was and ``lint`` and ``samples`` round-trip through
+        ``extra``."""
         import json
         from repro.obs import RunStore
 
@@ -386,6 +384,9 @@ class TestRunStore:
         store.mkdir()
         lint = {"lint_screens": 6, "lint_rejects": 1,
                 "lint_reject_rate": 1 / 6}
+        samples = [{"seq": 1, "ts": 0.0},
+                   {"seq": 2, "ts": 0.05, "bdd_nodes": 120,
+                    "sat_conflicts_spent": 80}]
         records = [{
             "run_id": f"20261016-12000{i}-aaaa000{i}", "kind": "eco",
             "name": "example1", "started_at": 1760600000.0 + i,
@@ -397,7 +398,8 @@ class TestRunStore:
             "phases": [{"phase": "eco.rectify", "calls": 1,
                         "seconds": 0.05, "sat_conflicts": 80,
                         "bdd_nodes": 0}],
-            "samples": [], "events": {}, "lint": lint,
+            "samples": samples, "events": {"obs.sample": 2},
+            "lint": lint,
             "resolution": {"rewire": 2}, "histograms": {},
             "tags": {"engine": "syseco"}, "version": 1,
         } for i in (1, 2)]
@@ -416,8 +418,9 @@ class TestRunStore:
         out = capsys.readouterr().out
         assert all(rec["run_id"] in out for rec in records)
         assert main(["runs", "--store", root, "show", "first"]) == 0
-        assert "lint     : 6 screens, 1 rejects (17%)" in \
-            capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "lint     : 6 screens, 1 rejects (17%)" in out
+        assert "samples  :" not in out
         assert main(["runs", "--store", root, "diff", "first",
                      "last"]) == 0
         assert "counters.sat_conflicts_spent" in capsys.readouterr().out
@@ -428,7 +431,7 @@ class TestRunStore:
         assert (store / "index.json").read_text(encoding="utf-8") == index
         assert os.stat(store / "index.json").st_mtime_ns == 10**18
         loaded = RunStore(root).resolve("first")
-        assert loaded.extra == {"lint": lint}
+        assert loaded.extra == {"lint": lint, "samples": samples}
         assert loaded.to_json() == records[0]
 
     def test_unknown_ref_is_cli_error(self, eco_files, tmp_path, capsys):
