@@ -18,13 +18,9 @@ from repro.bdd.manager import BddManager, FALSE, TRUE
 from repro.bdd.expr import Bdd
 from repro.bdd.cube import Cube
 from repro.bdd.primes import enumerate_primes, expand_to_prime
-from repro.bdd.netbridge import circuit_to_bdds, net_functions
-from repro.bdd.reorder import greedy_sift
-from repro.bdd.dot import to_dot, write_dot
+from repro.bdd.netbridge import net_functions
 
 __all__ = [
-    "to_dot",
-    "write_dot",
     "BddManager",
     "FALSE",
     "TRUE",
@@ -32,7 +28,5 @@ __all__ = [
     "Cube",
     "enumerate_primes",
     "expand_to_prime",
-    "circuit_to_bdds",
     "net_functions",
-    "greedy_sift",
 ]

@@ -80,28 +80,3 @@ def net_functions(circuit: Circuit, manager: BddManager,
         values[name] = apply_gate(
             manager, gate.gtype, [values[f] for f in gate.fanins])
     return values
-
-
-def circuit_to_bdds(circuit: Circuit, manager: Optional[BddManager] = None,
-                    var_order: Optional[Sequence[str]] = None):
-    """Exact-domain BDDs of all output ports.
-
-    Returns ``(manager, var_map, outputs)`` where ``var_map`` maps each
-    input name to its variable index and ``outputs`` maps each output
-    port to its BDD node.  When ``manager`` is provided its variables
-    are extended as needed.
-    """
-    names = list(var_order) if var_order is not None else list(circuit.inputs)
-    if set(names) != set(circuit.inputs):
-        raise BddError("var_order must be a permutation of the inputs")
-    if manager is None:
-        manager = BddManager(len(names))
-        var_map = {n: i for i, n in enumerate(names)}
-    else:
-        var_map = {}
-        for n in names:
-            var_map[n] = manager.add_var()
-    input_functions = {n: manager.var(i) for n, i in var_map.items()}
-    values = net_functions(circuit, manager, input_functions)
-    outputs = {p: values[net] for p, net in circuit.outputs.items()}
-    return manager, var_map, outputs

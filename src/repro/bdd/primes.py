@@ -71,9 +71,3 @@ def enumerate_primes(manager: BddManager, f: int,
         produced += 1
         remainder = manager.and_(remainder,
                                  manager.not_(prime.to_bdd(manager)))
-
-
-def all_primes(manager: BddManager, f: int,
-               limit: Optional[int] = None) -> list:
-    """Materialized list of :func:`enumerate_primes`."""
-    return list(enumerate_primes(manager, f, limit=limit))

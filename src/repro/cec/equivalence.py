@@ -346,14 +346,6 @@ def _checker_for(left: Circuit, right: Circuit,
     return context
 
 
-def check_output_pair(left: Circuit, right: Circuit, port: str,
-                      conflict_budget: Optional[int] = None
-                      ) -> EquivalenceResult:
-    """One-shot equivalence query for a single output port."""
-    return PairwiseChecker(left, right).check_pair(
-        port, conflict_budget=conflict_budget)
-
-
 def check_equivalence(left: Circuit, right: Circuit,
                       outputs: Optional[Sequence[str]] = None,
                       conflict_budget: Optional[int] = None,

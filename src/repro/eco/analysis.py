@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import WORD_BITS
+from repro.netlist.gate import SYMMETRIC_TYPES, WORD_BITS
 from repro.netlist.simulate import random_patterns, simulate_words
-from repro.netlist.traverse import input_support, transitive_fanin
-from repro.netlist.hashing import structural_hash
+from repro.netlist.traverse import (
+    input_support,
+    topological_order,
+    transitive_fanin,
+)
 from repro.cec.equivalence import nonequivalent_outputs
 
 
@@ -78,20 +81,16 @@ def error_rate(impl: Circuit, spec: Circuit, port: str,
 def structural_similarity(impl: Circuit, spec: Circuit) -> float:
     """Fraction of spec gate cones with a structural twin in the impl.
 
-    Uses the strash keys of both circuits under a shared input
-    numbering; 1.0 means the spec's structures all survive in the
-    implementation (easy for structural ECO), values near the inputs'
-    baseline mean the netlists only agree at the PIs.
+    Keys every net of both circuits by its gate type and its fanins'
+    keys (sorted for symmetric gates), through one intern table shared
+    by the two circuits and seeded with the input names; 1.0 means the
+    spec's structures all survive in the implementation (easy for
+    structural ECO), values near the inputs' baseline mean the netlists
+    only agree at the PIs.
     """
-    impl_keys = structural_hash(impl)
-    spec_keys = structural_hash(spec)
-    # keys are interned per-circuit; re-intern through a common table
     common: Dict[object, int] = {}
 
-    def canon(circuit: Circuit, keys: Dict[str, int]) -> Dict[str, int]:
-        # rebuild canonical keys by traversing with a shared intern table
-        from repro.netlist.gate import SYMMETRIC_TYPES
-        from repro.netlist.traverse import topological_order
+    def canon(circuit: Circuit) -> Dict[str, int]:
         out: Dict[str, int] = {}
 
         def intern(sig: object) -> int:
@@ -109,8 +108,8 @@ def structural_similarity(impl: Circuit, spec: Circuit) -> float:
             out[name] = intern((gate.gtype, fk))
         return out
 
-    impl_canon = canon(impl, impl_keys)
-    spec_canon = canon(spec, spec_keys)
+    impl_canon = canon(impl)
+    spec_canon = canon(spec)
     impl_set = set(impl_canon.values())
     spec_gates = [spec_canon[g] for g in spec.gates]
     if not spec_gates:

@@ -21,7 +21,6 @@ clause::
     ├── WorkerDiedError
     ├── JournalError
     └── EcoError
-        ├── RectificationInfeasible
         └── PatchStructureError
 
 :class:`BddNodeLimitError` deliberately inherits from both
@@ -109,10 +108,6 @@ class JournalError(ReproError):
 
 class EcoError(ReproError):
     """The ECO engine could not produce a valid patch."""
-
-
-class RectificationInfeasible(EcoError):
-    """No rewire operation rectifies the requested output."""
 
 
 class PatchStructureError(EcoError):

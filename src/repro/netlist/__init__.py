@@ -20,7 +20,6 @@ from repro.netlist.traverse import (
     transitive_fanout,
     input_support,
     levelize,
-    cone_of,
 )
 from repro.netlist.simulate import simulate, simulate_words, random_patterns
 from repro.netlist.hashing import structural_hash, strash
@@ -49,7 +48,6 @@ __all__ = [
     "transitive_fanout",
     "input_support",
     "levelize",
-    "cone_of",
     "simulate",
     "simulate_words",
     "random_patterns",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit
@@ -126,11 +126,6 @@ def input_support(circuit: Circuit, net: str) -> Set[str]:
     return {n for n in transitive_fanin(circuit, [net]) if circuit.is_input(n)}
 
 
-def output_support(circuit: Circuit, port: str) -> Set[str]:
-    """Structural input support of an output port."""
-    return input_support(circuit, circuit.outputs[port])
-
-
 def dependent_outputs(circuit: Circuit, nets: Iterable[str]) -> List[str]:
     """Output ports whose cones contain any of ``nets``."""
     tfo = transitive_fanout(circuit, nets)
@@ -151,28 +146,3 @@ def levelize(circuit: Circuit) -> Dict[str, int]:
         else:
             levels[name] = 1 + max(levels[f] for f in gate.fanins)
     return levels
-
-
-def cone_of(circuit: Circuit, ports: Sequence[str],
-            name: Optional[str] = None) -> Circuit:
-    """Extract the input cone of output ports as a standalone circuit.
-
-    The new circuit keeps original net names; its inputs are the primary
-    inputs feeding the cone, its outputs are ``ports``.
-    """
-    for p in ports:
-        if p not in circuit.outputs:
-            raise NetlistError(f"no output port {p!r}")
-    roots = [circuit.outputs[p] for p in ports]
-    keep = transitive_fanin(circuit, roots)
-    cone = Circuit(name or f"{circuit.name}_cone")
-    for i in circuit.inputs:
-        if i in keep:
-            cone.add_input(i)
-    for g in topological_order(circuit, roots):
-        if g in keep:
-            gate = circuit.gates[g]
-            cone.add_gate(gate.name, gate.gtype, gate.fanins)
-    for p in ports:
-        cone.set_output(p, circuit.outputs[p])
-    return cone

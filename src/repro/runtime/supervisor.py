@@ -149,17 +149,18 @@ class RunSupervisor:
         return limit
 
     def close_bdd(self, manager) -> None:
-        """Charge a finished session's node count to the run budget."""
+        """Charge a finished session's node count to the run budget.
+
+        ``manager`` is the session's
+        :class:`~repro.bdd.manager.BddManager`; its ``stats()`` tag the
+        session span.
+        """
         nodes = manager.num_nodes
         self.budget.charge_bdd(nodes)
         self.counters.bdd_nodes_spent += nodes
         if self._bdd_spans:
             span = self._bdd_spans.pop()
-            stats = getattr(manager, "stats", None)
-            if stats is not None:
-                span.tag(**stats())
-            else:
-                span.tag(nodes=nodes)
+            span.tag(**manager.stats())
             span.finish()
 
     # ------------------------------------------------------------------

@@ -3,8 +3,8 @@
 :class:`CircuitEncoder` maintains a net-name -> solver-variable map and
 emits the standard Tseitin clauses per gate.  Multiple circuits can be
 encoded into one solver with shared or disjoint input variables, which
-is how miters (:mod:`repro.cec.miter`) and the ECO validation step
-build their instances.
+is how the equivalence checkers (:mod:`repro.cec.equivalence`) and the
+ECO validation step (:mod:`repro.eco.incremental`) build their miters.
 """
 
 from __future__ import annotations

@@ -18,14 +18,13 @@ circuits.
 """
 
 from repro.synth.simplify import simplify_constants
-from repro.synth.restructure import decompose_two_input, demorgan_restructure, balance
+from repro.synth.restructure import decompose_two_input, demorgan_restructure
 from repro.synth.scripts import optimize_heavy, optimize_light, run_script
 
 __all__ = [
     "simplify_constants",
     "decompose_two_input",
     "demorgan_restructure",
-    "balance",
     "optimize_heavy",
     "optimize_light",
     "run_script",

@@ -9,7 +9,7 @@ structural ECO matching breaks down.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import GateType
@@ -103,66 +103,3 @@ def demorgan_restructure(circuit: Circuit, seed: int = 0,
     for port, net in circuit.outputs.items():
         out.set_output(port, rep[net])
     return out
-
-
-def balance(circuit: Circuit, name: Optional[str] = None) -> Circuit:
-    """Rebuild n-ary trees of identical associative gates, balanced.
-
-    Collapses chains of same-type 2-input AND/OR/XOR gates into one
-    n-ary gate (when the intermediate net has a single sink), then the
-    standard writer decomposition yields a depth-optimal tree.  Used by
-    the timing-driven experiments to give baselines a fair depth.
-    """
-    sink_counts: Dict[str, int] = {}
-    for g in circuit.gates.values():
-        for f in g.fanins:
-            sink_counts[f] = sink_counts.get(f, 0) + 1
-    for net in circuit.outputs.values():
-        sink_counts[net] = sink_counts.get(net, 0) + 1
-
-    out = Circuit(name or circuit.name)
-    out.add_inputs(circuit.inputs)
-    rep: Dict[str, str] = {n: n for n in circuit.inputs}
-    collapsible = (GateType.AND, GateType.OR, GateType.XOR)
-    # leaves of the collapsed tree per original net
-    leaves: Dict[str, List[str]] = {}
-
-    def gather(gname: str, op: GateType) -> List[str]:
-        gate = circuit.gates.get(gname)
-        if (gate is None or gate.gtype is not op
-                or sink_counts.get(gname, 0) > 1):
-            return [gname]
-        result: List[str] = []
-        for f in gate.fanins:
-            result.extend(gather(f, op))
-        return result
-
-    for gname in topological_order(circuit):
-        gate = circuit.gates[gname]
-        if gate.gtype in collapsible:
-            collected: List[str] = []
-            for f in gate.fanins:
-                collected.extend(gather(f, gate.gtype))
-            fanins = [rep[f] for f in collected]
-            rep[gname] = _balanced_tree(out, gate.gtype, fanins)
-        else:
-            rep[gname] = out.add(gate.gtype, [rep[f] for f in gate.fanins])
-
-    for port, net in circuit.outputs.items():
-        out.set_output(port, rep[net])
-    return out
-
-
-def _balanced_tree(circuit: Circuit, op: GateType,
-                   operands: Sequence[str]) -> str:
-    work = list(operands)
-    if len(work) == 1:
-        return circuit.buf(work[0])
-    while len(work) > 1:
-        nxt = []
-        for i in range(0, len(work) - 1, 2):
-            nxt.append(circuit.add(op, [work[i], work[i + 1]]))
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]

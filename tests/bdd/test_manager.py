@@ -442,37 +442,3 @@ class TestKernelTables:
         assert [step() for step in steps] == results
         assert m.num_nodes == nodes
         assert m.stats()["cache_entries"] > 0
-
-
-class TestDotExport:
-    def test_dot_structure(self):
-        from repro.bdd.dot import to_dot
-        m = BddManager(2)
-        f = m.and_(m.var(0), m.var(1))
-        text = to_dot(m, {"f": f}, var_names={0: "a", 1: "b"})
-        assert text.startswith("digraph")
-        assert '"a"' in text and '"b"' in text
-        assert "style=dashed" in text
-        assert "r_f" in text
-
-    def test_terminal_roots(self):
-        from repro.bdd.dot import to_dot
-        m = BddManager(1)
-        text = to_dot(m, {"T": 1, "F": 0})
-        assert "r_T -> nT" in text
-        assert "r_F -> nF" in text
-
-    def test_write_dot(self, tmp_path):
-        from repro.bdd.dot import write_dot
-        m = BddManager(2)
-        f = m.xor(m.var(0), m.var(1))
-        path = str(tmp_path / "f.dot")
-        write_dot(m, {"xor": f}, path)
-        with open(path) as fh:
-            assert "digraph" in fh.read()
-
-    def test_label_sanitization(self):
-        from repro.bdd.dot import to_dot
-        m = BddManager(1)
-        text = to_dot(m, {"H(t) & valid": m.var(0)})
-        assert "r_H_t____valid" in text

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import BddError
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.bdd.netbridge import apply_gate, circuit_to_bdds, net_functions
+from repro.bdd.netbridge import apply_gate, net_functions
 from repro.netlist.gate import GateType
 from repro.netlist.simulate import evaluate_outputs
 from tests.conftest import make_random_circuit
@@ -38,36 +38,19 @@ class TestApplyGate:
         assert apply_gate(m, GateType.CONST1, []) == TRUE
 
 
-class TestCircuitToBdds:
+class TestNetFunctions:
     def test_matches_simulation(self):
         for seed in range(8):
             c = make_random_circuit(seed, n_inputs=5, n_gates=18)
-            manager, var_map, outs = circuit_to_bdds(c)
+            m = BddManager(len(c.inputs))
+            values = net_functions(
+                c, m, {n: m.var(i) for i, n in enumerate(c.inputs)})
             for bits in itertools.product([False, True], repeat=5):
-                assignment = dict(zip(c.inputs, bits))
-                sim = evaluate_outputs(c, assignment)
-                env = {var_map[n]: v for n, v in assignment.items()}
-                for port, node in outs.items():
-                    assert manager.evaluate(node, env) == sim[port], seed
+                sim = evaluate_outputs(c, dict(zip(c.inputs, bits)))
+                env = dict(enumerate(bits))
+                for port, net in c.outputs.items():
+                    assert m.evaluate(values[net], env) == sim[port], seed
 
-    def test_var_order_respected(self, tiny_adder):
-        order = ["cin", "b", "a"]
-        manager, var_map, outs = circuit_to_bdds(tiny_adder,
-                                                 var_order=order)
-        assert var_map == {"cin": 0, "b": 1, "a": 2}
-
-    def test_bad_var_order(self, tiny_adder):
-        with pytest.raises(BddError):
-            circuit_to_bdds(tiny_adder, var_order=["a", "b"])
-
-    def test_existing_manager_extended(self, tiny_adder):
-        m = BddManager(2)
-        manager, var_map, outs = circuit_to_bdds(tiny_adder, manager=m)
-        assert manager is m
-        assert min(var_map.values()) == 2
-
-
-class TestNetFunctions:
     def test_missing_input_function(self, tiny_adder):
         m = BddManager(1)
         with pytest.raises(BddError):

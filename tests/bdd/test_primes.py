@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bdd.cube import Cube
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.bdd.primes import all_primes, expand_to_prime
+from repro.bdd.primes import enumerate_primes, expand_to_prime
 
 
 def from_table(m: BddManager, table: int, n: int) -> int:
@@ -53,22 +53,22 @@ class TestEnumeratePrimes:
         m = BddManager(4)
         a, b, c, d = (m.var(i) for i in range(4))
         f = m.or_(m.and_(a, b), m.and_(c, d))
-        primes = set(all_primes(m, f))
+        primes = set(enumerate_primes(m, f))
         assert primes == {Cube({0: True, 1: True}),
                           Cube({2: True, 3: True})}
 
     def test_limit(self):
         m = BddManager(4)
         f = m.or_(*(m.var(i) for i in range(4)))
-        assert len(all_primes(m, f, limit=2)) == 2
+        assert len(list(enumerate_primes(m, f, limit=2))) == 2
 
     def test_false_has_no_primes(self):
         m = BddManager(2)
-        assert all_primes(m, FALSE) == []
+        assert list(enumerate_primes(m, FALSE)) == []
 
     def test_true_single_empty_prime(self):
         m = BddManager(2)
-        primes = all_primes(m, TRUE)
+        primes = list(enumerate_primes(m, TRUE))
         assert primes == [Cube({})]
 
 
@@ -78,7 +78,7 @@ def test_primes_cover_and_imply(table):
     """Property: each prime implies f; the primes together cover f."""
     m = BddManager(3)
     f = from_table(m, table, 3)
-    primes = all_primes(m, f)
+    primes = list(enumerate_primes(m, f))
     cover = FALSE
     for p in primes:
         node = p.to_bdd(m)

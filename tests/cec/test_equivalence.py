@@ -6,7 +6,6 @@ from repro.errors import NetlistError
 from repro.cec.equivalence import (
     PairwiseChecker,
     check_equivalence,
-    check_output_pair,
     nonequivalent_outputs,
 )
 from repro.netlist.circuit import Circuit
@@ -63,29 +62,29 @@ class TestCheckEquivalence:
         with pytest.raises(NetlistError):
             check_equivalence(left, right)
 
-
-class TestCheckOutputPair:
-    def test_pairwise(self):
+    def test_missing_output_on_one_side(self):
         left, right = two_output_pair()
-        assert check_output_pair(left, right, "same").equivalent is True
-        result = check_output_pair(left, right, "diff")
-        assert result.equivalent is False
-        assert result.failing_outputs == ("diff",)
+        right.set_output("extra", "a")
+        with pytest.raises(NetlistError, match="missing on one side"):
+            check_equivalence(left, right, outputs=["extra"])
 
+
+class TestPairwiseChecker:
     def test_budget_unknown(self):
         # a hard miter: two different-looking but equivalent parity trees
         left = make_random_circuit(3, n_inputs=8, n_gates=60, n_outputs=1)
         right = optimize_heavy(left, seed=9)
-        result = check_output_pair(left, right, "y0", conflict_budget=1)
+        result = PairwiseChecker(left, right).check_pair(
+            "y0", conflict_budget=1)
         assert result.equivalent in (True, None)
 
-
-class TestPairwiseChecker:
     def test_incremental_reuse(self):
         left, right = two_output_pair()
         checker = PairwiseChecker(left, right)
         assert checker.check_pair("same").equivalent is True
-        assert checker.check_pair("diff").equivalent is False
+        result = checker.check_pair("diff")
+        assert result.equivalent is False
+        assert result.failing_outputs == ("diff",)
         assert checker.check_pair("same").equivalent is True
 
     def test_missing_port(self):

@@ -96,6 +96,8 @@ class TestHappyPathTrace:
         sessions = spans_named(trace, "bdd.session")
         assert len(sessions) == result.counters.bdd_sessions
         assert all(s.tags.get("nodes", 0) > 0 for s in sessions)
+        assert all({"vars", "cache_entries"} <= s.tags.keys()
+                   for s in sessions)
 
     def test_summary_attributes_runtime(self):
         impl, spec, trace, result = traced_rectify()

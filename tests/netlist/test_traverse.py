@@ -5,11 +5,9 @@ import pytest
 from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit
 from repro.netlist.traverse import (
-    cone_of,
     dependent_outputs,
     input_support,
     levelize,
-    output_support,
     support_masks,
     topological_order,
     transitive_fanin,
@@ -89,9 +87,6 @@ class TestCones:
         assert input_support(diamond, "g1") == {"a"}
         assert input_support(diamond, "g3") == {"a", "b"}
 
-    def test_output_support(self, diamond):
-        assert output_support(diamond, "p") == {"a", "b"}
-
     def test_dependent_outputs(self, diamond):
         assert sorted(dependent_outputs(diamond, ["g1"])) == ["o"]
         assert sorted(dependent_outputs(diamond, ["g2"])) == ["o", "p"]
@@ -127,19 +122,3 @@ class TestLevelize:
         c.const1(name="k")
         c.set_output("o", c.and_("a", "k"))
         assert levelize(c)["k"] == 0
-
-
-class TestConeOf:
-    def test_cone_keeps_names_and_function(self, diamond):
-        cone = cone_of(diamond, ["p"])
-        assert set(cone.gates) == {"g2"}
-        assert cone.inputs == ["a", "b"]
-        assert cone.outputs == {"p": "g2"}
-
-    def test_cone_of_missing_port(self, diamond):
-        with pytest.raises(NetlistError):
-            cone_of(diamond, ["nope"])
-
-    def test_cone_multi_port(self, diamond):
-        cone = cone_of(diamond, ["o", "p"])
-        assert set(cone.gates) == {"g1", "g2", "g3"}

@@ -4,8 +4,7 @@
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import GateType
 from repro.netlist.hashing import structural_hash
-from repro.netlist.traverse import levelize
-from repro.synth.restructure import balance, decompose_two_input, \
+from repro.synth.restructure import decompose_two_input, \
     demorgan_restructure
 from tests.conftest import exhaustive_equivalent, make_random_circuit
 
@@ -73,32 +72,3 @@ class TestDeMorgan:
         types = {g.gtype for g in d.gates.values()}
         assert GateType.AND not in types
         assert GateType.NOR in types
-
-
-class TestBalance:
-    def test_preserves_function(self):
-        for seed in range(8):
-            c = make_random_circuit(seed, n_gates=20)
-            b = balance(c)
-            assert exhaustive_equivalent(c, b), seed
-
-    def test_chain_depth_reduced(self):
-        c = Circuit()
-        ins = c.add_inputs([f"x{i}" for i in range(8)])
-        acc = ins[0]
-        for x in ins[1:]:
-            acc = c.and_(acc, x)
-        c.set_output("o", acc)
-        before = max(levelize(c).values())
-        after = max(levelize(balance(c)).values())
-        assert before == 7
-        assert after <= 4  # log2(8) rounded up, via n-ary collapse
-
-    def test_multi_sink_intermediates_not_collapsed(self):
-        c = Circuit()
-        c.add_inputs(["a", "b", "c"])
-        shared = c.and_("a", "b", name="shared")
-        c.set_output("o1", c.and_(shared, "c"))
-        c.set_output("o2", shared)
-        b = balance(c)
-        assert exhaustive_equivalent(c, b)
