@@ -78,13 +78,20 @@ class TestPairwiseChecker:
             "y0", conflict_budget=1)
         assert result.equivalent in (True, None)
 
+    def test_pairwise(self):
+        # one fresh checker per query, as a one-shot caller would build it
+        left, right = two_output_pair()
+        assert PairwiseChecker(left, right).check_pair(
+            "same").equivalent is True
+        result = PairwiseChecker(left, right).check_pair("diff")
+        assert result.equivalent is False
+        assert result.failing_outputs == ("diff",)
+
     def test_incremental_reuse(self):
         left, right = two_output_pair()
         checker = PairwiseChecker(left, right)
         assert checker.check_pair("same").equivalent is True
-        result = checker.check_pair("diff")
-        assert result.equivalent is False
-        assert result.failing_outputs == ("diff",)
+        assert checker.check_pair("diff").equivalent is False
         assert checker.check_pair("same").equivalent is True
 
     def test_missing_port(self):
