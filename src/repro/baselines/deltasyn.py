@@ -29,13 +29,11 @@ comes from.
 
 from __future__ import annotations
 
-import random
 from repro.runtime.clock import now
 from typing import Dict, List, Set
 
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.gate import WORD_BITS
-from repro.netlist.simulate import random_patterns, simulate_words
+from repro.netlist.simulate import signature
 from repro.netlist.traverse import topological_order
 from repro.cec.equivalence import check_equivalence, nonequivalent_outputs
 from repro.errors import EcoError
@@ -58,18 +56,8 @@ class DeltaSyn:
 
     def match_signals(self, impl: Circuit, spec: Circuit) -> Dict[str, str]:
         """Candidate correspondence: spec net -> impl net, by signature."""
-        rng = random.Random(77)
-        impl_sigs: Dict[str, int] = {n: 0 for n in impl.nets()}
-        spec_sigs: Dict[str, int] = {n: 0 for n in spec.nets()}
-        for _ in range(SIM_ROUNDS):
-            words = random_patterns(impl.inputs, rng)
-            iv = simulate_words(impl, words)
-            sv = simulate_words(
-                spec, {n: words.get(n, 0) for n in spec.inputs})
-            for net in impl_sigs:
-                impl_sigs[net] = (impl_sigs[net] << WORD_BITS) | iv[net]
-            for net in spec_sigs:
-                spec_sigs[net] = (spec_sigs[net] << WORD_BITS) | sv[net]
+        impl_sigs = signature(impl, SIM_ROUNDS, seed=77)
+        spec_sigs = signature(spec, SIM_ROUNDS, seed=77, inputs=impl.inputs)
 
         # earliest impl net per signature (smaller cones preferred)
         by_sig: Dict[int, str] = {}

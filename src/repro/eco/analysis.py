@@ -4,18 +4,19 @@ Utilities a user runs *before* rectification to understand the change:
 which outputs fail, how large their error domains are, how structurally
 dissimilar the two netlists got, and a digest that suggests engine
 settings.  None of this is needed by the engine itself; it is the
-front-of-flow tooling an ECO practitioner expects.
+front-of-flow tooling an ECO practitioner expects.  The error-domain
+sizes of all failing outputs come from one random-simulation signature
+per circuit (:func:`error_rates`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate import SYMMETRIC_TYPES, WORD_BITS
-from repro.netlist.simulate import random_patterns, simulate_words
+from repro.netlist.simulate import signature
 from repro.netlist.traverse import (
     input_support,
     topological_order,
@@ -61,21 +62,21 @@ class EcoDiagnosis:
         return EcoConfig(num_samples=32 if rare else 16)
 
 
-def error_rate(impl: Circuit, spec: Circuit, port: str,
-               rounds: int = 16, seed: int = 7) -> float:
-    """Monte-Carlo estimate of ``|E| / 2^n`` for one output pair."""
-    rng = random.Random(seed)
-    differing = 0
+def error_rates(impl: Circuit, spec: Circuit, ports: Sequence[str],
+                rounds: int = 16, seed: int = 7) -> Dict[str, float]:
+    """Monte-Carlo estimates of ``|E| / 2^n``, one per output pair.
+
+    Both circuits are simulated once, on the same ``rounds`` x 64
+    random patterns, and every port's rate is read off the two
+    signatures.
+    """
+    impl_sigs = signature(impl, rounds, seed=seed)
+    spec_sigs = signature(spec, rounds, seed=seed, inputs=impl.inputs)
     total = rounds * WORD_BITS
-    impl_net = impl.outputs[port]
-    spec_net = spec.outputs[port]
-    for _ in range(rounds):
-        words = random_patterns(impl.inputs, rng)
-        iv = simulate_words(impl, words)[impl_net]
-        sv = simulate_words(
-            spec, {n: words.get(n, 0) for n in spec.inputs})[spec_net]
-        differing += bin(iv ^ sv).count("1")
-    return differing / total
+    return {
+        port: bin(impl_sigs[impl.outputs[port]]
+                  ^ spec_sigs[spec.outputs[port]]).count("1") / total
+        for port in ports}
 
 
 def structural_similarity(impl: Circuit, spec: Circuit) -> float:
@@ -126,12 +127,13 @@ def diagnose(impl: Circuit, spec: Circuit,
         total_outputs=len(impl.outputs),
         structural_similarity=structural_similarity(impl, spec),
     )
+    rates = error_rates(impl, spec, failing, rounds=rounds)
     for port in failing:
         cone = transitive_fanin(impl, [impl.outputs[port]],
                                 include_inputs=False)
         diagnosis.per_output[port] = OutputDiagnosis(
             port=port,
-            error_rate=error_rate(impl, spec, port, rounds=rounds),
+            error_rate=rates[port],
             impl_support=len(input_support(impl, impl.outputs[port])),
             spec_support=len(input_support(spec, spec.outputs[port])),
             cone_gates=len([n for n in cone if n in impl.gates]),

@@ -48,14 +48,7 @@ from repro.errors import (
 )
 from repro.bdd.manager import BddManager
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.gate import WORD_MASK
-from repro.netlist.simulate import patterns_to_words, simulate_words
-from repro.netlist.traverse import (
-    levelize,
-    support_masks,
-    topological_order,
-    transitive_fanin,
-)
+from repro.netlist.traverse import levelize, support_masks, transitive_fanin
 from repro.cec.equivalence import (
     PairwiseChecker,
     check_equivalence,
@@ -469,69 +462,65 @@ class SysEco:
                          failing: Sequence[str], patch: Patch,
                          samples: List[Dict[str, bool]],
                          run: RunSupervisor) -> Optional["_Commit"]:
-        """Run the symbolic search, shrinking the pin set on BDD blowup."""
+        """Run the symbolic search, shrinking the pin set on BDD blowup.
+
+        What no attempt changes is built once, before the first: the
+        one simulation of the samples (the screen, the flip credit and
+        the utilities all read its words), the ranked pins, and the
+        support and level maps.
+        """
+        sim = SimulationFilter.for_samples(
+            work, spec, samples, self.config.seed ^ 0x53C0,
+            counters=run.counters)
+        input_index = {n: i for i, n in enumerate(work.inputs)}
+        impl_levels = levelize(work)
+        tables = (support_masks(work, input_index), impl_levels) \
+            + _spec_tables(spec, work.inputs)
+        with run.trace.span("eco.rank_pins", output=port) as psp:
+            ranked = self._select_candidate_pins(work, port, sim,
+                                                 impl_levels)
+            psp.tag(pins=len(ranked) + 1)
         max_pins = MAX_CANDIDATE_PINS
         while max_pins >= 4:
-            span = run.trace.span("eco.search", output=port,
-                                  max_pins=max_pins)
+            # the output port pin is always a candidate (completeness)
+            pins = ranked[:max_pins - 1] + [Pin.output(port)]
             try:
-                with span:
-                    return self._search_with_domain(
-                        work, spec, port, failing, patch, samples,
-                        max_pins, run)
+                with run.trace.span("eco.search", output=port,
+                                    max_pins=max_pins):
+                    manager = BddManager(
+                        node_limit=run.open_bdd(BDD_NODE_LIMIT),
+                        node_hook=run.node_hook)
+                    try:
+                        return self._search_in_manager(
+                            work, spec, port, failing, patch, samples,
+                            pins, sim, tables, run, manager)
+                    finally:
+                        run.close_bdd(manager)
             except BddNodeLimitError:
                 run.trace.event("bdd.node_limit", output=port,
                                 max_pins=max_pins)
                 max_pins //= 2  # shrink the symbolic problem and retry
         return None
 
-    def _search_with_domain(self, work: Circuit, spec: Circuit, port: str,
-                            failing: Sequence[str], patch: Patch,
-                            samples: List[Dict[str, bool]],
-                            max_pins: int,
-                            run: RunSupervisor) -> Optional["_Commit"]:
-        manager = BddManager(
-            node_limit=run.open_bdd(BDD_NODE_LIMIT),
-            node_hook=run.node_hook)
-        try:
-            return self._search_in_manager(
-                work, spec, port, failing, patch, samples, max_pins,
-                run, manager)
-        finally:
-            run.close_bdd(manager)
-
     def _search_in_manager(self, work: Circuit, spec: Circuit, port: str,
                            failing: Sequence[str], patch: Patch,
                            samples: List[Dict[str, bool]],
-                           max_pins: int, run: RunSupervisor,
+                           candidate_pins: List[Pin],
+                           sim: SimulationFilter, tables: tuple,
+                           run: RunSupervisor,
                            manager: BddManager) -> Optional["_Commit"]:
         config = self.config
         domain = SamplingDomain(manager, samples, inputs=work.inputs,
                                 checkpoint=run.checkpoint)
-
-        input_index = {n: i for i, n in enumerate(work.inputs)}
-        impl_supports = support_masks(work, input_index)
-        spec_supports = support_masks(spec, input_index)
-        impl_levels = levelize(work)
-        spec_levels = levelize(spec)
-
+        impl_supports, impl_levels, spec_supports, spec_levels = tables
         ctx = RewiringContext(
-            work, spec, port, domain, config,
+            work, spec, port, domain, sim, config,
             impl_supports, spec_supports, impl_levels, spec_levels,
             trace=run.trace)
-
-        with run.trace.span("eco.rank_pins", output=port) as psp:
-            candidate_pins = self._select_candidate_pins(
-                work, spec, port, samples, max_pins, impl_levels)
-            psp.tag(pins=len(candidate_pins))
-        if not candidate_pins:
-            return None
         spec_value = ctx.spec_z[spec.outputs[port]]
 
         cost_fn = self._make_cost_fn(work, spec, port, impl_levels,
                                      patch.clone_map)
-        sim_filter = self._make_sim_filter(work, spec, samples,
-                                           counters=run.counters)
         # one persistent miter per search, cut at the candidate pins:
         # every candidate's pins are among them, and it re-checks
         # legality on the context's screen
@@ -571,7 +560,7 @@ class SysEco:
                     if not self._lint_screen(run, ctx, ops, port):
                         continue
                     with run.trace.span("sim.screen", output=port) as ssp:
-                        sim_ok = sim_filter.passes(ops, port, failing)
+                        sim_ok = sim.passes(ops, port, failing)
                         ssp.tag(passed=sim_ok)
                     if not sim_ok:
                         run.counters.sim_rejects += 1
@@ -626,20 +615,6 @@ class SysEco:
         return ok
 
     # ------------------------------------------------------------------
-    def _make_sim_filter(self, work: Circuit, spec: Circuit,
-                         samples: List[Dict[str, bool]],
-                         counters=None) -> SimulationFilter:
-        """Error samples plus fresh random words for the cheap screen."""
-        rng = random.Random(self.config.seed ^ 0x53C0)
-        words_list = [patterns_to_words(work.inputs, samples[:64])]
-        for _ in range(2):
-            words_list.append({
-                n: rng.getrandbits(64) for n in work.inputs
-            })
-        return SimulationFilter(work, spec, words_list,
-                                counters=counters)
-
-    # ------------------------------------------------------------------
     def _make_cost_fn(self, work: Circuit, spec: Circuit, port: str,
                       impl_levels: Dict[str, int],
                       clone_map: Dict[str, str]):
@@ -659,57 +634,27 @@ class SysEco:
                                      level_term=level_term)
 
     # ------------------------------------------------------------------
-    def _select_candidate_pins(self, work: Circuit, spec: Circuit,
-                               port: str, samples: List[Dict[str, bool]],
-                               max_pins: int,
+    @staticmethod
+    def _select_candidate_pins(work: Circuit, port: str,
+                               sim: SimulationFilter,
                                levels: Dict[str, int]) -> List[Pin]:
-        """Rank the sink pins of the failing cone as candidate points.
+        """Rank the gate pins of the failing cone as candidate points.
 
         Nets are scored by *flip credit*: the number of error samples on
-        which complementing the net corrects the output (64-way parallel
-        resimulation).  Pins inherit the score of their driving net;
-        the output port pin is always included (completeness).
-        ``levels`` is ``work``'s :func:`levelize` map.
+        which complementing the net corrects the output
+        (:meth:`SimulationFilter.flip_credit`).  Pins inherit the score
+        of their driving net.  Returns the best
+        ``MAX_CANDIDATE_PINS - 1``; each search attempt appends the
+        output port pin.  ``levels`` is ``work``'s :func:`levelize` map.
         """
-        out_net = work.outputs[port]
-        cone = transitive_fanin(work, [out_net])
-        cone_order = topological_order(work, roots=[out_net])
-
-        samples = samples[:64]  # one simulation word for the heuristic
-        words = patterns_to_words(work.inputs, samples)
-        n_mask = (1 << len(samples)) - 1
-        base_values = simulate_words(work, words)
-        spec_words = {n: words.get(n, 0) for n in spec.inputs}
-        spec_values = simulate_words(spec, spec_words)
-        error_mask = (base_values[out_net] ^
-                      spec_values[spec.outputs[port]]) & n_mask
-
+        cone = transitive_fanin(work, [work.outputs[port]])
         # score only the nets closest to the output when cones are huge;
         # names break level ties, so the kept nets never follow set order
         scored_nets = [n for n in cone]
         if len(scored_nets) > 600:
             scored_nets.sort(key=lambda n: (-levels[n], n))
             scored_nets = scored_nets[:600]
-
-        from repro.netlist.gate import eval_gate
-        flip_credit: Dict[str, int] = {}
-        for net in scored_nets:
-            override = {net: base_values[net] ^ WORD_MASK}
-            for gname in cone_order:
-                gate = work.gates[gname]
-                if gname == net:
-                    continue
-                if not any(f in override for f in gate.fanins):
-                    continue
-                operands = [override.get(f, base_values[f])
-                            for f in gate.fanins]
-                value = eval_gate(gate.gtype, operands)
-                if value != base_values[gname]:
-                    override[gname] = value
-            flipped_out = override.get(out_net, base_values[out_net])
-            corrected = (~(flipped_out ^ spec_values[spec.outputs[port]])
-                         & error_mask)
-            flip_credit[net] = bin(corrected & n_mask).count("1")
+        flip_credit = sim.flip_credit(port, scored_nets, cone)
 
         # collect gate input pins of the cone, ranked by driver credit
         pins: List[Tuple[int, int, Pin]] = []
@@ -723,9 +668,7 @@ class SysEco:
                     continue
                 pins.append((-credit, levels[fanin], Pin.gate(gname, idx)))
         pins.sort(key=lambda item: (item[0], item[1], item[2]))
-        selected = [p for _, _, p in pins[:max_pins - 1]]
-        selected.append(Pin.output(port))
-        return selected
+        return [p for _, _, p in pins[:MAX_CANDIDATE_PINS - 1]]
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -744,6 +687,23 @@ class SysEco:
                         from_spec=True)]
         # a fallback is never scored, so its clones go uncounted
         return _Commit(ops, (port,), 0)
+
+
+def _spec_tables(spec: Circuit, inputs: Sequence[str]
+                 ) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """The spec's support masks over ``inputs`` and its levels.
+
+    Kept in the spec's derived-data cache: the spec never changes
+    during a run, so every search of the run shares one copy, and an
+    edit of the spec would drop it.
+    """
+    cache = spec.derived_cache()
+    key = ("eco.spec_tables", tuple(inputs))
+    tables = cache.get(key)
+    if tables is None:
+        index = {n: i for i, n in enumerate(inputs)}
+        tables = cache[key] = (support_masks(spec, index), levelize(spec))
+    return tables
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ as a single gate over nets that already exist in the implementation:
   AND/OR/XOR families with optional input inversions (the NPN-ish
   variants that one physical cell could realize).
 
-Candidates are screened with multi-round simulation signatures and
+Candidates are screened with multi-round simulation signatures (one
+integer per net, :func:`repro.netlist.simulate.signature`) and
 confirmed by SAT before any edit, so the pass is strictly
 function-preserving.  Every successful resubstitution removes at least
 one cloned gate (deep clones collapse transitively).
@@ -22,8 +23,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import GateType, WORD_MASK
-from repro.netlist.simulate import random_patterns, simulate_words
+from repro.netlist.gate import GateType, eval_gate
+from repro.netlist.simulate import batch_mask, signature
 from repro.netlist.traverse import (
     support_masks,
     topological_order,
@@ -46,43 +47,15 @@ _TWO_INPUT_FORMS: Tuple[Tuple[GateType, bool, bool], ...] = (
 )
 
 
-def _word_signatures(circuit: Circuit, rounds: int,
-                     seed: int) -> Dict[str, List[int]]:
-    """Per-net list of simulation words (one per round)."""
-    import random
-    rng = random.Random(seed)
-    sigs: Dict[str, List[int]] = {n: [] for n in circuit.nets()}
-    for _ in range(rounds):
-        words = random_patterns(circuit.inputs, rng)
-        values = simulate_words(circuit, words)
-        for net in sigs:
-            sigs[net].append(values[net])
-    return sigs
-
-
-def _form_words(form: Tuple[GateType, bool, bool],
-                a: Sequence[int], b: Sequence[int]) -> List[int]:
+def _form_signature(form: Tuple[GateType, bool, bool], a: int, b: int,
+                    mask: int) -> int:
+    """Signature of ``form`` over the signatures ``a`` and ``b``."""
     gtype, inv_a, inv_b = form
-    out = []
-    for wa, wb in zip(a, b):
-        if inv_a:
-            wa = ~wa & WORD_MASK
-        if inv_b:
-            wb = ~wb & WORD_MASK
-        if gtype is GateType.AND:
-            w = wa & wb
-        elif gtype is GateType.OR:
-            w = wa | wb
-        elif gtype is GateType.XOR:
-            w = wa ^ wb
-        elif gtype is GateType.XNOR:
-            w = ~(wa ^ wb) & WORD_MASK
-        elif gtype is GateType.NAND:
-            w = ~(wa & wb) & WORD_MASK
-        else:  # NOR
-            w = ~(wa | wb) & WORD_MASK
-        out.append(w)
-    return out
+    if inv_a:
+        a = ~a & mask
+    if inv_b:
+        b = ~b & mask
+    return eval_gate(gtype, [a, b], mask)
 
 
 class _Prover:
@@ -142,7 +115,8 @@ def resubstitute_patch(patched: Circuit, cloned_gates: Set[str],
     if not alive:
         return 0, set()
 
-    sigs = _word_signatures(patched, rounds, seed)
+    sigs = signature(patched, rounds, seed=seed)
+    mask = batch_mask(rounds)
     supports = support_masks(patched)
     prover = _Prover(patched, conflict_budget)
     resubs = 0
@@ -169,7 +143,6 @@ def resubstitute_patch(patched: Circuit, cloned_gates: Set[str],
         if gate.gtype.is_constant:
             continue
         budget_gates = freed_estimate(target)
-        target_sig = sigs[target]
         target_support = supports[target]
         forbidden = transitive_fanout(patched, [target])
 
@@ -188,7 +161,7 @@ def resubstitute_patch(patched: Circuit, cloned_gates: Set[str],
 
         gates_before = set(patched.gates)
         replacement = _find_replacement(
-            patched, prover, sigs, target, target_sig, pool, max_pool,
+            patched, prover, sigs, mask, target, pool, max_pool,
             budget_gates)
         if replacement is None:
             continue
@@ -200,8 +173,8 @@ def resubstitute_patch(patched: Circuit, cloned_gates: Set[str],
         for name in sorted(new_gates,
                            key=lambda n: len(patched.gates[n].fanins)):
             gate_new = patched.gates[name]
-            operands = [sigs[f] for f in gate_new.fanins]
-            sigs[name] = _eval_sig(gate_new.gtype, operands)
+            sigs[name] = eval_gate(gate_new.gtype,
+                                   [sigs[f] for f in gate_new.fanins], mask)
             supports[name] = 0
             for f in gate_new.fanins:
                 supports[name] |= supports[f]
@@ -212,32 +185,26 @@ def resubstitute_patch(patched: Circuit, cloned_gates: Set[str],
     return resubs, patch_gates
 
 
-def _eval_sig(gtype: GateType, operands: Sequence[Sequence[int]]
-              ) -> List[int]:
-    from repro.netlist.gate import eval_gate
-    rounds = len(operands[0])
-    return [eval_gate(gtype, [op[r] for op in operands])
-            for r in range(rounds)]
-
-
 def _find_replacement(patched: Circuit, prover: _Prover,
-                      sigs: Dict[str, List[int]], target: str,
-                      target_sig: List[int], pool: Sequence[str],
-                      max_pool: int, budget_gates: int) -> Optional[str]:
+                      sigs: Dict[str, int], mask: int, target: str,
+                      pool: Sequence[str], max_pool: int,
+                      budget_gates: int) -> Optional[str]:
     """One confirmed replacement net for ``target``, or None.
 
+    ``sigs`` holds every net's signature over the batch ``mask``.
     ``budget_gates`` is the estimated number of patch gates that die
     when the target's sinks move; a replacement is only built when it
     costs strictly fewer gates than it frees (direct reuse is free).
     The returned net may be a freshly added single gate; gates are only
     added once SAT has confirmed the equality.
     """
+    target_sig = sigs[target]
     # direct reuse of an existing net: always a win
     for net in pool:
         if sigs[net] == target_sig and prover.equal_direct(target, net):
             return net
 
-    inv_sig = [~w & WORD_MASK for w in target_sig]
+    inv_sig = ~target_sig & mask
     # single inverter: costs 1 gate, pays off when it frees more than
     # one gate or demotes a multi-input clone to an inverter
     if budget_gates > 1 or len(patched.gates[target].fanins) >= 2:
@@ -247,28 +214,22 @@ def _find_replacement(patched: Circuit, prover: _Prover,
                 return patched.not_(net, name=_fresh(patched,
                                                      f"rs${target}"))
 
-    # one 2-input gate over a pool pair (costs 1 gate + the inverter)
+    # one 2-input gate over a pool pair (costs 1 gate + the inverter),
+    # from the nets that disagree with the target on the fewest patterns
     ranked = sorted(
-        pool,
-        key=lambda n: -_agreement(sigs[n], target_sig))[:max_pool]
+        pool, key=lambda n: bin(sigs[n] ^ target_sig).count("1"))[:max_pool]
     for i, a in enumerate(ranked):
         for b in ranked[i + 1:]:
             for form in _TWO_INPUT_FORMS:
                 cost = 1 + int(form[1]) + int(form[2])
                 if cost >= budget_gates:
                     continue
-                if _form_words(form, sigs[a], sigs[b]) != target_sig:
+                if _form_signature(form, sigs[a], sigs[b],
+                                   mask) != target_sig:
                     continue
                 if prover.equal_to_form(target, form, a, b):
                     return _materialize(patched, form, a, b, target)
     return None
-
-
-def _agreement(sig: Sequence[int], target: Sequence[int]) -> int:
-    same = 0
-    for wa, wb in zip(sig, target):
-        same += bin(~(wa ^ wb) & WORD_MASK).count("1")
-    return same
 
 
 def _materialize(patched: Circuit, form: Tuple[GateType, bool, bool],

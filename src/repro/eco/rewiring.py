@@ -14,6 +14,12 @@ from the current driver across the errors, the likelier it flips them.
 The net currently driving the pin is always included as the *trivial*
 candidate (utility 0, first preference) so an over-approximated
 point-set size collapses gracefully (Section 5.2).
+
+Both counts are popcounts of the output search's sample words
+(:class:`~repro.eco.validate.SimulationFilter`): bit ``k`` of a net's
+word is its value on sample ``k``, which is also its sampling-domain
+function at code ``k``.  The BDD side keeps only the casts, whose
+functions the point-set and choice enumeration quantify.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
 from repro.eco.config import EcoConfig
 from repro.eco.sampling import SamplingDomain
+from repro.eco.validate import SimulationFilter
 from repro.obs.trace import ensure_trace
 
 #: candidate rewiring nets kept per rectification point, best utility
@@ -53,13 +60,15 @@ class RewiringContext:
     output, the *candidate pool* — the implementation nets and spec
     gates that pass the structural filter, which depends on the output
     and not on the pin — their sampling-domain functions together with
-    those of the two output cones, and the sampled error region ``E``.
-    Only the pool and the output cones are cast into the domain, and
-    :meth:`candidates_for_pin` scans only the pool.
+    those of the two output cones, and the sampled error region ``E``
+    as a mask over the words of ``sim``.  Only the pool and the output
+    cones are cast into the domain, and :meth:`candidates_for_pin`
+    scans only the pool.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit, port: str,
-                 domain: SamplingDomain, config: EcoConfig,
+                 domain: SamplingDomain, sim: SimulationFilter,
+                 config: EcoConfig,
                  impl_supports: Mapping[str, int],
                  spec_supports: Mapping[str, int],
                  impl_levels: Mapping[str, int],
@@ -69,6 +78,7 @@ class RewiringContext:
         self.spec = spec
         self.port = port
         self.domain = domain
+        self.sim = sim
         self.config = config
         self.trace = ensure_trace(trace)
         self.impl_supports = impl_supports
@@ -96,15 +106,9 @@ class RewiringContext:
             impl, roots=[impl.outputs[port]] + self.impl_pool)
         self.spec_z = domain.cast_circuit(
             spec, roots=[self.spec_out_net] + self.spec_pool)
-
-        manager = domain.manager
-        diff = manager.xor(self.impl_z[impl.outputs[port]],
-                           self.spec_z[self.spec_out_net])
-        self.error_region = manager.and_(diff, domain.valid_codes())
-        self.error_count = max(1, domain.count_in_domain(diff))
-        # the utility counts over the z variables, which a fresh
-        # manager allocates first
-        self._z_count = max(domain.z_vars) + 1
+        #: the sampled error region ``E``: bit ``k`` for sample ``k``
+        self.error_mask = sim.error_mask(port)
+        self.error_count = max(1, bin(self.error_mask).count("1"))
 
         # static patch screen: shared sink adjacency and memoized fanout
         # cones back the candidate filter here and the engine's pre-SAT
@@ -113,14 +117,10 @@ class RewiringContext:
             impl, spec=spec, supports=impl_supports,
             spec_support_mask=self.spec_support_mask)
 
-    def utility(self, driver_z: int, candidate_z: int) -> float:
-        """The Section 4.3 ratio on the sampled error domain."""
-        manager = self.domain.manager
-        differs = manager.xor(driver_z, candidate_z)
-        hits = manager.satcount(
-            manager.and_(differs, self.error_region),
-            num_vars=self._z_count)
-        return hits / self.error_count
+    def utility(self, driver: int, candidate: int) -> float:
+        """The Section 4.3 ratio for two nets' sample words."""
+        differs = (driver ^ candidate) & self.error_mask
+        return bin(differs).count("1") / self.error_count
 
     def candidates_for_pin(self, pin: Pin) -> List[RewireCandidate]:
         """Ordered candidate rewiring nets for one rectification point."""
@@ -131,8 +131,10 @@ class RewiringContext:
 
     def _candidates_for_pin(self, pin: Pin) -> List[RewireCandidate]:
         config = self.config
+        sim = self.sim
         driver = self.impl.pin_driver(pin)
         driver_z = self.impl_z[driver]
+        driver_word = sim.value(driver)
 
         # nets whose fanout cone includes the pin's gate would cycle;
         # the screen memoizes the cone so repeated pins are O(1)
@@ -147,13 +149,13 @@ class RewiringContext:
                 continue
             scored.append(RewireCandidate(
                 net=net, from_spec=False,
-                utility=self.utility(driver_z, self.impl_z[net]),
+                utility=self.utility(driver_word, sim.value(net)),
                 z_function=self.impl_z[net],
                 level=self.impl_levels[net]))
         for net in self.spec_pool:
             scored.append(RewireCandidate(
                 net=net, from_spec=True,
-                utility=self.utility(driver_z, self.spec_z[net]),
+                utility=self.utility(driver_word, sim.spec_value(net)),
                 z_function=self.spec_z[net],
                 level=self.spec_levels[net]))
 
@@ -170,8 +172,8 @@ class RewiringContext:
                        for c in kept):
                 kept.append(RewireCandidate(
                     net=self.spec_out_net, from_spec=True,
-                    utility=self.utility(driver_z,
-                                         self.spec_z[self.spec_out_net]),
+                    utility=self.utility(
+                        driver_word, sim.spec_value(self.spec_out_net)),
                     z_function=self.spec_z[self.spec_out_net],
                     level=self.spec_levels[self.spec_out_net]))
 

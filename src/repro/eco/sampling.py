@@ -10,6 +10,11 @@ sampling ``z`` domain, where BDDs stay small regardless of design size.
 Reasoning in the domain over-approximates (a super-set of candidates),
 so every candidate found here is later validated by SAT on the full
 domain.
+
+The domain only casts.  Code ``k`` denotes sample ``k``, so a cast
+net's function at code ``k`` is bit ``k`` of the net's word in the
+search's :class:`~repro.eco.validate.SimulationFilter`, and counts over
+the samples are popcounts of those words, not BDD satisfy counts.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ class SamplingDomain:
     Attributes:
         z_vars: allocated variable indices, most significant first.
         input_functions: ``g_i(z)`` BDD per input name.
+        num_samples: the codes ``0 .. num_samples - 1`` denote the
+            given samples; the codes above repeat the last one.
     """
 
     def __init__(self, manager: BddManager, samples: Sequence[Assignment],
@@ -88,29 +95,6 @@ class SamplingDomain:
         """The minterm selecting sample ``k``."""
         return self._minterms[k]
 
-    def valid_codes(self) -> int:
-        """BDD of the codes denoting distinct (non-padding) samples."""
-        acc = FALSE
-        for k in range(self.num_samples):
-            acc = self.manager.or_(acc, self._minterms[k])
-        return acc
-
-    def count_in_domain(self, node: int) -> int:
-        """Number of distinct samples on which ``node`` holds.
-
-        ``node`` must depend on the ``z`` variables only (cast-circuit
-        results satisfy this), and the domain must have been created on
-        a fresh manager so the ``z`` variables occupy positions
-        ``0..bits-1``.
-        """
-        support = self.manager.support(node)
-        zset = set(self.z_vars)
-        if not support <= zset:
-            raise EcoError("count_in_domain: node depends on non-z variables")
-        restricted = self.manager.and_(node, self.valid_codes())
-        return self.manager.satcount(restricted,
-                                     num_vars=max(zset) + 1)
-
     def sample_of_assignment(self, z_assignment: Mapping[int, bool]) -> Assignment:
         """Decode a ``z`` assignment back to the sampled input pattern."""
         k = 0
@@ -121,21 +105,15 @@ class SamplingDomain:
         return self.samples[k]
 
     def cast_circuit(self, circuit: Circuit,
-                     roots: Optional[Iterable[str]] = None,
-                     extra_inputs: Optional[Mapping[str, int]] = None
+                     roots: Optional[Iterable[str]] = None
                      ) -> Dict[str, int]:
         """Net functions of ``circuit`` in the sampling domain.
 
-        ``extra_inputs`` supplies BDDs for inputs outside the domain
-        (unused inputs default to constant FALSE — they do not affect
-        the sampled cones by construction of the sample set).
+        Inputs outside the domain read constant FALSE: they do not
+        affect the sampled cones by construction of the sample set.
         """
         input_functions = dict(self.input_functions)
         for name in circuit.inputs:
-            if name not in input_functions:
-                if extra_inputs and name in extra_inputs:
-                    input_functions[name] = extra_inputs[name]
-                else:
-                    input_functions[name] = FALSE
+            input_functions.setdefault(name, FALSE)
         return net_functions(circuit, self.manager, input_functions,
                              roots=roots)

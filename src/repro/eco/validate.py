@@ -16,14 +16,18 @@ so the engine can favor multi-output repairs.
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import PatchStructureError
 from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_BITS
-from repro.netlist.simulate import batch_mask, compiled_plan, eval_opcode
+from repro.netlist.simulate import (batch_mask, compiled_plan, eval_opcode,
+                                    patterns_to_words, random_patterns)
 from repro.netlist.traverse import topological_order
 from repro.eco.patch import RewireOp
 
@@ -155,36 +159,44 @@ def apply_rewires(work: Circuit, spec: Circuit, ops: Sequence[RewireOp],
 
 
 class SimulationFilter:
-    """Cheap full-pattern screen applied before SAT validation.
+    """The search's one simulation of an output's samples.
 
     Sampling-domain reasoning over-approximates, so many rewiring
     choices are false positives.  Before paying for a SAT proof, the
-    candidate is re-simulated on a few 64-pattern words (the error
-    samples plus fresh random words): any output mismatch on any
-    pattern disqualifies it immediately.  Passing the screen is
-    necessary but not sufficient — SAT still gives the final word.
+    candidate is re-simulated on the error samples plus fresh random
+    words: any output mismatch on any pattern disqualifies it
+    immediately.  Passing the screen is necessary but not sufficient —
+    SAT still gives the final word.
 
     All words are packed into one multi-word batch and evaluated
     through the circuits' compiled plans once at construction, which
     also records each output's *base verdict*: whether the unpatched
-    circuit matches the spec on the words.  Each candidate is then
-    screened as a *value overlay*: only the plan steps downstream of
-    its rewired gates are re-evaluated, in plan order, and only the
-    outputs they reach (or that it rewires) are compared; every other
-    output keeps its base verdict.  The steps and outputs below a set
-    of rewired gates are memoized, so a candidate costs its fanout
-    cone, not the circuit.
+    circuit matches the spec on the words.  :meth:`for_samples` packs
+    the samples into the leading words, sample ``k`` at bit ``k``, so
+    the same base values also give the flip credit of the pin ranking
+    (:meth:`flip_credit`) and the counts of the rectification utility
+    (:meth:`error_mask`, :meth:`value`, :meth:`spec_value`).
+
+    Each candidate is screened as a *value overlay*
+    (:meth:`_overlay`): only the plan steps downstream of its rewired
+    gates are re-evaluated, in plan order, and only the outputs they
+    reach (or that it rewires) are compared; every other output keeps
+    its base verdict.  The steps and outputs below a set of rewired
+    gates are memoized, so a candidate costs its fanout cone, not the
+    circuit.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit,
                  words_list: Sequence[Dict[str, int]],
-                 counters=None):
+                 counters=None, num_samples: int = 0):
         self.impl = impl
         self.spec = spec
         self.words_list = list(words_list)
         self.counters = counters
         self.width = max(1, len(self.words_list))
         self.mask = batch_mask(self.width)
+        #: the batch bits holding the samples: the low ``num_samples``
+        self.sample_mask = (1 << num_samples) - 1
         batch: Dict[str, int] = {}
         for k, words in enumerate(self.words_list):
             shift = WORD_BITS * k
@@ -215,10 +227,40 @@ class SimulationFilter:
         self._fanout: Optional[List[List[int]]] = None
         self._cones: Dict[frozenset, Tuple[List[tuple], frozenset]] = {}
 
+    @classmethod
+    def for_samples(cls, impl: Circuit, spec: Circuit,
+                    samples: Sequence[Mapping[str, bool]], seed: int,
+                    counters=None) -> "SimulationFilter":
+        """The filter of one output search: every sample, 64 to a
+        word, then two random words drawn from ``seed``."""
+        words_list = [patterns_to_words(impl.inputs,
+                                        samples[k:k + WORD_BITS])
+                      for k in range(0, len(samples), WORD_BITS)]
+        rng = random.Random(seed)
+        words_list += [random_patterns(impl.inputs, rng)
+                       for _ in range(2)]
+        return cls(impl, spec, words_list, counters=counters,
+                   num_samples=len(samples))
+
+    def value(self, net: str) -> int:
+        """The batch value of implementation net ``net``."""
+        return self.base[self.plan.index[net]]
+
+    def spec_value(self, net: str) -> int:
+        """The batch value of spec net ``net``."""
+        return self.spec_base[self.spec_plan.index[net]]
+
+    def error_mask(self, port: str) -> int:
+        """The samples on which the implementation gets ``port``
+        wrong: the sampled error region ``E``, bit ``k`` for sample
+        ``k``."""
+        return (self.value(self.impl.outputs[port]) ^ self._want[port]) \
+            & self.sample_mask
+
     def _source_value(self, op: RewireOp,
                       updated: Dict[int, int]) -> int:
         if op.from_spec:
-            return self.spec_base[self.spec_plan.index[op.source_net]]
+            return self.spec_value(op.source_net)
         idx = self.plan.index[op.source_net]
         return updated.get(idx, self.base[idx])
 
@@ -253,40 +295,18 @@ class SimulationFilter:
         self._cones[owners] = hit
         return hit
 
-    def passes(self, ops: Sequence[RewireOp], target: str,
-               failing: Sequence[str]) -> bool:
-        """Screen one candidate rewire.
+    def _overlay(self, steps: Sequence[tuple], updated: Dict[int, int],
+                 gate_ops: Mapping[int, Mapping[int, RewireOp]]
+                 ) -> Dict[int, int]:
+        """Re-evaluate ``steps`` over the base values.
 
-        Requires the target output and every currently-passing output to
-        match the spec on every simulated pattern; other failing outputs
-        may remain wrong (SAT validation later reports which of them the
-        rewire happens to fix).
+        ``updated`` holds the nets already changed (plan index -> new
+        value) and collects every step whose value changes; a step is
+        evaluated only when one of its fanins changed or ``gate_ops``
+        rewires one of its pins (pin position -> op).
         """
-        failing_set = set(failing) - {target}
-        index = self.plan.index
         base = self.base
         mask = self.mask
-        if self.counters is not None:
-            self.counters.plan_evals += 1
-
-        # last op per pin wins, as in the reference per-pattern screen
-        gate_ops: Dict[int, Dict[int, RewireOp]] = {}
-        port_ops: Dict[str, RewireOp] = {}
-        for op in ops:
-            if op.pin.is_output_port:
-                port_ops[op.pin.owner] = op
-            else:
-                gate_ops.setdefault(
-                    index[op.pin.owner], {})[op.pin.index] = op
-
-        steps, reached = self._downstream(frozenset(gate_ops))
-        # an output the rewire cannot change keeps its base verdict
-        for port in self._base_wrong:
-            if port not in failing_set and port not in port_ops \
-                    and port not in reached:
-                return False
-
-        updated: Dict[int, int] = {}
         for out, opcode, fanins in steps:
             pin_ops = gate_ops.get(out)
             if pin_ops is None:
@@ -307,7 +327,68 @@ class SimulationFilter:
             new = eval_opcode(opcode, operands, mask)
             if new != base[out]:
                 updated[out] = new
+        return updated
 
+    def flip_credit(self, port: str, nets: Sequence[str],
+                    cone: Iterable[str]) -> Dict[str, int]:
+        """Per net of ``nets``: the error samples of ``port`` on which
+        complementing the net corrects the output.
+
+        ``cone`` is the output's fanin cone, which holds ``nets``; each
+        flip is one :meth:`_overlay` walk over the cone's plan steps
+        after the flipped net.
+        """
+        plan = self.plan
+        index = plan.index
+        first = plan.num_inputs
+        out = index[self.impl.outputs[port]]
+        want = self._want[port]
+        errors = self.error_mask(port)
+        positions = sorted(index[n] for n in cone)
+        steps = [plan.steps[i - first] for i in positions if i >= first]
+        outs = [step[0] for step in steps]
+        credit: Dict[str, int] = {}
+        for net in nets:
+            i = index[net]
+            updated = self._overlay(steps[bisect_right(outs, i):],
+                                    {i: self.base[i] ^ self.mask}, {})
+            flipped = updated.get(out, self.base[out])
+            credit[net] = bin(~(flipped ^ want) & errors).count("1")
+        return credit
+
+    def passes(self, ops: Sequence[RewireOp], target: str,
+               failing: Sequence[str]) -> bool:
+        """Screen one candidate rewire.
+
+        Requires the target output and every currently-passing output to
+        match the spec on every simulated pattern; other failing outputs
+        may remain wrong (SAT validation later reports which of them the
+        rewire happens to fix).
+        """
+        failing_set = set(failing) - {target}
+        index = self.plan.index
+        base = self.base
+        if self.counters is not None:
+            self.counters.plan_evals += 1
+
+        # last op per pin wins, as in the reference per-pattern screen
+        gate_ops: Dict[int, Dict[int, RewireOp]] = {}
+        port_ops: Dict[str, RewireOp] = {}
+        for op in ops:
+            if op.pin.is_output_port:
+                port_ops[op.pin.owner] = op
+            else:
+                gate_ops.setdefault(
+                    index[op.pin.owner], {})[op.pin.index] = op
+
+        steps, reached = self._downstream(frozenset(gate_ops))
+        # an output the rewire cannot change keeps its base verdict
+        for port in self._base_wrong:
+            if port not in failing_set and port not in port_ops \
+                    and port not in reached:
+                return False
+
+        updated = self._overlay(steps, {}, gate_ops)
         want = self._want
         for port, op in port_ops.items():
             if port in want and port not in failing_set and \

@@ -90,37 +90,39 @@ class Gate:
         return hash((self.name, self.gtype, tuple(self.fanins)))
 
 
-def eval_gate(gtype: GateType, operands: Sequence[int]) -> int:
-    """Evaluate a gate on 64-bit simulation words.
+def eval_gate(gtype: GateType, operands: Sequence[int],
+              mask: int = WORD_MASK) -> int:
+    """Evaluate a gate on simulation words.
 
-    Each operand packs :data:`WORD_BITS` input patterns; the result packs
-    the gate output for each pattern.  Complement-style operators mask
-    the result back to 64 bits.
+    Each operand packs :data:`WORD_BITS` input patterns (or, with a wider
+    ``mask``, a multi-word batch); the result packs the gate output for
+    each pattern.  Complement-style operators mask the result back to
+    ``mask``.
     """
     if gtype is GateType.CONST0:
         return 0
     if gtype is GateType.CONST1:
-        return WORD_MASK
+        return mask
     if gtype is GateType.BUF:
         return operands[0]
     if gtype is GateType.NOT:
-        return ~operands[0] & WORD_MASK
+        return ~operands[0] & mask
     if gtype is GateType.MUX:
         s, d0, d1 = operands
-        return ((~s & d0) | (s & d1)) & WORD_MASK
+        return ((~s & d0) | (s & d1)) & mask
     acc = operands[0]
     if gtype in (GateType.AND, GateType.NAND):
         for w in operands[1:]:
             acc &= w
-        return acc if gtype is GateType.AND else ~acc & WORD_MASK
+        return acc if gtype is GateType.AND else ~acc & mask
     if gtype in (GateType.OR, GateType.NOR):
         for w in operands[1:]:
             acc |= w
-        return acc if gtype is GateType.OR else ~acc & WORD_MASK
+        return acc if gtype is GateType.OR else ~acc & mask
     if gtype in (GateType.XOR, GateType.XNOR):
         for w in operands[1:]:
             acc ^= w
-        return acc if gtype is GateType.XOR else ~acc & WORD_MASK
+        return acc if gtype is GateType.XOR else ~acc & mask
     raise NetlistError(f"unknown gate type {gtype!r}")
 
 

@@ -193,12 +193,6 @@ def read_blif(path: str) -> Circuit:
         return loads_blif(fh.read(), filename=path)
 
 
-_COVER_WRITERS = {
-    GateType.CONST0: lambda n: "0\n",
-    GateType.CONST1: lambda n: "1\n",
-}
-
-
 def _gate_cover(gtype: GateType, n: int) -> str:
     """BLIF cover rows for one gate type with n fanins."""
     if gtype is GateType.CONST0:

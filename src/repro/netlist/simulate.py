@@ -3,7 +3,7 @@
 Simulation words pack 64 input patterns into a Python integer (bit ``k``
 of every word belongs to pattern ``k``).  One topological pass evaluates
 all 64 patterns at once, which is the workhorse behind the error-domain
-sampling of Section 5.1, the rectification-utility heuristic of Section
+sampling of Section 5.1, the rectification-utility counts of Section
 4.3 and simulation-guided equivalence sweeping.
 
 Hot callers go through a :class:`CompiledPlan`: the per-gate dictionary
@@ -330,13 +330,18 @@ def words_to_patterns(inputs: Sequence[str], words: Mapping[str, int],
     return out
 
 
-def signature(circuit: Circuit, rounds: int,
-              seed: int = 2019) -> Dict[str, int]:
+def signature(circuit: Circuit, rounds: int, seed: int = 2019,
+              inputs: Optional[Sequence[str]] = None) -> Dict[str, int]:
     """Multi-round random simulation signature of every net.
 
     Concatenates ``rounds`` 64-bit words into one integer per net; equal
     signatures are candidates for functional equivalence (confirmed by
     SAT in :mod:`repro.cec.sweep`).
+
+    Each round draws one word per name of ``inputs`` (default: the
+    circuit's own inputs), in order; a circuit input not among them
+    reads 0.  Two circuits signed with the same ``inputs`` and seed
+    therefore see the same patterns, bit for bit.
 
     All rounds are evaluated as one multi-word batch through the
     circuit's compiled plan: round ``r`` occupies the batch's lane
@@ -345,10 +350,12 @@ def signature(circuit: Circuit, rounds: int,
     """
     rng = random.Random(seed)
     batched: Dict[str, int] = {n: 0 for n in circuit.inputs}
+    drawn = circuit.inputs if inputs is None else inputs
     for r in range(rounds):
         shift = WORD_BITS * (rounds - 1 - r)
-        for name, word in random_patterns(circuit.inputs, rng).items():
-            batched[name] |= word << shift
+        for name, word in random_patterns(drawn, rng).items():
+            if name in batched:
+                batched[name] |= word << shift
     plan = compiled_plan(circuit)
     values = plan.run(batched, mask=batch_mask(rounds))
     return dict(zip(plan.names, values))

@@ -103,7 +103,6 @@ class Solver:
         self.decisions = 0
         self.propagations = 0
         self._assumption_levels: List[int] = []
-        self._core: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # clause arena
@@ -471,49 +470,6 @@ class Solver:
             bt = self._level[_lit_var(learnt[1])]
         return learnt, bt
 
-    def _to_dimacs(self, lit: int) -> int:
-        var = _lit_var(lit) + 1
-        return -var if lit & 1 else var
-
-    def _analyze_final(self, seeds: List[int]) -> List[int]:
-        """Assumption literals responsible for falsifying ``seeds``.
-
-        The standard analyze-final: walk the implication trail
-        backwards from the seed variables; decisions reached (which,
-        under assumptions, are exactly the assumption literals) form
-        the core.
-        """
-        ca = self._ca
-        seen = set()
-        for lit in seeds:
-            if self._level[_lit_var(lit)] > 0:
-                seen.add(_lit_var(lit))
-        core: List[int] = []
-        for tlit in reversed(self._trail):
-            var = _lit_var(tlit)
-            if var not in seen:
-                continue
-            reason = self._reason[var]
-            if reason == _NO_CLAUSE:
-                core.append(self._to_dimacs(tlit))
-            else:
-                for qi in range(reason + 1,
-                                reason + 1
-                                + (ca[reason] >> _SIZE_SHIFT)):
-                    qvar = _lit_var(ca[qi])
-                    if qvar != var and self._level[qvar] > 0:
-                        seen.add(qvar)
-        return core
-
-    def unsat_core(self) -> Optional[List[int]]:
-        """Subset of the last solve's assumptions proven contradictory.
-
-        ``None`` when the last solve was SAT/UNKNOWN or the formula is
-        unsatisfiable without any assumptions (empty core is returned
-        as ``[]`` in that case).  The core is not guaranteed minimal.
-        """
-        return self._core
-
     def _redundant(self, lit: int, seen: List[bool], abstract: int) -> bool:
         """Is ``lit`` implied by other marked literals (minimization)?"""
         ca = self._ca
@@ -600,16 +556,13 @@ class Solver:
             :data:`SAT`, :data:`UNSAT` or :data:`UNKNOWN`.
         """
         if not self._ok:
-            self._core = []
             return UNSAT
         self._model = []
-        self._core = None
         self._cancel_until(0)
         self._assumption_levels = []
         conflict = self._propagate()
         if conflict != _NO_CLAUSE:
             self._ok = False
-            self._core = []
             return UNSAT
 
         budget_left = conflict_budget
@@ -628,12 +581,9 @@ class Solver:
                         return UNKNOWN
                 if self._decision_level() == 0:
                     self._ok = False
-                    self._core = []
                     return UNSAT
                 if self._decision_level() <= len(self._assumption_levels):
-                    # conflict among assumptions: extract the core
-                    self._core = self._analyze_final(
-                        self._clause_lits(conflict))
+                    # conflict among assumptions: UNSAT under them
                     self._cancel_until(0)
                     return UNSAT
                 learnt, bt = self._analyze(conflict)
@@ -662,13 +612,7 @@ class Solver:
                     lit = assumption_lits[len(self._assumption_levels)]
                     val = self._value(lit)
                     if val == 0:
-                        # the assumption is already falsified: blame it
-                        # plus the assumptions that implied its negation
-                        core = self._analyze_final([lit])
-                        wanted = self._to_dimacs(lit)
-                        if wanted not in core:
-                            core.append(wanted)
-                        self._core = core
+                        # the earlier assumptions falsify this one
                         self._cancel_until(0)
                         return UNSAT
                     self._new_decision_level()

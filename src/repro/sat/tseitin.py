@@ -39,16 +39,14 @@ class CircuitEncoder:
 
     # ------------------------------------------------------------------
     def encode(self, circuit: Circuit,
-               input_vars: Optional[Mapping[str, int]] = None,
-               prefix: str = "") -> Dict[str, int]:
+               input_vars: Optional[Mapping[str, int]] = None
+               ) -> Dict[str, int]:
         """Encode every net of ``circuit``; returns net -> solver var.
 
         Args:
             circuit: netlist to encode.
             input_vars: existing solver variables per input name; fresh
                 variables are created for inputs not listed.
-            prefix: ignored for variable creation, kept for symmetry
-                with debugging dumps.
 
         Returns:
             Mapping from every net name to its solver variable.

@@ -10,6 +10,8 @@ from repro.synth import optimize_heavy, optimize_light
 from repro.workloads.figures import example1_circuits
 from repro.workloads.generators import control_design
 from repro.workloads.revisions import apply_revision
+from repro.workloads.suite import build_suite
+from tests.eco import reference
 
 
 def revised_pair(seed=1, kind="gate-type"):
@@ -51,6 +53,13 @@ class TestMatching:
         spec.set_output("o", "y")
         matches = DeltaSyn().match_signals(impl, spec)
         assert "y" not in matches
+
+
+    @pytest.mark.parametrize("case_id", range(1, 12))
+    def test_batched_matching_matches_per_round_loop(self, case_id):
+        (case,) = build_suite([case_id])
+        assert DeltaSyn().match_signals(case.impl, case.spec) == \
+            reference.match_signals(case.impl, case.spec)
 
 
 class TestRectify:

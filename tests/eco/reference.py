@@ -1,4 +1,5 @@
-"""Whole-circuit reference walks of the candidate search (test oracles).
+"""Reference walks of the candidate search and its simulations (test
+oracles).
 
 * The Section 3.3 pin constraint and the joint acyclicity check exactly
   as candidate validation made them before it re-checked legality on a
@@ -11,8 +12,20 @@
   plan step and compared every output per candidate, the oracle of
   :meth:`repro.eco.validate.SimulationFilter.passes`.
 * :func:`whole_cast_candidates`, the per-pin candidate scan over every
-  net of both circuits cast whole into the sampling domain, the oracle
-  of :meth:`repro.eco.rewiring.RewiringContext.candidates_for_pin`.
+  net of both circuits cast whole into the sampling domain, with each
+  utility a BDD satisfy count on the sampled error region
+  (:func:`bdd_error_region`), the oracle of
+  :meth:`repro.eco.rewiring.RewiringContext.candidates_for_pin` and of
+  its popcounts of the simulation words.
+* :func:`select_candidate_pins`, the flip-credit pin ranking as it
+  simulated both whole circuits on the first 64 samples and walked its
+  own ``eval_gate`` overlay per net, the oracle of
+  :meth:`repro.eco.engine.SysEco._select_candidate_pins` on
+  :meth:`repro.eco.validate.SimulationFilter.flip_credit`.
+* :func:`error_rate` and :func:`match_signals`, the per-round
+  simulation loops of the diagnosis and of DeltaSyn's signal matching,
+  the oracles of their one-batch :func:`repro.netlist.simulate.signature`
+  versions.
 * :func:`validate_rewire`, full-domain validation by copying the
   implementation, applying the rewire with cloned spec cones and
   re-encoding both whole circuits on a fresh
@@ -22,8 +35,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+import random
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
+from repro.bdd.manager import FALSE
 from repro.cec.equivalence import PairwiseChecker
 from repro.eco import rewiring
 from repro.eco.patch import RewireOp
@@ -35,8 +50,19 @@ from repro.eco.validate import (
 )
 from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.simulate import eval_opcode
-from repro.netlist.traverse import dependent_outputs, transitive_fanout
+from repro.netlist.gate import WORD_BITS, WORD_MASK, eval_gate
+from repro.netlist.simulate import (
+    eval_opcode,
+    patterns_to_words,
+    random_patterns,
+    simulate_words,
+)
+from repro.netlist.traverse import (
+    dependent_outputs,
+    topological_order,
+    transitive_fanin,
+    transitive_fanout,
+)
 
 
 def topological_constraint_ok(impl: Circuit, pins: Sequence[Pin]) -> bool:
@@ -164,14 +190,42 @@ def whole_plan_passes(filt, ops: Sequence[RewireOp], target: str,
     return True
 
 
+def bdd_error_region(ctx, impl_z: Dict[str, int],
+                     spec_z: Dict[str, int]) -> Tuple[int, int]:
+    """The sampled error region of ``ctx``'s output as a BDD over the
+    codes of distinct samples, and its size (at least 1) by satisfy
+    count.  The domain must sit on a fresh manager, so the ``z``
+    variables are the first ones."""
+    domain = ctx.domain
+    manager = domain.manager
+    valid = FALSE
+    for k in range(domain.num_samples):
+        valid = manager.or_(valid, domain.code_of(k))
+    diff = manager.xor(impl_z[ctx.impl.outputs[ctx.port]],
+                       spec_z[ctx.spec_out_net])
+    region = manager.and_(diff, valid)
+    count = manager.satcount(region, num_vars=max(domain.z_vars) + 1)
+    return region, max(1, count)
+
+
 def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
     """Candidate nets for ``pin``, scanning every net of both circuits
     against the structural filter, over whole-circuit casts made in
-    ``ctx``'s sampling domain."""
+    ``ctx``'s sampling domain, with BDD-counted utilities."""
     config = ctx.config
     impl, spec = ctx.impl, ctx.spec
     impl_z = ctx.domain.cast_circuit(impl)
     spec_z = ctx.domain.cast_circuit(spec)
+    manager = ctx.domain.manager
+    region, error_count = bdd_error_region(ctx, impl_z, spec_z)
+    num_vars = max(ctx.domain.z_vars) + 1
+
+    def utility(driver_z: int, candidate_z: int) -> float:
+        hits = manager.satcount(
+            manager.and_(manager.xor(driver_z, candidate_z), region),
+            num_vars=num_vars)
+        return hits / error_count
+
     mask = ctx.spec_support_mask
     driver = impl.pin_driver(pin)
     driver_z = impl_z[driver]
@@ -187,7 +241,7 @@ def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
                 continue
             scored.append(RewireCandidate(
                 net=net, from_spec=False,
-                utility=ctx.utility(driver_z, impl_z[net]),
+                utility=utility(driver_z, impl_z[net]),
                 z_function=impl_z[net], level=ctx.impl_levels[net]))
     if config.use_spec_nets:
         for net in spec.gates:
@@ -195,7 +249,7 @@ def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
                 continue
             scored.append(RewireCandidate(
                 net=net, from_spec=True,
-                utility=ctx.utility(driver_z, spec_z[net]),
+                utility=utility(driver_z, spec_z[net]),
                 z_function=spec_z[net], level=ctx.spec_levels[net]))
     if config.utility_ordering:
         scored.sort(key=lambda c: (-c.utility, c.from_spec, c.level))
@@ -207,12 +261,113 @@ def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
             c.from_spec and c.net == out_net for c in kept):
         kept.append(RewireCandidate(
             net=out_net, from_spec=True,
-            utility=ctx.utility(driver_z, spec_z[out_net]),
+            utility=utility(driver_z, spec_z[out_net]),
             z_function=spec_z[out_net], level=ctx.spec_levels[out_net]))
     trivial = RewireCandidate(
         net=driver, from_spec=False, utility=0.0, z_function=driver_z,
         level=ctx.impl_levels[driver], trivial=True)
     return [trivial] + kept
+
+
+def flip_credits(work: Circuit, spec: Circuit, port: str,
+                 samples: Sequence[Mapping[str, bool]],
+                 nets: Sequence[str]) -> Dict[str, int]:
+    """Per net: the first 64 error samples on which complementing the
+    net corrects ``port``, by simulating both whole circuits and
+    re-evaluating ``port``'s cone with ``eval_gate`` per net."""
+    out_net = work.outputs[port]
+    cone_order = topological_order(work, roots=[out_net])
+    samples = samples[:64]  # one simulation word for the heuristic
+    words = patterns_to_words(work.inputs, samples)
+    n_mask = (1 << len(samples)) - 1
+    base_values = simulate_words(work, words)
+    spec_words = {n: words.get(n, 0) for n in spec.inputs}
+    spec_values = simulate_words(spec, spec_words)
+    want = spec_values[spec.outputs[port]]
+    error_mask = (base_values[out_net] ^ want) & n_mask
+    credit: Dict[str, int] = {}
+    for net in nets:
+        override = {net: base_values[net] ^ WORD_MASK}
+        for gname in cone_order:
+            gate = work.gates[gname]
+            if gname == net:
+                continue
+            if not any(f in override for f in gate.fanins):
+                continue
+            operands = [override.get(f, base_values[f])
+                        for f in gate.fanins]
+            value = eval_gate(gate.gtype, operands)
+            if value != base_values[gname]:
+                override[gname] = value
+        flipped_out = override.get(out_net, base_values[out_net])
+        corrected = ~(flipped_out ^ want) & error_mask
+        credit[net] = bin(corrected & n_mask).count("1")
+    return credit
+
+
+def select_candidate_pins(work: Circuit, spec: Circuit, port: str,
+                          samples: Sequence[Mapping[str, bool]],
+                          max_pins: int,
+                          levels: Dict[str, int]) -> List[Pin]:
+    """The ``max_pins`` candidate points of ``port``: the gate pins of
+    its cone by driver flip credit (:func:`flip_credits`), then the
+    output port pin."""
+    cone = transitive_fanin(work, [work.outputs[port]])
+    scored_nets = list(cone)
+    if len(scored_nets) > 600:
+        scored_nets.sort(key=lambda n: (-levels[n], n))
+        scored_nets = scored_nets[:600]
+    credit = flip_credits(work, spec, port, samples, scored_nets)
+    pins: List[Tuple[int, int, Pin]] = []
+    for gname in cone:
+        gate = work.gates.get(gname)
+        if gate is None:
+            continue
+        for idx, fanin in enumerate(gate.fanins):
+            if credit.get(fanin, 0) > 0:
+                pins.append((-credit[fanin], levels[fanin],
+                             Pin.gate(gname, idx)))
+    pins.sort(key=lambda item: (item[0], item[1], item[2]))
+    return [p for _, _, p in pins[:max_pins - 1]] + [Pin.output(port)]
+
+
+def error_rate(impl: Circuit, spec: Circuit, port: str,
+               rounds: int = 16, seed: int = 7) -> float:
+    """Monte-Carlo estimate of ``|E| / 2^n`` for one output pair, one
+    simulation of each circuit per round."""
+    rng = random.Random(seed)
+    differing = 0
+    for _ in range(rounds):
+        words = random_patterns(impl.inputs, rng)
+        iv = simulate_words(impl, words)[impl.outputs[port]]
+        sv = simulate_words(
+            spec, {n: words.get(n, 0) for n in spec.inputs}
+        )[spec.outputs[port]]
+        differing += bin(iv ^ sv).count("1")
+    return differing / (rounds * WORD_BITS)
+
+
+def match_signals(impl: Circuit, spec: Circuit, rounds: int = 8,
+                  seed: int = 77) -> Dict[str, str]:
+    """DeltaSyn's candidate correspondence, spec net -> earliest impl
+    net of equal signature, shifting in one round's words at a time."""
+    rng = random.Random(seed)
+    impl_sigs: Dict[str, int] = {n: 0 for n in impl.nets()}
+    spec_sigs: Dict[str, int] = {n: 0 for n in spec.nets()}
+    for _ in range(rounds):
+        words = random_patterns(impl.inputs, rng)
+        iv = simulate_words(impl, words)
+        sv = simulate_words(
+            spec, {n: words.get(n, 0) for n in spec.inputs})
+        for net in impl_sigs:
+            impl_sigs[net] = (impl_sigs[net] << WORD_BITS) | iv[net]
+        for net in spec_sigs:
+            spec_sigs[net] = (spec_sigs[net] << WORD_BITS) | sv[net]
+    by_sig: Dict[int, str] = {}
+    for net in list(impl.inputs) + topological_order(impl):
+        by_sig.setdefault(impl_sigs[net], net)
+    return {net: by_sig[spec_sigs[net]] for net in spec.nets()
+            if spec_sigs[net] in by_sig}
 
 
 def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],

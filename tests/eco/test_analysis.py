@@ -4,7 +4,7 @@ import pytest
 
 from repro.eco.analysis import (
     diagnose,
-    error_rate,
+    error_rates,
     format_diagnosis,
     structural_similarity,
 )
@@ -12,6 +12,8 @@ from repro.netlist.circuit import Circuit
 from repro.synth import optimize_heavy
 from repro.workloads.figures import example1_circuits
 from repro.workloads.generators import control_design
+from repro.workloads.suite import build_suite
+from tests.eco import reference
 
 
 def xor_vs_or():
@@ -28,12 +30,21 @@ class TestErrorRate:
     def test_quarter_rate(self):
         impl, spec = xor_vs_or()
         # xor vs or differ exactly on a=b=1: rate 1/4
-        rate = error_rate(impl, spec, "o", rounds=32)
+        rate = error_rates(impl, spec, ["o"], rounds=32)["o"]
         assert rate == pytest.approx(0.25, abs=0.03)
 
     def test_zero_rate_for_equal(self):
         impl, _ = xor_vs_or()
-        assert error_rate(impl, impl.copy(), "o") == 0.0
+        assert error_rates(impl, impl.copy(), ["o"]) == {"o": 0.0}
+
+    @pytest.mark.parametrize("case_id", [1, 3, 7, 9])
+    def test_batched_diagnosis_matches_per_port_loop(self, case_id):
+        (case,) = build_suite([case_id])
+        diagnosis = diagnose(case.impl, case.spec)
+        assert diagnosis.per_output
+        for port, d in diagnosis.per_output.items():
+            assert d.error_rate == reference.error_rate(
+                case.impl, case.spec, port)
 
 
 class TestStructuralSimilarity:

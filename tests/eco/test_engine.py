@@ -4,13 +4,18 @@ import random
 
 import pytest
 
-from repro.cec.equivalence import check_equivalence
+from hypothesis import given, settings, strategies as st
+
+from repro.cec.equivalence import check_equivalence, nonequivalent_outputs
 from repro.errors import EcoError
 from repro.eco.config import EcoConfig
 from repro.eco import engine
 from repro.eco.engine import SysEco, rectify
 from repro.eco.patch import RewireOp
+from repro.eco.samples import collect_error_samples
+from repro.eco.validate import SimulationFilter
 from repro.netlist.circuit import Circuit, Pin
+from repro.netlist.simulate import CompiledPlan, compiled_plan
 from repro.netlist.traverse import levelize, transitive_fanin
 from repro.lint.netlist_rules import lint_netlist
 from repro.obs.trace import Trace
@@ -20,6 +25,9 @@ from repro.workloads.figures import example1_circuits, figure1_circuits
 from repro.workloads.generators import alu_design, control_design
 from repro.workloads.revisions import apply_revision
 from repro.workloads.suite import build_suite
+from tests.conftest import make_random_circuit
+from tests.eco import reference
+from tests.eco.test_incremental import mutate
 
 
 def assert_rectified(result, spec):
@@ -232,11 +240,112 @@ class TestCandidatePins:
         cone = sorted(transitive_fanin(impl, [impl.outputs["o"]]))
         assert len(cone) == 2047
 
+        sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
         picks = []
         for order in (cone, cone[::-1]):
             monkeypatch.setattr(engine, "transitive_fanin",
                                 lambda c, roots, order=order: list(order))
-            picks.append(SysEco()._select_candidate_pins(
-                impl, spec, "o", samples, 20, levelize(impl)))
-        assert len(picks[0]) == 20
+            picks.append(SysEco._select_candidate_pins(
+                impl, "o", sim, levelize(impl)))
+        assert len(picks[0]) == engine.MAX_CANDIDATE_PINS - 1
         assert picks[0] == picks[1]
+
+
+def ranked_pins(impl, spec, port, samples):
+    """The engine's candidate pins of ``port`` for a full pin cap."""
+    sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
+    return SysEco._select_candidate_pins(
+        impl, port, sim, levelize(impl)) + [Pin.output(port)]
+
+
+class TestOneSimulationPerOutput:
+    """An output search simulates its samples once: the pin ranking,
+    the rectification utilities and the screen read the same words."""
+
+    @pytest.mark.parametrize("case_id", range(1, 12))
+    def test_ranking_matches_reference_walk(self, case_id):
+        (case,) = build_suite([case_id])
+        impl, spec = case.impl, case.spec
+        levels = levelize(impl)
+        ports = nonequivalent_outputs(impl, spec)[:3]
+        assert ports
+        for port in ports:
+            samples = collect_error_samples(impl, spec, port, 16,
+                                            random.Random(case_id))
+            assert ranked_pins(impl, spec, port, samples) == \
+                reference.select_candidate_pins(
+                    impl, spec, port, samples,
+                    engine.MAX_CANDIDATE_PINS, levels)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           n=st.sampled_from([1, 7, 40, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_flip_credit_matches_reference_walk(self, seed, n):
+        """The near-miss designs of the screen's differential test."""
+        spec = make_random_circuit(seed, n_inputs=5, n_gates=30,
+                                   n_outputs=4)
+        impl = mutate(spec, seed + 1)
+        if impl is None:
+            return
+        rng = random.Random(seed + 2)
+        samples = [{x: bool(rng.getrandbits(1)) for x in impl.inputs}
+                   for _ in range(n)]
+        sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
+        for port in impl.outputs:
+            cone = transitive_fanin(impl, [impl.outputs[port]])
+            assert sim.flip_credit(port, sorted(cone), cone) == \
+                reference.flip_credits(impl, spec, port, samples,
+                                       sorted(cone))
+            assert ranked_pins(impl, spec, port, samples) == \
+                reference.select_candidate_pins(
+                    impl, spec, port, samples,
+                    engine.MAX_CANDIDATE_PINS, levelize(impl))
+
+    def test_each_plan_runs_once_per_output_search(self, monkeypatch):
+        searches = []
+        real_run = CompiledPlan.run
+        real_search = SysEco._search_at_scale
+
+        def run(self, *args, **kwargs):
+            if searches and searches[-1]["open"]:
+                searches[-1]["plans"].append(self)
+            return real_run(self, *args, **kwargs)
+
+        def search(self, work, spec, *args, **kwargs):
+            searches.append({"open": True, "plans": []})
+            try:
+                return real_search(self, work, spec, *args, **kwargs)
+            finally:
+                searches[-1]["open"] = False
+                searches[-1]["whole"] = (compiled_plan(work),
+                                         compiled_plan(spec))
+
+        monkeypatch.setattr(CompiledPlan, "run", run)
+        monkeypatch.setattr(SysEco, "_search_at_scale", search)
+        (case,) = build_suite([9])
+        rectify(case.impl, case.spec)
+        assert searches
+        for record in searches:
+            plans = record["plans"]
+            assert [sum(p is whole for p in plans)
+                    for whole in record["whole"]] == [1, 1]
+            assert len(plans) == 2
+
+    def test_filter_built_once_across_bdd_retries(self, monkeypatch):
+        monkeypatch.setattr(engine, "BDD_NODE_LIMIT", 300)
+        built = []
+        real_init = SimulationFilter.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationFilter, "__init__", init)
+        impl, spec = example1_circuits(width=2)
+        trace = Trace(name=impl.name)
+        rectify(impl, spec, EcoConfig(num_samples=4), trace=trace)
+        searched = {s.tags["output"] for s in trace.spans
+                    if s.name == "eco.search"}
+        retries = [e for e in trace.events if e.name == "bdd.node_limit"]
+        assert retries
+        assert len(built) == len(searched)

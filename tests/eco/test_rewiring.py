@@ -1,6 +1,7 @@
 """Tests for candidate rewiring-net selection (Section 4.3)."""
 
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.eco import rewiring
 from repro.eco.config import EcoConfig
 from repro.eco.rewiring import RewiringContext
 from repro.eco.sampling import SamplingDomain
+from repro.eco.validate import SimulationFilter
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.traverse import levelize, support_masks, transitive_fanin
 from tests.conftest import make_random_circuit
@@ -23,9 +25,10 @@ def build_context(impl, spec, port, config=None, samples=None):
                    for bits in itertools.product([False, True],
                                                  repeat=len(inputs))]
     domain = SamplingDomain(BddManager(), samples, inputs)
+    sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
     idx = {n: i for i, n in enumerate(inputs)}
     return RewiringContext(
-        impl, spec, port, domain, config or EcoConfig(),
+        impl, spec, port, domain, sim, config or EcoConfig(),
         support_masks(impl, idx), support_masks(spec, idx),
         levelize(impl), levelize(spec))
 
@@ -132,6 +135,43 @@ class TestErrorRegion:
         ctx = build_context(impl, spec, "o")
         # |E| = |c & (a xor b)| over (a,b,c,d) = 2 * 2 = 4
         assert ctx.error_count == 4
+
+
+class TestUtilityMatchesBddCount:
+    """The utilities and the error count are popcounts of the sample
+    words; they equal the BDD satisfy counts over the codes of the
+    distinct samples, also when the padding codes repeat a sample and
+    when the samples fill more than one word."""
+
+    @pytest.mark.parametrize("n", [1, 5, 11, 64, 100])
+    def test_popcounts_match_satcount(self, n):
+        checked = 0
+        for seed in range(12):
+            spec = make_random_circuit(seed, n_inputs=8, n_gates=30,
+                                       n_outputs=4)
+            impl = mutate(spec, seed + 7)
+            if impl is None:
+                continue
+            failing = failing_outputs(impl, spec)
+            if not failing:
+                continue
+            rng = random.Random(seed)
+            samples = [{x: bool(rng.getrandbits(1)) for x in impl.inputs}
+                       for _ in range(n)]
+            port = failing[0]
+            ctx = build_context(impl, spec, port, samples=samples)
+            _, count = reference.bdd_error_region(ctx, ctx.impl_z,
+                                                  ctx.spec_z)
+            assert ctx.error_count == count
+            fanin = transitive_fanin(impl, [impl.outputs[port]])
+            pins = [Pin.output(port)] + [
+                Pin.gate(g, i) for g in impl.gates if g in fanin
+                for i in range(len(impl.gates[g].fanins))]
+            for pin in pins:
+                assert ctx.candidates_for_pin(pin) == \
+                    reference.whole_cast_candidates(ctx, pin)
+                checked += 1
+        assert checked > 20
 
 
 class TestPoolMatchesWholeCircuitScan:

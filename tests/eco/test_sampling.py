@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EcoError
-from repro.bdd.manager import TRUE, BddManager
+from repro.bdd.manager import BddManager
 from repro.eco.sampling import SamplingDomain
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulate import evaluate_outputs
@@ -64,24 +64,6 @@ class TestSamplingFunction:
                                            variables=d.z_vars)
             assert d.sample_of_assignment(assignment) == samples[k]
 
-    def test_valid_codes_counts_distinct_samples(self):
-        samples = [{"a": True}, {"a": False}, {"a": True}]
-        d = make_domain(samples, ["a"])
-        m = d.manager
-        assert m.satcount(d.valid_codes(), num_vars=len(d.z_vars)) == 3
-
-    def test_count_in_domain(self):
-        samples = [{"a": True}, {"a": False}, {"a": True}]
-        d = make_domain(samples, ["a"])
-        # 'a' holds on samples 0 and 2
-        assert d.count_in_domain(d.input_functions["a"]) == 2
-
-    def test_count_in_domain_rejects_foreign_support(self):
-        d = make_domain([{"a": True}, {"a": False}], ["a"])
-        extra = d.manager.add_var()
-        with pytest.raises(EcoError):
-            d.count_in_domain(d.manager.var(extra))
-
 
 class TestCastCircuit:
     def test_cast_matches_per_sample_simulation(self):
@@ -109,12 +91,3 @@ class TestCastCircuit:
         m = d.manager
         # with extra=False, o == a on the domain
         assert values[c.outputs["o"]] == d.input_functions["a"]
-
-    def test_extra_inputs_overridable(self):
-        c = Circuit()
-        c.add_inputs(["a", "extra"])
-        c.set_output("o", c.or_("a", "extra"))
-        d = make_domain([{"a": False}], ["a"])
-        from repro.bdd.manager import TRUE
-        values = d.cast_circuit(c, extra_inputs={"extra": TRUE})
-        assert values[c.outputs["o"]] == TRUE

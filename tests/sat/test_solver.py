@@ -190,74 +190,6 @@ def test_solver_agrees_with_brute_force(clauses):
     assert s.solve() == expect
 
 
-class TestUnsatCore:
-    def test_core_excludes_irrelevant_assumptions(self):
-        s = make_solver(3, [[1, 2]])
-        assert s.solve(assumptions=[3, -1, -2]) == UNSAT
-        core = s.unsat_core()
-        assert set(core) == {-1, -2}
-
-    def test_core_through_implications(self):
-        s = make_solver(2, [[-1, -2]])  # x1 -> ~x2
-        assert s.solve(assumptions=[1, 2]) == UNSAT
-        assert set(s.unsat_core()) == {1, 2}
-
-    def test_core_single_assumption_against_formula(self):
-        s = make_solver(1, [[-1]])
-        assert s.solve(assumptions=[1]) == UNSAT
-        assert s.unsat_core() == [1]
-
-    def test_core_empty_for_plain_unsat(self):
-        s = make_solver(1, [[1], [-1]])
-        assert s.solve(assumptions=[]) == UNSAT
-        assert s.unsat_core() == []
-
-    def test_core_none_when_sat(self):
-        s = make_solver(1, [[1]])
-        assert s.solve(assumptions=[1]) == SAT
-        assert s.unsat_core() is None
-
-    def test_core_after_search_conflicts(self):
-        # a pigeonhole sub-problem forced by assumptions: place 3
-        # pigeons into 2 holes via assumption-enabled clauses
-        s = Solver()
-        p = {}
-        for i in range(3):
-            for h in range(2):
-                p[i, h] = s.new_var()
-        enable = s.new_var()
-        for i in range(3):
-            s.add_clause([-enable, p[i, 0], p[i, 1]])
-        for h in range(2):
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    s.add_clause([-p[i, h], -p[j, h]])
-        assert s.solve(assumptions=[enable]) == UNSAT
-        assert s.unsat_core() == [enable]
-        assert s.solve(assumptions=[-enable]) == SAT
-
-    def test_core_assumptions_are_subset(self):
-        import random
-        rng = random.Random(4)
-        for _ in range(25):
-            n = rng.randint(2, 6)
-            clauses = []
-            for _ in range(rng.randint(2, 18)):
-                k = min(rng.randint(1, 3), n)
-                vs = rng.sample(range(1, n + 1), k)
-                clauses.append([v if rng.random() < .5 else -v
-                                for v in vs])
-            assumptions = [v if rng.random() < .5 else -v
-                           for v in range(1, n + 1)]
-            s = make_solver(n, clauses)
-            if s.solve(assumptions=assumptions) == UNSAT:
-                core = s.unsat_core()
-                assert set(core) <= set(assumptions)
-                # replaying only the core stays UNSAT
-                s2 = make_solver(n, clauses)
-                assert s2.solve(assumptions=core) == UNSAT
-
-
 class TestClauseArena:
     """The flat-arena clause store: lazy deletion and compaction."""
 
