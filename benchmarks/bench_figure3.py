@@ -1,33 +1,44 @@
 """Figure 3 / Examples 1-2: the sampled H(t) and Xi(c) computations.
 
 Figure 3 depicts ``Xi(c) = forall z, y F(z, y, c)`` computed in the
-sampling domain with the inputs overloaded by ``g(z)``.  Examples 1 and
-2 give closed forms on the ``GATE``-style word circuit:
+sampling domain with the inputs overloaded by ``g(z)``.  On the
+``GATE``-style word circuit of Examples 1 and 2 both characteristic
+functions have closed forms:
 
     H_k(t1, t2)  = t1^k t2^{n+k}  |  t1^{n+k} t2^k
-    Xi_k(c1, c2) = c1^1 | c2^2     for S_1 = (v(0), c, ~c),
+    Xi_k(c1, c2) = c1^1 & c2^2     for S_1 = (v(0), c, ~c),
                                        S_2 = (v(1), c, ~c)
 
-This bench computes both characteristic functions with the library's
-actual machinery (mux augmentation, candidate encoding, sampling-domain
-quantification) and asserts BDD-level equality with the closed forms.
+so the paper's rewiring ``R = {q_k <- c, q_{n+k} <- ~c}`` is the one
+valid choice.
+
+This bench computes ``H`` with the library's mux augmentation and
+sampling-domain quantification, and ``Xi`` with the symbolic
+construction kept as the oracle in ``tests/eco/reference.py``, and
+asserts BDD-level equality with both closed forms.  It also checks that
+the engine's choice enumeration, which evaluates ``Xi`` on the sample
+words, returns exactly that one choice.  Run it with ``python -m
+pytest`` from the repository root, so that ``tests`` imports.
 """
 
 import itertools
 
 from repro.bdd.manager import BddManager
+from repro.eco.choices import enumerate_rewiring_choices
 from repro.eco.points import PointSelector, compute_h_function
+from repro.eco.rewiring import RewireCandidate
 from repro.eco.sampling import SamplingDomain
+from repro.eco.validate import SimulationFilter
 from repro.netlist.circuit import Pin
 from repro.workloads.figures import example1_circuits
+from tests.eco import reference
 
 
-def full_domain(circuit):
+def all_samples(circuit):
     inputs = list(circuit.inputs)
-    samples = [dict(zip(inputs, bits))
-               for bits in itertools.product([False, True],
-                                             repeat=len(inputs))]
-    return SamplingDomain(BddManager(), samples, inputs)
+    return [dict(zip(inputs, bits))
+            for bits in itertools.product([False, True],
+                                          repeat=len(inputs))]
 
 
 def test_figure3(benchmark, publish):
@@ -35,7 +46,9 @@ def test_figure3(benchmark, publish):
     n = 2
 
     def run():
-        domain = full_domain(impl)
+        samples = all_samples(impl)
+        domain = SamplingDomain(BddManager(), samples, impl.inputs)
+        sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
         m = domain.manager
         spec_z = domain.cast_circuit(spec)
         impl_z = domain.cast_circuit(impl)
@@ -50,7 +63,7 @@ def test_figure3(benchmark, publish):
             y_nodes = [m.var(v) for v in y_vars]
             selector = PointSelector(m, 2, len(pins))
             h = compute_h_function(impl, f"w_{k}", domain, pins, y_nodes,
-                                   selector=selector)
+                                   selector)
             h_t = m.and_(
                 m.forall(m.exists(m.xnor(h, f_prime), y_vars),
                          domain.z_vars),
@@ -63,32 +76,33 @@ def test_figure3(benchmark, publish):
                           f"t1^{n + k} t2^{k}   OK")
 
             # ---- Example 2: Xi_k over S_i = (trivial, c, ~c) --------
-            from repro.eco.choices import enumerate_rewiring_choices
-            from repro.eco.rewiring import RewireCandidate
-
+            pair = (Pin.gate(f"q{k}", 1), Pin.gate(f"q{n + k}", 1))
             c_fn = spec_z["c_new"]
-            nc_fn = m.not_(c_fn)
+            functions = [[impl_z["s"], c_fn, m.not_(c_fn)],
+                         [impl_z["v1"], c_fn, m.not_(c_fn)]]
+            xi, c_words = reference.xi_function(
+                impl, f"w_{k}", domain, pair, functions, f_prime)
+            closed_xi = m.and_(reference.code_cube(m, c_words[0], 1),
+                               reference.code_cube(m, c_words[1], 2))
+            assert xi == closed_xi, f"Xi_{k} mismatch"
 
-            def cand(net, node, trivial=False):
+            c_word = sim.spec_value("c_new")
+
+            def cand(net, word, trivial=False):
                 return RewireCandidate(net=net, from_spec=not trivial,
-                                       utility=0.0, z_function=node,
+                                       utility=0.0, word=word,
                                        trivial=trivial)
 
-            pair = (Pin.gate(f"q{k}", 1), Pin.gate(f"q{n + k}", 1))
-            s1 = [cand("v0", impl_z["s"], trivial=True),
-                  cand("c", c_fn), cand("~c", nc_fn)]
-            s2 = [cand("v1", impl_z["v1"], trivial=True),
-                  cand("c", c_fn), cand("~c", nc_fn)]
+            s1 = [cand("v0", sim.value("s"), trivial=True),
+                  cand("c", c_word), cand("~c", ~c_word & sim.mask)]
+            s2 = [cand("v1", sim.value("v1"), trivial=True),
+                  cand("c", c_word), cand("~c", ~c_word & sim.mask)]
             choices = enumerate_rewiring_choices(
-                impl, f"w_{k}", domain, pair, (s1, s2), f_prime,
-                limit=16)
-            nets = {(a.net, b.net) for a, b in choices}
-            # Xi_k = c1^1 | c2^2: every valid choice has point 1 on c
-            # or point 2 on ~c, and the paper's R = q_k/c, q_{n+k}/~c
-            # is among them
-            assert ("c", "~c") in nets, f"Xi_{k} misses the paper's R"
-            assert all(a == "c" or b == "~c" for a, b in nets), nets
-            report.append(f"Xi_{k}(c1,c2) == c1^1 | c2^2           OK")
+                sim, f"w_{k}", pair, (s1, s2), limit=16)
+            nets = [(a.net, b.net) for a, b in choices]
+            assert nets == [("c", "~c")], nets
+            report.append(f"Xi_{k}(c1,c2) == c1^1 & c2^2           OK"
+                          "  (engine: the one choice c, ~c)")
         return report
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -2,9 +2,11 @@
 
 This is the reproduction of the paper's "in-house BDD package": the
 symbolic engine in which the sampling-domain computations of Sections
-4-5 run — quantification for ``H(t)`` and ``Xi(c)``, assignment counting
-for the rectification-utility heuristic, and prime-cube enumeration for
-candidate rectification point-sets.
+4-5 run — the sampling function ``g(z)`` and the cast of the failing
+output's spec cone, the quantification of ``H(t)``, and prime-cube
+enumeration for candidate rectification point-sets.  The utility
+heuristic and ``Xi(c)`` are evaluated on the samples' simulation words
+instead.
 
 Two API levels are exposed:
 

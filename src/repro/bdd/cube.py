@@ -2,8 +2,7 @@
 
 A :class:`Cube` is an immutable partial assignment with set-like
 helpers.  Cubes are the currency of the rectification-point search:
-prime cubes of ``H(t)`` seed candidate point-sets (Section 4.2) and
-cubes of ``Xi(c)`` select rewiring nets (Section 4.4).
+prime cubes of ``H(t)`` seed candidate point-sets (Section 4.2).
 """
 
 from __future__ import annotations
@@ -46,17 +45,8 @@ class Cube:
         """A copy with one literal dropped (used by prime expansion)."""
         return Cube({v: b for v, b in self._literals if v != var})
 
-    def restricted_to(self, variables) -> "Cube":
-        """Literals over the given variable set only."""
-        vs = set(variables)
-        return Cube({v: b for v, b in self._literals if v in vs})
-
     def to_bdd(self, manager: BddManager) -> int:
         return manager.cube(self.literals)
-
-    def agrees_with(self, assignment: Mapping[int, bool]) -> bool:
-        """Whether the cube contains the (total) assignment."""
-        return all(assignment.get(v) == b for v, b in self._literals)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Cube) and self._literals == other._literals

@@ -1,35 +1,31 @@
-"""Rewiring-choice selection: the ``Xi(c)`` computation (Section 4.4).
+"""Rewiring-choice selection: the ``Xi(c)`` check (Section 4.4).
 
 Given a rectification point-set ``(p_1 ... p_m)`` with ordered candidate
-rewiring nets ``S_i`` per point, decision words ``c_i`` parameterize the
-consistency relation::
+rewiring nets ``S_i`` per point, a choice ``c`` picks one candidate
+``r_{i,c_i}`` per point.  The consistency relation ``R`` pins
+``y_i = r_{i,c_i}(z)``, so Theorem 1 at one choice reads::
 
-    R(z, y, c) = AND_i AND_k ( c_i^k -> (y_i == r_ik(z)) )
+    Xi(c)  <=>  h(s, r_c(s)) == f'(s)  on every sample s
 
-and Theorem 1 turns into the characteristic function of all valid
-rewire operations::
-
-    Xi(c) = forall z, y ( (L -> h) & (h -> U) ) & valid(c)
-    L = f' & R ,  U = f' | ~R
-
-computed in the sampling domain.  Concrete choices are then read off
-``Xi``: combinations are walked in increasing patch-cost order and kept
-when ``Xi`` evaluates true on their code — cheap point evaluations on
-the BDD instead of cube enumeration, so the cost order is exact.
+where ``h(x, y)`` is the output with pin ``p_i`` hard-driven by
+``y_i``.  It is checked on the output search's sample words
+(:class:`~repro.eco.validate.SimulationFilter`): one cone simulation per
+assignment ``a`` of the pins gives the samples ``miss_a`` it gets wrong,
+and a choice is valid when no sample on which its candidates' words
+spell ``a`` lies in ``miss_a``.  Combinations are walked in increasing
+patch-cost order, so the cost order is exact; SAT later proves each
+winner on the full domain.  The symbolic form of ``Xi`` over BDDs is
+kept in ``tests/eco/reference.py`` as the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bdd.manager import FALSE, TRUE
 from repro.netlist.circuit import Circuit, Pin
-from repro.eco.points import compute_h_function
 from repro.eco.rewiring import RewireCandidate
-from repro.eco.sampling import SamplingDomain
-from repro.eco.validate import spec_cone_clones
+from repro.eco.validate import SimulationFilter, spec_cone_clones
 from repro.obs.trace import ensure_trace
 
 #: a choice assigns one candidate to every point of the set
@@ -81,91 +77,49 @@ def make_clone_aware_cost(spec: Circuit, clone_map: Dict[str, str],
 
 
 def enumerate_rewiring_choices(
-        impl: Circuit, port: str, domain: SamplingDomain,
+        sim: SimulationFilter, port: str,
         pins: Sequence[Pin],
         candidates: Sequence[Sequence[RewireCandidate]],
-        spec_value: int,
         limit: int = 16,
         cost_fn: Optional[CostFn] = None,
         trace=None) -> List[Choice]:
     """Valid rewiring choices for one point-set, cheapest first.
 
     Args:
-        impl: current implementation.
+        sim: the output search's simulation of its samples.
         port: the failing output being rectified.
-        domain: the sampling domain (fresh ``y``/``c`` variables are
-            allocated on its manager).
         pins: the rectification point-set.
         candidates: ordered candidate list per pin (index 0 should be
-            the trivial candidate).
-        spec_value: ``f'(g(z))`` BDD of the revised output.
+            the trivial candidate), each carrying its word in ``sim``.
         limit: maximum number of choices returned.
         cost_fn: choice ordering; defaults to :func:`default_cost`.
 
     Returns:
-        Up to ``limit`` choices whose codes satisfy ``Xi(c)``, ordered
-        by total cost.  The all-trivial choice is excluded (it denotes
-        'change nothing' and cannot rectify a failing output).
+        Up to ``limit`` choices that satisfy ``Xi(c)`` on the samples,
+        ordered by total cost.  The all-trivial choice is excluded (it
+        denotes 'change nothing' and cannot rectify a failing output).
     """
     with ensure_trace(trace).span(
             "choices.enumerate", output=port, pins=len(pins)) as _span:
-        result = _enumerate_choices(
-            impl, port, domain, pins, candidates, spec_value, limit,
-            cost_fn)
+        result = _enumerate_choices(sim, port, pins, candidates, limit,
+                                    cost_fn)
         _span.tag(choices=len(result))
         return result
 
 
 def _enumerate_choices(
-        impl: Circuit, port: str,
-        domain: SamplingDomain,
+        sim: SimulationFilter, port: str,
         pins: Sequence[Pin],
         candidates: Sequence[Sequence[RewireCandidate]],
-        spec_value: int,
         limit: int,
         cost_fn: Optional[CostFn]) -> List[Choice]:
-    manager = domain.manager
     cost_fn = cost_fn or default_cost
-    m = len(pins)
-
-    y_vars = [manager.add_var() for _ in range(m)]
-    y_nodes = [manager.var(v) for v in y_vars]
-    h = compute_h_function(impl, port, domain, pins, y_nodes,
-                           selector=None)
-
-    # decision words c_i, MSB first
-    c_words: List[List[int]] = []
-    for cand_list in candidates:
-        bits = max(1, math.ceil(math.log2(len(cand_list)))) \
-            if len(cand_list) > 1 else 1
-        c_words.append([manager.add_var() for _ in range(bits)])
-
-    def code_cube(i: int, k: int) -> int:
-        word = c_words[i]
-        bits = len(word)
-        return manager.cube({
-            word[b]: bool((k >> (bits - 1 - b)) & 1) for b in range(bits)
-        })
-
-    r_relation = TRUE
-    valid_c = TRUE
-    for i, cand_list in enumerate(candidates):
-        word_valid = FALSE
-        for k, cand in enumerate(cand_list):
-            sel = code_cube(i, k)
-            consistent = manager.xnor(y_nodes[i], cand.z_function)
-            r_relation = manager.and_(
-                r_relation, manager.implies(sel, consistent))
-            word_valid = manager.or_(word_valid, sel)
-        valid_c = manager.and_(valid_c, word_valid)
-
-    not_r = manager.not_(r_relation)
-    lower = manager.and_(spec_value, r_relation)
-    upper = manager.or_(spec_value, not_r)
-    f = manager.and_(manager.implies(lower, h), manager.implies(h, upper))
-    xi = manager.and_(manager.forall(f, list(domain.z_vars) + y_vars),
-                      valid_c)
-    if xi == FALSE:
+    misses = sim.assignment_misses(port, pins)
+    # a sample that no assignment of the pins corrects: Xi is empty
+    stuck = sim.sample_mask
+    for miss in misses:
+        stuck &= miss
+    if stuck:
         return []
 
     # walk candidate combinations cheapest-total-cost first
@@ -182,21 +136,26 @@ def _enumerate_choices(
         combos.append((total, tuple(k for _, k in combo)))
     combos.sort()
 
-    # variables of xi outside the decision words read False
-    padding = dict.fromkeys(manager.support(xi), False)
     choices: List[Choice] = []
     for _, ks in combos:
-        if all(candidates[i][k].trivial for i, k in enumerate(ks)):
+        choice = tuple(candidates[i][k] for i, k in enumerate(ks))
+        if all(cand.trivial for cand in choice):
             continue
-        assignment = dict(padding)
-        for i, k in enumerate(ks):
-            word = c_words[i]
-            bits = len(word)
-            for b in range(bits):
-                assignment[word[b]] = bool((k >> (bits - 1 - b)) & 1)
-        if manager.evaluate(xi, assignment):
-            choices.append(tuple(
-                candidates[i][k] for i, k in enumerate(ks)))
+        if _satisfies_xi(misses, [cand.word for cand in choice]):
+            choices.append(choice)
             if len(choices) >= limit:
                 break
     return choices
+
+
+def _satisfies_xi(misses: Sequence[int], words: Sequence[int]) -> bool:
+    """Whether no sample on which ``words`` spell assignment ``a`` (bit
+    ``i`` of ``a`` is word ``i``'s bit) lies in ``misses[a]``."""
+    for a, miss in enumerate(misses):
+        for i, word in enumerate(words):
+            if not miss:
+                break
+            miss &= word if a >> i & 1 else ~word
+        if miss:
+            return False
+    return True

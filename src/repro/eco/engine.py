@@ -8,7 +8,8 @@ of the current implementation ``C`` and revised specification ``C'``
 2. enumerates feasible rectification point-sets via ``H(t)``;
 3. ranks candidate rewiring nets per point (structural filter +
    rectification utility);
-4. solves ``Xi(c)`` for valid rewiring choices, cheapest first;
+4. checks ``Xi(c)`` on the sample words for valid rewiring choices,
+   cheapest first;
 5. validates each choice on the full domain with a resource-constrained
    SAT solver, favoring choices that fix the most outputs and rejecting
    any that damage an already-correct output.
@@ -465,9 +466,9 @@ class SysEco:
         """Run the symbolic search, shrinking the pin set on BDD blowup.
 
         What no attempt changes is built once, before the first: the
-        one simulation of the samples (the screen, the flip credit and
-        the utilities all read its words), the ranked pins, and the
-        support and level maps.
+        one simulation of the samples (the screen, the flip credit, the
+        utilities and ``Xi(c)`` all read its words), the ranked pins,
+        and the support and level maps.
         """
         sim = SimulationFilter.for_samples(
             work, spec, samples, self.config.seed ^ 0x53C0,
@@ -514,10 +515,13 @@ class SysEco:
                                 checkpoint=run.checkpoint)
         impl_supports, impl_levels, spec_supports, spec_levels = tables
         ctx = RewiringContext(
-            work, spec, port, domain, sim, config,
+            work, spec, port, sim, config,
             impl_supports, spec_supports, impl_levels, spec_levels,
             trace=run.trace)
-        spec_value = ctx.spec_z[spec.outputs[port]]
+        # H(t) is the search's one symbolic computation: the domain casts
+        # only the spec output's cone, for f'(g(z))
+        spec_out = spec.outputs[port]
+        spec_value = domain.cast_circuit(spec, roots=[spec_out])[spec_out]
 
         cost_fn = self._make_cost_fn(work, spec, port, impl_levels,
                                      patch.clone_map)
@@ -540,8 +544,8 @@ class SysEco:
                 run.checkpoint()
                 cand_lists = [ctx.candidates_for_pin(p) for p in pins]
                 choices = enumerate_rewiring_choices(
-                    work, port, domain, pins, cand_lists, spec_value,
-                    cost_fn=cost_fn, trace=run.trace)
+                    sim, port, pins, cand_lists, cost_fn=cost_fn,
+                    trace=run.trace)
                 run.counters.choices += len(choices)
                 # choices are cost-ordered; the lint and simulation
                 # screens drop sampling false positives cheaply, and only
@@ -654,7 +658,7 @@ class SysEco:
         if len(scored_nets) > 600:
             scored_nets.sort(key=lambda n: (-levels[n], n))
             scored_nets = scored_nets[:600]
-        flip_credit = sim.flip_credit(port, scored_nets, cone)
+        flip_credit = sim.flip_credit(port, scored_nets)
 
         # collect gate input pins of the cone, ranked by driver credit
         pins: List[Tuple[int, int, Pin]] = []

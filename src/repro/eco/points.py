@@ -17,7 +17,9 @@ characteristic function of all feasible point-sets is then
     H(t) = forall z exists y ( h(z, y, t) == f'(g(z)) )  &  valid(t)
 
 computed in the sampling domain (``x`` overloaded with ``g(z)``), and
-its prime cubes seed explicit candidate point-sets.
+its prime cubes seed explicit candidate point-sets.  This is the
+search's one symbolic computation: the rewiring choices of Section 4.4
+are checked on the sample words (:mod:`repro.eco.choices`).
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ class PointSelector:
             for _ in range(num_points)
         ]
         self._minterm_cache: Dict[Tuple[int, int], int] = {}
-
-    def all_t_vars(self) -> List[int]:
-        return [v for word in self.t_vars for v in word]
 
     def minterm(self, point: int, pin_index: int) -> int:
         """BDD of ``t_point ^ pin_index`` (big-endian code minterm)."""
@@ -135,9 +134,8 @@ def evaluate_with_pin_overrides(
     """BDD of ``root_net`` with per-pin operand transformation.
 
     ``override(pin, operand_node)`` may replace the BDD flowing into any
-    sink pin; this is how both the mux augmentation (``H(t)``) and the
-    free-input composition function (``h(x, y)``) are realized without
-    editing the netlist.
+    sink pin; this is how the mux augmentation of ``H(t)`` is realized
+    without editing the netlist.
     """
     values: Dict[str, int] = {}
     for name in circuit.inputs:
@@ -156,39 +154,27 @@ def evaluate_with_pin_overrides(
 
 def compute_h_function(impl: Circuit, port: str, domain: SamplingDomain,
                        pins: Sequence[Pin], y_nodes: Sequence[int],
-                       selector: Optional[PointSelector] = None) -> int:
-    """Sampled composition / augmented function at one output.
-
-    With ``selector`` None, each listed pin is hard-replaced by its
-    ``y`` node — the composition function ``h(z, y)`` of Section 4.4
-    (``pins`` and ``y_nodes`` then correspond 1:1).
-
-    With a ``selector``, every pin is augmented with the parameterized
-    multiplexer — the function ``h(z, y, t)`` of Section 4.2.
-    """
+                       selector: PointSelector) -> int:
+    """The augmented function ``h(z, y, t)`` of Section 4.2 at one
+    output: every pin of ``pins`` is wrapped with the parameterized
+    multiplexer of ``selector``."""
     manager = domain.manager
     pin_index = {pin: i for i, pin in enumerate(pins)}
+    sel_cache: Dict[int, Tuple[int, int]] = {}
 
-    if selector is None:
-        def override(pin: Pin, node: int) -> int:
-            idx = pin_index.get(pin)
-            return y_nodes[idx] if idx is not None else node
-    else:
-        sel_cache: Dict[int, Tuple[int, int]] = {}
+    def gadget(j: int) -> Tuple[int, int]:
+        hit = sel_cache.get(j)
+        if hit is None:
+            hit = (selector.selection(j), selector.data1(j, y_nodes))
+            sel_cache[j] = hit
+        return hit
 
-        def gadget(j: int) -> Tuple[int, int]:
-            hit = sel_cache.get(j)
-            if hit is None:
-                hit = (selector.selection(j), selector.data1(j, y_nodes))
-                sel_cache[j] = hit
-            return hit
-
-        def override(pin: Pin, node: int) -> int:
-            idx = pin_index.get(pin)
-            if idx is None:
-                return node
-            sel, data1 = gadget(idx)
-            return manager.ite(sel, data1, node)
+    def override(pin: Pin, node: int) -> int:
+        idx = pin_index.get(pin)
+        if idx is None:
+            return node
+        sel, data1 = gadget(idx)
+        return manager.ite(sel, data1, node)
 
     value = evaluate_with_pin_overrides(
         impl, manager, domain.input_functions, impl.outputs[port],

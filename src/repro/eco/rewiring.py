@@ -18,8 +18,9 @@ point-set size collapses gracefully (Section 5.2).
 Both counts are popcounts of the output search's sample words
 (:class:`~repro.eco.validate.SimulationFilter`): bit ``k`` of a net's
 word is its value on sample ``k``, which is also its sampling-domain
-function at code ``k``.  The BDD side keeps only the casts, whose
-functions the point-set and choice enumeration quantify.
+function at code ``k``.  Each candidate carries that word, and the
+``Xi(c)`` check of :mod:`repro.eco.choices` reads it; no candidate is
+cast into the sampling domain.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import List, Mapping, Set
 from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
 from repro.eco.config import EcoConfig
-from repro.eco.sampling import SamplingDomain
 from repro.eco.validate import SimulationFilter
 from repro.obs.trace import ensure_trace
 
@@ -46,8 +46,10 @@ class RewireCandidate:
     net: str
     from_spec: bool
     utility: float
-    #: function of the net in the sampling domain (BDD node over z)
-    z_function: int
+    #: the net's word in the output search's
+    #: :class:`~repro.eco.validate.SimulationFilter`: bit ``k`` is its
+    #: value on sample ``k``
+    word: int
     #: logic level of the net in its home circuit (level-aware scoring)
     level: int = 0
     trivial: bool = False
@@ -59,16 +61,13 @@ class RewiringContext:
     Precomputes, once per output: the spec-side support of the failing
     output, the *candidate pool* — the implementation nets and spec
     gates that pass the structural filter, which depends on the output
-    and not on the pin — their sampling-domain functions together with
-    those of the two output cones, and the sampled error region ``E``
-    as a mask over the words of ``sim``.  Only the pool and the output
-    cones are cast into the domain, and :meth:`candidates_for_pin`
-    scans only the pool.
+    and not on the pin — and the sampled error region ``E`` as a mask
+    over the words of ``sim``.  :meth:`candidates_for_pin` scans only
+    the pool and reads every value from ``sim``.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit, port: str,
-                 domain: SamplingDomain, sim: SimulationFilter,
-                 config: EcoConfig,
+                 sim: SimulationFilter, config: EcoConfig,
                  impl_supports: Mapping[str, int],
                  spec_supports: Mapping[str, int],
                  impl_levels: Mapping[str, int],
@@ -77,7 +76,6 @@ class RewiringContext:
         self.impl = impl
         self.spec = spec
         self.port = port
-        self.domain = domain
         self.sim = sim
         self.config = config
         self.trace = ensure_trace(trace)
@@ -102,10 +100,6 @@ class RewiringContext:
             net for net in spec.gates
             if not spec_supports[net] & outside
         ] if config.use_spec_nets else []
-        self.impl_z = domain.cast_circuit(
-            impl, roots=[impl.outputs[port]] + self.impl_pool)
-        self.spec_z = domain.cast_circuit(
-            spec, roots=[self.spec_out_net] + self.spec_pool)
         #: the sampled error region ``E``: bit ``k`` for sample ``k``
         self.error_mask = sim.error_mask(port)
         self.error_count = max(1, bin(self.error_mask).count("1"))
@@ -133,7 +127,6 @@ class RewiringContext:
         config = self.config
         sim = self.sim
         driver = self.impl.pin_driver(pin)
-        driver_z = self.impl_z[driver]
         driver_word = sim.value(driver)
 
         # nets whose fanout cone includes the pin's gate would cycle;
@@ -147,16 +140,16 @@ class RewiringContext:
         for net in self.impl_pool:
             if net == driver or net in unreachable:
                 continue
+            word = sim.value(net)
             scored.append(RewireCandidate(
                 net=net, from_spec=False,
-                utility=self.utility(driver_word, sim.value(net)),
-                z_function=self.impl_z[net],
+                utility=self.utility(driver_word, word), word=word,
                 level=self.impl_levels[net]))
         for net in self.spec_pool:
+            word = sim.spec_value(net)
             scored.append(RewireCandidate(
                 net=net, from_spec=True,
-                utility=self.utility(driver_word, sim.spec_value(net)),
-                z_function=self.spec_z[net],
+                utility=self.utility(driver_word, word), word=word,
                 level=self.spec_levels[net]))
 
         if config.utility_ordering:
@@ -170,15 +163,13 @@ class RewiringContext:
         if pin.is_output_port and config.use_spec_nets:
             if not any(c.from_spec and c.net == self.spec_out_net
                        for c in kept):
+                word = sim.spec_value(self.spec_out_net)
                 kept.append(RewireCandidate(
                     net=self.spec_out_net, from_spec=True,
-                    utility=self.utility(
-                        driver_word, sim.spec_value(self.spec_out_net)),
-                    z_function=self.spec_z[self.spec_out_net],
+                    utility=self.utility(driver_word, word), word=word,
                     level=self.spec_levels[self.spec_out_net]))
 
         trivial = RewireCandidate(
-            net=driver, from_spec=False, utility=0.0,
-            z_function=driver_z,
+            net=driver, from_spec=False, utility=0.0, word=driver_word,
             level=self.impl_levels[driver], trivial=True)
         return [trivial] + kept

@@ -11,10 +11,12 @@ Reasoning in the domain over-approximates (a super-set of candidates),
 so every candidate found here is later validated by SAT on the full
 domain.
 
-The domain only casts.  Code ``k`` denotes sample ``k``, so a cast
-net's function at code ``k`` is bit ``k`` of the net's word in the
-search's :class:`~repro.eco.validate.SimulationFilter`, and counts over
-the samples are popcounts of those words, not BDD satisfy counts.
+The domain only casts, and a search casts only the failing output's
+spec cone, for ``f'(g(z))`` in ``H(t)``.  Code ``k`` denotes sample
+``k``, so a cast net's function at code ``k`` is bit ``k`` of the net's
+word in the search's :class:`~repro.eco.validate.SimulationFilter`:
+counts over the samples are popcounts of those words, and ``Xi(c)`` is
+checked on them, with no cast of the candidates.
 """
 
 from __future__ import annotations
@@ -60,9 +62,7 @@ class SamplingDomain:
         n = len(samples)
         bits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
         size = 1 << bits
-        padded: List[Assignment] = list(samples) + \
-            [samples[-1]] * (size - n)
-        self.samples = padded
+        padded = list(samples) + [samples[-1]] * (size - n)
         self.num_samples = n
         self.z_vars: List[int] = [manager.add_var() for _ in range(bits)]
         self._minterms: List[int] = [
@@ -94,15 +94,6 @@ class SamplingDomain:
     def code_of(self, k: int) -> int:
         """The minterm selecting sample ``k``."""
         return self._minterms[k]
-
-    def sample_of_assignment(self, z_assignment: Mapping[int, bool]) -> Assignment:
-        """Decode a ``z`` assignment back to the sampled input pattern."""
-        k = 0
-        bits = len(self.z_vars)
-        for i, v in enumerate(self.z_vars):
-            if z_assignment.get(v, False):
-                k |= 1 << (bits - 1 - i)
-        return self.samples[k]
 
     def cast_circuit(self, circuit: Circuit,
                      roots: Optional[Iterable[str]] = None

@@ -19,8 +19,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.errors import PatchStructureError
 from repro.lint.patch_rules import PatchScreen
@@ -28,10 +28,14 @@ from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_BITS
 from repro.netlist.simulate import (batch_mask, compiled_plan, eval_opcode,
                                     patterns_to_words, random_patterns)
-from repro.netlist.traverse import topological_order
+from repro.netlist.traverse import topological_order, transitive_fanin
 from repro.eco.patch import RewireOp
 
 CLONE_PREFIX = "eco$"
+
+#: what drives a pin in a :class:`SimulationFilter` overlay: a rewire
+#: op (its source's value) or a batch word itself
+PinDrive = Union[RewireOp, int]
 
 
 def assert_patch_structure(patched: Circuit,
@@ -174,8 +178,10 @@ class SimulationFilter:
     circuit matches the spec on the words.  :meth:`for_samples` packs
     the samples into the leading words, sample ``k`` at bit ``k``, so
     the same base values also give the flip credit of the pin ranking
-    (:meth:`flip_credit`) and the counts of the rectification utility
-    (:meth:`error_mask`, :meth:`value`, :meth:`spec_value`).
+    (:meth:`flip_credit`), the counts of the rectification utility
+    (:meth:`error_mask`, :meth:`value`, :meth:`spec_value`) and the
+    ``Xi(c)`` check of the choice enumeration
+    (:meth:`assignment_misses`).
 
     Each candidate is screened as a *value overlay*
     (:meth:`_overlay`): only the plan steps downstream of its rewired
@@ -226,6 +232,7 @@ class SimulationFilter:
             self._ports_at.setdefault(index[net], []).append(port)
         self._fanout: Optional[List[List[int]]] = None
         self._cones: Dict[frozenset, Tuple[List[tuple], frozenset]] = {}
+        self._port_cones: Dict[str, List[tuple]] = {}
 
     @classmethod
     def for_samples(cls, impl: Circuit, spec: Circuit,
@@ -257,8 +264,10 @@ class SimulationFilter:
         return (self.value(self.impl.outputs[port]) ^ self._want[port]) \
             & self.sample_mask
 
-    def _source_value(self, op: RewireOp,
+    def _source_value(self, op: PinDrive,
                       updated: Dict[int, int]) -> int:
+        if isinstance(op, int):
+            return op
         if op.from_spec:
             return self.spec_value(op.source_net)
         idx = self.plan.index[op.source_net]
@@ -296,14 +305,15 @@ class SimulationFilter:
         return hit
 
     def _overlay(self, steps: Sequence[tuple], updated: Dict[int, int],
-                 gate_ops: Mapping[int, Mapping[int, RewireOp]]
+                 gate_ops: Mapping[int, Mapping[int, PinDrive]]
                  ) -> Dict[int, int]:
         """Re-evaluate ``steps`` over the base values.
 
         ``updated`` holds the nets already changed (plan index -> new
         value) and collects every step whose value changes; a step is
         evaluated only when one of its fanins changed or ``gate_ops``
-        rewires one of its pins (pin position -> op).
+        drives one of its pins (pin position -> rewire op, or the word
+        itself).
         """
         base = self.base
         mask = self.mask
@@ -329,23 +339,33 @@ class SimulationFilter:
                 updated[out] = new
         return updated
 
-    def flip_credit(self, port: str, nets: Sequence[str],
-                    cone: Iterable[str]) -> Dict[str, int]:
+    def _cone_steps(self, port: str) -> List[tuple]:
+        """Plan steps of ``port``'s fanin cone, in plan order, memoized
+        per port."""
+        hit = self._port_cones.get(port)
+        if hit is None:
+            plan = self.plan
+            first = plan.num_inputs
+            cone = transitive_fanin(self.impl, [self.impl.outputs[port]],
+                                    include_inputs=False)
+            hit = self._port_cones[port] = [
+                plan.steps[i - first]
+                for i in sorted(plan.index[n] for n in cone)]
+        return hit
+
+    def flip_credit(self, port: str, nets: Sequence[str]) -> Dict[str, int]:
         """Per net of ``nets``: the error samples of ``port`` on which
         complementing the net corrects the output.
 
-        ``cone`` is the output's fanin cone, which holds ``nets``; each
-        flip is one :meth:`_overlay` walk over the cone's plan steps
-        after the flipped net.
+        ``nets`` lie in the output's fanin cone; each flip is one
+        :meth:`_overlay` walk over the cone's plan steps after the
+        flipped net.
         """
-        plan = self.plan
-        index = plan.index
-        first = plan.num_inputs
+        index = self.plan.index
         out = index[self.impl.outputs[port]]
         want = self._want[port]
         errors = self.error_mask(port)
-        positions = sorted(index[n] for n in cone)
-        steps = [plan.steps[i - first] for i in positions if i >= first]
+        steps = self._cone_steps(port)
         outs = [step[0] for step in steps]
         credit: Dict[str, int] = {}
         for net in nets:
@@ -355,6 +375,39 @@ class SimulationFilter:
             flipped = updated.get(out, self.base[out])
             credit[net] = bin(~(flipped ^ want) & errors).count("1")
         return credit
+
+    def assignment_misses(self, port: str,
+                          pins: Sequence[Pin]) -> List[int]:
+        """Per assignment ``a`` of ``pins``: the samples on which
+        ``port`` misses the spec while every pin ``i`` is driven with
+        bit ``i`` of ``a``, all ones or all zeros.
+
+        Entry ``a`` is ``(h_a ^ f') & sample_mask``: one
+        :meth:`_overlay` walk over the port's cone steps per
+        assignment, the steps shared with :meth:`flip_credit`.  The
+        output pin of ``port`` drives the output itself; a pin outside
+        the cone changes nothing.
+        """
+        index = self.plan.index
+        out = index[self.impl.outputs[port]]
+        port_pin = Pin.output(port)
+        steps = self._cone_steps(port)
+        ones = self.mask
+        misses: List[int] = []
+        for a in range(1 << len(pins)):
+            drives: Dict[int, Dict[int, PinDrive]] = {}
+            value: Optional[int] = None
+            for i, pin in enumerate(pins):
+                word = ones if a >> i & 1 else 0
+                if pin == port_pin:
+                    value = word
+                elif not pin.is_output_port:
+                    drives.setdefault(index[pin.owner], {})[pin.index] = word
+            if value is None:
+                value = self._overlay(steps, {}, drives).get(
+                    out, self.base[out])
+            misses.append((value ^ self._want[port]) & self.sample_mask)
+        return misses
 
     def passes(self, ops: Sequence[RewireOp], target: str,
                failing: Sequence[str]) -> bool:

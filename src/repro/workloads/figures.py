@@ -53,10 +53,11 @@ def example1_circuits(width: int = 2) -> Tuple[Circuit, Circuit]:
 
     Implementation selects with ``v(0) = s`` / ``v(1) = ~s``; the
     revision replaces the select with ``c = a & b``.  For output
-    ``w_k`` the paper derives ``H_k(t1, t2) = t1^k t2^{n+k} | t1^{n+k}
-    t2^k`` over pins ``q_0..q_{2n-1}`` and ``Xi_k(c1, c2) = c1^1 |
-    c2^2`` for candidate lists ``S_1 = (v(0), c, ~c)``, ``S_2 = (v(1),
-    c, ~c)`` — both verified by ``benchmarks/bench_figure3.py``.
+    ``w_k``, ``H_k(t1, t2) = t1^k t2^{n+k} | t1^{n+k} t2^k`` over pins
+    ``q_0..q_{2n-1}``, and ``Xi_k(c1, c2) = c1^1 & c2^2`` for candidate
+    lists ``S_1 = (v(0), c, ~c)``, ``S_2 = (v(1), c, ~c)``: the one
+    valid choice is ``q_k <- c``, ``q_{n+k} <- ~c``.  Both closed forms
+    are verified by ``benchmarks/bench_figure3.py``.
     """
 
     def build(select_of) -> Circuit:

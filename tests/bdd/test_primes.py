@@ -103,12 +103,7 @@ class TestCube:
     def test_without_and_restrict(self):
         c = Cube({0: True, 1: False, 2: True})
         assert c.without(1) == Cube({0: True, 2: True})
-        assert c.restricted_to([0, 1]) == Cube({0: True, 1: False})
-
-    def test_agrees_with(self):
-        c = Cube({0: True})
-        assert c.agrees_with({0: True, 1: False})
-        assert not c.agrees_with({0: False})
+        assert c.without(3) == c
 
     def test_hash_eq_repr(self):
         assert Cube({0: True}) == Cube({0: True})

@@ -17,6 +17,13 @@ oracles).
   (:func:`bdd_error_region`), the oracle of
   :meth:`repro.eco.rewiring.RewiringContext.candidates_for_pin` and of
   its popcounts of the simulation words.
+* :func:`enumerate_choices`, the choice enumeration as it built
+  ``Xi(c)`` over BDDs (:func:`xi_function`: the composition function
+  :func:`composition_function`, the consistency relation ``R``, its
+  bounds ``L`` and ``U`` and the ``forall z, y``) and evaluated it at
+  each cost-ordered code, the oracle of
+  :func:`repro.eco.choices.enumerate_rewiring_choices` on the sample
+  words.
 * :func:`select_candidate_pins`, the flip-credit pin ranking as it
   simulated both whole circuits on the first 64 samples and walked its
   own ``eval_gate`` overlay per net, the oracle of
@@ -35,14 +42,19 @@ oracles).
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.bdd.manager import FALSE
+from repro.bdd.manager import FALSE, TRUE
 from repro.cec.equivalence import PairwiseChecker
 from repro.eco import rewiring
+from repro.eco.choices import Choice, CostFn, default_cost
 from repro.eco.patch import RewireOp
+from repro.eco.points import evaluate_with_pin_overrides
 from repro.eco.rewiring import RewireCandidate
+from repro.eco.sampling import SamplingDomain
 from repro.eco.validate import (
     ValidationOutcome,
     apply_rewires,
@@ -190,13 +202,13 @@ def whole_plan_passes(filt, ops: Sequence[RewireOp], target: str,
     return True
 
 
-def bdd_error_region(ctx, impl_z: Dict[str, int],
+def bdd_error_region(ctx, domain: SamplingDomain,
+                     impl_z: Dict[str, int],
                      spec_z: Dict[str, int]) -> Tuple[int, int]:
     """The sampled error region of ``ctx``'s output as a BDD over the
-    codes of distinct samples, and its size (at least 1) by satisfy
-    count.  The domain must sit on a fresh manager, so the ``z``
-    variables are the first ones."""
-    domain = ctx.domain
+    codes of ``domain``'s distinct samples, and its size (at least 1)
+    by satisfy count.  The domain must sit on a fresh manager, so the
+    ``z`` variables are the first ones."""
     manager = domain.manager
     valid = FALSE
     for k in range(domain.num_samples):
@@ -208,17 +220,19 @@ def bdd_error_region(ctx, impl_z: Dict[str, int],
     return region, max(1, count)
 
 
-def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
+def whole_cast_candidates(ctx, domain: SamplingDomain,
+                          pin: Pin) -> List[RewireCandidate]:
     """Candidate nets for ``pin``, scanning every net of both circuits
     against the structural filter, over whole-circuit casts made in
-    ``ctx``'s sampling domain, with BDD-counted utilities."""
+    ``domain`` (built on ``ctx``'s samples), with BDD-counted
+    utilities.  Each candidate carries its word of ``ctx.sim``."""
     config = ctx.config
-    impl, spec = ctx.impl, ctx.spec
-    impl_z = ctx.domain.cast_circuit(impl)
-    spec_z = ctx.domain.cast_circuit(spec)
-    manager = ctx.domain.manager
-    region, error_count = bdd_error_region(ctx, impl_z, spec_z)
-    num_vars = max(ctx.domain.z_vars) + 1
+    impl, spec, sim = ctx.impl, ctx.spec, ctx.sim
+    impl_z = domain.cast_circuit(impl)
+    spec_z = domain.cast_circuit(spec)
+    manager = domain.manager
+    region, error_count = bdd_error_region(ctx, domain, impl_z, spec_z)
+    num_vars = max(domain.z_vars) + 1
 
     def utility(driver_z: int, candidate_z: int) -> float:
         hits = manager.satcount(
@@ -242,7 +256,7 @@ def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
             scored.append(RewireCandidate(
                 net=net, from_spec=False,
                 utility=utility(driver_z, impl_z[net]),
-                z_function=impl_z[net], level=ctx.impl_levels[net]))
+                word=sim.value(net), level=ctx.impl_levels[net]))
     if config.use_spec_nets:
         for net in spec.gates:
             if ctx.spec_supports[net] & ~mask:
@@ -250,7 +264,7 @@ def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
             scored.append(RewireCandidate(
                 net=net, from_spec=True,
                 utility=utility(driver_z, spec_z[net]),
-                z_function=spec_z[net], level=ctx.spec_levels[net]))
+                word=sim.spec_value(net), level=ctx.spec_levels[net]))
     if config.utility_ordering:
         scored.sort(key=lambda c: (-c.utility, c.from_spec, c.level))
     else:
@@ -262,11 +276,131 @@ def whole_cast_candidates(ctx, pin: Pin) -> List[RewireCandidate]:
         kept.append(RewireCandidate(
             net=out_net, from_spec=True,
             utility=utility(driver_z, spec_z[out_net]),
-            z_function=spec_z[out_net], level=ctx.spec_levels[out_net]))
+            word=sim.spec_value(out_net), level=ctx.spec_levels[out_net]))
     trivial = RewireCandidate(
-        net=driver, from_spec=False, utility=0.0, z_function=driver_z,
+        net=driver, from_spec=False, utility=0.0, word=sim.value(driver),
         level=ctx.impl_levels[driver], trivial=True)
     return [trivial] + kept
+
+
+def code_cube(manager, word: Sequence[int], k: int) -> int:
+    """The minterm of code ``k`` on the variables ``word``, most
+    significant first."""
+    bits = len(word)
+    return manager.cube({
+        word[b]: bool((k >> (bits - 1 - b)) & 1) for b in range(bits)})
+
+
+def composition_function(impl: Circuit, port: str,
+                         domain: SamplingDomain, pins: Sequence[Pin],
+                         y_nodes: Sequence[int]) -> int:
+    """The composition function ``h(z, y)`` of Section 4.4 at ``port``:
+    each pin of ``pins`` hard-replaced by its ``y`` node."""
+    pin_index = {pin: i for i, pin in enumerate(pins)}
+
+    def override(pin: Pin, node: int) -> int:
+        idx = pin_index.get(pin)
+        return y_nodes[idx] if idx is not None else node
+
+    value = evaluate_with_pin_overrides(
+        impl, domain.manager, domain.input_functions, impl.outputs[port],
+        override)
+    return override(Pin.output(port), value)
+
+
+def xi_function(impl: Circuit, port: str, domain: SamplingDomain,
+                pins: Sequence[Pin], functions: Sequence[Sequence[int]],
+                spec_value: int) -> Tuple[int, List[List[int]]]:
+    """``Xi(c)`` over BDDs, and the decision words ``c_i`` it reads.
+
+    ``functions[i][k]`` is the sampling-domain function of pin ``i``'s
+    candidate ``k`` and ``spec_value`` is ``f'(g(z))``::
+
+        R(z, y, c) = AND_i AND_k ( c_i^k -> (y_i == r_ik(z)) )
+        Xi(c) = forall z, y ( (L -> h) & (h -> U) ) & valid(c)
+        L = f' & R ,  U = f' | ~R
+
+    with fresh ``y`` and ``c`` variables on ``domain``'s manager; each
+    word ``c_i`` is big-endian, ``max(1, ceil(log2 |S_i|))`` bits.
+    """
+    manager = domain.manager
+    y_vars = [manager.add_var() for _ in pins]
+    y_nodes = [manager.var(v) for v in y_vars]
+    h = composition_function(impl, port, domain, pins, y_nodes)
+    c_words = [
+        [manager.add_var()
+         for _ in range(max(1, math.ceil(math.log2(len(fns)))))]
+        for fns in functions]
+    r_relation = TRUE
+    valid_c = TRUE
+    for i, fns in enumerate(functions):
+        word_valid = FALSE
+        for k, fn in enumerate(fns):
+            sel = code_cube(manager, c_words[i], k)
+            consistent = manager.xnor(y_nodes[i], fn)
+            r_relation = manager.and_(
+                r_relation, manager.implies(sel, consistent))
+            word_valid = manager.or_(word_valid, sel)
+        valid_c = manager.and_(valid_c, word_valid)
+    lower = manager.and_(spec_value, r_relation)
+    upper = manager.or_(spec_value, manager.not_(r_relation))
+    f = manager.and_(manager.implies(lower, h), manager.implies(h, upper))
+    xi = manager.and_(manager.forall(f, list(domain.z_vars) + y_vars),
+                      valid_c)
+    return xi, c_words
+
+
+def candidate_functions(domain: SamplingDomain, impl: Circuit,
+                        spec: Circuit,
+                        candidates: Sequence[Sequence[RewireCandidate]]
+                        ) -> List[List[int]]:
+    """Each candidate's net function in ``domain``, over whole-circuit
+    casts of its home circuit."""
+    impl_z = domain.cast_circuit(impl)
+    spec_z = domain.cast_circuit(spec)
+    return [[(spec_z if cand.from_spec else impl_z)[cand.net]
+             for cand in cands] for cands in candidates]
+
+
+def enumerate_choices(impl: Circuit, port: str, domain: SamplingDomain,
+                      pins: Sequence[Pin],
+                      candidates: Sequence[Sequence[RewireCandidate]],
+                      functions: Sequence[Sequence[int]],
+                      spec_value: int, limit: int = 16,
+                      cost_fn: Optional[CostFn] = None) -> List[Choice]:
+    """Up to ``limit`` choices whose codes satisfy :func:`xi_function`,
+    combinations walked cheapest-total-cost first, the all-trivial
+    choice skipped."""
+    cost_fn = cost_fn or default_cost
+    manager = domain.manager
+    xi, c_words = xi_function(impl, port, domain, pins, functions,
+                              spec_value)
+    if xi == FALSE:
+        return []
+    indexed = [sorted((cost_fn(pins[i], cand), k)
+                      for k, cand in enumerate(cands))
+               for i, cands in enumerate(candidates)]
+    combos = sorted(
+        (sum(c for c, _ in combo), tuple(k for _, k in combo))
+        for combo in itertools.product(*indexed))
+    # variables of xi outside the decision words read False
+    padding = dict.fromkeys(manager.support(xi), False)
+    choices: List[Choice] = []
+    for _, ks in combos:
+        if all(candidates[i][k].trivial for i, k in enumerate(ks)):
+            continue
+        assignment = dict(padding)
+        for i, k in enumerate(ks):
+            word = c_words[i]
+            bits = len(word)
+            for b in range(bits):
+                assignment[word[b]] = bool((k >> (bits - 1 - b)) & 1)
+        if manager.evaluate(xi, assignment):
+            choices.append(tuple(
+                candidates[i][k] for i, k in enumerate(ks)))
+            if len(choices) >= limit:
+                break
+    return choices
 
 
 def flip_credits(work: Circuit, spec: Circuit, port: str,

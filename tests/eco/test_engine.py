@@ -13,6 +13,7 @@ from repro.eco import engine
 from repro.eco.engine import SysEco, rectify
 from repro.eco.patch import RewireOp
 from repro.eco.samples import collect_error_samples
+from repro.eco.sampling import SamplingDomain
 from repro.eco.validate import SimulationFilter
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.simulate import CompiledPlan, compiled_plan
@@ -293,7 +294,7 @@ class TestOneSimulationPerOutput:
         sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
         for port in impl.outputs:
             cone = transitive_fanin(impl, [impl.outputs[port]])
-            assert sim.flip_credit(port, sorted(cone), cone) == \
+            assert sim.flip_credit(port, sorted(cone)) == \
                 reference.flip_credits(impl, spec, port, samples,
                                        sorted(cone))
             assert ranked_pins(impl, spec, port, samples) == \
@@ -349,3 +350,32 @@ class TestOneSimulationPerOutput:
         retries = [e for e in trace.events if e.name == "bdd.node_limit"]
         assert retries
         assert len(built) == len(searched)
+
+
+class TestSymbolicSide:
+    """After the sample words took over the utilities and Xi(c), the
+    BDD side of a search is g(z), H(t) and the cast it needs."""
+
+    def test_each_search_casts_only_the_spec_output(self, monkeypatch):
+        casts = []
+        searches = []
+        real_cast = SamplingDomain.cast_circuit
+        real_search = SysEco._search_in_manager
+
+        def cast(self, circuit, roots=None):
+            casts.append((circuit, None if roots is None else list(roots)))
+            return real_cast(self, circuit, roots=roots)
+
+        def search(self, work, spec, port, *args, **kwargs):
+            searches.append(port)
+            return real_search(self, work, spec, port, *args, **kwargs)
+
+        monkeypatch.setattr(SamplingDomain, "cast_circuit", cast)
+        monkeypatch.setattr(SysEco, "_search_in_manager", search)
+        (case,) = build_suite([2])
+        rectify(case.impl, case.spec, EcoConfig())
+        assert searches
+        assert len(casts) == len(searches)
+        for (circuit, roots), port in zip(casts, searches):
+            assert circuit is case.spec
+            assert roots == [case.spec.outputs[port]]

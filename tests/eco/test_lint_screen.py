@@ -4,7 +4,7 @@ The candidate filter in :class:`RewiringContext` normally removes nets
 from the rectification point's fanout cone, so cycle-forming candidates
 never reach the engine.  Here we sabotage that filter: every legitimate
 candidate is shadowed by an *imposter* drawn from the fanout cone that
-carries an identical sampling-domain function.  Xi(c) cannot tell the
+carries an identical sample word.  Xi(c) cannot tell the
 two apart, the imposter ranks first, and only the static lint screen
 stands between it and a wasted SAT call.
 """
@@ -38,7 +38,7 @@ def sabotaged_candidates(monkeypatch):
     """Disable the fanout-cone candidate filter, adversarially.
 
     Each non-trivial candidate is preceded by a cycle-forming imposter
-    with the same z-function, utility, and level, so every ordering the
+    with the same sample word, utility, and level, so every ordering the
     engine applies (cost, utility, Xi membership) tries the imposter
     first.
     """
@@ -53,7 +53,7 @@ def sabotaged_candidates(monkeypatch):
         for cand in out[1:]:
             shadowed.append(RewireCandidate(
                 net=cone[0], from_spec=False, utility=cand.utility,
-                z_function=cand.z_function, level=cand.level))
+                word=cand.word, level=cand.level))
             shadowed.append(cand)
         return shadowed
 

@@ -20,7 +20,8 @@ class TestPointSelector:
         m = BddManager()
         sel = PointSelector(m, num_points=3, num_pins=4)
         assert sel.bits == 2
-        assert len(sel.all_t_vars()) == 6
+        assert [len(word) for word in sel.t_vars] == [2, 2, 2]
+        assert len({v for word in sel.t_vars for v in word}) == 6
 
     def test_single_pin_uses_one_bit(self):
         m = BddManager()

@@ -18,19 +18,29 @@ from tests.eco import reference
 from tests.eco.test_incremental import failing_outputs, mutate
 
 
-def build_context(impl, spec, port, config=None, samples=None):
+def all_samples(impl):
     inputs = list(impl.inputs)
+    return [dict(zip(inputs, bits))
+            for bits in itertools.product([False, True],
+                                          repeat=len(inputs))]
+
+
+def build_context(impl, spec, port, config=None, samples=None):
     if samples is None:
-        samples = [dict(zip(inputs, bits))
-                   for bits in itertools.product([False, True],
-                                                 repeat=len(inputs))]
-    domain = SamplingDomain(BddManager(), samples, inputs)
+        samples = all_samples(impl)
     sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
-    idx = {n: i for i, n in enumerate(inputs)}
+    idx = {n: i for i, n in enumerate(impl.inputs)}
     return RewiringContext(
-        impl, spec, port, domain, sim, config or EcoConfig(),
+        impl, spec, port, sim, config or EcoConfig(),
         support_masks(impl, idx), support_masks(spec, idx),
         levelize(impl), levelize(spec))
+
+
+def build_domain(impl, samples=None):
+    """A sampling domain on a fresh manager over ``samples`` (default:
+    the whole input space), as the context's samples."""
+    return SamplingDomain(BddManager(), samples or all_samples(impl),
+                          impl.inputs)
 
 
 def simple_pair():
@@ -141,7 +151,8 @@ class TestUtilityMatchesBddCount:
     """The utilities and the error count are popcounts of the sample
     words; they equal the BDD satisfy counts over the codes of the
     distinct samples, also when the padding codes repeat a sample and
-    when the samples fill more than one word."""
+    when the samples fill more than one word.  Bit ``k`` of each
+    candidate's word is its cast function at code ``k``."""
 
     @pytest.mark.parametrize("n", [1, 5, 11, 64, 100])
     def test_popcounts_match_satcount(self, n):
@@ -160,16 +171,28 @@ class TestUtilityMatchesBddCount:
                        for _ in range(n)]
             port = failing[0]
             ctx = build_context(impl, spec, port, samples=samples)
-            _, count = reference.bdd_error_region(ctx, ctx.impl_z,
-                                                  ctx.spec_z)
+            domain = build_domain(impl, samples)
+            impl_z = domain.cast_circuit(impl)
+            spec_z = domain.cast_circuit(spec)
+            _, count = reference.bdd_error_region(ctx, domain, impl_z,
+                                                  spec_z)
             assert ctx.error_count == count
             fanin = transitive_fanin(impl, [impl.outputs[port]])
             pins = [Pin.output(port)] + [
                 Pin.gate(g, i) for g in impl.gates if g in fanin
                 for i in range(len(impl.gates[g].fanins))]
+            manager = domain.manager
+            codes = [manager.pick_assignment(domain.code_of(k),
+                                             variables=domain.z_vars)
+                     for k in range(n)]
             for pin in pins:
-                assert ctx.candidates_for_pin(pin) == \
-                    reference.whole_cast_candidates(ctx, pin)
+                cands = ctx.candidates_for_pin(pin)
+                assert cands == \
+                    reference.whole_cast_candidates(ctx, domain, pin)
+                for cand in cands:
+                    fn = (spec_z if cand.from_spec else impl_z)[cand.net]
+                    assert [bool(cand.word >> k & 1) for k in range(n)] \
+                        == [manager.evaluate(fn, code) for code in codes]
                 checked += 1
         assert checked > 20
 
@@ -201,6 +224,7 @@ class TestPoolMatchesWholeCircuitScan:
                 continue
             port = failing[0]
             ctx = build_context(impl, spec, port, config=config)
+            domain = build_domain(impl)
             fanin = transitive_fanin(impl, [impl.outputs[port]])
             cone = [g for g in impl.gates if g in fanin]
             pins = [Pin.output(port)] + [
@@ -208,7 +232,7 @@ class TestPoolMatchesWholeCircuitScan:
                 for i in range(len(impl.gates[g].fanins))]
             for pin in pins:
                 got = ctx.candidates_for_pin(pin)
-                want = reference.whole_cast_candidates(ctx, pin)
+                want = reference.whole_cast_candidates(ctx, domain, pin)
                 assert got == want
                 checked += 1
         assert checked > 50

@@ -34,8 +34,11 @@ class TestConstruction:
     def test_padding_repeats_last_sample(self):
         samples = [{"a": True}, {"a": False}, {"a": True}]
         d = make_domain(samples, ["a"])
-        assert len(d.samples) == 4
-        assert d.samples[3] == samples[-1]
+        m = d.manager
+        assert d.num_samples == 3
+        # code 3 repeats the last sample: g_a(z) holds at codes 0, 2, 3
+        assert d.input_functions["a"] == m.or_(
+            m.or_(d.code_of(0), d.code_of(2)), d.code_of(3))
 
 
 class TestSamplingFunction:
@@ -54,15 +57,6 @@ class TestSamplingFunction:
             for name in ("a", "b"):
                 got = m.evaluate(d.input_functions[name], assignment)
                 assert got == sample[name], (k, name)
-
-    def test_sample_of_assignment_roundtrip(self):
-        samples = [{"a": bool(k & 1), "b": bool(k & 2)} for k in range(4)]
-        d = make_domain(samples, ["a", "b"])
-        m = d.manager
-        for k in range(4):
-            assignment = m.pick_assignment(d.code_of(k),
-                                           variables=d.z_vars)
-            assert d.sample_of_assignment(assignment) == samples[k]
 
 
 class TestCastCircuit:
