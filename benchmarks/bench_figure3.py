@@ -12,13 +12,15 @@ functions have closed forms:
 so the paper's rewiring ``R = {q_k <- c, q_{n+k} <- ~c}`` is the one
 valid choice.
 
-This bench computes ``H`` with the library's mux augmentation and
-sampling-domain quantification, and ``Xi`` with the symbolic
-construction kept as the oracle in ``tests/eco/reference.py``, and
-asserts BDD-level equality with both closed forms.  It also checks that
-the engine's choice enumeration, which evaluates ``Xi`` on the sample
-words, returns exactly that one choice.  Run it with ``python -m
-pytest`` from the repository root, so that ``tests`` imports.
+This bench computes ``H`` with the library's mux augmentation over
+the sample words and its sampling-domain quantification, and ``Xi``
+with the symbolic construction kept as the oracle in
+``tests/eco/reference.py`` over that file's netlist cast of ``g(z)``,
+in one BDD manager, and asserts BDD-level equality with both closed
+forms.  It also checks that the engine's choice enumeration, which
+evaluates ``Xi`` on the sample words, returns exactly that one choice.
+Run it with ``python -m pytest`` from the repository root, so that
+``tests`` imports.
 """
 
 import itertools
@@ -47,22 +49,28 @@ def test_figure3(benchmark, publish):
 
     def run():
         samples = all_samples(impl)
-        domain = SamplingDomain(BddManager(), samples, impl.inputs)
         sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
+        domain = SamplingDomain(BddManager(), sim)
         m = domain.manager
-        spec_z = domain.cast_circuit(spec)
-        impl_z = domain.cast_circuit(impl)
+        # the oracle's casts share the domain's z variables, so both
+        # sides' BDDs meet in one manager
+        cast = reference.NetlistCast(m, samples, impl.inputs,
+                                     z_vars=domain.z_vars)
+        spec_z = cast.cast_circuit(spec)
+        impl_z = cast.cast_circuit(impl)
         report = []
 
         for k in range(n):
-            f_prime = spec_z[spec.outputs[f"w_{k}"]]
+            out = spec.outputs[f"w_{k}"]
+            f_prime = domain.cast_circuit(spec, roots=[out])[out]
+            assert f_prime == spec_z[out], f"f'_{k} mismatch"
 
             # ---- Example 1: H_k over the 2n select pins -------------
             pins = [Pin.gate(f"q{j}", 1) for j in range(2 * n)]
             y_vars = [m.add_var() for _ in range(2)]
             y_nodes = [m.var(v) for v in y_vars]
             selector = PointSelector(m, 2, len(pins))
-            h = compute_h_function(impl, f"w_{k}", domain, pins, y_nodes,
+            h = compute_h_function(f"w_{k}", domain, pins, y_nodes,
                                    selector)
             h_t = m.and_(
                 m.forall(m.exists(m.xnor(h, f_prime), y_vars),
@@ -81,7 +89,7 @@ def test_figure3(benchmark, publish):
             functions = [[impl_z["s"], c_fn, m.not_(c_fn)],
                          [impl_z["v1"], c_fn, m.not_(c_fn)]]
             xi, c_words = reference.xi_function(
-                impl, f"w_{k}", domain, pair, functions, f_prime)
+                impl, f"w_{k}", cast, pair, functions, f_prime)
             closed_xi = m.and_(reference.code_cube(m, c_words[0], 1),
                                reference.code_cube(m, c_words[1], 2))
             assert xi == closed_xi, f"Xi_{k} mismatch"

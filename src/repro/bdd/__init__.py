@@ -2,11 +2,11 @@
 
 This is the reproduction of the paper's "in-house BDD package": the
 symbolic engine in which the sampling-domain computations of Sections
-4-5 run — the sampling function ``g(z)`` and the cast of the failing
-output's spec cone, the quantification of ``H(t)``, and prime-cube
-enumeration for candidate rectification point-sets.  The utility
-heuristic and ``Xi(c)`` are evaluated on the samples' simulation words
-instead.
+4-5 run — ``H(t)`` over the gates its ``y`` and ``t`` variables reach,
+its quantification, and prime-cube enumeration for candidate
+rectification point-sets.  Every other sampling-domain function is read
+off a net's simulation word over the samples, and the utility heuristic
+and ``Xi(c)`` are evaluated on those words directly.
 
 Two API levels are exposed:
 
@@ -20,7 +20,6 @@ from repro.bdd.manager import BddManager, FALSE, TRUE
 from repro.bdd.expr import Bdd
 from repro.bdd.cube import Cube
 from repro.bdd.primes import enumerate_primes, expand_to_prime
-from repro.bdd.netbridge import net_functions
 
 __all__ = [
     "BddManager",
@@ -30,5 +29,4 @@ __all__ = [
     "Cube",
     "enumerate_primes",
     "expand_to_prime",
-    "net_functions",
 ]

@@ -8,12 +8,13 @@ This package is the paper's primary contribution.  Entry point:
     >>> result.patched           # implementation rectified to match spec
     >>> result.patch.stats()     # Table-2 style patch attributes
 
-Pipeline (Section 5.2): per failing output — error-biased sampling
-domain, mux-parameterized rectification-point enumeration ``H(t)``
-(the one BDD computation), candidate rewiring nets (structural filter +
-utility heuristic), the rewiring-choice condition ``Xi(c)`` checked per
-choice on the sample words, and full-domain SAT validation — followed
-by global pruning and patch-input sweeping.
+Pipeline (Section 5.2): per failing output — error-biased samples,
+simulated once, whose words the sampling domain reads as BDDs,
+mux-parameterized rectification-point enumeration ``H(t)`` (the one
+BDD computation), candidate rewiring nets (structural filter + utility
+heuristic), the rewiring-choice condition ``Xi(c)`` checked per choice
+on the sample words, and full-domain SAT validation — followed by
+global pruning and patch-input sweeping.
 """
 
 from repro.eco.config import EcoConfig

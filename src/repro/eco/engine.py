@@ -49,7 +49,12 @@ from repro.errors import (
 )
 from repro.bdd.manager import BddManager
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.traverse import levelize, support_masks, transitive_fanin
+from repro.netlist.traverse import (
+    input_support,
+    levelize,
+    nets_within_support,
+    transitive_fanin,
+)
 from repro.cec.equivalence import (
     PairwiseChecker,
     check_equivalence,
@@ -466,17 +471,18 @@ class SysEco:
         """Run the symbolic search, shrinking the pin set on BDD blowup.
 
         What no attempt changes is built once, before the first: the
-        one simulation of the samples (the screen, the flip credit, the
-        utilities and ``Xi(c)`` all read its words), the ranked pins,
-        and the support and level maps.
+        one simulation of the samples (the sampling domain, the screen,
+        the flip credit, the utilities and ``Xi(c)`` all read its
+        words), the ranked pins, the level maps and, per circuit, the
+        nets within the failing output's spec support.
         """
         sim = SimulationFilter.for_samples(
             work, spec, samples, self.config.seed ^ 0x53C0,
             counters=run.counters)
-        input_index = {n: i for i, n in enumerate(work.inputs)}
+        support = input_support(spec, spec.outputs[port])
         impl_levels = levelize(work)
-        tables = (support_masks(work, input_index), impl_levels) \
-            + _spec_tables(spec, work.inputs)
+        tables = (nets_within_support(work, support), impl_levels,
+                  nets_within_support(spec, support), _spec_levels(spec))
         with run.trace.span("eco.rank_pins", output=port) as psp:
             ranked = self._select_candidate_pins(work, port, sim,
                                                  impl_levels)
@@ -493,8 +499,8 @@ class SysEco:
                         node_hook=run.node_hook)
                     try:
                         return self._search_in_manager(
-                            work, spec, port, failing, patch, samples,
-                            pins, sim, tables, run, manager)
+                            work, spec, port, failing, patch, pins, sim,
+                            tables, run, manager)
                     finally:
                         run.close_bdd(manager)
             except BddNodeLimitError:
@@ -505,21 +511,19 @@ class SysEco:
 
     def _search_in_manager(self, work: Circuit, spec: Circuit, port: str,
                            failing: Sequence[str], patch: Patch,
-                           samples: List[Dict[str, bool]],
                            candidate_pins: List[Pin],
                            sim: SimulationFilter, tables: tuple,
                            run: RunSupervisor,
                            manager: BddManager) -> Optional["_Commit"]:
         config = self.config
-        domain = SamplingDomain(manager, samples, inputs=work.inputs,
-                                checkpoint=run.checkpoint)
-        impl_supports, impl_levels, spec_supports, spec_levels = tables
+        domain = SamplingDomain(manager, sim)
+        impl_legal, impl_levels, spec_legal, spec_levels = tables
         ctx = RewiringContext(
             work, spec, port, sim, config,
-            impl_supports, spec_supports, impl_levels, spec_levels,
+            impl_legal, spec_legal, impl_levels, spec_levels,
             trace=run.trace)
         # H(t) is the search's one symbolic computation: the domain casts
-        # only the spec output's cone, for f'(g(z))
+        # only the spec output, for f'(g(z)), off its sample word
         spec_out = spec.outputs[port]
         spec_value = domain.cast_circuit(spec, roots=[spec_out])[spec_out]
 
@@ -537,7 +541,7 @@ class SysEco:
         max_validations = 6 * config.max_points
         for m in range(1, config.max_points + 1):
             point_sets = feasible_point_sets(
-                work, port, domain, candidate_pins, spec_value, m,
+                port, domain, candidate_pins, spec_value, m,
                 checkpoint=run.checkpoint, trace=run.trace)
             run.counters.point_sets += len(point_sets)
             for pins in point_sets:
@@ -693,21 +697,18 @@ class SysEco:
         return _Commit(ops, (port,), 0)
 
 
-def _spec_tables(spec: Circuit, inputs: Sequence[str]
-                 ) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """The spec's support masks over ``inputs`` and its levels.
+def _spec_levels(spec: Circuit) -> Dict[str, int]:
+    """The spec's levels.
 
     Kept in the spec's derived-data cache: the spec never changes
     during a run, so every search of the run shares one copy, and an
     edit of the spec would drop it.
     """
     cache = spec.derived_cache()
-    key = ("eco.spec_tables", tuple(inputs))
-    tables = cache.get(key)
-    if tables is None:
-        index = {n: i for i, n in enumerate(inputs)}
-        tables = cache[key] = (support_masks(spec, index), levelize(spec))
-    return tables
+    levels = cache.get("eco.spec_levels")
+    if levels is None:
+        levels = cache["eco.spec_levels"] = levelize(spec)
+    return levels
 
 
 @dataclass(frozen=True)

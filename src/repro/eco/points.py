@@ -17,7 +17,10 @@ characteristic function of all feasible point-sets is then
     H(t) = forall z exists y ( h(z, y, t) == f'(g(z)) )  &  valid(t)
 
 computed in the sampling domain (``x`` overloaded with ``g(z)``), and
-its prime cubes seed explicit candidate point-sets.  This is the
+its prime cubes seed explicit candidate point-sets.  A net no wrapped
+pin reaches is a function of ``z`` alone, read off its sample word
+(:class:`~repro.eco.sampling.SamplingDomain`), so gates are evaluated
+over BDDs only from the wrapped pins to the output.  This is the
 search's one symbolic computation: the rewiring choices of Section 4.4
 are checked on the sample words (:mod:`repro.eco.choices`).
 """
@@ -32,7 +35,7 @@ from repro.errors import EcoError
 from repro.bdd.manager import BddManager, FALSE, TRUE
 from repro.bdd.netbridge import apply_gate
 from repro.bdd.primes import enumerate_primes
-from repro.netlist.circuit import Circuit, Pin
+from repro.netlist.circuit import Pin
 from repro.netlist.traverse import topological_order
 from repro.eco.sampling import SamplingDomain
 from repro.obs.trace import ensure_trace
@@ -125,41 +128,25 @@ class PointSelector:
         return admissible
 
 
-def evaluate_with_pin_overrides(
-        circuit: Circuit,
-        manager: BddManager,
-        input_functions: Mapping[str, int],
-        root_net: str,
-        override) -> int:
-    """BDD of ``root_net`` with per-pin operand transformation.
-
-    ``override(pin, operand_node)`` may replace the BDD flowing into any
-    sink pin; this is how the mux augmentation of ``H(t)`` is realized
-    without editing the netlist.
-    """
-    values: Dict[str, int] = {}
-    for name in circuit.inputs:
-        if name in input_functions:
-            values[name] = input_functions[name]
-    for gname in topological_order(circuit, roots=[root_net]):
-        gate = circuit.gates[gname]
-        operands = []
-        for idx, fanin in enumerate(gate.fanins):
-            node = values[fanin]
-            node = override(Pin.gate(gname, idx), node)
-            operands.append(node)
-        values[gname] = apply_gate(manager, gate.gtype, operands)
-    return values[root_net]
-
-
-def compute_h_function(impl: Circuit, port: str, domain: SamplingDomain,
+def compute_h_function(port: str, domain: SamplingDomain,
                        pins: Sequence[Pin], y_nodes: Sequence[int],
                        selector: PointSelector) -> int:
     """The augmented function ``h(z, y, t)`` of Section 4.2 at one
-    output: every pin of ``pins`` is wrapped with the parameterized
-    multiplexer of ``selector``."""
+    output of the domain filter's implementation: every pin of
+    ``pins`` is wrapped with the parameterized multiplexer of
+    ``selector``.
+
+    Only the gates owning a pin, and their fanout inside the output's
+    cone, depend on ``y`` and ``t``: they are evaluated over BDDs.
+    Every other operand is a function of ``z`` alone, the one its
+    filter word gives (:meth:`SamplingDomain.function_of`).  A pin
+    outside the cone changes nothing.
+    """
     manager = domain.manager
+    sim = domain.sim
+    impl = sim.impl
     pin_index = {pin: i for i, pin in enumerate(pins)}
+    owners = {pin.owner for pin in pins if not pin.is_output_port}
     sel_cache: Dict[int, Tuple[int, int]] = {}
 
     def gadget(j: int) -> Tuple[int, int]:
@@ -176,9 +163,23 @@ def compute_h_function(impl: Circuit, port: str, domain: SamplingDomain,
         sel, data1 = gadget(idx)
         return manager.ite(sel, data1, node)
 
-    value = evaluate_with_pin_overrides(
-        impl, manager, domain.input_functions, impl.outputs[port],
-        override)
+    out_net = impl.outputs[port]
+    values: Dict[str, int] = {}
+    for gname in topological_order(impl, roots=[out_net]):
+        gate = impl.gates[gname]
+        if gname not in owners and \
+                not any(f in values for f in gate.fanins):
+            continue
+        operands = []
+        for idx, fanin in enumerate(gate.fanins):
+            node = values.get(fanin)
+            if node is None:
+                node = domain.function_of(sim.value(fanin))
+            operands.append(override(Pin.gate(gname, idx), node))
+        values[gname] = apply_gate(manager, gate.gtype, operands)
+    value = values.get(out_net)
+    if value is None:
+        value = domain.function_of(sim.value(out_net))
     # an output-port pin among the candidates overrides the value
     port_pin = Pin.output(port)
     if port_pin in pin_index:
@@ -186,12 +187,13 @@ def compute_h_function(impl: Circuit, port: str, domain: SamplingDomain,
     return value
 
 
-def feasible_point_sets(impl: Circuit, port: str, domain: SamplingDomain,
+def feasible_point_sets(port: str, domain: SamplingDomain,
                         candidate_pins: Sequence[Pin],
                         spec_value: int, num_points: int,
                         checkpoint: Optional[Callable[[], None]] = None,
                         trace=None) -> List[Tuple[Pin, ...]]:
-    """Candidate rectification point-sets for one failing output.
+    """Candidate rectification point-sets for one failing output of
+    the domain filter's implementation.
 
     Returns up to :data:`POINTSET_LIMIT` distinct pin tuples
     (deduplicated as sets, smaller sets first), derived from the first
@@ -209,14 +211,13 @@ def feasible_point_sets(impl: Circuit, port: str, domain: SamplingDomain,
             "points.enumerate", output=port,
             m=num_points, pins=len(candidate_pins)) as _span:
         result = _feasible_point_sets(
-            impl, port, domain, candidate_pins, spec_value, num_points,
+            port, domain, candidate_pins, spec_value, num_points,
             checkpoint)
         _span.tag(point_sets=len(result))
         return result
 
 
-def _feasible_point_sets(impl: Circuit, port: str,
-                         domain: SamplingDomain,
+def _feasible_point_sets(port: str, domain: SamplingDomain,
                          candidate_pins: Sequence[Pin],
                          spec_value: int,
                          num_points: int,
@@ -229,7 +230,7 @@ def _feasible_point_sets(impl: Circuit, port: str,
     y_nodes = [manager.var(v) for v in y_vars]
     selector = PointSelector(manager, num_points, len(candidate_pins))
 
-    h = compute_h_function(impl, port, domain, candidate_pins, y_nodes,
+    h = compute_h_function(port, domain, candidate_pins, y_nodes,
                            selector=selector)
     eq = manager.xnor(h, spec_value)
     h_t = manager.forall(manager.exists(eq, y_vars), domain.z_vars)

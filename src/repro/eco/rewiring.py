@@ -5,7 +5,10 @@ drawn from both the current implementation ``C`` and the synthesized
 specification ``C'``.  A net ``s`` passes the *structural filter* when
 the input support of the revised output ``f'`` contains the transitive
 fanin of ``s``, and must not create a combinational cycle when wired to
-``q``.  Candidates are then ranked by the *rectification utility*
+``q``.  The filter is one set of nets per circuit and output
+(:func:`~repro.netlist.traverse.nets_within_support`), so no net
+carries a support mask.  Candidates are then ranked by the
+*rectification utility*
 
     | { x in E : q(x) != s(x) } | / |E|
 
@@ -26,7 +29,7 @@ cast into the sampling domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Set
+from typing import AbstractSet, Dict, List, Mapping, Set
 
 from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
@@ -58,18 +61,23 @@ class RewireCandidate:
 class RewiringContext:
     """Per-failing-output state shared across rectification points.
 
-    Precomputes, once per output: the spec-side support of the failing
-    output, the *candidate pool* — the implementation nets and spec
-    gates that pass the structural filter, which depends on the output
-    and not on the pin — and the sampled error region ``E`` as a mask
-    over the words of ``sim``.  :meth:`candidates_for_pin` scans only
-    the pool and reads every value from ``sim``.
+    Precomputes, once per output: the *candidate pool* — the
+    implementation nets and spec gates that pass the structural filter,
+    which depends on the output and not on the pin — and the sampled
+    error region ``E`` as a mask over the words of ``sim``.
+    :meth:`candidates_for_pin` scans only the pool, reads every value
+    from ``sim`` and keeps each pin's list for the search.
+
+    ``impl_legal`` and ``spec_legal`` are the nets of either circuit
+    whose structural support lies within the failing output's spec
+    support (:func:`repro.netlist.traverse.nets_within_support`): the
+    structural filter.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit, port: str,
                  sim: SimulationFilter, config: EcoConfig,
-                 impl_supports: Mapping[str, int],
-                 spec_supports: Mapping[str, int],
+                 impl_legal: AbstractSet[str],
+                 spec_legal: AbstractSet[str],
                  impl_levels: Mapping[str, int],
                  spec_levels: Mapping[str, int],
                  trace=None):
@@ -79,37 +87,28 @@ class RewiringContext:
         self.sim = sim
         self.config = config
         self.trace = ensure_trace(trace)
-        self.impl_supports = impl_supports
-        self.spec_supports = spec_supports
         self.impl_levels = impl_levels
         self.spec_levels = spec_levels
 
         self.spec_out_net = spec.outputs[port]
-        self.spec_support_mask = spec_supports[self.spec_out_net]
-        # the structural filter: a net's support must lie within the
-        # failing output's spec support
-        outside = ~self.spec_support_mask
         #: implementation nets passing the filter, in ``impl.nets()``
         #: order
         self.impl_pool: List[str] = [
-            net for net in impl.nets()
-            if not impl_supports[net] & outside
+            net for net in impl.nets() if net in impl_legal
         ] if config.use_impl_nets else []
         #: spec gates passing the filter, in ``spec.gates`` order
         self.spec_pool: List[str] = [
-            net for net in spec.gates
-            if not spec_supports[net] & outside
+            net for net in spec.gates if net in spec_legal
         ] if config.use_spec_nets else []
         #: the sampled error region ``E``: bit ``k`` for sample ``k``
         self.error_mask = sim.error_mask(port)
         self.error_count = max(1, bin(self.error_mask).count("1"))
+        self._by_pin: Dict[Pin, List[RewireCandidate]] = {}
 
         # static patch screen: shared sink adjacency and memoized fanout
         # cones back the candidate filter here and the engine's pre-SAT
         # legality check
-        self.screen = PatchScreen(
-            impl, spec=spec, supports=impl_supports,
-            spec_support_mask=self.spec_support_mask)
+        self.screen = PatchScreen(impl, spec=spec, legal_sources=impl_legal)
 
     def utility(self, driver: int, candidate: int) -> float:
         """The Section 4.3 ratio for two nets' sample words."""
@@ -117,9 +116,15 @@ class RewiringContext:
         return bin(differs).count("1") / self.error_count
 
     def candidates_for_pin(self, pin: Pin) -> List[RewireCandidate]:
-        """Ordered candidate rewiring nets for one rectification point."""
+        """Ordered candidate rewiring nets for one rectification point.
+
+        The list depends only on the pin, so the pool is scanned once
+        per pin; callers must not mutate it.
+        """
         with self.trace.span("rewiring.candidates", pin=repr(pin)) as sp:
-            out = self._candidates_for_pin(pin)
+            out = self._by_pin.get(pin)
+            if out is None:
+                out = self._by_pin[pin] = self._candidates_for_pin(pin)
             sp.tag(candidates=len(out))
             return out
 

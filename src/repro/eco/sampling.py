@@ -1,110 +1,101 @@
 """The symbolic sampling domain (Section 5.1).
 
 Given ``N`` input assignments, ``ceil(log2 N)`` fresh ``z`` variables
-encode them and the sampling function ``g = (g_1 ... g_n)`` maps codes
-to assignments — the matrix product of the one-hot code vector with the
-0/1 sample matrix from the paper.  Overloading circuit inputs with
-``g(z)`` casts any computation from the exact ``x`` domain into the
-sampling ``z`` domain, where BDDs stay small regardless of design size.
+encode them: code ``k`` denotes sample ``k``, and the codes from ``N``
+up to the next power of two repeat sample ``N - 1``.  The paper's
+sampling function ``g(z)`` maps codes to assignments; overloading the
+circuit inputs with it casts a computation from the exact ``x`` domain
+into the sampling ``z`` domain, where BDDs stay small regardless of
+design size.
+
+Overloading fixes a net's cast function by the net's values on the
+samples, and those are the bits of its word in the output search's
+:class:`~repro.eco.validate.SimulationFilter`, sample ``k`` at bit
+``k``.  So the domain builds no ``g_i(z)`` and walks no netlist: it is
+a BDD view of the filter's words (:meth:`SamplingDomain.function_of`).
+A search casts only the failing output's spec net, for ``f'(g(z))`` in
+``H(t)``, and ``H(t)`` evaluates gates over BDDs only where its ``y``
+and ``t`` variables enter (:mod:`repro.eco.points`).  Counts over the
+samples are popcounts of the same words, and ``Xi(c)`` is checked on
+them.
 
 Reasoning in the domain over-approximates (a super-set of candidates),
 so every candidate found here is later validated by SAT on the full
 domain.
-
-The domain only casts, and a search casts only the failing output's
-spec cone, for ``f'(g(z))`` in ``H(t)``.  Code ``k`` denotes sample
-``k``, so a cast net's function at code ``k`` is bit ``k`` of the net's
-word in the search's :class:`~repro.eco.validate.SimulationFilter`:
-counts over the samples are popcounts of those words, and ``Xi(c)`` is
-checked on them, with no cast of the candidates.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import EcoError
-from repro.bdd.manager import BddManager, FALSE
-from repro.bdd.netbridge import net_functions
+from repro.bdd.manager import BddManager, FALSE, TRUE
 from repro.netlist.circuit import Circuit
-
-Assignment = Mapping[str, bool]
+from repro.eco.validate import SimulationFilter
 
 
 class SamplingDomain:
-    """Encodes a set of input samples with ``z`` variables.
+    """The ``z`` encoding of a :class:`SimulationFilter`'s samples.
 
     Args:
         manager: target BDD manager; ``z`` variables are allocated here.
-        samples: the sampled assignments; each must cover ``inputs``.
-        inputs: input names the domain provides functions for.
-        checkpoint: optional callable invoked once per encoded input
-            while the ``g_i(z)`` functions are built; the run
-            supervisor passes its deadline check here.
+        sim: the output search's filter; the low ``sim.num_samples``
+            bits of its words are the samples.
 
     Attributes:
         z_vars: allocated variable indices, most significant first.
-        input_functions: ``g_i(z)`` BDD per input name.
         num_samples: the codes ``0 .. num_samples - 1`` denote the
-            given samples; the codes above repeat the last one.
+            samples; the codes above repeat the last one.
     """
 
-    def __init__(self, manager: BddManager, samples: Sequence[Assignment],
-                 inputs: Sequence[str],
-                 checkpoint: Optional[Callable[[], None]] = None):
-        if not samples:
+    def __init__(self, manager: BddManager, sim: SimulationFilter):
+        if sim.num_samples < 1:
             raise EcoError("sampling domain needs at least one sample")
         self.manager = manager
-        self.inputs = list(inputs)
-        # pad to a power of two by repeating the last sample so every
-        # z code denotes a sampled assignment
-        n = len(samples)
-        bits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-        size = 1 << bits
-        padded = list(samples) + [samples[-1]] * (size - n)
-        self.num_samples = n
+        self.sim = sim
+        self.num_samples = sim.num_samples
+        bits = max(1, (self.num_samples - 1).bit_length())
         self.z_vars: List[int] = [manager.add_var() for _ in range(bits)]
-        self._minterms: List[int] = [
-            self._code_cube(k) for k in range(size)
-        ]
-        self.input_functions: Dict[str, int] = {}
-        for name in self.inputs:
-            if checkpoint is not None:
-                checkpoint()
-            acc = FALSE
-            for k, sample in enumerate(padded):
-                try:
-                    value = sample[name]
-                except KeyError:
-                    raise EcoError(f"sample {k} misses input {name!r}")
-                if value:
-                    acc = manager.or_(acc, self._minterms[k])
-            self.input_functions[name] = acc
+        self._functions: Dict[int, int] = {}
 
-    def _code_cube(self, k: int) -> int:
-        """BDD of ``z^k`` (big-endian binary code of sample index)."""
-        bits = len(self.z_vars)
-        assignment = {
-            self.z_vars[i]: bool((k >> (bits - 1 - i)) & 1)
-            for i in range(bits)
-        }
-        return self.manager.cube(assignment)
+    def function_of(self, word: int) -> int:
+        """The cast function of a net whose filter word is ``word``.
 
-    def code_of(self, k: int) -> int:
-        """The minterm selecting sample ``k``."""
-        return self._minterms[k]
+        Its value at code ``k`` is bit ``k`` of the word; memoized per
+        word.  Built bottom-up from the bits, one ``z`` variable per
+        level, so only the result's own nodes are made.
+        """
+        last = self.num_samples - 1
+        word &= self.sim.sample_mask
+        node = self._functions.get(word)
+        if node is None:
+            manager = self.manager
+            level = [TRUE if word >> min(k, last) & 1 else FALSE
+                     for k in range(1 << len(self.z_vars))]
+            for var in reversed(self.z_vars):
+                z = manager.var(var)
+                level = [manager.mux(z, level[i], level[i + 1])
+                         for i in range(0, len(level), 2)]
+            node = self._functions[word] = level[0]
+        return node
 
     def cast_circuit(self, circuit: Circuit,
                      roots: Optional[Iterable[str]] = None
                      ) -> Dict[str, int]:
-        """Net functions of ``circuit`` in the sampling domain.
+        """Net functions of ``circuit`` in the sampling domain: of
+        ``roots`` only, or of every net.
 
-        Inputs outside the domain read constant FALSE: they do not
-        affect the sampled cones by construction of the sample set.
+        ``circuit`` is the filter's implementation or its spec; each
+        function is read off the net's word.
         """
-        input_functions = dict(self.input_functions)
-        for name in circuit.inputs:
-            input_functions.setdefault(name, FALSE)
-        return net_functions(circuit, self.manager, input_functions,
-                             roots=roots)
+        sim = self.sim
+        if circuit is sim.impl:
+            word_of = sim.value
+        elif circuit is sim.spec:
+            word_of = sim.spec_value
+        else:
+            raise EcoError(
+                f"circuit {circuit.name!r} is not simulated by the "
+                "domain's filter")
+        nets = circuit.nets() if roots is None else roots
+        return {net: self.function_of(word_of(net)) for net in nets}

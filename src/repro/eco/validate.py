@@ -202,6 +202,7 @@ class SimulationFilter:
         self.width = max(1, len(self.words_list))
         self.mask = batch_mask(self.width)
         #: the batch bits holding the samples: the low ``num_samples``
+        self.num_samples = num_samples
         self.sample_mask = (1 << num_samples) - 1
         batch: Dict[str, int] = {}
         for k, words in enumerate(self.words_list):

@@ -7,7 +7,8 @@ analyzer proves — without touching a solver — that the patch
 * addresses pins that exist, with legal indices (``PA002``, the
   Section 4.2 pin encoding);
 * only reads nets whose structural support stays inside the revised
-  output's legal support (``PA003``, the Section 4.3 containment);
+  output's input support (``PA003``, the Section 4.3 containment,
+  against the set of legal sources the screen is given);
 * names rewiring sources that exist (``PA004``);
 * is not a no-op rewire of a pin to its current driver (``PA005``).
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    AbstractSet,
     Any,
     Dict,
     List,
@@ -89,20 +91,18 @@ class PatchScreen:
             lifetime (the engine builds one screen per search context).
         spec: the revised specification; enables existence checks for
             spec-sourced ops.
-        supports: structural input-support bitmasks of ``circuit``'s
-            nets (see :func:`repro.netlist.traverse.support_masks`);
-            enables the ``PA003`` containment rule.
-        spec_support_mask: union support mask of the revised outputs
-            under rectification — the legal pin set of Section 4.3.
+        legal_sources: the nets of ``circuit`` whose structural input
+            support lies within the revised output's (see
+            :func:`repro.netlist.traverse.nets_within_support`), the
+            legal sources of Section 4.3; enables the ``PA003``
+            containment rule.
     """
 
     def __init__(self, circuit: Circuit, spec: Optional[Circuit] = None,
-                 supports: Optional[Mapping[str, int]] = None,
-                 spec_support_mask: Optional[int] = None):
+                 legal_sources: Optional[AbstractSet[str]] = None):
         self.circuit = circuit
         self.spec = spec
-        self.supports = supports
-        self.spec_support_mask = spec_support_mask
+        self.legal_sources = legal_sources
         # sink adjacency, built once: net -> [(gate, pin index), ...]
         self._sinks: Dict[str, List[Tuple[str, int]]] = {}
         for g in circuit.gates.values():
@@ -230,22 +230,16 @@ class PatchScreen:
         return None
 
     def _check_support(self, op: ScreenOp) -> Optional[Diagnostic]:
-        if op.from_spec or self.supports is None \
-                or self.spec_support_mask is None:
+        if op.from_spec or self.legal_sources is None \
+                or op.source_net in self.legal_sources:
             return None
-        mask = self.supports.get(op.source_net)
-        if mask is None:
-            return None
-        escaped = mask & ~self.spec_support_mask
-        if escaped:
-            return error(
-                "PA003",
-                f"support of rewiring source {op.source_net!r} escapes "
-                "the revised output's input support",
-                where=repr(op.pin),
-                hint="Sec. 4.3: a candidate net must read only inputs "
-                     "the revised function reads")
-        return None
+        return error(
+            "PA003",
+            f"support of rewiring source {op.source_net!r} escapes "
+            "the revised output's input support",
+            where=repr(op.pin),
+            hint="Sec. 4.3: a candidate net must read only inputs "
+                 "the revised function reads")
 
     def check_ops(self, ops: Sequence[ScreenOp]) -> LintReport:
         """All patch rules on one candidate op set."""
@@ -287,9 +281,8 @@ class PatchScreen:
 
 def lint_patch_ops(circuit: Circuit, ops: Sequence[ScreenOp],
                    spec: Optional[Circuit] = None,
-                   supports: Optional[Mapping[str, int]] = None,
-                   spec_support_mask: Optional[int] = None) -> LintReport:
+                   legal_sources: Optional[AbstractSet[str]] = None
+                   ) -> LintReport:
     """One-shot patch analysis (CLI and ad-hoc use)."""
-    screen = PatchScreen(circuit, spec=spec, supports=supports,
-                         spec_support_mask=spec_support_mask)
+    screen = PatchScreen(circuit, spec=spec, legal_sources=legal_sources)
     return screen.check_ops(ops)

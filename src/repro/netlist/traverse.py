@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set
 
 from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit
@@ -119,6 +119,21 @@ def support_masks(circuit: Circuit,
             acc |= masks[f]
         masks[name] = acc
     return masks
+
+
+def nets_within_support(circuit: Circuit,
+                        inputs: AbstractSet[str]) -> Set[str]:
+    """Nets whose structural input support lies within ``inputs``.
+
+    One topological pass: a gate is within when all its fanins are, so
+    a constant gate always is.  Answers the containment that
+    :func:`support_masks` answers, with no per-net mask.
+    """
+    within = {n for n in circuit.inputs if n in inputs}
+    for name in topological_order(circuit):
+        if all(f in within for f in circuit.gates[name].fanins):
+            within.add(name)
+    return within
 
 
 def input_support(circuit: Circuit, net: str) -> Set[str]:

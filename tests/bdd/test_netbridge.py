@@ -1,4 +1,5 @@
-"""Tests for the netlist <-> BDD bridge."""
+"""Tests for the netlist <-> BDD bridge and the whole-netlist cast of
+the test oracles."""
 
 import itertools
 
@@ -6,10 +7,11 @@ import pytest
 
 from repro.errors import BddError
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.bdd.netbridge import apply_gate, net_functions
+from repro.bdd.netbridge import apply_gate
 from repro.netlist.gate import GateType
 from repro.netlist.simulate import evaluate_outputs
 from tests.conftest import make_random_circuit
+from tests.eco.reference import net_functions
 
 
 class TestApplyGate:

@@ -1,6 +1,16 @@
 """Reference walks of the candidate search and its simulations (test
 oracles).
 
+* :class:`NetlistCast`, the sampling domain as it was built before it
+  read the search's sample words: ``g_i(z)`` for every input from the
+  sample assignments, the codes from ``N`` on repeating the last
+  sample, and every net cast through :func:`net_functions`.  With
+  :func:`h_function` (the whole output cone over BDDs, pins wrapped
+  through :func:`evaluate_with_pin_overrides`) and
+  :func:`feasible_point_sets` it is the oracle of
+  :class:`repro.eco.sampling.SamplingDomain` and of ``H(t)`` in
+  :mod:`repro.eco.points`; the BDD oracles below cast through it, so
+  they stay independent of the words.
 * The Section 3.3 pin constraint and the joint acyclicity check exactly
   as candidate validation made them before it re-checked legality on a
   :class:`~repro.lint.patch_rules.PatchScreen`: every call rebuilds the
@@ -12,8 +22,9 @@ oracles).
   plan step and compared every output per candidate, the oracle of
   :meth:`repro.eco.validate.SimulationFilter.passes`.
 * :func:`whole_cast_candidates`, the per-pin candidate scan over every
-  net of both circuits cast whole into the sampling domain, with each
-  utility a BDD satisfy count on the sampled error region
+  net of both circuits cast whole into the sampling domain, with the
+  structural filter on :func:`~repro.netlist.traverse.support_masks`
+  and each utility a BDD satisfy count on the sampled error region
   (:func:`bdd_error_region`), the oracle of
   :meth:`repro.eco.rewiring.RewiringContext.candidates_for_pin` and of
   its popcounts of the simulation words.
@@ -47,14 +58,16 @@ import math
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.bdd.manager import FALSE, TRUE
+from repro.errors import BddError
+from repro.bdd.manager import FALSE, TRUE, BddManager
+from repro.bdd.netbridge import apply_gate
+from repro.bdd.primes import enumerate_primes
 from repro.cec.equivalence import PairwiseChecker
-from repro.eco import rewiring
+from repro.eco import points, rewiring
 from repro.eco.choices import Choice, CostFn, default_cost
 from repro.eco.patch import RewireOp
-from repro.eco.points import evaluate_with_pin_overrides
+from repro.eco.points import PointSelector
 from repro.eco.rewiring import RewireCandidate
-from repro.eco.sampling import SamplingDomain
 from repro.eco.validate import (
     ValidationOutcome,
     apply_rewires,
@@ -71,6 +84,7 @@ from repro.netlist.simulate import (
 )
 from repro.netlist.traverse import (
     dependent_outputs,
+    support_masks,
     topological_order,
     transitive_fanin,
     transitive_fanout,
@@ -145,6 +159,142 @@ def rewire_acyclic(impl: Circuit, ops: Sequence[RewireOp]) -> bool:
     return True
 
 
+def net_functions(circuit: Circuit, manager: BddManager,
+                  input_functions: Mapping[str, int],
+                  roots: Optional[Sequence[str]] = None) -> Dict[str, int]:
+    """BDD of every net of ``circuit`` (or of the cones of ``roots``)
+    from a BDD per primary input; a missing input raises
+    :class:`BddError`."""
+    values: Dict[str, int] = {}
+    for name in circuit.inputs:
+        try:
+            values[name] = input_functions[name]
+        except KeyError:
+            raise BddError(f"missing BDD for input {name!r}")
+    order = topological_order(circuit, roots=list(roots) if roots else None)
+    for name in order:
+        gate = circuit.gates[name]
+        values[name] = apply_gate(
+            manager, gate.gtype, [values[f] for f in gate.fanins])
+    return values
+
+
+def evaluate_with_pin_overrides(circuit: Circuit, manager: BddManager,
+                                input_functions: Mapping[str, int],
+                                root_net: str, override) -> int:
+    """BDD of ``root_net``, every gate of its cone evaluated, with
+    ``override(pin, operand)`` replacing the BDD entering each pin."""
+    values: Dict[str, int] = {}
+    for name in circuit.inputs:
+        if name in input_functions:
+            values[name] = input_functions[name]
+    for gname in topological_order(circuit, roots=[root_net]):
+        gate = circuit.gates[gname]
+        operands = [override(Pin.gate(gname, idx), values[fanin])
+                    for idx, fanin in enumerate(gate.fanins)]
+        values[gname] = apply_gate(manager, gate.gtype, operands)
+    return values[root_net]
+
+
+class NetlistCast:
+    """The sampling domain over explicit sample assignments.
+
+    ``g_i(z)`` is built for every name of ``inputs`` by ORing the code
+    minterms of the samples that set it, the codes from ``N`` up to the
+    next power of two repeating sample ``N - 1``; a net's function is
+    its cone evaluated over ``g(z)``, inputs outside ``inputs`` reading
+    FALSE.  ``z_vars`` shares another domain's variables, so both casts
+    meet in one manager; by default fresh ones are allocated.
+    """
+
+    def __init__(self, manager: BddManager,
+                 samples: Sequence[Mapping[str, bool]],
+                 inputs: Sequence[str],
+                 z_vars: Optional[Sequence[int]] = None):
+        n = len(samples)
+        bits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+        size = 1 << bits
+        padded = list(samples) + [samples[-1]] * (size - n)
+        self.manager = manager
+        self.num_samples = n
+        self.z_vars: List[int] = list(z_vars) if z_vars is not None \
+            else [manager.add_var() for _ in range(bits)]
+        self.minterms = [code_cube(manager, self.z_vars, k)
+                         for k in range(size)]
+        self.input_functions: Dict[str, int] = {}
+        for name in inputs:
+            acc = FALSE
+            for k, sample in enumerate(padded):
+                if sample[name]:
+                    acc = manager.or_(acc, self.minterms[k])
+            self.input_functions[name] = acc
+
+    def code_of(self, k: int) -> int:
+        """The minterm selecting sample ``k``."""
+        return self.minterms[k]
+
+    def cast_circuit(self, circuit: Circuit,
+                     roots: Optional[Sequence[str]] = None
+                     ) -> Dict[str, int]:
+        functions = dict(self.input_functions)
+        for name in circuit.inputs:
+            functions.setdefault(name, FALSE)
+        return net_functions(circuit, self.manager, functions, roots=roots)
+
+
+def h_function(impl: Circuit, port: str, cast: NetlistCast,
+               pins: Sequence[Pin], y_nodes: Sequence[int],
+               selector: PointSelector) -> int:
+    """``h(z, y, t)`` of Section 4.2 with every gate of ``port``'s cone
+    evaluated over ``cast``'s ``g(z)``, each pin of ``pins`` wrapped
+    in the multiplexer ``ite(sel_j, data1_j, original)``."""
+    manager = cast.manager
+    pin_index = {pin: i for i, pin in enumerate(pins)}
+
+    def override(pin: Pin, node: int) -> int:
+        j = pin_index.get(pin)
+        if j is None:
+            return node
+        return manager.ite(selector.selection(j),
+                           selector.data1(j, y_nodes), node)
+
+    value = evaluate_with_pin_overrides(
+        impl, manager, cast.input_functions, impl.outputs[port], override)
+    return override(Pin.output(port), value)
+
+
+def feasible_point_sets(impl: Circuit, port: str, cast: NetlistCast,
+                        candidate_pins: Sequence[Pin], spec_value: int,
+                        num_points: int) -> List[Tuple[Pin, ...]]:
+    """The point-sets of ``H(t)`` over :func:`h_function`: the pin
+    sets of the first :data:`~repro.eco.points.PRIME_LIMIT` prime
+    cubes, at most 64 per cube and
+    :data:`~repro.eco.points.POINTSET_LIMIT` in all, deduplicated as
+    sets, smaller sets first."""
+    manager = cast.manager
+    y_vars = [manager.add_var() for _ in range(num_points)]
+    y_nodes = [manager.var(v) for v in y_vars]
+    selector = PointSelector(manager, num_points, len(candidate_pins))
+    h = h_function(impl, port, cast, candidate_pins, y_nodes, selector)
+    h_t = manager.and_(
+        manager.forall(manager.exists(manager.xnor(h, spec_value), y_vars),
+                       cast.z_vars),
+        selector.validity())
+    seen: Set[frozenset] = set()
+    results: List[Tuple[Pin, ...]] = []
+    for prime in enumerate_primes(manager, h_t, limit=points.PRIME_LIMIT):
+        per_point = [selector.decode_cube(prime.literals, i)
+                     for i in range(num_points)]
+        for combo in itertools.islice(itertools.product(*per_point), 64):
+            key = frozenset(combo)
+            if key not in seen and len(results) < points.POINTSET_LIMIT:
+                seen.add(key)
+                results.append(
+                    tuple(candidate_pins[j] for j in sorted(key)))
+    results.sort(key=len)
+    return results
+
+
 def whole_plan_passes(filt, ops: Sequence[RewireOp], target: str,
                       failing: Sequence[str]) -> bool:
     """Screen one candidate on a :class:`SimulationFilter`'s words by
@@ -202,7 +352,7 @@ def whole_plan_passes(filt, ops: Sequence[RewireOp], target: str,
     return True
 
 
-def bdd_error_region(ctx, domain: SamplingDomain,
+def bdd_error_region(ctx, domain: NetlistCast,
                      impl_z: Dict[str, int],
                      spec_z: Dict[str, int]) -> Tuple[int, int]:
     """The sampled error region of ``ctx``'s output as a BDD over the
@@ -220,12 +370,13 @@ def bdd_error_region(ctx, domain: SamplingDomain,
     return region, max(1, count)
 
 
-def whole_cast_candidates(ctx, domain: SamplingDomain,
+def whole_cast_candidates(ctx, domain: NetlistCast,
                           pin: Pin) -> List[RewireCandidate]:
     """Candidate nets for ``pin``, scanning every net of both circuits
-    against the structural filter, over whole-circuit casts made in
-    ``domain`` (built on ``ctx``'s samples), with BDD-counted
-    utilities.  Each candidate carries its word of ``ctx.sim``."""
+    against the structural filter on support masks, over whole-circuit
+    casts made in ``domain`` (built on ``ctx``'s samples), with
+    BDD-counted utilities.  Each candidate carries its word of
+    ``ctx.sim``."""
     config = ctx.config
     impl, spec, sim = ctx.impl, ctx.spec, ctx.sim
     impl_z = domain.cast_circuit(impl)
@@ -240,7 +391,10 @@ def whole_cast_candidates(ctx, domain: SamplingDomain,
             num_vars=num_vars)
         return hits / error_count
 
-    mask = ctx.spec_support_mask
+    index = {n: i for i, n in enumerate(impl.inputs)}
+    impl_masks = support_masks(impl, index)
+    spec_masks = support_masks(spec, index)
+    mask = spec_masks[ctx.spec_out_net]
     driver = impl.pin_driver(pin)
     driver_z = impl_z[driver]
     unreachable = set() if pin.is_output_port \
@@ -251,7 +405,7 @@ def whole_cast_candidates(ctx, domain: SamplingDomain,
         for net in impl.nets():
             if net == driver or net in unreachable:
                 continue
-            if ctx.impl_supports[net] & ~mask:
+            if impl_masks[net] & ~mask:
                 continue
             scored.append(RewireCandidate(
                 net=net, from_spec=False,
@@ -259,7 +413,7 @@ def whole_cast_candidates(ctx, domain: SamplingDomain,
                 word=sim.value(net), level=ctx.impl_levels[net]))
     if config.use_spec_nets:
         for net in spec.gates:
-            if ctx.spec_supports[net] & ~mask:
+            if spec_masks[net] & ~mask:
                 continue
             scored.append(RewireCandidate(
                 net=net, from_spec=True,
@@ -292,7 +446,7 @@ def code_cube(manager, word: Sequence[int], k: int) -> int:
 
 
 def composition_function(impl: Circuit, port: str,
-                         domain: SamplingDomain, pins: Sequence[Pin],
+                         domain: NetlistCast, pins: Sequence[Pin],
                          y_nodes: Sequence[int]) -> int:
     """The composition function ``h(z, y)`` of Section 4.4 at ``port``:
     each pin of ``pins`` hard-replaced by its ``y`` node."""
@@ -308,7 +462,7 @@ def composition_function(impl: Circuit, port: str,
     return override(Pin.output(port), value)
 
 
-def xi_function(impl: Circuit, port: str, domain: SamplingDomain,
+def xi_function(impl: Circuit, port: str, domain: NetlistCast,
                 pins: Sequence[Pin], functions: Sequence[Sequence[int]],
                 spec_value: int) -> Tuple[int, List[List[int]]]:
     """``Xi(c)`` over BDDs, and the decision words ``c_i`` it reads.
@@ -350,7 +504,7 @@ def xi_function(impl: Circuit, port: str, domain: SamplingDomain,
     return xi, c_words
 
 
-def candidate_functions(domain: SamplingDomain, impl: Circuit,
+def candidate_functions(domain: NetlistCast, impl: Circuit,
                         spec: Circuit,
                         candidates: Sequence[Sequence[RewireCandidate]]
                         ) -> List[List[int]]:
@@ -362,7 +516,7 @@ def candidate_functions(domain: SamplingDomain, impl: Circuit,
              for cand in cands] for cands in candidates]
 
 
-def enumerate_choices(impl: Circuit, port: str, domain: SamplingDomain,
+def enumerate_choices(impl: Circuit, port: str, domain: NetlistCast,
                       pins: Sequence[Pin],
                       candidates: Sequence[Sequence[RewireCandidate]],
                       functions: Sequence[Sequence[int]],

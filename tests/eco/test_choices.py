@@ -15,7 +15,6 @@ from repro.eco.choices import (
 from repro.eco.config import EcoConfig
 from repro.eco.engine import rectify
 from repro.eco.rewiring import RewireCandidate
-from repro.eco.sampling import SamplingDomain
 from repro.eco.validate import SimulationFilter
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_BITS
@@ -50,7 +49,8 @@ def example2_setup():
 
 def example2_oracle(impl, spec, pins, cands, limit, cost_fn=None):
     """Example 2 through the BDD oracle, over the whole input space."""
-    domain = SamplingDomain(BddManager(), all_samples(impl), impl.inputs)
+    domain = reference.NetlistCast(BddManager(), all_samples(impl),
+                                   impl.inputs)
     spec_z = domain.cast_circuit(spec)
     impl_z = domain.cast_circuit(impl)
     c_fn = spec_z["c_new"]
@@ -127,11 +127,28 @@ def samples_of(sim):
             for k in range(count)]
 
 
+def oracle_cast(sim):
+    """The netlist-cast oracle of the sampling domain on a fresh manager
+    over ``sim``'s samples."""
+    return reference.NetlistCast(BddManager(), samples_of(sim),
+                                 sim.impl.inputs)
+
+
+def oracle_point_sets(sim, port, pins, num_points):
+    """:func:`reference.feasible_point_sets` on a fresh cast of
+    ``sim``'s samples."""
+    cast = oracle_cast(sim)
+    spec_out = sim.spec.outputs[port]
+    spec_value = cast.cast_circuit(sim.spec, roots=[spec_out])[spec_out]
+    return reference.feasible_point_sets(sim.impl, port, cast, pins,
+                                         spec_value, num_points)
+
+
 def oracle_choices(sim, port, pins, candidates, limit=16, cost_fn=None):
     """:func:`reference.enumerate_choices` on a fresh domain over
     ``sim``'s samples."""
     impl, spec = sim.impl, sim.spec
-    domain = SamplingDomain(BddManager(), samples_of(sim), impl.inputs)
+    domain = oracle_cast(sim)
     spec_out = spec.outputs[port]
     spec_value = domain.cast_circuit(spec, roots=[spec_out])[spec_out]
     functions = reference.candidate_functions(domain, impl, spec,
@@ -143,13 +160,16 @@ def oracle_choices(sim, port, pins, candidates, limit=16, cost_fn=None):
 
 class TestWordsMatchBddOracle:
     """Xi(c) on the sample words gives, per point-set, the choice list
-    of the BDD construction (`tests/eco/reference.py`)."""
+    of the BDD construction, and ``H(t)`` over the words gives the
+    point-sets of the netlist cast (`tests/eco/reference.py`)."""
 
     # every case but 1 and 3, whose oracle runs take seconds each
     @pytest.mark.parametrize("case_id", [2, 4, 5, 6, 7, 8, 9, 10, 11])
     def test_table1_point_sets(self, case_id, monkeypatch):
         real = engine.enumerate_rewiring_choices
+        real_points = engine.feasible_point_sets
         compared = []
+        enumerated = []
 
         def checked(sim, port, pins, candidates, **kwargs):
             got = real(sim, port, pins, candidates, **kwargs)
@@ -159,10 +179,19 @@ class TestWordsMatchBddOracle:
             compared.append(pins)
             return got
 
+        def points_checked(port, domain, pins, spec_value, m, **kwargs):
+            got = real_points(port, domain, pins, spec_value, m, **kwargs)
+            assert got == oracle_point_sets(domain.sim, port, pins, m), \
+                (port, m)
+            enumerated.append(got)
+            return got
+
         monkeypatch.setattr(engine, "enumerate_rewiring_choices", checked)
+        monkeypatch.setattr(engine, "feasible_point_sets", points_checked)
         (case,) = build_suite([case_id])
         rectify(case.impl, case.spec, EcoConfig())
         assert compared
+        assert enumerated
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            n=st.sampled_from([1, 6, 16, 23, 64, 100]),

@@ -1,18 +1,24 @@
 """Tests for rectification point-set enumeration (H(t), Figure 2)."""
 
 import itertools
+import random
 
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd.manager import FALSE, BddManager
 from repro.eco.points import (
     PointSelector,
     compute_h_function,
-    evaluate_with_pin_overrides,
     feasible_point_sets,
 )
 from repro.eco.sampling import SamplingDomain
+from repro.eco.validate import SimulationFilter
 from repro.netlist.circuit import Circuit, Pin
+from repro.netlist.traverse import transitive_fanin
 from repro.workloads.figures import example1_circuits
+from tests.conftest import make_random_circuit
+from tests.eco import reference
+from tests.eco.reference import evaluate_with_pin_overrides
 
 
 class TestPointSelector:
@@ -107,13 +113,14 @@ class TestPinOverrides:
         assert out == expect
 
 
-def full_domain(circuit):
+def full_domain(impl, spec):
     """A sampling domain enumerating the entire input space."""
-    inputs = list(circuit.inputs)
+    inputs = list(impl.inputs)
     samples = [dict(zip(inputs, bits))
                for bits in itertools.product([False, True],
                                              repeat=len(inputs))]
-    return SamplingDomain(BddManager(), samples, inputs)
+    sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
+    return SamplingDomain(BddManager(), sim)
 
 
 class TestExample1:
@@ -121,7 +128,7 @@ class TestExample1:
 
     def test_h_closed_form(self):
         impl, spec = example1_circuits(width=2)
-        domain = full_domain(impl)
+        domain = full_domain(impl, spec)
         m = domain.manager
         spec_values = domain.cast_circuit(spec)
         k, n = 0, 2
@@ -131,7 +138,7 @@ class TestExample1:
         y_nodes = [m.var(v) for v in y_vars]
         from repro.eco.points import PointSelector
         selector = PointSelector(m, 2, len(pins))
-        h = compute_h_function(impl, f"w_{k}", domain, pins, y_nodes,
+        h = compute_h_function(f"w_{k}", domain, pins, y_nodes,
                                selector=selector)
         eq = m.xnor(h, spec_values[spec.outputs[f"w_{k}"]])
         h_t = m.and_(m.forall(m.exists(eq, y_vars), domain.z_vars),
@@ -144,32 +151,71 @@ class TestExample1:
 
     def test_feasible_point_sets_recover_pair(self):
         impl, spec = example1_circuits(width=2)
-        domain = full_domain(impl)
+        domain = full_domain(impl, spec)
         spec_values = domain.cast_circuit(spec)
         n = 2
         pins = [Pin.gate(f"q{j}", 1) for j in range(2 * n)]
         sets = feasible_point_sets(
-            impl, "w_0", domain, pins,
+            "w_0", domain, pins,
             spec_values[spec.outputs["w_0"]], num_points=2)
         assert sets == [(Pin.gate("q0", 1), Pin.gate("q2", 1))]
 
     def test_no_point_set_when_insufficient(self):
         impl, spec = example1_circuits(width=2)
-        domain = full_domain(impl)
+        domain = full_domain(impl, spec)
         spec_values = domain.cast_circuit(spec)
         # only one selectable pin cannot fix w_0 (needs both selects)
         pins = [Pin.gate("q0", 1)]
         sets = feasible_point_sets(
-            impl, "w_0", domain, pins,
+            "w_0", domain, pins,
             spec_values[spec.outputs["w_0"]], num_points=1)
         assert sets == []
 
     def test_output_port_pin_always_feasible(self):
         impl, spec = example1_circuits(width=2)
-        domain = full_domain(impl)
+        domain = full_domain(impl, spec)
         spec_values = domain.cast_circuit(spec)
         pins = [Pin.output("w_0")]
         sets = feasible_point_sets(
-            impl, "w_0", domain, pins,
+            "w_0", domain, pins,
             spec_values[spec.outputs["w_0"]], num_points=1)
         assert sets == [(Pin.output("w_0"),)]
+
+
+class TestHMatchesFullCone:
+    """``h(z, y, t)`` over the wrapped pins' fanout and the sample
+    words is the BDD of the whole cone evaluated over ``g(z)``
+    (`tests/eco/reference.py`), node for node in one manager."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           n=st.sampled_from([1, 3, 16, 64, 100]),
+           m=st.sampled_from([1, 2, 3]),
+           with_port=st.booleans(), with_outside=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_h_equals_oracle(self, seed, n, m, with_port, with_outside):
+        impl = make_random_circuit(seed, n_inputs=6, n_gates=30)
+        spec = make_random_circuit(seed + 1, n_inputs=6, n_gates=30)
+        rng = random.Random(seed)
+        samples = [{x: bool(rng.getrandbits(1)) for x in impl.inputs}
+                   for _ in range(n)]
+        port = rng.choice(sorted(impl.outputs))
+        cone = transitive_fanin(impl, [impl.outputs[port]])
+        inside = [Pin.gate(g, i) for g in impl.gates if g in cone
+                  for i in range(len(impl.gates[g].fanins))]
+        outside = [Pin.gate(g, i) for g in impl.gates if g not in cone
+                   for i in range(len(impl.gates[g].fanins))]
+        pins = rng.sample(inside, min(m, len(inside)))
+        if with_port:
+            pins[-1:] = [Pin.output(port)]
+        if with_outside and outside:
+            pins[:1] = [rng.choice(outside)]
+        manager = BddManager()
+        sim = SimulationFilter.for_samples(impl, spec, samples, seed=seed)
+        domain = SamplingDomain(manager, sim)
+        cast = reference.NetlistCast(manager, samples, impl.inputs,
+                                     z_vars=domain.z_vars)
+        y_nodes = [manager.var(manager.add_var()) for _ in pins]
+        selector = PointSelector(manager, len(pins), len(pins))
+        assert compute_h_function(port, domain, pins, y_nodes,
+                                  selector) == \
+            reference.h_function(impl, port, cast, pins, y_nodes, selector)

@@ -9,10 +9,14 @@ from repro.bdd.manager import BddManager
 from repro.eco import rewiring
 from repro.eco.config import EcoConfig
 from repro.eco.rewiring import RewiringContext
-from repro.eco.sampling import SamplingDomain
 from repro.eco.validate import SimulationFilter
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.traverse import levelize, support_masks, transitive_fanin
+from repro.netlist.traverse import (
+    input_support,
+    levelize,
+    nets_within_support,
+    transitive_fanin,
+)
 from tests.conftest import make_random_circuit
 from tests.eco import reference
 from tests.eco.test_incremental import failing_outputs, mutate
@@ -29,18 +33,20 @@ def build_context(impl, spec, port, config=None, samples=None):
     if samples is None:
         samples = all_samples(impl)
     sim = SimulationFilter.for_samples(impl, spec, samples, seed=0)
-    idx = {n: i for i, n in enumerate(impl.inputs)}
+    support = input_support(spec, spec.outputs[port])
     return RewiringContext(
         impl, spec, port, sim, config or EcoConfig(),
-        support_masks(impl, idx), support_masks(spec, idx),
+        nets_within_support(impl, support),
+        nets_within_support(spec, support),
         levelize(impl), levelize(spec))
 
 
 def build_domain(impl, samples=None):
-    """A sampling domain on a fresh manager over ``samples`` (default:
-    the whole input space), as the context's samples."""
-    return SamplingDomain(BddManager(), samples or all_samples(impl),
-                          impl.inputs)
+    """The netlist-cast oracle of the sampling domain on a fresh
+    manager over ``samples`` (default: the whole input space), as the
+    context's samples."""
+    return reference.NetlistCast(BddManager(), samples or all_samples(impl),
+                                 impl.inputs)
 
 
 def simple_pair():
@@ -130,6 +136,23 @@ class TestCandidatesForPin:
                                              use_impl_nets=False))
         cands = ctx.candidates_for_pin(Pin.gate("g2", 0))
         assert all(c.from_spec for c in cands[1:])  # trivial is impl
+
+    def test_each_pin_scanned_once(self, monkeypatch):
+        impl, spec = simple_pair()
+        ctx = build_context(impl, spec, "o")
+        scans = []
+        real = ctx._candidates_for_pin
+
+        def scan(pin):
+            scans.append(pin)
+            return real(pin)
+
+        monkeypatch.setattr(ctx, "_candidates_for_pin", scan)
+        pin = Pin.gate("g2", 0)
+        first = ctx.candidates_for_pin(pin)
+        assert ctx.candidates_for_pin(pin) == first
+        assert ctx.candidates_for_pin(Pin.output("o"))
+        assert scans == [pin, Pin.output("o")]
 
     def test_max_candidates_respected(self, monkeypatch):
         monkeypatch.setattr(rewiring, "MAX_REWIRE_CANDIDATES", 2)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit, Pin
-from repro.netlist.traverse import transitive_fanout
+from repro.netlist.traverse import nets_within_support, transitive_fanout
 from repro.lint.patch_rules import (
     PatchScreen,
     ScreenOp,
@@ -126,16 +126,20 @@ class TestRules:
 
     def test_pa003_support_containment(self):
         c = chain()
-        # input index: a=0, b=1; pretend the revised output reads only a
-        supports = {"s": 0b11, "g1": 0b01, "a": 0b01, "b": 0b10}
+        # pretend the revised output reads only a: s reads a and b
+        legal = nets_within_support(c, {"a"})
+        assert legal == {"a", "g1"}
         report = lint_patch_ops(
-            c, [ScreenOp(Pin.gate("g3", 0), "s")],
-            supports=supports, spec_support_mask=0b01)
+            c, [ScreenOp(Pin.gate("g3", 0), "s")], legal_sources=legal)
         assert "PA003" in report.codes()
-        # a source inside the mask is fine
+        # a source within the support is fine
         report = lint_patch_ops(
-            c, [ScreenOp(Pin.gate("g3", 0), "g1")],
-            supports=supports, spec_support_mask=0b01)
+            c, [ScreenOp(Pin.gate("g3", 0), "g1")], legal_sources=legal)
+        assert report.ok
+        # spec sources are cloned, so only their existence is checked
+        report = lint_patch_ops(
+            c, [ScreenOp(Pin.gate("g3", 0), "s", from_spec=True)],
+            spec=c, legal_sources=legal)
         assert report.ok
 
     def test_pa004_missing_source(self):

@@ -1,6 +1,7 @@
 """Unit tests for traversal utilities."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit
@@ -8,6 +9,7 @@ from repro.netlist.traverse import (
     dependent_outputs,
     input_support,
     levelize,
+    nets_within_support,
     support_masks,
     topological_order,
     transitive_fanin,
@@ -106,6 +108,20 @@ class TestCones:
         masks = support_masks(diamond, idx)
         assert masks["g1"] == 0b10
         assert masks["g3"] == 0b11
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           n_inputs=st.integers(min_value=1, max_value=8),
+           subset=st.integers(min_value=0, max_value=255))
+    @settings(max_examples=60, deadline=None)
+    def test_nets_within_support_is_mask_containment(self, seed, n_inputs,
+                                                     subset):
+        c = make_random_circuit(seed, n_inputs=n_inputs, n_gates=25)
+        inputs = {n for i, n in enumerate(c.inputs) if subset >> i & 1}
+        idx = {n: i for i, n in enumerate(c.inputs)}
+        masks = support_masks(c, idx)
+        allowed = sum(1 << idx[n] for n in inputs)
+        assert nets_within_support(c, inputs) == {
+            net for net in c.nets() if not masks[net] & ~allowed}
 
 
 class TestLevelize:
