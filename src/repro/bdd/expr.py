@@ -72,9 +72,6 @@ class Bdd:
     def implies(self, other) -> "Bdd":
         return Bdd(self.manager, self.manager.implies(self.node, self._coerce(other)))
 
-    def equiv(self, other) -> "Bdd":
-        return Bdd(self.manager, self.manager.equiv(self.node, self._coerce(other)))
-
     def ite(self, then, else_) -> "Bdd":
         return Bdd(self.manager, self.manager.ite(
             self.node, self._coerce(then), self._coerce(else_)))
@@ -118,13 +115,6 @@ class Bdd:
 
     def forall(self, variables: Iterable[int]) -> "Bdd":
         return Bdd(self.manager, self.manager.forall(self.node, variables))
-
-    def restrict(self, assignment: Mapping[int, bool]) -> "Bdd":
-        return Bdd(self.manager, self.manager.restrict(self.node, assignment))
-
-    def compose(self, var: int, g: "Bdd") -> "Bdd":
-        return Bdd(self.manager, self.manager.compose(
-            self.node, var, self._coerce(g)))
 
     def __repr__(self) -> str:
         return f"Bdd(node={self.node}, size={self.size()})"

@@ -25,7 +25,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -68,8 +67,6 @@ class BddManager:
         self._not_table: Dict[int, int] = {}
         self._ite_table: Dict[Tuple[int, int, int], int] = {}
         self._quantify_table: Dict[Tuple[bool, int, frozenset], int] = {}
-        self._restrict_table: Dict[Tuple[int, frozenset], int] = {}
-        self._compose_table: Dict[Tuple[int, frozenset], int] = {}
         #: num_vars -> {node: solutions over the variables from
         #: var(node) down}
         self._count_tables: Dict[int, Dict[int, int]] = {}
@@ -104,9 +101,6 @@ class BddManager:
         """The BDD of the negated variable ``index``."""
         self._check_var(index)
         return self._node(index, TRUE, FALSE)
-
-    def literal(self, index: int, positive: bool) -> int:
-        return self.var(index) if positive else self.nvar(index)
 
     def _check_var(self, index: int) -> None:
         if not 0 <= index < self._nvars:
@@ -337,9 +331,6 @@ class BddManager:
         # the result, so building it would only spend nodes
         return self.ite(f, g, TRUE)
 
-    def equiv(self, f: int, g: int) -> int:
-        return self._xnor(f, g)
-
     def mux(self, s: int, d0: int, d1: int) -> int:
         return self.ite(s, d1, d0)
 
@@ -375,68 +366,6 @@ class BddManager:
         else:
             result = self._node(v, lo, hi)
         self._quantify_table[key] = result
-        return result
-
-    # ------------------------------------------------------------------
-    # cofactor / restrict / compose
-    # ------------------------------------------------------------------
-    def restrict(self, f: int, assignment: Mapping[int, bool]) -> int:
-        """Cofactor ``f`` by a partial variable assignment."""
-        if not assignment:
-            return f
-        items = frozenset(assignment.items())
-        return self._restrict(f, dict(assignment), items)
-
-    def _restrict(self, f: int, assignment: Dict[int, bool],
-                  key_items: frozenset) -> int:
-        if f <= TRUE:
-            return f
-        key = (f, key_items)
-        hit = self._restrict_table.get(key)
-        if hit is not None:
-            return hit
-        v = self._var[f]
-        if v in assignment:
-            branch = self._hi[f] if assignment[v] else self._lo[f]
-            result = self._restrict(branch, assignment, key_items)
-        else:
-            lo = self._restrict(self._lo[f], assignment, key_items)
-            hi = self._restrict(self._hi[f], assignment, key_items)
-            result = self._node(v, lo, hi)
-        self._restrict_table[key] = result
-        return result
-
-    def compose(self, f: int, var: int, g: int) -> int:
-        """Substitute function ``g`` for variable ``var`` in ``f``."""
-        return self.vector_compose(f, {var: g})
-
-    def vector_compose(self, f: int, substitution: Mapping[int, int]) -> int:
-        """Simultaneously substitute functions for variables.
-
-        This realizes the input overloading of Section 5.1: composing
-        the sampling function ``g(z)`` onto the ``x`` variables casts a
-        computation into the sampling domain.
-        """
-        if not substitution:
-            return f
-        items = frozenset(substitution.items())
-        return self._vcompose(f, dict(substitution), items)
-
-    def _vcompose(self, f: int, sub: Dict[int, int], key_items: frozenset) -> int:
-        if f <= TRUE:
-            return f
-        key = (f, key_items)
-        hit = self._compose_table.get(key)
-        if hit is not None:
-            return hit
-        v = self._var[f]
-        lo = self._vcompose(self._lo[f], sub, key_items)
-        hi = self._vcompose(self._hi[f], sub, key_items)
-        selector = sub.get(v)
-        if selector is None:
-            selector = self.var(v)
-        result = self.ite(selector, hi, lo)
-        self._compose_table[key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -548,33 +477,6 @@ class BddManager:
             table[node] = total
         return table[f]
 
-    def pick_assignment(self, f: int,
-                        variables: Optional[Sequence[int]] = None,
-                        prefer: Optional[Callable[[int], bool]] = None,
-                        ) -> Optional[Dict[int, bool]]:
-        """One satisfying assignment of ``f``, or ``None`` if unsat.
-
-        Variables listed in ``variables`` but not forced by the BDD are
-        filled with ``prefer(var)`` (default ``False``).
-        """
-        if f == FALSE:
-            return None
-        out: Dict[int, bool] = {}
-        node = f
-        while node > TRUE:
-            v = self._var[node]
-            if self._lo[node] != FALSE:
-                out[v] = False
-                node = self._lo[node]
-            else:
-                out[v] = True
-                node = self._hi[node]
-        if variables is not None:
-            for v in variables:
-                if v not in out:
-                    out[v] = bool(prefer(v)) if prefer else False
-        return out
-
     def sat_cubes(self, f: int) -> Iterator[Dict[int, bool]]:
         """Generate all satisfying cubes (partial assignments) of ``f``.
 
@@ -638,20 +540,11 @@ class BddManager:
                 stack.append((a, lo[b]))
         return True
 
-    def _tables(self) -> List[dict]:
-        return [self._and_table, self._or_table, self._xor_table,
-                self._xnor_table, self._not_table, self._ite_table,
-                self._quantify_table, self._restrict_table,
-                self._compose_table, *self._count_tables.values()]
-
-    def clear_cache(self) -> None:
-        """Empty every computed table (keeps the node store)."""
-        for table in self._tables():
-            table.clear()
-        self._count_tables.clear()
-
     def _cache_entries(self) -> int:
-        return sum(len(table) for table in self._tables())
+        tables = [self._and_table, self._or_table, self._xor_table,
+                  self._xnor_table, self._not_table, self._ite_table,
+                  self._quantify_table, *self._count_tables.values()]
+        return sum(len(table) for table in tables)
 
     def stats(self) -> Dict[str, int]:
         """Session statistics for telemetry (node store never shrinks,

@@ -149,7 +149,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             seed=args.seed,
             deadline_s=args.deadline,
             total_sat_budget=args.total_sat_budget,
-            total_bdd_nodes=args.total_bdd_nodes,
             degrade_on_budget=args.degrade_on_budget,
         ))
     else:
@@ -160,8 +159,8 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     journal = None
     run_id = None
     if args.engine == "syseco" and (args.resume or args.store_runs):
-        from repro.eco.checkpoint import RunJournal, resolve_store_root
-        from repro.obs.store import new_run_id
+        from repro.eco.checkpoint import RunJournal
+        from repro.obs.store import new_run_id, resolve_store_root
         from repro.runtime.clock import now as _clock_now
         store_root = resolve_store_root(args.store)
         if args.resume:
@@ -446,9 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total-sat-budget", type=int, default=None,
                    metavar="CONFLICTS",
                    help="aggregate SAT conflict budget across the run")
-    p.add_argument("--total-bdd-nodes", type=int, default=None,
-                   metavar="NODES",
-                   help="aggregate BDD node budget across the run")
     strictness = p.add_mutually_exclusive_group()
     strictness.add_argument(
         "--degrade-on-budget", dest="degrade_on_budget",

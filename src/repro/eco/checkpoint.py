@@ -7,7 +7,8 @@ module gives every journaled run durable, replayable progress:
 * :class:`RunJournal` appends one WAL record per committed unit of
   progress — the diagnosis (failing-output list), every committed
   patch (port, how, rewire ops, outputs fixed, the engine's RNG state
-  and cumulative budget spend at commit time), and the final outcome —
+  and cumulative SAT conflict spend at commit time), and the final
+  outcome —
   into ``<store>/journals/<run_id>.jsonl`` via the crash-safe writers
   of :mod:`repro.obs.atomicio`.
 * ``repro eco --resume RUN_ID`` (from Python, ``SysEco.rectify`` with
@@ -15,7 +16,7 @@ module gives every journaled run durable, replayable progress:
   *replays* the committed patches under the
   supervised validator (a journal is never trusted blindly — every
   replayed op set is re-proven before it is applied), restores the RNG
-  stream position and budget spend of the last commit, skips the
+  stream position and SAT conflict spend of the last commit, skips the
   outputs already fixed and continues the search exactly where the
   dead run left off.  Because the engine is deterministic under a
   seed, a run killed at *any* point resumes to bit-identical patch
@@ -48,7 +49,7 @@ from repro.errors import JournalError
 from repro.netlist.circuit import Pin
 from repro.eco.patch import RewireOp
 from repro.obs.atomicio import append_jsonl_line, read_jsonl, salvage_jsonl
-from repro.obs.store import DEFAULT_STORE_DIR
+from repro.obs.store import resolve_store_root
 from repro.obs.trace import NULL_TRACE, ensure_trace
 from repro.runtime.faultinject import (
     FAULT_CRASH,
@@ -61,11 +62,6 @@ JOURNAL_VERSION = 1
 
 #: subdirectory of the run store holding one journal per run
 JOURNAL_DIR = "journals"
-
-
-def resolve_store_root(root: Optional[str] = None) -> str:
-    """The run-store directory, resolved like :class:`RunStore` does."""
-    return root or os.environ.get("REPRO_RUN_STORE") or DEFAULT_STORE_DIR
 
 
 def journal_path(store_root: str, run_id: str) -> str:
@@ -136,7 +132,6 @@ class JournalCommit:
     fixed: List[str]
     rng_state: Optional[List[Any]] = None
     sat_spent: int = 0
-    bdd_spent: int = 0
 
 
 @dataclass
@@ -157,9 +152,9 @@ class RunJournal:
     Args:
         run_id: the run's durable identity (``repro eco --resume`` key).
         store_root: run-store directory; the journal file lives in its
-            ``journals/`` subdirectory.  ``None`` resolves like
-            :class:`~repro.obs.store.RunStore` (``$REPRO_RUN_STORE`` or
-            ``.repro/runs``).
+            ``journals/`` subdirectory.  ``None`` or ``""`` resolves
+            as for :class:`~repro.obs.store.RunStore`
+            (:func:`~repro.obs.store.resolve_store_root`).
         resume: reload existing records (salvaging a torn tail) so the
             engine can replay them; without it an existing file is an
             error — journal ids are never silently reused.
@@ -218,7 +213,6 @@ class RunJournal:
                     fixed=list(rec.get("fixed", [])),
                     rng_state=rec.get("rng_state"),
                     sat_spent=int(rec.get("sat_spent", 0)),
-                    bdd_spent=int(rec.get("bdd_spent", 0)),
                 ))
             elif kind == "run_finished":
                 state.finished = str(rec.get("outcome", "?"))
@@ -277,7 +271,7 @@ class RunJournal:
     def record_commit(self, port: str, how: str,
                       ops: Sequence[RewireOp], fixed: Sequence[str],
                       rng_state: Optional[Tuple[Any, ...]] = None,
-                      sat_spent: int = 0, bdd_spent: int = 0) -> None:
+                      sat_spent: int = 0) -> None:
         """Journal one committed patch (write-ahead of the mutation)."""
         self._seq += 1
         self._append({
@@ -290,7 +284,6 @@ class RunJournal:
             "rng_state": (encode_rng_state(rng_state)
                           if rng_state is not None else None),
             "sat_spent": sat_spent,
-            "bdd_spent": bdd_spent,
         })
 
     def finish(self, outcome: str) -> None:

@@ -57,7 +57,8 @@ class EcoConfig:
 
         jobs: worker processes for the per-output search phase.  With
             ``jobs > 1`` non-equivalent outputs are partitioned across
-            a process pool; the run budget is split between workers and
+            a process pool; the SAT conflict budget is split between
+            workers and
             every worker's counters, spans and commits are merged back
             into the main run.  ``1`` (default) keeps the sequential
             path.
@@ -70,14 +71,13 @@ class EcoConfig:
         total_sat_budget: aggregate SAT conflict cap across all
             supervised validation calls of a run (``None`` = unlimited;
             ``SAT_QUERY_BUDGET`` still caps each individual call).
-        total_bdd_nodes: aggregate BDD node cap across all symbolic
-            sessions of a run (``None`` = unlimited; ``BDD_NODE_LIMIT``
-            still caps each session).
+            BDD sessions have no run-level cap: ``BDD_NODE_LIMIT``
+            caps each one, and the deadline reaches into them.
         degrade_on_budget: when a run-level budget (deadline, total SAT
-            conflicts, total BDD nodes) is exhausted, checkpoint the
-            partial patch and force-complete the remaining failing
-            outputs via the guaranteed fallback, returning a
-            ``degraded=True`` result; ``False`` = strict mode, raise
+            conflicts) is exhausted, checkpoint the partial patch and
+            force-complete the remaining failing outputs via the
+            guaranteed fallback, returning a ``degraded=True`` result;
+            ``False`` = strict mode, raise
             :class:`~repro.errors.ResourceBudgetExceeded` instead.
     """
 
@@ -93,7 +93,6 @@ class EcoConfig:
     seed: int = 2019
     deadline_s: Optional[float] = None
     total_sat_budget: Optional[int] = None
-    total_bdd_nodes: Optional[int] = None
     degrade_on_budget: bool = True
 
     def __post_init__(self) -> None:
@@ -104,7 +103,7 @@ class EcoConfig:
             raise ValueError("at least one rewiring-net source is required")
         if not 0.0 <= self.error_bias <= 1.0:
             raise ValueError("error_bias must be in [0, 1]")
-        for name in ("deadline_s", "total_sat_budget", "total_bdd_nodes"):
+        for name in ("deadline_s", "total_sat_budget"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when set")

@@ -25,7 +25,8 @@ proves the whole circuit.
 
 Every resource-bounded step runs under a per-run
 :class:`~repro.runtime.supervisor.RunSupervisor`: a wall-clock deadline
-and aggregate SAT/BDD budgets, one budgeted solve per SAT query, and —
+and an aggregate SAT conflict budget, one budgeted solve per SAT query,
+a node cap per BDD session, and —
 unless strict mode is configured — *graceful degradation*: when a
 run-level budget blows mid-search, the partial patch is kept and every
 remaining failing output is force-completed via the Section 3.3
@@ -116,8 +117,8 @@ class SysEco:
         Both circuits must share primary-input and output-port names.
         Raises :class:`EcoError` when the final verification cannot
         prove full equivalence.  When a run-level budget (deadline,
-        aggregate SAT conflicts, aggregate BDD nodes) is exhausted the
-        run degrades gracefully — remaining failing outputs are
+        aggregate SAT conflicts) is exhausted the run degrades
+        gracefully — remaining failing outputs are
         force-completed via the guaranteed fallback and the result is
         marked ``degraded`` — unless ``config.degrade_on_budget`` is
         False, in which case :class:`ResourceBudgetExceeded` propagates.
@@ -156,7 +157,6 @@ class SysEco:
             # the budget's final spend: on a resumed run it includes the
             # dead run's journaled spend, which run.counters does not
             budget_sat_spent=run.budget.sat_spent,
-            budget_bdd_spent=run.budget.bdd_spent,
         )
         if trace.enabled:
             result.trace = trace
@@ -270,7 +270,7 @@ class SysEco:
         committed (a commit that no longer validates means the inputs
         changed — :class:`JournalError`).  After the last commit the
         engine RNG is restored to the journaled stream position and the
-        journaled cumulative budget spend is topped up, so the
+        journaled cumulative SAT conflict spend is topped up, so the
         continued search is bit-identical to the uninterrupted run.
         Returns the outputs still failing.
         """
@@ -317,8 +317,6 @@ class SysEco:
             # journaled cumulative spend up over what replay charged
             run.budget.charge_sat(
                 max(0, last.sat_spent - run.budget.sat_spent))
-            run.budget.charge_bdd(
-                max(0, last.bdd_spent - run.budget.bdd_spent))
         run.trace.event("eco.resumed", replayed=replayed,
                         remaining=len(failing))
         logger.info("resumed run: %d commit(s) replayed, %d output(s) "
@@ -388,8 +386,7 @@ class SysEco:
                     journal.record_commit(
                         port, how, commit.ops, commit.fixed,
                         rng_state=rng.getstate(),
-                        sat_spent=run.budget.sat_spent,
-                        bdd_spent=run.budget.bdd_spent)
+                        sat_spent=run.budget.sat_spent)
                 failing = self._commit(work, spec, port, how, commit.ops,
                                        commit.fixed, patch, per_output,
                                        failing)
@@ -494,9 +491,9 @@ class SysEco:
             try:
                 with run.trace.span("eco.search", output=port,
                                     max_pins=max_pins):
-                    manager = BddManager(
-                        node_limit=run.open_bdd(BDD_NODE_LIMIT),
-                        node_hook=run.node_hook)
+                    run.open_bdd()
+                    manager = BddManager(node_limit=BDD_NODE_LIMIT,
+                                         node_hook=run.node_hook)
                     try:
                         return self._search_in_manager(
                             work, spec, port, failing, patch, pins, sim,

@@ -11,10 +11,11 @@ uses.  Every worker gets
   failing output, or candidates that also touch another group's
   failing outputs would be wrongly rejected as damaging a "passing"
   output — plus its own ``targets`` subset to drive,
-* a share of the run budget: SAT conflicts and BDD nodes are divided
+* a share of the run budget: SAT conflicts are divided
   ``remaining // (jobs + 1)`` (one share held back for the main
   process); the wall-clock deadline is concurrent, so each dispatch
-  passes the time left at that moment whole.
+  passes the time left at that moment whole.  A worker's BDD sessions
+  are capped one by one, as in the main process.
 
 Telemetry is results-only: workers return their commit logs, counters
 and trace records, and the main process absorbs them into the run
@@ -451,8 +452,7 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
                 journal.record_commit(
                     port, how, ops, outcome.fixed,
                     rng_state=rng.getstate() if rng is not None else None,
-                    sat_spent=run.budget.sat_spent,
-                    bdd_spent=run.budget.bdd_spent)
+                    sat_spent=run.budget.sat_spent)
             failing_now = engine._commit(work, spec, port, how, ops,
                                          outcome.fixed, patch, per_output,
                                          failing_now)

@@ -195,9 +195,10 @@ class RectificationResult:
             'fallback-degraded' when a budget ran out first.
         counters: typed per-run telemetry (search effort + supervision);
             supports mapping-style access for the ablation benches.
-        degraded: True when a run-level budget (deadline, aggregate SAT
-            conflicts, aggregate BDD nodes) was exhausted and remaining
-            outputs were force-completed via the guaranteed fallback.
+        degraded: True when a run-level budget (the deadline or the
+            aggregate SAT conflicts) was exhausted, or a ``--jobs``
+            partition was quarantined, and outputs were force-completed
+            via the guaranteed fallback.
             The patched circuit is still proven equivalent — degradation
             affects patch quality, never correctness.
         degrade_reason: human-readable cause of the degradation.

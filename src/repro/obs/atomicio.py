@@ -9,9 +9,13 @@ leaves at worst an orphaned ``.tmp-*`` file — never a truncated trace
 that breaks ``repro runs list`` or ``repro trace``.
 
 Appending to a JSONL file is implemented as read + append + atomic
-rewrite (:func:`append_jsonl_line`).  Run records are a few KB and
-stores hold hundreds of runs, so the rewrite cost is irrelevant next
-to the durability guarantee.
+rewrite (:func:`append_jsonl_line`), so these writers never leave a
+torn line, but appending n records rewrites O(n^2) bytes.  The cost
+shows: in a 70-run ``ecobench`` ``observed`` pass (2-core VM, CPython
+3.11) the 400 record and journal appends took 0.39-0.53 s of 3.3-4.6 s
+(four passes) and rewrote 18.6 MB, for a ``records.jsonl`` that ends
+at 455 KB.  An in-place append would be linear, but a reader could
+then see a half-written line.
 """
 
 from __future__ import annotations

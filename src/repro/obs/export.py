@@ -131,8 +131,6 @@ _BUDGET_GAUGES = (
      "supervised wall time of the run"),
     ("budget_sat_spent", "repro_sat_conflicts_spent",
      "aggregate SAT conflicts charged to the run budget"),
-    ("budget_bdd_spent", "repro_bdd_nodes_spent",
-     "aggregate BDD nodes charged to the run budget"),
 )
 
 

@@ -46,6 +46,13 @@ RECORD_VERSION = 1
 DEFAULT_STORE_DIR = os.path.join(".repro", "runs")
 
 
+def resolve_store_root(root: Optional[str] = None) -> str:
+    """The run-store directory: ``root``, else ``$REPRO_RUN_STORE``,
+    else :data:`DEFAULT_STORE_DIR`.  An empty ``root`` counts as unset,
+    so a store and its journals never split across two directories."""
+    return root or os.environ.get("REPRO_RUN_STORE") or DEFAULT_STORE_DIR
+
+
 class RunStoreError(ReproError):
     """A run-store operation failed (unknown ref, ambiguous prefix, ...)."""
 
@@ -256,10 +263,8 @@ class RunStore:
     """Append-only store of run records: ``records.jsonl`` alone."""
 
     def __init__(self, root: Optional[str] = None):
-        if root is None:
-            root = os.environ.get("REPRO_RUN_STORE") or DEFAULT_STORE_DIR
-        self.root = root
-        self.records_path = os.path.join(root, "records.jsonl")
+        self.root = resolve_store_root(root)
+        self.records_path = os.path.join(self.root, "records.jsonl")
         #: unparsable record lines skipped by the last load
         self.skipped = 0
 

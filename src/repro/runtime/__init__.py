@@ -4,8 +4,8 @@ This package gives every resource-bounded step of the ECO flow a single
 run-level contract (see ``docs/architecture.md``, section "Run
 supervision & failure handling"):
 
-* :class:`RunBudget` — wall-clock deadline plus aggregate SAT conflict
-  and BDD node caps for a whole run;
+* :class:`RunBudget` — wall-clock deadline plus an aggregate SAT
+  conflict cap for a whole run;
 * :class:`RunSupervisor` — bundles the budget, the per-query SAT
   conflict budget (one budgeted solve per query), counters and the
   degradation state the engine consults;

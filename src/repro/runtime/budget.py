@@ -1,12 +1,15 @@
-"""Aggregate run budgets: deadline, SAT conflicts, BDD nodes.
+"""Run budgets: a deadline and an aggregate SAT conflict cap.
 
 A :class:`RunBudget` carries the run-level resource contract of one
-``SysEco.rectify`` call: a wall-clock deadline and aggregate caps on
-SAT conflicts and BDD nodes spent across *all* calls of the run (the
-per-call limits of :class:`~repro.eco.config.EcoConfig` still apply on
-top).  Checks raise the :class:`~repro.errors.ResourceBudgetExceeded`
-subclasses; the supervisor translates those into graceful degradation
-or a strict abort.
+``SysEco.rectify`` call: a wall-clock deadline and an aggregate cap on
+the SAT conflicts spent across *all* supervised queries of the run
+(``SAT_QUERY_BUDGET`` still caps each query).  BDD sessions have no
+run-level cap: each is bounded by its own node limit and dropped when
+it closes, and the deadline reaches into them through the manager's
+node hook.  Checks raise the
+:class:`~repro.errors.ResourceBudgetExceeded` subclasses; the
+supervisor translates those into graceful degradation or a strict
+abort.
 
 Charging is post-paid: a call is granted ``min(requested, remaining)``
 up front and charged for what it actually consumed afterwards, so a
@@ -18,38 +21,29 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import (
-    DeadlineExceeded,
-    ResourceBudgetExceeded,
-    SatBudgetExceeded,
-)
+from repro.errors import DeadlineExceeded, SatBudgetExceeded
 from repro.runtime.faultinject import MonotonicClock
 
 
 class RunBudget:
-    """Run-level deadline and aggregate resource caps.
+    """Run-level deadline and aggregate SAT conflict cap.
 
     Args:
         deadline_s: wall-clock seconds the run may take; ``None``
             disables the deadline.
         total_sat_conflicts: aggregate SAT conflict cap across every
             supervised solver call of the run; ``None`` = unlimited.
-        total_bdd_nodes: aggregate BDD node cap across every symbolic
-            session of the run; ``None`` = unlimited.
         clock: time source (injectable for fault testing); defaults to
             a monotonic wall clock.
     """
 
     def __init__(self, deadline_s: Optional[float] = None,
                  total_sat_conflicts: Optional[int] = None,
-                 total_bdd_nodes: Optional[int] = None,
                  clock=None):
         self.clock = clock or MonotonicClock()
         self.deadline_s = deadline_s
         self.total_sat_conflicts = total_sat_conflicts
-        self.total_bdd_nodes = total_bdd_nodes
         self.sat_spent = 0
-        self.bdd_spent = 0
         self._t0 = self.clock.now()
 
     # ------------------------------------------------------------------
@@ -99,33 +93,3 @@ class RunBudget:
 
     def charge_sat(self, conflicts: int) -> None:
         self.sat_spent += max(0, conflicts)
-
-    # ------------------------------------------------------------------
-    # BDD nodes
-    # ------------------------------------------------------------------
-    def bdd_remaining(self) -> Optional[int]:
-        if self.total_bdd_nodes is None:
-            return None
-        return self.total_bdd_nodes - self.bdd_spent
-
-    def grant_bdd(self, requested: Optional[int]) -> Optional[int]:
-        """Node limit for one BDD session, capped by the remainder.
-
-        Raises plain :class:`ResourceBudgetExceeded` (not
-        :class:`~repro.errors.BddNodeLimitError`) when the aggregate
-        node budget is spent, so the engine's shrink-and-retry handler
-        for per-session blowups does not swallow it.
-        """
-        self.check_deadline()
-        remaining = self.bdd_remaining()
-        if remaining is None:
-            return requested
-        if remaining <= 0:
-            raise ResourceBudgetExceeded(
-                f"total BDD node budget of {self.total_bdd_nodes} spent")
-        if requested is None:
-            return remaining
-        return min(requested, remaining)
-
-    def charge_bdd(self, nodes: int) -> None:
-        self.bdd_spent += max(0, nodes)

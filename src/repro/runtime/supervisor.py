@@ -4,7 +4,7 @@
 threads it through every resource-bounded step.  It bundles
 
 * a :class:`~repro.runtime.budget.RunBudget` (deadline + aggregate SAT
-  conflict / BDD node caps),
+  conflict cap),
 * one budgeted solve per SAT query, granted :data:`SAT_QUERY_BUDGET`
   conflicts capped by what is left of the aggregate budget,
 * a :class:`~repro.runtime.faultinject.FaultInjector` (deterministic
@@ -12,7 +12,9 @@ threads it through every resource-bounded step.  It bundles
 * the run's :class:`~repro.runtime.counters.RunCounters`,
 * the degradation flag the engine consults when a budget blows,
 * one ``bdd.session`` span per BDD session, tagged with the nodes the
-  session spent when it closes.
+  session spent when it closes.  A session's node cap is the engine's
+  ``BDD_NODE_LIMIT``, given to the manager directly; the run counts
+  the nodes its sessions spent but does not cap them.
 
 All state of a run lives here — engine instances stay stateless and
 can serve concurrent ``rectify`` calls.
@@ -85,7 +87,6 @@ class RunSupervisor:
         budget = RunBudget(
             deadline_s=config.deadline_s,
             total_sat_conflicts=config.total_sat_budget,
-            total_bdd_nodes=config.total_bdd_nodes,
             clock=clock)
         return cls(budget, injector=injector, trace=trace)
 
@@ -129,38 +130,35 @@ class RunSupervisor:
     # ------------------------------------------------------------------
     # BDD sessions
     # ------------------------------------------------------------------
-    def open_bdd(self, configured_limit: Optional[int]) -> Optional[int]:
-        """Node limit for a new BDD session, under the aggregate cap.
+    def open_bdd(self) -> None:
+        """Admit a new BDD session.
 
-        Observes the :data:`SITE_BDD` fault site; an armed fault raises
-        :class:`BddNodeLimitError` as an immediate session blowup.
+        Observes the :data:`SITE_BDD` fault site (an armed fault raises
+        :class:`BddNodeLimitError` as an immediate session blowup),
+        then checks the deadline, so a session never opens after it.
         """
         fault = self.injector.observe(SITE_BDD)
         if fault is not None:
             raise BddNodeLimitError(
                 "fault injection: BDD node limit hit at session "
                 f"{self.injector.calls(SITE_BDD)}")
-        limit = self.budget.grant_bdd(configured_limit)
+        self.budget.check_deadline()
         self.counters.bdd_sessions += 1
         # the session span stays open until close_bdd; symbolic work
         # performed inside the session nests under it in the trace
-        self._bdd_spans.append(
-            self.trace.span("bdd.session", limit=limit))
-        return limit
+        self._bdd_spans.append(self.trace.span("bdd.session"))
 
     def close_bdd(self, manager) -> None:
-        """Charge a finished session's node count to the run budget.
+        """Count a finished session's nodes in the run's counters.
 
         ``manager`` is the session's
-        :class:`~repro.bdd.manager.BddManager`; its ``stats()`` tag the
-        session span.
+        :class:`~repro.bdd.manager.BddManager`; its node limit and
+        ``stats()`` tag the session span.
         """
-        nodes = manager.num_nodes
-        self.budget.charge_bdd(nodes)
-        self.counters.bdd_nodes_spent += nodes
+        self.counters.bdd_nodes_spent += manager.num_nodes
         if self._bdd_spans:
             span = self._bdd_spans.pop()
-            span.tag(**manager.stats())
+            span.tag(limit=manager.node_limit, **manager.stats())
             span.finish()
 
     # ------------------------------------------------------------------
@@ -209,48 +207,33 @@ class RunSupervisor:
     # parallel workers
     # ------------------------------------------------------------------
     def partition_shares(self, jobs: int) -> tuple:
-        """Exact budget partition across ``jobs`` workers + the main
-        process.
+        """Exact SAT budget partition across ``jobs`` workers + the
+        main process.
 
         Returns ``(shares, reserve)`` where ``shares`` is one budget
-        dict per worker (``total_sat_budget`` and ``total_bdd_nodes``,
-        ``None`` when unlimited) and ``reserve`` is the main process's
-        share.  SAT conflicts and BDD nodes are split evenly with one
-        extra share held back for the main process (commit replay,
-        fallbacks).  For each capped resource the worker shares plus
-        the reserve sum *exactly* to the remaining budget — the
-        division remainder goes to the reserve, so partitioning loses
-        nothing and a retried task re-uses its partition's share
-        instead of drawing a fresh one (no double-spend).  The one
-        exception: every worker share has a floor of 1 (configs reject
-        zero budgets), so a budget smaller than ``jobs + 1``
-        over-allocates and the reserve clamps to 0 — the workers'
-        aggregate spend is still charged against the real budget when
-        their telemetry is absorbed.  Wall-clock time is concurrent,
-        not divided: the dispatcher hands every worker the time left
-        when it starts.
+        dict per worker (``total_sat_budget``, ``None`` when unlimited)
+        and ``reserve`` is the main process's share.  SAT conflicts are
+        split evenly with one extra share held back for the main
+        process (commit replay, fallbacks).  With a capped budget the
+        worker shares plus the reserve sum *exactly* to the remaining
+        budget — the division remainder goes to the reserve, so
+        partitioning loses nothing and a retried task re-uses its
+        partition's share instead of drawing a fresh one (no
+        double-spend).  The one exception: every worker share has a
+        floor of 1 (configs reject zero budgets), so a budget smaller
+        than ``jobs + 1`` over-allocates and the reserve clamps to 0 —
+        the workers' aggregate spend is still charged against the real
+        budget when their telemetry is absorbed.  Wall-clock time is
+        concurrent, not divided: the dispatcher hands every worker the
+        time left when it starts.
         """
-        sat_left = self.budget.sat_remaining()
-        bdd_left = self.budget.bdd_remaining()
-
-        def split(total):
-            if total is None:
-                return [None] * jobs, None
-            per = max(1, total // (jobs + 1))
-            worker_shares = [per] * jobs
-            return worker_shares, max(0, total - per * jobs)
-
-        sat_shares, sat_reserve = split(sat_left)
-        bdd_shares, bdd_reserve = split(bdd_left)
-        shares = [{
-            "total_sat_budget": sat_shares[i],
-            "total_bdd_nodes": bdd_shares[i],
-        } for i in range(jobs)]
-        reserve = {
-            "total_sat_budget": sat_reserve,
-            "total_bdd_nodes": bdd_reserve,
-        }
-        return shares, reserve
+        total = self.budget.sat_remaining()
+        if total is None:
+            return ([{"total_sat_budget": None} for _ in range(jobs)],
+                    {"total_sat_budget": None})
+        per = max(1, total // (jobs + 1))
+        return ([{"total_sat_budget": per} for _ in range(jobs)],
+                {"total_sat_budget": max(0, total - per * jobs)})
 
     def absorb_worker(self, counters: Dict[str, int],
                       degraded: bool = False,
@@ -258,8 +241,8 @@ class RunSupervisor:
         """Merge one worker's telemetry into this run.
 
         Adds every counter that names a ``RunCounters`` field and skips
-        any other name, charges the worker's actual SAT/BDD spend to
-        the aggregate budget, and propagates degradation.
+        any other name, charges the worker's actual SAT spend to the
+        aggregate budget, and propagates degradation.
         """
         known = self.counters.as_dict()
         for name, value in counters.items():
@@ -267,7 +250,6 @@ class RunSupervisor:
                 setattr(self.counters, name,
                         getattr(self.counters, name) + value)
         self.budget.charge_sat(counters.get("sat_conflicts_spent", 0))
-        self.budget.charge_bdd(counters.get("bdd_nodes_spent", 0))
         self.counters.parallel_workers += 1
         if degraded:
             self.mark_degraded(degrade_reason or "worker degraded")
@@ -283,9 +265,6 @@ class RunSupervisor:
                  f"fallbacks={c.fallbacks}"]
         if self.budget.total_sat_conflicts is not None:
             parts[1] += f"/{self.budget.total_sat_conflicts}"
-        if self.budget.total_bdd_nodes is not None:
-            parts[2] = (f"bdd_nodes={c.bdd_nodes_spent}"
-                        f"/{self.budget.total_bdd_nodes}")
         if self.degraded:
             parts.append(f"DEGRADED({self.degrade_reason})")
         return " ".join(parts)

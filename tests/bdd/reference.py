@@ -5,11 +5,11 @@ keys carry the operator name, ``xor``/``xnor`` build ``not_(g)`` first,
 and ``satcount`` recounts its BDD with a fresh memo on every call --
 exactly how :class:`repro.bdd.manager.BddManager` computed them before
 each operator got its own apply and table.  Node store, unique table,
-quantification, restriction and enumeration are inherited, but the
-quantifiers and composition here route through the generic
-connectives as they did then.  ROBDDs are canonical for a fixed
-variable order, so the differential tests require the production
-manager to return the same functions, counts, cubes and assignments.
+quantification and enumeration are inherited, but the quantifiers here
+route through the generic connectives as they did then.  ROBDDs are
+canonical for a fixed variable order, so the differential tests
+require the production manager to return the same functions, counts
+and cubes.
 """
 
 from __future__ import annotations
@@ -84,9 +84,6 @@ class ReferenceBddManager(BddManager):
     def implies(self, f: int, g: int) -> int:
         return self.ite(f, g, TRUE)
 
-    def equiv(self, f: int, g: int) -> int:
-        return self.xnor(f, g)
-
     def mux(self, s: int, d0: int, d1: int) -> int:
         return self.ite(s, d1, d0)
 
@@ -108,24 +105,6 @@ class ReferenceBddManager(BddManager):
             result = self.or_(lo, hi) if existential else self.and_(lo, hi)
         else:
             result = self._node(v, lo, hi)
-        self._ref_cache[key] = result
-        return result
-
-    def _vcompose(self, f: int, sub: Dict[int, int],
-                  key_items: frozenset) -> int:
-        if f <= TRUE:
-            return f
-        key = ("vcompose", f, key_items)
-        hit = self._ref_cache.get(key)
-        if hit is not None:
-            return hit
-        v = self._var[f]
-        lo = self._vcompose(self._lo[f], sub, key_items)
-        hi = self._vcompose(self._hi[f], sub, key_items)
-        selector = sub.get(v)
-        if selector is None:
-            selector = self.var(v)
-        result = self.ite(selector, hi, lo)
         self._ref_cache[key] = result
         return result
 

@@ -32,7 +32,7 @@ class TestOperators:
     def test_implies_equiv_ite(self, env):
         m, a, b, c = env
         assert a.implies(a).is_true
-        assert a.equiv(a).is_true
+        assert ~(a ^ b) == (a.implies(b) & b.implies(a))
         assert a.ite(b, c) == ((a & b) | (~a & c))
 
     def test_reflected_operators(self, env):
@@ -76,12 +76,6 @@ class TestQueries:
         f = a & b
         assert f.exists([0]) == b
         assert f.forall([0]).is_false
-
-    def test_restrict_compose(self, env):
-        m, a, b, c = env
-        f = a ^ b
-        assert f.restrict({0: True}) == ~b
-        assert f.compose(0, c) == (c ^ b)
 
     def test_hash_and_eq(self, env):
         m, a, b, c = env

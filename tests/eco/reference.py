@@ -437,12 +437,16 @@ def whole_cast_candidates(ctx, domain: NetlistCast,
     return [trivial] + kept
 
 
-def code_cube(manager, word: Sequence[int], k: int) -> int:
-    """The minterm of code ``k`` on the variables ``word``, most
+def code_assignment(word: Sequence[int], k: int) -> Dict[int, bool]:
+    """Code ``k`` as an assignment of the variables ``word``, most
     significant first."""
     bits = len(word)
-    return manager.cube({
-        word[b]: bool((k >> (bits - 1 - b)) & 1) for b in range(bits)})
+    return {word[b]: bool((k >> (bits - 1 - b)) & 1) for b in range(bits)}
+
+
+def code_cube(manager, word: Sequence[int], k: int) -> int:
+    """The minterm of code ``k`` on the variables ``word``."""
+    return manager.cube(code_assignment(word, k))
 
 
 def composition_function(impl: Circuit, port: str,

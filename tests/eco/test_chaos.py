@@ -202,7 +202,13 @@ class TestKillAndResumeTable1:
 
     def test_traced_resume_reports_the_budget_spend(self, tmp_path):
         """The metrics file's budget gauges include the dead run's
-        journaled spend, which the resuming process's counters do not."""
+        journaled spend, which the resuming process's counters do not.
+
+        Replay re-proves the journaled commits under the run budget,
+        so it charges conflicts of its own; the engine then tops the
+        budget up to the journaled spend.  The gauge is therefore the
+        resumed run's conflicts plus whatever the journal recorded
+        beyond what replay spent."""
         from repro.obs import parse_prometheus_text, prometheus_text
 
         store = str(tmp_path / "store")
@@ -216,15 +222,18 @@ class TestKillAndResumeTable1:
 
         case = build_case(1)
         journal = RunJournal("chaos", store_root=store, resume=True)
-        journaled = journal.commits[-1].bdd_spent
+        journaled = journal.commits[-1].sat_spent
         assert journaled > 0
         trace = Trace(name="resumed")
         resumed = rectify(case.impl, case.spec, config, journal=journal,
                           trace=trace)
+        (replay,) = [s for s in trace.spans if s.name == "eco.resume"]
+        replayed = replay.counters.get("sat_conflicts_spent", 0)
         families = parse_prometheus_text(prometheus_text(trace))
-        (sample,) = families["repro_bdd_nodes_spent"]["samples"]
-        assert sample[2] == resumed.counters.bdd_nodes_spent + journaled
-        assert families["repro_bdd_nodes_spent"]["type"] == "gauge"
+        (sample,) = families["repro_sat_conflicts_spent"]["samples"]
+        assert sample[2] == resumed.counters.sat_conflicts_spent \
+            + max(0, journaled - replayed)
+        assert families["repro_sat_conflicts_spent"]["type"] == "gauge"
 
 
 class TestWorkerChaos:

@@ -54,32 +54,28 @@ class TestPartitioning:
         assert groups == [["a"], ["b"]]
 
     def test_budget_shares_reserve_one_for_main(self):
-        run = RunSupervisor.from_config(
-            EcoConfig(total_sat_budget=100, total_bdd_nodes=50))
+        run = RunSupervisor.from_config(EcoConfig(total_sat_budget=100))
         shares, _reserve = run.partition_shares(3)
         assert all(s["total_sat_budget"] == 100 // 4 for s in shares)
-        assert all(s["total_bdd_nodes"] == 50 // 4 for s in shares)
 
     def test_unlimited_budgets_stay_unlimited(self):
         run = RunSupervisor.from_config(EcoConfig())
         shares, _reserve = run.partition_shares(2)
         assert all(s["total_sat_budget"] is None for s in shares)
-        assert all(s["total_bdd_nodes"] is None for s in shares)
 
     @pytest.mark.parametrize("total,jobs", [
         (100, 3), (100, 4), (7, 3), (101, 2), (997, 16),
     ])
     def test_partition_shares_sum_exactly(self, total, jobs):
-        run = RunSupervisor.from_config(
-            EcoConfig(total_sat_budget=total, total_bdd_nodes=total))
+        run = RunSupervisor.from_config(EcoConfig(total_sat_budget=total))
         shares, reserve = run.partition_shares(jobs)
         assert len(shares) == jobs
-        for key in ("total_sat_budget", "total_bdd_nodes"):
-            # the division remainder lands in the reserve: no conflict
-            # of the parent budget is lost or double-granted
-            assert sum(s[key] for s in shares) + reserve[key] == total
-            assert all(s[key] >= 1 for s in shares)
-            assert reserve[key] >= min(s[key] for s in shares)
+        granted = [s["total_sat_budget"] for s in shares]
+        # the division remainder lands in the reserve: no conflict of
+        # the parent budget is lost or double-granted
+        assert sum(granted) + reserve["total_sat_budget"] == total
+        assert all(g >= 1 for g in granted)
+        assert reserve["total_sat_budget"] >= min(granted)
 
     def test_partition_shares_tiny_budget_floors_at_one(self):
         # budgets below jobs+1 cannot split exactly (configs reject
@@ -100,7 +96,7 @@ class TestPartitioning:
         run = RunSupervisor.from_config(EcoConfig())
         shares, reserve = run.partition_shares(2)
         assert all(s["total_sat_budget"] is None for s in shares)
-        assert reserve["total_bdd_nodes"] is None
+        assert reserve["total_sat_budget"] is None
 
 
 class TestTelemetryMerge:

@@ -205,8 +205,7 @@ class TestUtilityMatchesBddCount:
                 Pin.gate(g, i) for g in impl.gates if g in fanin
                 for i in range(len(impl.gates[g].fanins))]
             manager = domain.manager
-            codes = [manager.pick_assignment(domain.code_of(k),
-                                             variables=domain.z_vars)
+            codes = [reference.code_assignment(domain.z_vars, k)
                      for k in range(n)]
             for pin in pins:
                 cands = ctx.candidates_for_pin(pin)

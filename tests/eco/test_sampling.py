@@ -12,7 +12,7 @@ from repro.eco.validate import SimulationFilter
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulate import evaluate_outputs
 from tests.conftest import make_random_circuit
-from tests.eco.reference import NetlistCast, code_cube
+from tests.eco.reference import NetlistCast, code_assignment, code_cube
 
 
 def make_domain(samples, circuit, manager=None):
@@ -25,12 +25,6 @@ def single_input(name="a"):
     c.add_inputs([name])
     c.set_output("o", c.buf(name))
     return c
-
-
-def code_assignment(d, k):
-    """The ``z`` assignment of code ``k``."""
-    return d.manager.pick_assignment(code_cube(d.manager, d.z_vars, k),
-                                     variables=d.z_vars)
 
 
 class TestConstruction:
@@ -96,7 +90,7 @@ class TestSamplingFunction:
         g = d.cast_circuit(c, roots=["a", "b"])
         for k, sample in enumerate(samples):
             # evaluate g_i at the assignment encoding sample k
-            assignment = code_assignment(d, k)
+            assignment = code_assignment(d.z_vars, k)
             for name in ("a", "b"):
                 got = d.manager.evaluate(g[name], assignment)
                 assert got == sample[name], (k, name)
@@ -108,7 +102,7 @@ class TestSamplingFunction:
             fn = d.function_of(word | 1 << 40)  # bits past N are ignored
             for k in range(8):
                 want = bool(word >> min(k, 4) & 1)
-                assert m.evaluate(fn, code_assignment(d, k)) == want
+                assert m.evaluate(fn, code_assignment(d.z_vars, k)) == want
 
 
 class TestCastCircuit:
@@ -121,7 +115,7 @@ class TestCastCircuit:
         values = d.cast_circuit(c)
         m = d.manager
         for k, sample in enumerate(samples):
-            assignment = code_assignment(d, k)
+            assignment = code_assignment(d.z_vars, k)
             sim = evaluate_outputs(c, sample)
             for port, net in c.outputs.items():
                 assert m.evaluate(values[net], assignment) == sim[port]

@@ -7,25 +7,27 @@ monkeypatching of engine internals:
 * deadline expiry mid-run (simulated wall-clock jump);
 * injected SAT ``UNKNOWN`` streaks (unproven outputs, then fallback);
 * injected aggregate SAT budget exhaustion;
-* injected BDD node-limit hits and aggregate BDD node exhaustion;
+* injected BDD node-limit hits and a deadline past at session open;
 * strict mode turning each degradation into a raised
   :class:`ResourceBudgetExceeded`.
 """
 
 import pytest
 
+from repro.bdd.manager import BddManager
 from repro.cec.equivalence import check_equivalence
 from repro.errors import (
     DeadlineExceeded,
-    ResourceBudgetExceeded,
     SatBudgetExceeded,
 )
 from repro.netlist.circuit import Circuit
+from repro.obs.trace import Trace
 from repro.runtime import (
     FAULT_EXHAUST,
     FAULT_UNKNOWN,
     FaultInjector,
     RunCounters,
+    RunSupervisor,
     SITE_BDD,
     SITE_CLOCK,
     SITE_SAT,
@@ -46,6 +48,14 @@ def single_bug_circuits():
     h1 = impl.or_(a, b, name="h1")
     impl.set_output("o", impl.xor(h1, c, name="h2"))
     return impl, spec
+
+
+class FakeClock:
+    def __init__(self, t: float = 0.0):
+        self.t = t
+
+    def now(self) -> float:
+        return self.t
 
 
 def assert_verified(result, spec):
@@ -141,20 +151,24 @@ class TestBddDegradation:
         assert result.per_output == {"o": "fallback"}
         assert_verified(result, spec)
 
-    def test_aggregate_node_budget_degrades_but_verifies(self):
-        impl, spec = example1_circuits(width=2)
-        result = rectify(impl, spec,
-                         EcoConfig(num_samples=8, total_bdd_nodes=1))
-        assert result.degraded is True
-        assert "BDD node budget" in result.degrade_reason
-        assert_verified(result, spec)
-
-    def test_aggregate_node_budget_strict_raises(self):
-        impl, spec = example1_circuits(width=2)
-        with pytest.raises(ResourceBudgetExceeded):
-            rectify(impl, spec,
-                    EcoConfig(num_samples=8, total_bdd_nodes=1,
-                              degrade_on_budget=False))
+    def test_open_after_deadline_raises_before_counting(self):
+        # the deadline check precedes the session count and its span,
+        # so a session never opens once the deadline has passed
+        clock = FakeClock()
+        trace = Trace(name="t")
+        run = RunSupervisor.from_config(
+            EcoConfig(deadline_s=1.0), clock=clock, trace=trace)
+        clock.t = 2.0
+        with pytest.raises(DeadlineExceeded):
+            run.open_bdd()
+        assert run.counters.bdd_sessions == 0
+        clock.t = 0.5
+        run.open_bdd()
+        run.close_bdd(BddManager())
+        assert run.counters.bdd_sessions == 1
+        # the refused open took no span id: the one span is the first
+        (span,) = trace.spans
+        assert (span.name, span.span_id) == ("bdd.session", 1)
 
 
 class TestRunIsolation:
@@ -183,7 +197,7 @@ class TestConfigValidation:
             EcoConfig(**{field: 0})
 
     @pytest.mark.parametrize("field", [
-        "deadline_s", "total_sat_budget", "total_bdd_nodes",
+        "deadline_s", "total_sat_budget",
     ])
     def test_optional_budgets_must_be_positive_when_set(self, field):
         with pytest.raises(ValueError):

@@ -77,6 +77,20 @@ class TestRunStore:
         store.publish(make_record())
         assert os.path.exists(tmp_path / "env-store" / "records.jsonl")
 
+    def test_empty_root_resolves_with_the_journals(self, tmp_path,
+                                                   monkeypatch):
+        """``repro eco --store ""`` keeps a run's record and journal in
+        one store: both fall back to ``$REPRO_RUN_STORE``."""
+        from repro.eco.checkpoint import RunJournal
+
+        monkeypatch.setenv("REPRO_RUN_STORE", str(tmp_path / "env-store"))
+        monkeypatch.chdir(tmp_path)
+        store = RunStore("")
+        journal = RunJournal("x", store_root="")
+        assert store.root == journal.store_root == str(tmp_path / "env-store")
+        store.publish(make_record())
+        assert os.listdir(tmp_path) == ["env-store"]
+
     def test_truncated_line_skipped(self, store):
         store.publish(make_record("a" * 8))
         store.publish(make_record("b" * 8))

@@ -83,21 +83,3 @@ class TestRunBudgetSat:
         clock.t = 2.0
         with pytest.raises(DeadlineExceeded):
             budget.grant_sat(10)
-
-
-class TestRunBudgetBdd:
-    def test_grants_and_charges(self):
-        budget = RunBudget(total_bdd_nodes=1000, clock=FakeClock())
-        assert budget.grant_bdd(400) == 400
-        budget.charge_bdd(900)
-        assert budget.grant_bdd(400) == 100
-
-    def test_exhaustion_is_not_a_node_limit_error(self):
-        # the engine's shrink-and-retry handler catches
-        # BddNodeLimitError; aggregate exhaustion must NOT be caught by
-        # it, so it has to be the plain budget class
-        budget = RunBudget(total_bdd_nodes=10, clock=FakeClock())
-        budget.charge_bdd(10)
-        with pytest.raises(ResourceBudgetExceeded) as info:
-            budget.grant_bdd(5)
-        assert not isinstance(info.value, BddNodeLimitError)

@@ -203,7 +203,7 @@ class TestServeAndWatch:
         assert counters["sat_validations"] > 0
         gauges = {n for n, f in families.items() if f["type"] == "gauge"}
         budget = {"repro_budget_elapsed_seconds",
-                  "repro_sat_conflicts_spent", "repro_bdd_nodes_spent"}
+                  "repro_sat_conflicts_spent"}
         assert budget <= gauges
         assert all(n.startswith("repro_run_") for n in gauges - budget)
 
