@@ -97,11 +97,6 @@ class BddManager:
         self._check_var(index)
         return self._node(index, FALSE, TRUE)
 
-    def nvar(self, index: int) -> int:
-        """The BDD of the negated variable ``index``."""
-        self._check_var(index)
-        return self._node(index, TRUE, FALSE)
-
     def _check_var(self, index: int) -> None:
         if not 0 <= index < self._nvars:
             raise BddError(f"variable {index} not allocated (have {self._nvars})")
@@ -133,9 +128,6 @@ class BddManager:
 
     def high(self, node: int) -> int:
         return self._hi[node]
-
-    def is_terminal(self, node: int) -> bool:
-        return node <= TRUE
 
     # ------------------------------------------------------------------
     # core connectives: one apply and one computed table per operator

@@ -9,8 +9,8 @@ module gives every journaled run durable, replayable progress:
   patch (port, how, rewire ops, outputs fixed, the engine's RNG state
   and cumulative SAT conflict spend at commit time), and the final
   outcome —
-  into ``<store>/journals/<run_id>.jsonl`` via the crash-safe writers
-  of :mod:`repro.obs.atomicio`.
+  into ``<store>/journals/<run_id>.jsonl``, each record one fsynced
+  in-place append (:func:`repro.obs.atomicio.append_jsonl_line`).
 * ``repro eco --resume RUN_ID`` (from Python, ``SysEco.rectify`` with
   ``journal=RunJournal(run_id, resume=True)``) reopens the journal,
   *replays* the committed patches under the
@@ -25,8 +25,10 @@ module gives every journaled run durable, replayable progress:
 The journal is written ahead of the in-memory commit: a crash between
 the append and the circuit mutation loses nothing (the record replays
 on resume), and a crash *during* the append leaves at worst a torn
-trailing line, which :func:`repro.obs.atomicio.salvage_jsonl` drops on
-reopen — everything before the torn write survives.
+trailing line, which :func:`repro.obs.atomicio.salvage_jsonl` truncates
+on reopen — everything before the torn write survives.  A journal
+writer creates no temporary file; a ``.tmp-*`` file an older version
+left in ``journals/`` is not a run and stays in place.
 
 Fault injection: every append observes
 :data:`~repro.runtime.faultinject.SITE_JOURNAL`, so the chaos harness
@@ -307,8 +309,8 @@ class RunJournal:
             append_jsonl_line(self.path, record)
 
     def _tear(self, record: Dict[str, Any]) -> None:
-        """Write half a record non-atomically, as a dying legacy writer
-        would — the torn tail the salvage path must recover from."""
+        """Write half a record, as a writer killed mid-append would —
+        the torn tail the salvage path must recover from."""
         line = json.dumps(record, sort_keys=True, default=str)
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
@@ -331,7 +333,7 @@ def list_resumable(store_root: Optional[str] = None) -> List[Dict[str, Any]]:
         return []
     entries: List[Dict[str, Any]] = []
     for name in sorted(os.listdir(directory)):
-        if not name.endswith(".jsonl"):
+        if name.startswith(".") or not name.endswith(".jsonl"):
             continue
         run_id = name[:-len(".jsonl")]
         journal = RunJournal(run_id, store_root=root, resume=True)

@@ -4,8 +4,8 @@ A :class:`Diagnostic` is one finding: a stable code (``NL010``,
 ``PA001``, ``RI004``, ...), a severity, a human-readable message, the
 location it anchors to, and an optional fix hint.  A
 :class:`LintReport` aggregates the diagnostics of one analyzer run and
-renders them as text (one finding per line, grep-friendly) or JSON
-(stable schema for CI artifacts and tooling).
+renders them as text (one finding per line, grep-friendly) or as a
+dict with a stable JSON schema (CI artifacts and tooling).
 
 Code families:
 
@@ -19,7 +19,6 @@ The catalog of all codes lives in ``docs/static-analysis.md``.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
@@ -153,10 +152,6 @@ class LintReport:
         """Distinct codes present, sorted."""
         return sorted({d.code for d in self.diagnostics})
 
-    def exit_code(self) -> int:
-        """Process exit status the CLI maps the report to."""
-        return 0 if self.ok else 1
-
     # -- rendering -----------------------------------------------------
     def summary(self) -> Dict[str, int]:
         return {
@@ -188,6 +183,3 @@ class LintReport:
             "ok": self.ok,
             "diagnostics": [d.as_dict() for d in self.diagnostics],
         }
-
-    def render_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)

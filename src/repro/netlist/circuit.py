@@ -250,14 +250,6 @@ class Circuit:
         """Total sink-pin count (the 'sinks' column of Table 1)."""
         return sum(len(g.fanins) for g in self.gates.values()) + len(self.outputs)
 
-    def all_pins(self) -> Iterator[Pin]:
-        """Every sink pin in the circuit."""
-        for g in self.gates.values():
-            for i in range(len(g.fanins)):
-                yield Pin.gate(g.name, i)
-        for port in self.outputs:
-            yield Pin.output(port)
-
     def pin_driver(self, pin: Pin) -> str:
         """The net currently driving ``pin``."""
         if pin.is_output_port:

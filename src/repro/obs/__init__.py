@@ -31,11 +31,7 @@ from repro.obs.trace import (
     Trace,
     ensure_trace,
 )
-from repro.obs.atomicio import (
-    atomic_write_text,
-    detect_torn_tail,
-    salvage_jsonl,
-)
+from repro.obs.atomicio import atomic_write_text, salvage_jsonl
 from repro.obs.export import (
     chrome_payload,
     prometheus_text,
@@ -85,7 +81,6 @@ __all__ = [
     "Trace",
     "ensure_trace",
     "atomic_write_text",
-    "detect_torn_tail",
     "salvage_jsonl",
     "chrome_payload",
     "prometheus_text",

@@ -1,21 +1,22 @@
 """Crash-safe file writes for traces and run records.
 
-Every trace export and every run-store write goes through
+Whole-file exports (traces, metrics files, bench tables) go through
 :func:`atomic_write_text`: the content is written to a temporary file
 in the *same directory* as the target, flushed and fsynced, then
 renamed over the target with ``os.replace``.  POSIX rename is atomic,
-so a reader never observes a half-written file and a killed writer
-leaves at worst an orphaned ``.tmp-*`` file — never a truncated trace
-that breaks ``repro runs list`` or ``repro trace``.
+so a reader never observes a half-written export.
 
-Appending to a JSONL file is implemented as read + append + atomic
-rewrite (:func:`append_jsonl_line`), so these writers never leave a
-torn line, but appending n records rewrites O(n^2) bytes.  The cost
-shows: in a 70-run ``ecobench`` ``observed`` pass (2-core VM, CPython
-3.11) the 400 record and journal appends took 0.39-0.53 s of 3.3-4.6 s
-(four passes) and rewrote 18.6 MB, for a ``records.jsonl`` that ends
-at 455 KB.  An in-place append would be linear, but a reader could
-then see a half-written line.
+JSONL files (the run store's ``records.jsonl`` and every checkpoint
+journal) only grow, one record per line, and :func:`append_jsonl_line`
+appends in place: one ``write`` call on a file opened for append, then
+an fsync before it returns.  The one crash model is a writer killed
+mid-append, which leaves at worst a torn final line.  Every record
+before it survives; :func:`read_jsonl` skips the fragment,
+:func:`salvage_jsonl` truncates it away, and the next append starts a
+fresh line first.  Because each append is a single write at the end of
+the file, appends from several processes to a file on a local file
+system land whole, one after the other, and no writer of these files
+leaves a temporary file behind.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -47,28 +48,33 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def append_jsonl_line(path: str, record: Dict[str, Any]) -> None:
-    """Append one JSON record to a JSONL file, atomically.
+    """Append one JSON record to a JSONL file, durably.
 
-    The existing content is read back, the new line appended, and the
-    whole file rewritten via :func:`atomic_write_text` — an interrupted
-    append can never leave a partial trailing line.
+    The line goes out in one write call on an unbuffered append handle
+    and is fsynced before this returns.  When the file does not end in
+    a newline (a torn final line), the write starts with one, so the
+    new record never fuses with the fragment.
     """
-    line = json.dumps(record, sort_keys=True, default=str)
-    existing = ""
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            existing = fh.read()
-    if existing and not existing.endswith("\n"):
-        existing += "\n"
-    atomic_write_text(path, existing + line + "\n")
+    data = (json.dumps(record, sort_keys=True, default=str)
+            + "\n").encode("utf-8")
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "a+b", buffering=0) as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size:
+            fh.seek(size - 1)
+            if fh.read(1) != b"\n":
+                data = b"\n" + data
+        if fh.write(data) != len(data):
+            raise OSError(f"short write appending to {path!r}")
+        os.fsync(fh.fileno())
 
 
 def read_jsonl(path: str) -> Tuple[List[Dict[str, Any]], int]:
     """Load a JSONL file defensively.
 
     Returns ``(records, skipped)`` where ``skipped`` counts lines that
-    failed to parse (e.g. a partial line from a legacy non-atomic
-    writer killed mid-append).  Records keep unknown keys verbatim.
+    failed to parse (e.g. the final line of a writer killed
+    mid-append).  Records keep unknown keys verbatim.
     """
     records: List[Dict[str, Any]] = []
     skipped = 0
@@ -91,66 +97,37 @@ def read_jsonl(path: str) -> Tuple[List[Dict[str, Any]], int]:
     return records, skipped
 
 
-def detect_torn_tail(path: str) -> Optional[str]:
-    """The torn trailing fragment of a JSONL file, or ``None``.
-
-    A writer killed mid-append (a legacy non-atomic writer, or a
-    kernel dying between ``write`` and ``fsync``) leaves a partial
-    final record: the last non-empty line fails to parse as JSON.
-    Returns that fragment verbatim so recovery can report it; mid-file
-    garbage is *not* a torn tail (it is skipped by :func:`read_jsonl`
-    like any other corrupt line).
-    """
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
-        return None
-    tail = lines[-1]
-    try:
-        json.loads(tail)
-    except json.JSONDecodeError:
-        return tail
-    return None
-
-
 def salvage_jsonl(path: str) -> Optional[str]:
-    """Drop a torn trailing fragment from a JSONL file, in place.
+    """Truncate a torn final line off a JSONL file, in place.
 
-    Everything before the torn write survives: the file is rewritten
-    atomically without the fragment (and with a normalized trailing
-    newline).  Returns the dropped fragment, or ``None`` when the file
-    needed no salvage.
+    A writer killed mid-append leaves a last non-empty line that does
+    not parse as JSON.  The file is read once; when its last line is
+    torn, the file is truncated at that line's start and fsynced, so
+    everything before the torn write survives byte for byte.  A file
+    that grew since the read is left alone: a live writer has appended
+    after the fragment.  Mid-file garbage is not a torn tail (it is
+    skipped by :func:`read_jsonl` like any other corrupt line).
+
+    Returns the dropped fragment, or ``None`` when nothing was dropped.
     """
-    fragment = detect_torn_tail(path)
-    if fragment is None:
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    kept = [ln for ln in text.split("\n") if ln.strip()][:-1]
-    atomic_write_text(path, "".join(ln + "\n" for ln in kept))
-    return fragment
-
-
-def iter_temp_leftovers(directory: str) -> Iterator[str]:
-    """Orphaned ``.tmp-*`` files a crashed writer may have left behind."""
-    if not os.path.isdir(directory):
-        return
-    for name in sorted(os.listdir(directory)):
-        if name.startswith(".tmp-"):
-            yield os.path.join(directory, name)
-
-
-def sweep_temp_leftovers(directory: str,
-                         unlink: Optional[bool] = True) -> List[str]:
-    """Remove (or just list, with ``unlink=False``) orphaned tmp files."""
-    leftovers = list(iter_temp_leftovers(directory))
-    if unlink:
-        for path in leftovers:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-    return leftovers
+    body = data.rstrip()
+    start = body.rfind(b"\n") + 1
+    fragment = body[start:]
+    if not fragment:
+        return None
+    try:
+        json.loads(fragment)
+        return None
+    except ValueError:
+        pass
+    with open(path, "r+b") as fh:
+        if os.fstat(fh.fileno()).st_size != len(data):
+            return None
+        fh.truncate(start)
+        os.fsync(fh.fileno())
+    return fragment.decode("utf-8", errors="replace")

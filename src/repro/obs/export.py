@@ -147,16 +147,9 @@ def prometheus_text(trace_or_records) -> str:
     summary = summarize(records)
     meta = next((r for r in records if r.get("type") == "meta"), {})
 
-    flat: List[Tuple[LabelPairs, Any]] = []
-
-    def walk(node, path):
-        full = path + (node.name,)
-        flat.append(((("phase", "/".join(full)),), node))
-        for c in node.children:
-            walk(c, full)
-
-    for root in summary.roots:
-        walk(root, ())
+    flat: List[Tuple[LabelPairs, Any]] = [
+        ((("phase", "/".join(path)),), node)
+        for path, node in summary.walk()]
 
     families: List[Family] = [
         ("repro_run_info", "gauge",

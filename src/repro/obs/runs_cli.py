@@ -11,9 +11,8 @@ Five verbs over :class:`~repro.obs.store.RunStore`:
 * ``regress`` — compare a run against a baseline under noise
   thresholds; exits ``1`` when a regression is detected, which makes
   it usable as a CI gate;
-* ``recover`` — crash-recovery sweep: salvage torn writes, sweep
-  orphaned temp files, and list the interrupted runs ``repro eco
-  --resume`` can continue.
+* ``recover`` — crash recovery: truncate a torn final record and list
+  the interrupted runs ``repro eco --resume`` can continue.
 
 Run references accept ``last`` / ``first``, negative indexes (``-2`` =
 second newest) and unique run-id prefixes.  This module is on the
@@ -224,8 +223,6 @@ def _cmd_recover(store: RunStore, args: argparse.Namespace) -> int:
     if report["salvaged_fragment"] is not None:
         print(f"salvaged : dropped torn trailing record "
               f"({len(report['salvaged_fragment'])} bytes)")
-    if report["swept_tmp"]:
-        print(f"swept    : {report['swept_tmp']} orphaned tmp file(s)")
     resumable = report["resumable"]
     if not resumable:
         print("resumable: none")

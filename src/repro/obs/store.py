@@ -4,10 +4,11 @@ Every engine, CLI and bench invocation can publish a :class:`RunRecord`
 — config, git SHA, final counters, the per-phase span summary, event
 counts, latency histograms, degradation state and exit outcome — into
 a :class:`RunStore`, whose one file is
-``records.jsonl``: append-only, one JSON record per line.  All writes
-are atomic (tmp file + fsync + rename via :mod:`repro.obs.atomicio`),
-so a killed run never leaves a truncated record.  An ``index.json``
-left by an older version is ignored and left in place.
+``records.jsonl``: append-only, one JSON record per line.  Each publish
+is one fsynced in-place append (:mod:`repro.obs.atomicio`), so a killed
+run leaves at worst a torn final line, which readers skip and
+``recover`` truncates away.  An ``index.json`` or ``.tmp-*`` file left
+by an older version is ignored and left in place.
 
 On top of the store sit :func:`diff_records` (field-by-field metric
 deltas between two runs) and :func:`check_regressions` (noise-aware
@@ -27,15 +28,10 @@ import logging
 import os
 import subprocess
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.obs.atomicio import (
-    append_jsonl_line,
-    read_jsonl,
-    salvage_jsonl,
-    sweep_temp_leftovers,
-)
+from repro.obs.atomicio import append_jsonl_line, read_jsonl, salvage_jsonl
 
 logger = logging.getLogger("repro.obs")
 
@@ -159,23 +155,13 @@ def new_run_id(started_at: float) -> str:
 def _phase_rows(records: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Flatten the trace summary tree into per-phase rows."""
     from repro.obs.summary import summarize
-    rows: List[Dict[str, Any]] = []
-
-    def walk(node, path: Tuple[str, ...]) -> None:
-        full = path + (node.name,)
-        rows.append({
-            "phase": "/".join(full),
-            "calls": node.calls,
-            "seconds": round(node.seconds, 6),
-            "sat_conflicts": node.sat_conflicts,
-            "bdd_nodes": node.bdd_nodes,
-        })
-        for child in node.children:
-            walk(child, full)
-
-    for root in summarize(records).roots:
-        walk(root, ())
-    return rows
+    return [{
+        "phase": "/".join(path),
+        "calls": node.calls,
+        "seconds": round(node.seconds, 6),
+        "sat_conflicts": node.sat_conflicts,
+        "bdd_nodes": node.bdd_nodes,
+    } for path, node in summarize(records).walk()]
 
 
 def record_from_result(result, trace=None, kind: str = "eco",
@@ -270,7 +256,11 @@ class RunStore:
 
     # ------------------------------------------------------------------
     def publish(self, record: RunRecord) -> str:
-        """Append ``record`` atomically; returns the run id."""
+        """Append ``record`` as one fsynced line; returns the run id.
+
+        Concurrent publishers (several processes sharing one store)
+        each land their line whole.
+        """
         append_jsonl_line(self.records_path, record.to_json())
         return record.run_id
 
@@ -321,31 +311,27 @@ class RunStore:
 
     # ------------------------------------------------------------------
     def recover(self) -> Dict[str, Any]:
-        """Crash-recovery sweep of the store directory.
+        """Crash recovery of the store directory.
 
-        Salvages a torn trailing line a legacy writer may have left in
-        ``records.jsonl``, removes orphaned ``.tmp-*`` files, and lists
-        the checkpoint journals of runs that never finished (the ones
-        ``repro eco --resume`` can continue).  Safe to run any time —
-        a healthy store passes through untouched.
+        Truncates a torn final line a writer killed mid-publish left in
+        ``records.jsonl`` and lists the checkpoint journals of runs
+        that never finished (the ones ``repro eco --resume`` can
+        continue).  Safe to run any time — a healthy store passes
+        through untouched.
         """
         # lazy: checkpoint sits above obs in the layering
         from repro.eco.checkpoint import list_resumable
 
-        fragment = None
-        if os.path.exists(self.records_path):
-            fragment = salvage_jsonl(self.records_path)
-            if fragment is not None:
-                logger.warning(
-                    "run store %s: dropped torn trailing record "
-                    "(%d bytes)", self.records_path, len(fragment))
+        fragment = salvage_jsonl(self.records_path)
+        if fragment is not None:
+            logger.warning(
+                "run store %s: dropped torn trailing record "
+                "(%d bytes)", self.records_path, len(fragment))
         records = self.load_all()
-        swept = sweep_temp_leftovers(self.root)
         return {
             "records": len(records),
             "skipped_lines": self.skipped,
             "salvaged_fragment": fragment,
-            "swept_tmp": len(swept),
             "resumable": list_resumable(self.root),
         }
 

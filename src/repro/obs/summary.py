@@ -12,7 +12,7 @@ that phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 
 @dataclass
@@ -57,18 +57,22 @@ class TraceSummary:
     run_phases: List[Tuple[str, Dict[str, Any]]] = field(
         default_factory=list)
 
+    def walk(self) -> Iterator[Tuple[Tuple[str, ...], PhaseNode]]:
+        """Every phase in pre-order (each root, then its children in
+        row order), with its name path from the root."""
+        def visit(node: PhaseNode, path: Tuple[str, ...]):
+            path = path + (node.name,)
+            yield path, node
+            for child in node.children:
+                yield from visit(child, path)
+
+        for root in self.roots:
+            yield from visit(root, ())
+
     def top_phases(self, limit: int = 6) -> List[PhaseNode]:
         """Flattened phases ordered by total time, deepest-first rows
         excluded in favor of their parents when times tie exactly."""
-        flat: List[PhaseNode] = []
-
-        def walk(node: PhaseNode) -> None:
-            flat.append(node)
-            for c in node.children:
-                walk(c)
-
-        for r in self.roots:
-            walk(r)
+        flat = [node for _, node in self.walk()]
         flat.sort(key=lambda n: -n.seconds)
         return flat[:limit]
 
@@ -191,17 +195,12 @@ def format_summary(summary: TraceSummary, hot: int = 5,
             return "-"
         return f"{100.0 * seconds / total:.0f}%"
 
-    def walk(node: PhaseNode, indent: int) -> None:
-        label = "  " * indent + node.name
+    for path, node in summary.walk():
+        label = "  " * (len(path) - 1) + node.name
         lines.append(
             f"{label:<42} {node.calls:>6} {node.seconds:>8.3f}s "
             f"{pct(node.seconds):>5} {node.sat_conflicts:>9} "
             f"{node.bdd_nodes:>10}")
-        for child in node.children:
-            walk(child, indent + 1)
-
-    for root in summary.roots:
-        walk(root, 0)
 
     if summary.roots:
         lines.append(f"phase coverage : {100.0 * summary.coverage:.1f}% "

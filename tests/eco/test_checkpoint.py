@@ -1,7 +1,9 @@
 """Checkpoint-journal unit tests: WAL round trips, resume guards."""
 
 import json
+import os
 import random
+import shutil
 
 import pytest
 
@@ -178,3 +180,15 @@ class TestListResumable:
 
     def test_empty_store_lists_nothing(self, tmp_path):
         assert list_resumable(str(tmp_path)) == []
+
+    def test_dot_files_are_not_runs(self, tmp_path):
+        """An older writer's ``.tmp-*`` leftover in ``journals/`` ends in
+        ``.jsonl`` but is no run: it is ignored and left in place."""
+        store = str(tmp_path)
+        live = RunJournal("r-live", store_root=store)
+        live.start("mult", EcoConfig(), ["o1"])
+        leftover = os.path.join(os.path.dirname(live.path),
+                                ".tmp-41uz4whbr-live.jsonl")
+        shutil.copyfile(live.path, leftover)
+        assert [e["run_id"] for e in list_resumable(store)] == ["r-live"]
+        assert os.path.exists(leftover)

@@ -89,9 +89,6 @@ class TestQueries:
         for net in small.nets():
             assert sorted(sm[net]) == sorted(small.sinks(net))
 
-    def test_all_pins_count(self, small):
-        assert len(list(small.all_pins())) == small.num_sinks
-
     def test_pin_driver(self, small):
         assert small.pin_driver(Pin.gate("g2", 0)) == "g1"
         assert small.pin_driver(Pin.output("o")) == "g2"

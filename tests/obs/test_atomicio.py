@@ -4,11 +4,12 @@ import os
 
 import pytest
 
+from repro.obs import atomicio
 from repro.obs.atomicio import (
     append_jsonl_line,
     atomic_write_text,
     read_jsonl,
-    sweep_temp_leftovers,
+    salvage_jsonl,
 )
 
 
@@ -65,11 +66,35 @@ class TestReadJsonl:
         assert skipped == 2
 
 
-class TestTempSweep:
-    def test_sweeps_only_temp_files(self, tmp_path):
-        keep = tmp_path / "data.jsonl"
-        keep.write_text("{}\n")
-        (tmp_path / ".tmp-abandoned").write_text("partial")
-        removed = sweep_temp_leftovers(str(tmp_path))
-        assert [os.path.basename(p) for p in removed] == [".tmp-abandoned"]
-        assert sorted(os.listdir(tmp_path)) == ["data.jsonl"]
+class TestSalvage:
+    def torn_file(self, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        append_jsonl_line(path, {"n": 1})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"n": 2, "to')  # a writer killed mid-append
+        return path
+
+    def test_truncates_the_torn_tail_in_place(self, tmp_path):
+        path = self.torn_file(tmp_path)
+        inode = os.stat(path).st_ino
+        assert salvage_jsonl(path) == '{"n": 2, "to'
+        assert os.stat(path).st_ino == inode
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == '{"n": 1}\n'
+        assert salvage_jsonl(path) is None
+
+    def test_leaves_a_file_that_grew_since_its_read(self, tmp_path,
+                                                    monkeypatch):
+        path = self.torn_file(tmp_path)
+
+        def open_after_a_live_append(file, mode="r", *args, **kwargs):
+            if mode == "r+b":  # the truncating open, after the read
+                append_jsonl_line(path, {"n": 3})
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(atomicio, "open", open_after_a_live_append,
+                            raising=False)
+        assert salvage_jsonl(path) is None
+        records, skipped = read_jsonl(path)
+        assert [r["n"] for r in records] == [1, 3]
+        assert skipped == 1
